@@ -3,9 +3,11 @@
 Runs each kernel under the pure-numpy implementation and (when
 available) the numba-compiled one, on inputs shaped like the real
 workloads: packed coefficient blocks for the cross-distance kernels and
-the truncated spectral basis for the advection term.  JIT compilation
-happens in an untimed warmup pass, so the table reports steady-state
-throughput only.
+the truncated spectral basis for the advection term, at the default
+cutoff kmax=4 and at kmax=6.  The advection term has one padded-FFT
+implementation, so its two backend columns time the same code.  JIT
+compilation happens in an untimed warmup pass, so the table reports
+steady-state throughput only.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -42,16 +44,18 @@ def make_cases(rng):
     qw = rng.uniform(0.5, 1.0, size=slots)
     ww = 2.0 ** (-np.abs(np.arange(slots) - slots // 2) / 40.0)
 
-    basis = SpectralBasis(kmax=4)
-    vals = (rng.standard_normal((basis.m, 3))
-            + 1j * rng.standard_normal((basis.m, 3)))
-
-    return [
+    cases = [
         ("strong_cross", lambda: kernels.strong_cross(av, bv, qw)),
         ("weak_cross", lambda: kernels.weak_cross(av, bv, ww)),
-        ("nse_bilinear", lambda: kernels.nse_bilinear(
-            vals, basis.kvec, basis.pair_out, basis.pair_p, basis.pair_q)),
     ]
+    for kmax in (4, 6):
+        basis = SpectralBasis(kmax=kmax)
+        vals = (rng.standard_normal((basis.m, 3))
+                + 1j * rng.standard_normal((basis.m, 3)))
+        cases.append((f"nse_bilinear/k{kmax}",
+                      lambda b=basis, v=vals: kernels.nse_bilinear(
+                          v, b.kvec, b.grid_index, b.grid_n)))
+    return cases
 
 
 def main():
@@ -73,10 +77,10 @@ def main():
         finally:
             backend.set_backend(prev)
 
-    print(f"{'kernel':<14}" + "".join(f"{n + ' (ms)':>14}" for n in names)
+    print(f"{'kernel':<16}" + "".join(f"{n + ' (ms)':>14}" for n in names)
           + ("       speedup" if len(names) == 2 else ""))
     for case, _ in cases:
-        row = f"{case:<14}"
+        row = f"{case:<16}"
         for name in names:
             row += f"{results[(case, name)] * 1e3:>14.3f}"
         if len(names) == 2:

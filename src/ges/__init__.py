@@ -25,7 +25,7 @@ from .symbols import (SymbolFamily, UnionInclusionReport, per_symbol_pullback,
 from .systems import SYSTEM_IDS, make_system
 from .verify import SUITES, SuiteReport, run_suite
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BlowUpError", "ForcingFormatError", "UnsupportedError", "UsageError",

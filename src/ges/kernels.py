@@ -1,4 +1,4 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels.
 
 Every kernel takes packed dense arrays (see space.pack_states) so the
 inner loops stay free of Python objects:
@@ -6,15 +6,18 @@ inner loops stay free of Python objects:
 * strong_cross  -- pairwise quadrature-weighted l2 distances
 * weak_cross    -- pairwise weighted bounded-difference series
 * nse_bilinear  -- truncated convolution of the advection term with
-                   Leray projection, driven by a precomputed pair table
+                   Leray projection, evaluated by zero-padded FFTs
 
-The numpy fallbacks batch over rows so memory stays O(set size) and the
-summation order is fixed, which keeps repeated runs byte-identical.
+The two cross kernels ship as numba loops and pure-numpy fallbacks; the
+numpy fallbacks batch over rows so memory stays O(set size) and the
+summation order is fixed, which keeps repeated runs byte-identical.  The
+advection term has a single FFT implementation under both backends.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import backend as _backend
 
@@ -101,71 +104,14 @@ def _weak_cross_nb(av, bv, ww):  # pragma: no cover - numba path
     return out
 
 
-# ---------------------------------------------------------------------------
-# spectral advection term for the Galerkin velocity field
-#
-# out_k = -P_k [ i * sum_{p+q=k} (v_p . q) v_q ]  projected by
-# P_k = I - k k^T / |k|^2, with (out, p, q) triples precomputed so both
-# backends walk the identical interaction list.
-
-
-def _nse_bilinear_np(vals, kvec, pair_out, pair_p, pair_q):
-    m = vals.shape[0]
-    kq = kvec[pair_q]  # (P, 3) float64
-    vp = vals[pair_p]  # (P, 3) complex128
-    dot = vp[:, 0] * kq[:, 0] + vp[:, 1] * kq[:, 1] + vp[:, 2] * kq[:, 2]
-    contrib = 1j * dot[:, None] * vals[pair_q]  # (P, 3)
-    out = np.empty((m, 3), dtype=np.complex128)
-    for c in range(3):
-        re = np.bincount(pair_out, weights=contrib[:, c].real, minlength=m)
-        im = np.bincount(pair_out, weights=contrib[:, c].imag, minlength=m)
-        out[:, c] = re + 1j * im
-    ksq = (kvec * kvec).sum(axis=1)
-    kd = (out * kvec).sum(axis=1) / ksq
-    out -= kd[:, None] * kvec
-    return -out
-
-
-@njit(cache=True, nogil=True)
-def _nse_bilinear_nb(vals, kvec, pair_out, pair_p, pair_q):  # pragma: no cover
-    m = vals.shape[0]
-    out = np.zeros((m, 3), dtype=np.complex128)
-    for r in range(pair_out.shape[0]):
-        o = pair_out[r]
-        p = pair_p[r]
-        q = pair_q[r]
-        dot = (
-            vals[p, 0] * kvec[q, 0]
-            + vals[p, 1] * kvec[q, 1]
-            + vals[p, 2] * kvec[q, 2]
-        )
-        f = 1j * dot
-        out[o, 0] += f * vals[q, 0]
-        out[o, 1] += f * vals[q, 1]
-        out[o, 2] += f * vals[q, 2]
-    for o in range(m):
-        ksq = kvec[o, 0] ** 2 + kvec[o, 1] ** 2 + kvec[o, 2] ** 2
-        kd = (
-            out[o, 0] * kvec[o, 0]
-            + out[o, 1] * kvec[o, 1]
-            + out[o, 2] * kvec[o, 2]
-        ) / ksq
-        out[o, 0] = -(out[o, 0] - kd * kvec[o, 0])
-        out[o, 1] = -(out[o, 1] - kd * kvec[o, 1])
-        out[o, 2] = -(out[o, 2] - kd * kvec[o, 2])
-    return out
-
-
 _IMPL = {
     "numpy": {
         "strong_cross": _strong_cross_np,
         "weak_cross": _weak_cross_np,
-        "nse_bilinear": _nse_bilinear_np,
     },
     "numba": {
         "strong_cross": _strong_cross_nb if HAS_NUMBA else _strong_cross_np,
         "weak_cross": _weak_cross_nb if HAS_NUMBA else _weak_cross_np,
-        "nse_bilinear": _nse_bilinear_nb if HAS_NUMBA else _nse_bilinear_np,
     },
 }
 
@@ -188,6 +134,38 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
     return _kernel("weak_cross")(av, bv, ww)
 
 
-def nse_bilinear(vals, kvec, pair_out, pair_p, pair_q) -> np.ndarray:
-    """Projected advection term -P(v . grad v) on the truncated mode set."""
-    return _kernel("nse_bilinear")(vals, kvec, pair_out, pair_p, pair_q)
+# ---------------------------------------------------------------------------
+# spectral advection term for the Galerkin velocity field
+#
+# out_k = -P_k [ sum_{p+q=k} (v_p . i q) v_q ]  with P_k = I - k k^T / |k|^2,
+# evaluated pseudo-spectrally (Orszag 1971): scatter v and i k_l v onto a
+# zero-padded n^3 grid, inverse-transform, form the advective product
+# sum_l u_l d_l u_j pointwise, transform back and keep the retained modes.
+# Every retained wave-vector component lies in [-kmax, kmax], so products
+# reach at most 2 kmax and n >= 3 kmax + 1 keeps every alias off the
+# retained set: the result is the sharply truncated convolution up to
+# roundoff.  Complex transforms and the advective form make that hold for
+# any complex input, Hermitian or not, solenoidal or not.
+
+
+def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
+    """Projected advection term -P(v . grad v) on the truncated mode set.
+
+    vals: (m, 3) complex coefficients, kvec: (m, 3) wave vectors,
+    grid_index: (m,) flat index of each mode on the padded n^3 grid.
+    """
+    spec = np.zeros((4, 3, n ** 3), dtype=np.complex128)
+    spec[0][:, grid_index] = vals.T
+    spec[1:][:, :, grid_index] = 1j * kvec.T[:, None, :] * vals.T
+    # both buffers are private to this call, so the transforms may reuse them
+    phys = sfft.ifftn(spec.reshape(4, 3, n, n, n), axes=(2, 3, 4), norm="forward",
+                      overwrite_x=True)
+    u = phys[0]
+    adv = u[0] * phys[1] + u[1] * phys[2] + u[2] * phys[3]
+    out = sfft.fftn(adv, axes=(1, 2, 3), norm="forward",
+                    overwrite_x=True).reshape(3, n ** 3)
+    out = out[:, grid_index].T
+    ksq = (kvec * kvec).sum(axis=1)
+    kd = (out * kvec).sum(axis=1) / ksq
+    out -= kd[:, None] * kvec
+    return -out

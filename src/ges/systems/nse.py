@@ -12,7 +12,10 @@ radius).  Velocity coefficients are complex 3-vectors, divergence-free
 (k . u_hat_k = 0) and Hermitian (u_hat_{-k} = conj(u_hat_k)), so the
 underlying field is real.  The advection term is the sharply truncated
 convolution with Leray projection, which conserves energy exactly:
-Re sum conj(u_hat_k) . B_k = 0 at machine precision.
+Re sum conj(u_hat_k) . B_k = 0 at machine precision.  It is evaluated
+pseudo-spectrally on a zero-padded grid of n >= 3 kmax + 1 points per
+direction (see kernels.nse_bilinear), which equals the convolution sum up
+to roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
 
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
@@ -39,6 +42,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import solve_ivp
 
 from .. import kernels
@@ -54,11 +58,14 @@ LAMBDA_1 = 1.0
 
 
 class SpectralBasis:
-    """Mode bookkeeping for one Galerkin cutoff: lookup tables, the
-    convolution pair list, and mirror indices."""
+    """Mode bookkeeping for one Galerkin cutoff: lookup tables, mirror
+    indices, and each mode's flat index on the zero-padded FFT grid that
+    evaluates the advection term."""
 
     def __init__(self, kmax: int):
         self.kmax = int(kmax)
+        if self.kmax < 1:
+            raise UsageError(f"Galerkin cutoff kmax must be at least 1, got {kmax}")
         modes = []
         for kx in range(-kmax, kmax + 1):
             for ky in range(-kmax, kmax + 1):
@@ -73,18 +80,11 @@ class SpectralBasis:
         self._row = {tuple(k): i for i, k in enumerate(modes)}
         self.mirror = np.array([self._row[(-k[0], -k[1], -k[2])] for k in modes],
                                dtype=np.int64)
-        out_l, p_l, q_l = [], [], []
-        for o, ko in enumerate(modes):
-            for p, kp in enumerate(modes):
-                q = (ko[0] - kp[0], ko[1] - kp[1], ko[2] - kp[2])
-                r = self._row.get(q)
-                if r is not None:
-                    out_l.append(o)
-                    p_l.append(p)
-                    q_l.append(r)
-        self.pair_out = np.array(out_l, dtype=np.int64)
-        self.pair_p = np.array(p_l, dtype=np.int64)
-        self.pair_q = np.array(q_l, dtype=np.int64)
+        # products of two retained modes reach 2 kmax per component, so
+        # n >= 3 kmax + 1 keeps their aliases off the retained set
+        self.grid_n = sfft.next_fast_len(3 * self.kmax + 1)
+        self.grid_index = np.ravel_multi_index((self.modes % self.grid_n).T,
+                                               (self.grid_n,) * 3)
 
     def row(self, k) -> int:
         r = self._row.get((int(k[0]), int(k[1]), int(k[2])))
@@ -387,8 +387,8 @@ class NSESystem(TrajectoryFamily):
         return self.forcing.dense(t, self.basis)
 
     def rhs_dense(self, t: float, v: np.ndarray) -> np.ndarray:
-        adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.pair_out,
-                                   self.basis.pair_p, self.basis.pair_q)
+        adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
+                                   self.basis.grid_n)
         return -self.nu * self.basis.ksq[:, None] * v + adv + self.g_dense(t)
 
     def rhs(self, x: CoeffState, t: float = 0.0) -> CoeffState:
@@ -398,8 +398,8 @@ class NSESystem(TrajectoryFamily):
     def bilinear(self, x: CoeffState) -> CoeffState:
         """The projected advection term alone (as it enters the right side)."""
         v = self.dense_values(x)
-        adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.pair_out,
-                                   self.basis.pair_p, self.basis.pair_q)
+        adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
+                                   self.basis.grid_n)
         return self.state_from_dense(adv)
 
     def evolve(self, s, x, ts, branch=0):

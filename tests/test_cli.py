@@ -9,9 +9,12 @@ bytes, regardless of worker count).
 import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import ges
 from ges.cli import ExperimentConfig, main
 
 
@@ -194,6 +197,14 @@ class TestUsageErrors:
         code, _ = run(tmp_path, "omega", "--config", str(cfg))
         assert code == 64
 
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_nse_cutoff_below_one(self, tmp_path, capsys, kmax):
+        code, _ = run(tmp_path, "nse", "info", "--kmax", kmax)
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "kmax" in err
+        assert "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # configuration precedence: CLI flag > config file > defaults
@@ -276,3 +287,21 @@ class TestDeterminism:
         _, out2 = run(tmp_path / "b", "omega", "--system", "heat",
                       "--threads", "4")
         assert self.artifacts(out1) == self.artifacts(out2)
+
+    def test_worker_count_never_changes_nse_results(self, tmp_path):
+        argv = ("nse", "omega", "--n", "3", "--n-seeds", "2")
+        code1, out1 = run(tmp_path / "a", *argv, "--threads", "1")
+        code2, out2 = run(tmp_path / "b", *argv, "--threads", "2")
+        assert code1 == code2
+        assert self.artifacts(out1) == self.artifacts(out2)
+
+
+# ---------------------------------------------------------------------------
+# package metadata
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    found = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert found is not None
+    assert ges.__version__ == found.group(1)

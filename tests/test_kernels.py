@@ -1,5 +1,7 @@
-"""Backend agreement: the numba kernels and the numpy fallbacks must
-produce the same numbers on identical inputs."""
+"""Backend agreement: the numba cross kernels and the numpy fallbacks
+must produce the same numbers on identical inputs.  The advection kernel
+has one implementation; tests/test_systems.py checks it against the
+convolution pair sum."""
 
 from __future__ import annotations
 
@@ -7,7 +9,6 @@ import numpy as np
 import pytest
 
 from ges import backend, kernels
-from ges.systems import NSESystem
 
 
 pytestmark = pytest.mark.skipif(
@@ -62,17 +63,6 @@ def test_weak_cross_agrees(both_backends):
     a, b = both_backends(kernels.weak_cross, av, bv, ww)
     assert a.shape == (6, 3)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
-def test_nse_bilinear_agrees(both_backends):
-    fam = NSESystem()
-    x = fam.sample_states(1, np.random.default_rng(3))[0]
-    v = fam.dense_values(x)
-    basis = fam.basis
-    a, b = both_backends(kernels.nse_bilinear, v, basis.kvec, basis.pair_out,
-                         basis.pair_p, basis.pair_q)
-    assert a.shape == v.shape
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_set_backend_validation_and_restore():

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from ges import kernels
 from ges.errors import ForcingFormatError, UsageError
 from ges.evolution import pullback_image
 from ges.systems import (
@@ -362,6 +363,75 @@ class TestNSEStructure:
             == pytest.approx(math.sqrt(absorbing_radius(1.0, 1.0)), rel=1e-9)
         with pytest.raises(UsageError, match="ball_convention"):
             NSESystem(ball_convention="diameter")
+
+
+def pair_sum_bilinear(vals, basis):
+    """-P sum_{p+q=k} (v_p . i q) v_q by direct enumeration of the retained
+    (k, p, q) triples with Leray projection.  O(m^2) memory and time, so it
+    serves as an oracle at small cutoffs only."""
+    modes = [tuple(int(c) for c in k) for k in basis.modes]
+    row = {k: i for i, k in enumerate(modes)}
+    triples = []
+    for o, ko in enumerate(modes):
+        for p, kp in enumerate(modes):
+            q = row.get((ko[0] - kp[0], ko[1] - kp[1], ko[2] - kp[2]))
+            if q is not None:
+                triples.append((o, p, q))
+    pair_out, pair_p, pair_q = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    kvec = basis.kvec
+    dot = (vals[pair_p] * kvec[pair_q]).sum(axis=1)
+    contrib = 1j * dot[:, None] * vals[pair_q]
+    out = np.empty((basis.m, 3), dtype=np.complex128)
+    for c in range(3):
+        re = np.bincount(pair_out, weights=contrib[:, c].real, minlength=basis.m)
+        im = np.bincount(pair_out, weights=contrib[:, c].imag, minlength=basis.m)
+        out[:, c] = re + 1j * im
+    kd = (out * kvec).sum(axis=1) / basis.ksq
+    out -= kd[:, None] * kvec
+    return -out
+
+
+class TestNSEAdvection:
+    """The padded-FFT advection kernel against the convolution pair sum."""
+
+    @staticmethod
+    def assert_matches_pair_sum(basis, v):
+        got = kernels.nse_bilinear(v, basis.kvec, basis.grid_index, basis.grid_n)
+        ref = pair_sum_bilinear(v, basis)
+        # at kmax = 1 no retained triad closes and ref is identically zero
+        scale = max(float(np.abs(ref).max()), 1.0)
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_matches_pair_sum_on_sampled_fields(self, kmax):
+        fam = NSESystem(kmax=kmax)
+        for x in fam.sample_states(3, np.random.default_rng(kmax), active_kmax=kmax):
+            v = fam.dense_values(x)
+            assert np.abs(v[fam.basis.mirror] - np.conj(v)).max() <= 1e-15
+            self.assert_matches_pair_sum(fam.basis, v)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_matches_pair_sum_on_arbitrary_complex_input(self, kmax):
+        basis = get_basis(kmax)
+        rng = np.random.default_rng(10 + kmax)
+        for _ in range(3):
+            v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
+            self.assert_matches_pair_sum(basis, v)
+
+    def test_conserves_energy_at_kmax_6(self):
+        fam = NSESystem(kmax=6)
+        for x in fam.sample_states(2, np.random.default_rng(12), active_kmax=6):
+            v = fam.dense_values(x)
+            adv = fam.dense_values(fam.bilinear(x))
+            assert abs(float(np.real(np.conj(v) * adv).sum())) <= 1e-10
+
+    @pytest.mark.parametrize("kmax", [1, 4, 8])
+    def test_basis_holds_only_per_mode_arrays(self, kmax):
+        basis = get_basis(kmax)
+        assert basis.grid_n >= 3 * kmax + 1
+        arrays = [a for a in vars(basis).values() if isinstance(a, np.ndarray)]
+        assert arrays and all(a.shape[0] == basis.m for a in arrays)
+        assert np.unique(basis.grid_index).size == basis.m
 
 
 class TestNSEFlow:
