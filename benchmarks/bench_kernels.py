@@ -2,12 +2,14 @@
 
 Runs each kernel under the pure-numpy implementation and (when
 available) the numba-compiled one, on inputs shaped like the real
-workloads: packed coefficient blocks for the cross-distance kernels and
-the truncated spectral basis for the advection term, at the default
-cutoff kmax=4 and at kmax=6.  The advection term has one padded-FFT
-implementation, so its two backend columns time the same code.  JIT
-compilation happens in an untimed warmup pass, so the table reports
-steady-state throughput only.
+workloads: packed coefficient blocks for the cross-distance kernels (a
+mid-size tier comparison, and the survival-filter shape of `ges omega
+--system heat --n-seeds 512`: one state against a 512-state tier over
+2,049 grid slots) and the truncated spectral basis for the advection
+term, at the default cutoff kmax=4 and at kmax=6.  The advection term
+has one padded-FFT implementation, so its two backend columns time the
+same code.  JIT compilation happens in an untimed warmup pass, so the
+table reports steady-state throughput only.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -44,9 +46,16 @@ def make_cases(rng):
     qw = rng.uniform(0.5, 1.0, size=slots)
     ww = 2.0 ** (-np.abs(np.arange(slots) - slots // 2) / 40.0)
 
+    # heat survival filter: one netted state against one 512-state tier
+    grid = 2049
+    hv = (rng.standard_normal((513, grid, 1))
+          + 1j * rng.standard_normal((513, grid, 1)))
+    hw = 2.0 ** (-np.abs(np.arange(grid) - grid // 2) / 64.0) / 64.0
+
     cases = [
         ("strong_cross", lambda: kernels.strong_cross(av, bv, qw)),
         ("weak_cross", lambda: kernels.weak_cross(av, bv, ww)),
+        ("weak_cross/heat", lambda: kernels.weak_cross(hv[:1], hv[1:], hw)),
     ]
     for kmax in (4, 6):
         basis = SpectralBasis(kmax=kmax)

@@ -48,6 +48,12 @@ EXIT_FORCING = 65
 EXIT_BLOWUP = 70
 
 
+# accepted Python types per annotated config field type; a JSON integer
+# is a valid float
+_FIELD_KINDS = {"str": str, "float": (int, float), "int": int,
+                "int | None": (int, type(None))}
+
+
 @dataclass
 class ExperimentConfig:
     """Run parameters shared by the experiment subcommands."""
@@ -67,6 +73,14 @@ class ExperimentConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            want = _FIELD_KINDS[f.type]
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise UsageError(f"config field {f.name!r} must be {f.type}, "
+                                 f"not {type(value).__name__}")
+            if isinstance(value, float) and not np.isfinite(value):
+                raise UsageError(f"config field {f.name!r} must be finite")
         if self.eps_net <= 0 or self.tol <= 0 or self.delta <= 0:
             raise UsageError("tolerances and schedule spacing must be positive")
         if self.n < 3:
@@ -75,6 +89,12 @@ class ExperimentConfig:
             raise UsageError("geometric ratio must exceed 1")
         if self.metric not in ("strong", "weak"):
             raise UsageError(f"unknown metric {self.metric!r}")
+        if self.seed < 0:
+            raise UsageError("the seed must be non-negative")
+        if self.n_seeds < 1:
+            raise UsageError("need at least one ensemble seed")
+        if self.threads is not None and self.threads < 1:
+            raise UsageError("threads must be at least 1")
 
     @classmethod
     def build(cls, args: argparse.Namespace) -> "ExperimentConfig":

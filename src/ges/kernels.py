@@ -8,9 +8,11 @@ inner loops stay free of Python objects:
 * nse_bilinear  -- truncated convolution of the advection term with
                    Leray projection, evaluated by zero-padded FFTs
 
-The two cross kernels ship as numba loops and pure-numpy fallbacks; the
-numpy fallbacks batch over rows so memory stays O(set size) and the
-summation order is fixed, which keeps repeated runs byte-identical.  The
+The two cross kernels ship as numba loops and pure-numpy fallbacks.  The
+numpy fallbacks walk bv in fixed blocks of rows through preallocated
+buffers, so their temporaries stay cache-sized whatever the set size.
+Blocking changes no summation order: every distance is bitwise what one
+unblocked pass gives, and repeated runs stay byte-identical.  The
 advection term has a single FFT implementation under both backends.
 """
 
@@ -38,18 +40,68 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 
 # ---------------------------------------------------------------------------
-# pairwise strong distance
+# pairwise distances, numpy form
+#
+# Both numpy kernels share one blocked pass.  For each block of bv rows and
+# each av row: diff -> re^2 + im^2 -> sum over components, then t @ w per
+# row (strong: sqrt of that; weak: sqrt and t / (1 + t) before it).  A
+# block's buffers take about 32 bytes per (row, index, component) cell, so
+# _BLOCK_CELLS cells stay inside a core's L2 cache.  Blocks are a multiple
+# of 4 rows long and the last one also takes the leftover tail of under 4
+# rows: BLAS matrix-vector products take rows in groups of four plus such a
+# tail, so each row falls in the same group as in one unblocked product and
+# gets the same bits.  A block of one row would not: numpy hands a one-row
+# product to a dot kernel, which sums in another order.
+
+_BLOCK_CELLS = 1 << 15
+
+
+def _block_rows(u: int, c: int) -> int:
+    """bv rows per block for u indices of c components: 4k, at least 4."""
+    return max(4, _BLOCK_CELLS // max(u * c, 1) // 4 * 4)
+
+
+def _cross_np(av, bv, w, weak):
+    na, u, c = av.shape
+    nb = bv.shape[0]
+    out = np.empty((na, nb), dtype=np.float64)
+    rows = _block_rows(u, c)
+    edges = [*range(0, max(nb - 3, 1), rows), nb]
+    n = min(rows + 3, nb)
+    diff = np.empty((n, u, c), dtype=np.complex128)
+    parts = diff.view(np.float64)  # (n, u, 2c): real and imaginary parts
+    sq = np.empty((n, u, c), dtype=np.float64)
+    t = sq[:, :, 0] if c == 1 else np.empty((n, u), dtype=np.float64)
+    den = np.empty((n, u), dtype=np.float64) if weak else None
+    for s, e in zip(edges[:-1], edges[1:]):
+        m = e - s
+        for i in range(na):
+            np.subtract(av[i], bv[s:e], out=diff[:m])
+            np.multiply(parts[:m], parts[:m], out=parts[:m])
+            np.add(parts[:m, :, 0::2], parts[:m, :, 1::2], out=sq[:m])
+            if c > 1:
+                np.add.reduce(sq[:m], axis=2, out=t[:m])
+            tm = t[:m]
+            if weak:
+                np.sqrt(tm, out=tm)
+                np.add(tm, 1.0, out=den[:m])
+                np.divide(tm, den[:m], out=tm)
+            np.matmul(tm, w, out=out[i, s:e])
+    if not weak:
+        np.sqrt(out, out=out)
+    return out
 
 
 def _strong_cross_np(av, bv, qw):
-    na = av.shape[0]
-    nb = bv.shape[0]
-    out = np.empty((na, nb), dtype=np.float64)
-    for i in range(na):
-        diff = av[i, None, :, :] - bv  # (nb, u, c)
-        sq = (diff.real * diff.real + diff.imag * diff.imag).sum(axis=2)
-        out[i, :] = np.sqrt(sq @ qw)
-    return out
+    return _cross_np(av, bv, qw, weak=False)
+
+
+def _weak_cross_np(av, bv, ww):
+    return _cross_np(av, bv, ww, weak=True)
+
+
+# ---------------------------------------------------------------------------
+# pairwise distances, numba form
 
 
 @njit(cache=True, nogil=True)
@@ -67,21 +119,6 @@ def _strong_cross_nb(av, bv, qw):  # pragma: no cover - numba path
                     s += d.real * d.real + d.imag * d.imag
                 acc += qw[k] * s
             out[i, j] = np.sqrt(acc)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pairwise weak distance
-
-
-def _weak_cross_np(av, bv, ww):
-    na = av.shape[0]
-    nb = bv.shape[0]
-    out = np.empty((na, nb), dtype=np.float64)
-    for i in range(na):
-        diff = av[i, None, :, :] - bv
-        t = np.sqrt((diff.real * diff.real + diff.imag * diff.imag).sum(axis=2))
-        out[i, :] = (t / (1.0 + t)) @ ww
     return out
 
 

@@ -3,16 +3,17 @@
 The pullback omega-limit of a seed set A at evaluation time t is
 approximated from a finite schedule of start times s_1 > s_2 > ...
 reaching ever deeper into the past.  Each tier contributes the image
-P(t, s_i) A of a finite seed ensemble; candidate points are collected
-deepest tier first and thinned to a greedy epsilon net; a candidate
-drawn from tier j survives when it lies within eps_net of some member
-of every strictly deeper tier's image and is supported by at least two
-tiers overall (single-depth visitors are escaping noise).  The
-attraction profile records, per tier, how far the tier's image sits
-from the surviving points, and the run is declared converged when the
-profile ends at or below tol and is non-increasing over its last
-third.  When nothing survives, the profile instead records each tier's
-drift from the shallowest image and the note says so.
+P(t, s_i) A of a finite seed ensemble; the images are packed deepest
+tier first, so each tier is one run of consecutive rows, and thinned in
+that order to a greedy epsilon net; a candidate drawn from tier j
+survives when it lies within eps_net of some member of every strictly
+deeper tier's image and is supported by at least two tiers overall
+(single-depth visitors are escaping noise).  The attraction profile
+records, per tier, how far the tier's image sits from the surviving
+points, and the run is declared converged when the profile ends at or
+below tol and is non-increasing over its last third.  When nothing
+survives, the profile instead records each tier's drift from the
+shallowest image and the note says so.
 
 Diagnostics built on the same ensembles:
 
@@ -205,13 +206,11 @@ def _net_and_survive(packed: PackedSet, tier_rows: list[np.ndarray],
 def _omega_from_tiers(system_id: str, space, tier_states, tick_values,
                       t_report: float, metric: str, eps_net: float,
                       tol: float, note: str) -> OmegaApprox:
-    all_states: list[CoeffState] = []
-    tier_rows: list[np.ndarray] = []
-    pos = 0
-    for states in tier_states:
-        tier_rows.append(np.arange(pos, pos + len(states)))
-        all_states.extend(states)
-        pos += len(states)
+    # deepest tier first: the net visits rows 0..N-1 in storage order
+    all_states = [st for states in reversed(tier_states) for st in states]
+    ends = np.cumsum([len(states) for states in reversed(tier_states)])[::-1]
+    tier_rows = [np.arange(end - len(states), end)
+                 for states, end in zip(tier_states, ends)]
     packed = pack_states(space, all_states)
     survivors = _net_and_survive(packed, tier_rows, eps_net, metric)
 

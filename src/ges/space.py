@@ -21,7 +21,10 @@ scalar counterexample whose two metrics coincide.
 
 Set operations (semidistance, Hausdorff, greedy epsilon nets) run on
 packed dense blocks so the pairwise work happens inside the kernels
-module, which dispatches between the numba and numpy backends.
+module, which dispatches between the numba and numpy backends.  A run of
+consecutive packed rows reaches the kernels as a view, not a copy, which
+is why the omega layer packs its tier images deepest tier first: the net
+then visits rows in storage order and every tier is one such run.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ class CoeffState:
         if not np.all(np.isfinite(self.val.view(np.float64))):
             raise UsageError("non-finite coefficient in state")
         if self.idx.shape[0] > 1:
-            keys = _encode_rows(self.idx)
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(_encode_rows(self.idx))
+            if np.any(keys[1:] == keys[:-1]):
                 raise UsageError("duplicate indices in state")
 
     @property
@@ -257,9 +260,18 @@ class PackedSet:
     def n_states(self) -> int:
         return self.vals.shape[0]
 
+    def _rows(self, rows) -> np.ndarray:
+        """vals at the given rows; a run of consecutive rows is a view."""
+        rows = np.asarray(rows)
+        if (rows.ndim == 1 and rows.size and rows.dtype.kind in "iu"
+                and rows[0] >= 0 and rows[-1] < self.n_states
+                and np.all(np.diff(rows) == 1)):
+            return self.vals[rows[0]:rows[-1] + 1]
+        return np.ascontiguousarray(self.vals[rows])
+
     def cross(self, rows_a: np.ndarray, rows_b: np.ndarray, metric: str) -> np.ndarray:
-        av = np.ascontiguousarray(self.vals[rows_a])
-        bv = np.ascontiguousarray(self.vals[rows_b])
+        av = self._rows(rows_a)
+        bv = self._rows(rows_b)
         if metric == "strong":
             return kernels.strong_cross(av, bv, self.qw)
         if metric == "weak":
@@ -339,12 +351,9 @@ def hausdorff_dist(space: DualMetricSpace, a_set, b_set, metric: str) -> float:
 
 def epsilon_net(space: DualMetricSpace, states: Sequence[CoeffState],
                 eps: float, metric: str) -> list[CoeffState]:
-    """Greedy first-come epsilon net.
+    """Greedy first-come epsilon net of the states, visited in input order.
 
-    Walks the states in input order and keeps a state iff it is farther
-    than eps from every state kept so far, so the output is a
-    deterministic function of the input order.  Ties (distance exactly
-    eps) are absorbed by the earlier representative.
+    The rule, ties included, is net_rows'.
     """
     states = list(states)
     if not states:
@@ -352,27 +361,32 @@ def epsilon_net(space: DualMetricSpace, states: Sequence[CoeffState],
     if eps <= 0:
         raise UsageError("eps must be positive")
     p = pack_states(space, states)
-    kept: list[int] = []
-    for i in range(p.n_states):
-        if not kept:
-            kept.append(i)
-            continue
-        d = p.cross(np.array([i]), np.asarray(kept), metric)
-        if d.min() > eps:
-            kept.append(i)
-    return [states[i] for i in kept]
+    return [states[i] for i in net_rows(p, np.arange(p.n_states), eps, metric)]
 
 
 def net_rows(p: PackedSet, order: np.ndarray, eps: float, metric: str) -> list[int]:
-    """Greedy net over packed rows, visiting them in the given order."""
+    """Greedy first-come net over packed rows, visiting them in the given order.
+
+    A row is kept iff it is farther than eps from every row kept before
+    it, so the output is a deterministic function of the order.  Ties
+    (distance exactly eps) are absorbed by the earlier representative.
+    Each kept row is compared once with every row after it; a running
+    minimum holds each later row's distance to its nearest kept row.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    nearest = np.full(order.size, np.inf)
     kept: list[int] = []
-    for i in order:
-        if not kept:
-            kept.append(int(i))
-            continue
-        d = p.cross(np.array([i]), np.asarray(kept), metric)
-        if d.min() > eps:
-            kept.append(int(i))
+    k = 0
+    while k < order.size:
+        kept.append(int(order[k]))
+        if k + 1 == order.size:
+            break
+        rest = nearest[k + 1:]
+        np.minimum(rest, p.cross(order[k:k + 1], order[k + 1:], metric)[0], out=rest)
+        far = np.flatnonzero(rest > eps)
+        if far.size == 0:
+            break
+        k += 1 + int(far[0])
     return kept
 
 

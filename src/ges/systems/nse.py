@@ -156,6 +156,10 @@ class ForcingProfile:
                 raise ForcingFormatError(f"unknown time law {e.kind!r}")
             if e.kind == "sampled" and (len(e.times) < 2 or len(e.times) != len(e.values)):
                 raise ForcingFormatError("sampled law needs matching times/values, >= 2")
+            numbers = [e.amp.real, e.amp.imag, e.omega, e.phase, *e.times,
+                       *(part for v in e.values for part in (v.real, v.imag))]
+            if not np.all(np.isfinite(numbers)):
+                raise ForcingFormatError(f"non-finite number in the forcing of mode {e.k}")
 
     def vprime_norm_sq(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)

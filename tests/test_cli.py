@@ -133,6 +133,19 @@ class TestNseCommand:
         code, _ = run(tmp_path, "nse", "info", "--forcing", str(bad))
         assert code == 65
 
+    @pytest.mark.parametrize("action", ["info", "energy"])
+    def test_non_finite_forcing_amplitude(self, tmp_path, capsys, action):
+        bad = tmp_path / "force.json"
+        nan = float("nan")
+        bad.write_text(json.dumps({"modes": [{"k": [1, 0, 0], "amp": [nan, 0]},
+                                             {"k": [-1, 0, 0], "amp": [nan, 0]}]}))
+        code, out = run(tmp_path, "nse", action, "--forcing", str(bad))
+        assert code == 65
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestUniformCommand:
     def test_default_phase_family_union_equals_uniform(self, tmp_path):
@@ -196,6 +209,24 @@ class TestUsageErrors:
         cfg.write_text("[1, 2, 3]")
         code, _ = run(tmp_path, "omega", "--config", str(cfg))
         assert code == 64
+
+    @pytest.mark.parametrize("values", [
+        {"n": "abc"},
+        {"tol": True},
+        {"n": 3.5},
+        {"delta": float("nan")},
+        {"seed": -1},
+        {"n_seeds": -3},
+        {"threads": 0},
+    ])
+    def test_config_file_values_are_checked(self, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, out = run(tmp_path, "omega", "--system", "single", "--config", str(cfg))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_nse_cutoff_below_one(self, tmp_path, capsys, kmax):

@@ -18,6 +18,7 @@ from ges.errors import UnsupportedError, UsageError
 from ges.omega import (
     OmegaApprox,
     PullbackSchedule,
+    _net_and_survive,
     attraction_diagnostic,
     forward_omega,
     invariance_check,
@@ -26,7 +27,7 @@ from ges.omega import (
     pac_check,
     tracking_check,
 )
-from ges.space import hausdorff_dist, set_semidist
+from ges.space import DualMetricSpace, hausdorff_dist, pack_states, set_semidist
 from ges.systems import (
     BranchSystem,
     BumpSystem,
@@ -207,6 +208,58 @@ class TestForwardOmega:
         seeds = fam.sample_states(2, np.random.default_rng(9))
         with pytest.raises(UsageError):
             forward_omega(fam, 0.0, seeds, n=2)
+
+
+# ---------------------------------------------------------------------------
+# net and survival filter
+
+
+def per_tier_survivors(packed, tier_rows, eps_net, metric):
+    """The net-and-survive rule with one kernel call per candidate."""
+    net = []
+    for i in np.concatenate(tier_rows[::-1]):
+        d = [packed.cross([i], [k], metric)[0, 0] for k in net]
+        if all(x > eps_net for x in d):
+            net.append(int(i))
+    tier_of = {int(r): j for j, rows in enumerate(tier_rows) for r in rows}
+    n_tiers = len(tier_rows)
+    survivors = []
+    for row in net:
+        src = tier_of[row]
+        near = [packed.cross([row], tier_rows[j], metric).min() <= eps_net + 1e-12
+                for j in range(n_tiers)]
+        ok = all(near[src + 1:])
+        if ok and src == n_tiers - 1:
+            ok = any(near[:-1])
+        if ok:
+            survivors.append(row)
+    return survivors
+
+
+@pytest.mark.parametrize("metric", ["strong", "weak"])
+@pytest.mark.parametrize("seed", range(4))
+def test_net_and_survive_matches_per_tier_rule(metric, seed):
+    """Same survivors from either tier packing; deeper tiers hug a point."""
+    space = DualMetricSpace(tag="seq", truncation_radius=8)
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=4)
+    tiers = []
+    for j in range(5):
+        spread = 0.6 * 0.5 ** j if seed % 2 else 0.6
+        tiers.append([space.state(np.arange(4), centre + rng.normal(scale=spread, size=4))
+                      for _ in range(int(rng.integers(3, 9)))])
+    found = 0
+    for deepest_first in (False, True):
+        ordered = tiers[::-1] if deepest_first else tiers
+        packed = pack_states(space, [st for tier in ordered for st in tier])
+        ends = np.cumsum([len(t) for t in ordered])
+        rows = [np.arange(end - len(t), end) for t, end in zip(ordered, ends)]
+        tier_rows = rows[::-1] if deepest_first else rows
+        for eps in (0.1, 0.4, 1.0):
+            got = _net_and_survive(packed, tier_rows, eps, metric)
+            assert got == per_tier_survivors(packed, tier_rows, eps, metric)
+            found += len(got)
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------

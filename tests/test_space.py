@@ -18,6 +18,7 @@ from ges.space import (
     DualMetricSpace,
     epsilon_net,
     hausdorff_dist,
+    net_rows,
     pack_states,
     set_semidist,
     state_from_json,
@@ -220,6 +221,17 @@ class TestSetOps:
         with pytest.raises(UsageError):
             epsilon_net(SEQ, [ZERO], 0.0, "strong")
 
+    def test_packed_rows_read_runs_as_views(self):
+        p = pack_states(SEQ, [e(0, 0.5 * k) for k in range(6)])
+        run = p._rows(np.arange(2, 5))
+        assert np.shares_memory(run, p.vals)
+        assert np.array_equal(run, p.vals[2:5])
+        picked = p._rows(np.array([4, 1, 2]))
+        assert not np.shares_memory(picked, p.vals)
+        assert np.array_equal(picked, p.vals[[4, 1, 2]])
+        with pytest.raises(IndexError):
+            p._rows(np.arange(4, 7))
+
     def test_ball_violation_rejected_on_pack(self):
         small = DualMetricSpace(tag="ball", ball_radius=1.0)
         fat = small.state([0], [2.0])
@@ -232,6 +244,50 @@ class TestSetOps:
 
 
 # ---------------------------------------------------------------------------
+# greedy nets over packed rows
+
+
+def naive_net(p, order, eps, metric):
+    """First-come greedy net, one candidate and one pair per kernel call."""
+    kept = []
+    for i in order:
+        if all(p.cross([i], [k], metric)[0, 0] > eps for k in kept):
+            kept.append(int(i))
+    return kept
+
+
+class TestNetRows:
+    @pytest.mark.parametrize("metric", ["strong", "weak"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_naive_greedy_net(self, metric, seed):
+        rng = np.random.default_rng(seed)
+        states = [SEQ.state(rng.choice(np.arange(-4, 5), size=3, replace=False),
+                            rng.normal(scale=0.4, size=3)) for _ in range(40)]
+        states += states[:5]  # exact repeats sit at distance 0
+        p = pack_states(SEQ, states)
+        for order in (np.arange(p.n_states), rng.permutation(p.n_states)):
+            for eps in (0.02, 0.1, 0.3, 0.9):
+                assert net_rows(p, order, eps, metric) == naive_net(p, order, eps, metric)
+
+    @pytest.mark.parametrize("metric,states,want", [
+        # strong distances 0.5, 1.0 and 0.5 along slot 0
+        ("strong", [ZERO, e(0, 0.5), e(0, 1.0), e(0, 1.5)], [0, 2]),
+        # weak distances 1/2 (a tie) and 3/4 from the zero state
+        ("weak", [ZERO, e(0, 1.0), e(0, 3.0)], [0, 2]),
+    ])
+    def test_distance_exactly_eps_is_absorbed(self, metric, states, want):
+        p = pack_states(SEQ, states)
+        order = np.arange(p.n_states)
+        assert net_rows(p, order, 0.5, metric) == want
+        assert naive_net(p, order, 0.5, metric) == want
+
+    def test_single_and_empty_orders(self):
+        p = pack_states(SEQ, [ZERO, e(1)])
+        assert net_rows(p, np.array([1]), 0.1, "weak") == [1]
+        assert net_rows(p, np.array([], dtype=np.int64), 0.1, "weak") == []
+
+
+# ---------------------------------------------------------------------------
 # state validation
 
 
@@ -239,6 +295,12 @@ class TestStateValidation:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(UsageError, match="duplicate"):
             SEQ.state([1, 1], [1.0, 2.0])
+
+    def test_unsorted_3d_duplicate_indices_rejected(self):
+        idx = [[1, 0, -2], [0, 3, 1], [-1, 0, 0], [0, 3, 1]]
+        with pytest.raises(UsageError, match="duplicate"):
+            LAT3.state(idx, np.ones((4, 3)))
+        assert LAT3.state(idx[:3], np.ones((3, 3))).n_coeffs == 3
 
     def test_nonfinite_rejected(self):
         with pytest.raises(UsageError):
