@@ -1,15 +1,12 @@
-"""Timing comparison for the hot distance/advection kernels.
+"""Timings of the hot distance/advection kernels.
 
-Runs each kernel under the pure-numpy implementation and (when
-available) the numba-compiled one, on inputs shaped like the real
-workloads: packed coefficient blocks for the cross-distance kernels (a
-mid-size tier comparison, and the survival-filter shape of `ges omega
---system heat --n-seeds 512`: one state against a 512-state tier over
-2,049 grid slots) and the truncated spectral basis for the advection
-term, at the default cutoff kmax=4 and at kmax=6.  The advection term
-has one padded-FFT implementation, so its two backend columns time the
-same code.  JIT compilation happens in an untimed warmup pass, so the
-table reports steady-state throughput only.
+Runs each kernel on inputs shaped like the real workloads: packed
+coefficient blocks for the cross-distance kernels (a mid-size tier
+comparison, and the survival-filter shape of `ges omega --system heat
+--n-seeds 512`: one state against a 512-state tier over 2,049 grid
+slots) and the truncated spectral basis for the advection term, at the
+default cutoff kmax=4 and at kmax=6.  Each kernel runs once untimed
+before the timed repetitions, and the table reports the best time.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -20,12 +17,12 @@ import time
 
 import numpy as np
 
-from ges import backend, kernels
+from ges import kernels
 from ges.systems.nse import SpectralBasis
 
 
 def time_call(fn, repeat):
-    fn()  # warmup: triggers JIT compilation on the numba path
+    fn()  # untimed first call
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -75,29 +72,9 @@ def main():
     args = ap.parse_args()
 
     cases = make_cases(np.random.default_rng(args.seed))
-    names = backend.available_backends()
-
-    results = {}
-    for name in names:
-        prev = backend.set_backend(name)
-        try:
-            for case, fn in cases:
-                results[(case, name)] = time_call(fn, args.repeat)
-        finally:
-            backend.set_backend(prev)
-
-    print(f"{'kernel':<16}" + "".join(f"{n + ' (ms)':>14}" for n in names)
-          + ("       speedup" if len(names) == 2 else ""))
-    for case, _ in cases:
-        row = f"{case:<16}"
-        for name in names:
-            row += f"{results[(case, name)] * 1e3:>14.3f}"
-        if len(names) == 2:
-            ratio = results[(case, names[1])] / results[(case, names[0])]
-            row += f"{ratio:>13.1f}x"
-        print(row)
-    if "numba" not in names:
-        print("numba is not importable here; numpy path only")
+    print(f"{'kernel':<16}{'time (ms)':>14}")
+    for case, fn in cases:
+        print(f"{case:<16}{time_call(fn, args.repeat) * 1e3:>14.3f}")
 
 
 if __name__ == "__main__":

@@ -1,49 +1,13 @@
-"""Kernel backend selection.
+"""Name of the kernel implementation.
 
-Hot kernels ship in two functionally identical flavours: numba @njit
-loops and pure-numpy vectorised code.  The active flavour is chosen once
-at import from the GES_NUMBA environment variable ("0", "false", "off"
-or "no" force the numpy path) and can be switched at runtime through
-set_backend, which the benchmark and the backend-agreement tests use.
+Every kernel in ges.kernels has one numpy implementation.  backend()
+still names it, so that a run record can say which kernels produced it
+and timings taken on different implementations are never compared.
 """
 
 from __future__ import annotations
 
-import os
-
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-_DISABLED = {"0", "false", "off", "no"}
-
-
-def _env_wants_numba() -> bool:
-    return os.environ.get("GES_NUMBA", "1").strip().lower() not in _DISABLED
-
-
-_active = "numba" if (HAVE_NUMBA and _env_wants_numba()) else "numpy"
-
 
 def backend() -> str:
-    """Name of the active kernel backend, "numba" or "numpy"."""
-    return _active
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def set_backend(name: str) -> str:
-    """Switch kernel backend; returns the previous one."""
-    global _active
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    prev = _active
-    _active = name
-    return prev
+    """Name of the kernel implementation: always "numpy"."""
+    return "numpy"

@@ -417,7 +417,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default: current)")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--tol", type=float, help="convergence tolerance")
-    p.add_argument("--threads", type=int, help="worker count (or GES_THREADS)")
+    p.add_argument("--threads", type=int, help="worker count (default 1)")
 
 
 def _add_experiment(p: argparse.ArgumentParser, with_system=True) -> None:

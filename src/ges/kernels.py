@@ -8,12 +8,11 @@ inner loops stay free of Python objects:
 * nse_bilinear  -- truncated convolution of the advection term with
                    Leray projection, evaluated by zero-padded FFTs
 
-The two cross kernels ship as numba loops and pure-numpy fallbacks.  The
-numpy fallbacks walk bv in fixed blocks of rows through preallocated
-buffers, so their temporaries stay cache-sized whatever the set size.
-Blocking changes no summation order: every distance is bitwise what one
-unblocked pass gives, and repeated runs stay byte-identical.  The
-advection term has a single FFT implementation under both backends.
+Each kernel has one numpy implementation.  The two cross kernels walk
+bv in fixed blocks of rows through preallocated buffers, so their
+temporaries stay cache-sized whatever the set size.  Blocking changes no
+summation order: every distance is bitwise what one unblocked pass
+gives, and repeated runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -21,28 +20,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft as sfft
 
-from . import backend as _backend
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 # ---------------------------------------------------------------------------
-# pairwise distances, numpy form
+# pairwise distances
 #
-# Both numpy kernels share one blocked pass.  For each block of bv rows and
+# Both cross kernels share one blocked pass.  For each block of bv rows and
 # each av row: diff -> re^2 + im^2 -> sum over components, then t @ w per
 # row (strong: sqrt of that; weak: sqrt and t / (1 + t) before it).  A
 # block's buffers take about 32 bytes per (row, index, component) cell, so
@@ -61,7 +42,7 @@ def _block_rows(u: int, c: int) -> int:
     return max(4, _BLOCK_CELLS // max(u * c, 1) // 4 * 4)
 
 
-def _cross_np(av, bv, w, weak):
+def _cross(av, bv, w, weak):
     na, u, c = av.shape
     nb = bv.shape[0]
     out = np.empty((na, nb), dtype=np.float64)
@@ -92,83 +73,18 @@ def _cross_np(av, bv, w, weak):
     return out
 
 
-def _strong_cross_np(av, bv, qw):
-    return _cross_np(av, bv, qw, weak=False)
-
-
-def _weak_cross_np(av, bv, ww):
-    return _cross_np(av, bv, ww, weak=True)
-
-
-# ---------------------------------------------------------------------------
-# pairwise distances, numba form
-
-
-@njit(cache=True, nogil=True)
-def _strong_cross_nb(av, bv, qw):  # pragma: no cover - numba path
-    na, u, c = av.shape
-    nb = bv.shape[0]
-    out = np.empty((na, nb), dtype=np.float64)
-    for i in range(na):
-        for j in range(nb):
-            acc = 0.0
-            for k in range(u):
-                s = 0.0
-                for m in range(c):
-                    d = av[i, k, m] - bv[j, k, m]
-                    s += d.real * d.real + d.imag * d.imag
-                acc += qw[k] * s
-            out[i, j] = np.sqrt(acc)
-    return out
-
-
-@njit(cache=True, nogil=True)
-def _weak_cross_nb(av, bv, ww):  # pragma: no cover - numba path
-    na, u, c = av.shape
-    nb = bv.shape[0]
-    out = np.empty((na, nb), dtype=np.float64)
-    for i in range(na):
-        for j in range(nb):
-            acc = 0.0
-            for k in range(u):
-                s = 0.0
-                for m in range(c):
-                    d = av[i, k, m] - bv[j, k, m]
-                    s += d.real * d.real + d.imag * d.imag
-                t = np.sqrt(s)
-                acc += ww[k] * t / (1.0 + t)
-            out[i, j] = acc
-    return out
-
-
-_IMPL = {
-    "numpy": {
-        "strong_cross": _strong_cross_np,
-        "weak_cross": _weak_cross_np,
-    },
-    "numba": {
-        "strong_cross": _strong_cross_nb if HAS_NUMBA else _strong_cross_np,
-        "weak_cross": _weak_cross_nb if HAS_NUMBA else _weak_cross_np,
-    },
-}
-
-
-def _kernel(name):
-    return _IMPL[_backend.backend()][name]
-
-
 def strong_cross(av: np.ndarray, bv: np.ndarray, qw: np.ndarray) -> np.ndarray:
     """Pairwise strong distances between packed value blocks.
 
     av, bv: (n, u, c) complex arrays over a shared index union,
     qw: (u,) quadrature weights.  Returns an (na, nb) float matrix.
     """
-    return _kernel("strong_cross")(av, bv, qw)
+    return _cross(av, bv, qw, weak=False)
 
 
 def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
     """Pairwise weak distances, ww holding the per-index series weights."""
-    return _kernel("weak_cross")(av, bv, ww)
+    return _cross(av, bv, ww, weak=True)
 
 
 # ---------------------------------------------------------------------------

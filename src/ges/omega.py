@@ -157,11 +157,16 @@ class OmegaApprox:
                    bool(obj["converged"]), obj.get("note", ""))
 
     def profile_csv(self) -> str:
-        lines = ["s,semidist,metric,system,t"]
-        for s, d in self.profile:
-            lines.append(f"{fmt_float(s)},{fmt_float(d)},{self.metric},"
-                         f"{self.system_id},{fmt_float(self.t)}")
-        return "\n".join(lines) + "\n"
+        return _profile_csv(self.profile, self.metric, self.system_id,
+                            fmt_float(self.t))
+
+
+def _profile_csv(profile, metric: str, system_id: str, t_cell: str) -> str:
+    """One CSV row per profile entry; t_cell fills the last column."""
+    lines = ["s,semidist,metric,system,t"]
+    for s, d in profile:
+        lines.append(f"{fmt_float(s)},{fmt_float(d)},{metric},{system_id},{t_cell}")
+    return "\n".join(lines) + "\n"
 
 
 def _profile_converged(values: np.ndarray, tol: float) -> bool:
@@ -201,6 +206,13 @@ def _net_and_survive(packed: PackedSet, tier_rows: list[np.ndarray],
         if ok:
             survivors.append(row)
     return survivors
+
+
+def _check_omega_args(metric: str, eps_net: float, tol: float) -> None:
+    if metric not in ("strong", "weak"):
+        raise UsageError(f"unknown metric {metric!r}")
+    if eps_net <= 0 or tol <= 0:
+        raise UsageError("eps_net and tol must be positive")
 
 
 def _omega_from_tiers(system_id: str, space, tier_states, tick_values,
@@ -248,10 +260,7 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
     (given or freshly drawn) are anchored through fam.seed_for per tier.
     An empty surviving set is reported in the note, not raised.
     """
-    if metric not in ("strong", "weak"):
-        raise UsageError(f"unknown metric {metric!r}")
-    if eps_net <= 0 or tol <= 0:
-        raise UsageError("eps_net and tol must be positive")
+    _check_omega_args(metric, eps_net, tol)
     t, starts = schedule.t, schedule.starts
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
     tier_states = [
@@ -277,15 +286,32 @@ def forward_omega(fam: TrajectoryFamily, t0: float,
     """
     if not fam.autonomous:
         raise UsageError("forward omega limits need an autonomous system")
+    return _forward_omega([fam], fam.system_id, t0, seeds, delta, rho, n,
+                          metric, eps_net, tol, branches, workers)
+
+
+def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
+                   t0: float, seeds: Sequence[CoeffState], delta: float,
+                   rho: float, n: int, metric: str, eps_net: float, tol: float,
+                   branches: str, workers: int | None) -> OmegaApprox:
+    """Forward omega over horizons t0 + delta * rho**i, i = 1..n.
+
+    Tier i is the union of every system's image of the fixed seed set at
+    horizon i, in system order.  All arguments are checked before any
+    integration starts.
+    """
+    _check_omega_args(metric, eps_net, tol)
     if delta <= 0 or rho <= 1 or n < 3:
         raise UsageError("need delta > 0, rho > 1 and at least three horizons")
     seeds = list(seeds)
     if not seeds:
         raise UsageError("empty seed collection")
     horizons = [t0 + delta * rho ** i for i in range(1, n + 1)]
-    tier_states = [pullback_image(fam, seeds, h, t0, branches=branches,
-                                  workers=workers).states() for h in horizons]
-    return _omega_from_tiers(fam.system_id, fam.space, tier_states, horizons,
+    tier_states = [[st for fam in systems
+                    for st in pullback_image(fam, seeds, h, t0, branches=branches,
+                                             workers=workers).states()]
+                   for h in horizons]
+    return _omega_from_tiers(system_id, systems[0].space, tier_states, horizons,
                              horizons[-1], metric, eps_net, tol, "")
 
 
@@ -310,11 +336,7 @@ class AttractionReport:
         }, sort_keys=True)
 
     def profile_csv(self) -> str:
-        lines = ["s,semidist,metric,system,t"]
-        for s, d in self.profile:
-            lines.append(f"{fmt_float(s)},{fmt_float(d)},{self.metric},"
-                         f"{self.system_id},")
-        return "\n".join(lines) + "\n"
+        return _profile_csv(self.profile, self.metric, self.system_id, "")
 
 
 def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,

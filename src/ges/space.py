@@ -21,7 +21,7 @@ scalar counterexample whose two metrics coincide.
 
 Set operations (semidistance, Hausdorff, greedy epsilon nets) run on
 packed dense blocks so the pairwise work happens inside the kernels
-module, which dispatches between the numba and numpy backends.  A run of
+module; pair distances go through the same path.  A run of
 consecutive packed rows reaches the kernels as a view, not a copy, which
 is why the omega layer packs its tier images deepest tier first: the net
 then visits rows in storage order and every tier is one such run.
@@ -220,21 +220,13 @@ class DualMetricSpace:
         return float(np.sqrt((np.abs(a.val) ** 2).sum(axis=1) @ q))
 
     def strong_dist(self, a: CoeffState, b: CoeffState) -> float:
-        p = pack_states(self, [a, b])
-        return float(kernels.strong_cross(p.vals[:1], p.vals[1:], p.qw)[0, 0])
+        return self.dist(a, b, "strong")
 
     def weak_dist(self, a: CoeffState, b: CoeffState) -> float:
-        p = pack_states(self, [a, b])
-        if self.weak_kind == "strong":
-            return float(kernels.strong_cross(p.vals[:1], p.vals[1:], p.ww)[0, 0])
-        return float(kernels.weak_cross(p.vals[:1], p.vals[1:], p.ww)[0, 0])
+        return self.dist(a, b, "weak")
 
     def dist(self, a: CoeffState, b: CoeffState, metric: str) -> float:
-        if metric == "strong":
-            return self.strong_dist(a, b)
-        if metric == "weak":
-            return self.weak_dist(a, b)
-        raise UsageError(f"unknown metric {metric!r}")
+        return float(pack_states(self, [a, b]).cross([0], [1], metric)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .evolution import TrajectoryFamily, pullback_image
-from .omega import OmegaApprox, PullbackSchedule, _omega_from_tiers, omega_pullback
+from .evolution import TrajectoryFamily
+from .omega import OmegaApprox, PullbackSchedule, _forward_omega, omega_pullback
 from .space import CoeffState, set_semidist
 
 TWO_PI = 2.0 * math.pi
@@ -148,24 +148,10 @@ def uniform_omega(symfam: SymbolFamily, seeds: Sequence[CoeffState],
     with the single-system approximations, with 'deeper' meaning the
     farther horizon.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise UsageError("empty seed collection")
-    if delta <= 0 or rho <= 1 or n < 3:
-        raise UsageError("need delta > 0, rho > 1 and at least three horizons")
     systems = [symfam.system(s) for s in symfam.symbols]
-    horizons = [t0 + delta * rho ** i for i in range(1, n + 1)]
-    tier_states = []
-    for h in horizons:
-        states: list[CoeffState] = []
-        for fam in systems:
-            states.extend(pullback_image(fam, seeds, h, t0, branches=branches,
-                                         workers=workers).states())
-        tier_states.append(states)
-    space = systems[0].space
     sys_id = f"{symfam.base_id or systems[0].system_id}-family"
-    return _omega_from_tiers(sys_id, space, tier_states, horizons,
-                             horizons[-1], metric, eps_net, tol, "")
+    return _forward_omega(systems, sys_id, t0, seeds, delta, rho, n, metric,
+                          eps_net, tol, branches, workers)
 
 
 def per_symbol_pullback(symfam: SymbolFamily, sigma: float,

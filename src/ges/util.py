@@ -2,25 +2,16 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Effective worker count: explicit argument beats GES_THREADS beats 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("GES_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """Effective worker count: the requested count, at least 1; None means 1."""
+    return 1 if requested is None else max(1, int(requested))
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T],

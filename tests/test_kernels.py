@@ -1,13 +1,15 @@
 """Cross kernels.
 
-The blocked numpy kernels must give bitwise the numbers of the plain
-row-at-a-time numpy form kept below as the reference.  Backend
-agreement: the numba cross kernels and the numpy fallbacks must produce
-the same numbers on identical inputs.  The advection kernel has one
-implementation; tests/test_systems.py checks it against the convolution
-pair sum."""
+The blocked cross kernels must give bitwise the numbers of the plain
+row-at-a-time numpy form kept below as the reference.  The advection
+kernel is checked against the convolution pair sum in
+tests/test_systems.py."""
 
 from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,12 @@ import pytest
 from ges import backend, kernels
 
 
-needs_numba = pytest.mark.skipif(
-    not backend.HAVE_NUMBA, reason="numba backend not importable")
-
-
 # ---------------------------------------------------------------------------
-# blocked numpy kernels against the row-at-a-time form
+# blocked kernels against the row-at-a-time form
+
+
+def random_block(rng, n, u, c):
+    return rng.normal(size=(n, u, c)) + 1j * rng.normal(size=(n, u, c))
 
 
 def strong_rows(av, bv, qw):
@@ -60,8 +62,8 @@ def test_blocked_kernels_equal_row_at_a_time(monkeypatch, c, na, blocks, extra):
     bv = random_block(rng, nb, u, c)
     bv[0] = av[0]  # an exact zero distance
     w = rng.uniform(0.0, 1.0, size=u)
-    strong = kernels._strong_cross_np(av, bv, w)
-    weak = kernels._weak_cross_np(av, bv, w)
+    strong = kernels.strong_cross(av, bv, w)
+    weak = kernels.weak_cross(av, bv, w)
     assert strong.shape == weak.shape == (na, nb)
     assert np.array_equal(strong, strong_rows(av, bv, w))
     assert np.array_equal(weak, weak_rows(av, bv, w))
@@ -74,96 +76,39 @@ def test_blocked_kernels_below_one_block_at_full_budget():
     av = random_block(rng, 2, u, c)
     bv = random_block(rng, nb, u, c)
     w = 2.0 ** -np.abs(np.arange(u) - u // 2)
-    assert np.array_equal(kernels._weak_cross_np(av, bv, w), weak_rows(av, bv, w))
-    assert np.array_equal(kernels._strong_cross_np(av, bv, w),
+    assert np.array_equal(kernels.weak_cross(av, bv, w), weak_rows(av, bv, w))
+    assert np.array_equal(kernels.strong_cross(av, bv, w),
                           strong_rows(av, bv, w))
 
 
 def test_blocked_kernels_handle_empty_blocks():
     rng = np.random.default_rng(8)
     av = random_block(rng, 2, 5, 1)
-    assert kernels._weak_cross_np(av, av[:0], np.ones(5)).shape == (2, 0)
-    assert kernels._strong_cross_np(av[:0], av, np.ones(5)).shape == (0, 2)
+    assert kernels.weak_cross(av, av[:0], np.ones(5)).shape == (2, 0)
+    assert kernels.strong_cross(av[:0], av, np.ones(5)).shape == (0, 2)
     empty = np.zeros((2, 0, 1), dtype=np.complex128)
-    assert np.array_equal(kernels._weak_cross_np(empty, empty, np.ones(0)),
+    assert np.array_equal(kernels.weak_cross(empty, empty, np.ones(0)),
                           np.zeros((2, 2)))
 
 
-# ---------------------------------------------------------------------------
-# numba against numpy
+def test_backend_is_numpy():
+    # run records name the kernel implementation that produced them
+    assert backend.backend() == "numpy"
 
 
-@pytest.fixture
-def both_backends():
-    """Yield a runner that evaluates a kernel call under each backend."""
-
-    def run(fn, *args):
-        prev = backend.set_backend("numpy")
-        try:
-            a = fn(*args)
-            backend.set_backend("numba")
-            b = fn(*args)
-        finally:
-            backend.set_backend(prev)
-        return a, b
-
-    return run
-
-
-def random_block(rng, n, u, c):
-    return rng.normal(size=(n, u, c)) + 1j * rng.normal(size=(n, u, c))
-
-
-@needs_numba
-def test_strong_cross_agrees(both_backends):
-    rng = np.random.default_rng(0)
-    av = random_block(rng, 5, 17, 1)
-    bv = random_block(rng, 7, 17, 1)
-    qw = rng.uniform(0.1, 1.0, size=17)
-    a, b = both_backends(kernels.strong_cross, av, bv, qw)
-    assert a.shape == (5, 7)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
-@needs_numba
-def test_strong_cross_agrees_multicomponent(both_backends):
-    rng = np.random.default_rng(1)
-    av = random_block(rng, 4, 9, 3)
-    bv = random_block(rng, 6, 9, 3)
-    qw = rng.uniform(0.1, 1.0, size=9)
-    a, b = both_backends(kernels.strong_cross, av, bv, qw)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
-@needs_numba
-def test_weak_cross_agrees(both_backends):
-    rng = np.random.default_rng(2)
-    av = random_block(rng, 6, 21, 1)
-    bv = random_block(rng, 3, 21, 1)
-    ww = rng.uniform(0.0, 1.0, size=21)
-    a, b = both_backends(kernels.weak_cross, av, bv, ww)
-    assert a.shape == (6, 3)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
-
-
-@needs_numba
-def test_set_backend_validation_and_restore():
-    prev = backend.backend()
-    with pytest.raises(ValueError):
-        backend.set_backend("gpu")
-    assert backend.backend() == prev
-    assert "numpy" in backend.available_backends()
-
-
-@needs_numba
-@pytest.mark.parametrize("flag,want", [("0", "numpy"), ("off", "numpy"),
-                                       ("1", "numba")])
-def test_env_flag_selects_backend_at_import(flag, want):
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "from ges import backend; print(backend.backend())"],
-        env={"GES_NUMBA": flag, "PATH": "/usr/bin:/bin"},
-        capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == want
+def test_bench_kernels_script_runs():
+    # run the script as a program, with this checkout's package first on the path
+    root = Path(__file__).resolve().parents[1]
+    launch = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+              "sys.argv.pop(0); runpy.run_path(sys.argv[0], run_name='__main__')")
+    out = subprocess.run([sys.executable, "-c", launch, str(root / "src"),
+                          str(root / "benchmarks" / "bench_kernels.py"),
+                          "--repeat", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].split() == ["kernel", "time", "(ms)"]
+    assert [ln.split()[0] for ln in lines[1:]] == [
+        "strong_cross", "weak_cross", "weak_cross/heat",
+        "nse_bilinear/k4", "nse_bilinear/k6"]
+    assert all(float(ln.split()[1]) >= 0.0 for ln in lines[1:])

@@ -14,8 +14,10 @@ import math
 import numpy as np
 import pytest
 
+import ges.omega
 from ges.errors import UnsupportedError, UsageError
 from ges.omega import (
+    AttractionReport,
     OmegaApprox,
     PullbackSchedule,
     _net_and_survive,
@@ -209,6 +211,18 @@ class TestForwardOmega:
         with pytest.raises(UsageError):
             forward_omega(fam, 0.0, seeds, n=2)
 
+    @pytest.mark.parametrize("kw", [{"metric": "bogus"}, {"eps_net": 0.0},
+                                    {"eps_net": -0.1}, {"tol": 0.0}])
+    def test_bad_arguments_fail_before_integration(self, monkeypatch, kw):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the arguments")
+
+        monkeypatch.setattr(ges.omega, "pullback_image", no_integration)
+        fam = BranchSystem()
+        seeds = fam.sample_states(2, np.random.default_rng(9))
+        with pytest.raises(UsageError):
+            forward_omega(fam, 0.0, seeds, n=4, **kw)
+
 
 # ---------------------------------------------------------------------------
 # net and survival filter
@@ -282,6 +296,19 @@ def test_omega_json_roundtrip_and_csv():
     assert len(csv.splitlines()) == 1 + len(om.profile)
     with pytest.raises(UsageError):
         OmegaApprox.from_json(json.dumps({"kind": "attraction"}))
+
+
+def test_profile_csv_bytes():
+    profile = [(-1.6, 0.5), (-2.56, 0.125), (-4.096, 1e-20)]
+    om = OmegaApprox("heat", 0.5, "weak", 0.05, 1e-3, [], profile, True)
+    assert om.profile_csv() == ("s,semidist,metric,system,t\n"
+                                "-1.6,0.5,weak,heat,0.5\n"
+                                "-2.56,0.125,weak,heat,0.5\n"
+                                "-4.096,1e-20,weak,heat,0.5\n")
+    rep = AttractionReport("line", "strong", 1e-3, profile[:2], "fails")
+    assert rep.profile_csv() == ("s,semidist,metric,system,t\n"
+                                 "-1.6,0.5,strong,line,\n"
+                                 "-2.56,0.125,strong,line,\n")
 
 
 # ---------------------------------------------------------------------------

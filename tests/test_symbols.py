@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ges.omega
 from ges.errors import UsageError
 from ges.omega import PullbackSchedule
 from ges.symbols import (
@@ -186,3 +187,14 @@ class TestUniform:
             uniform_omega(scalar_family, [])
         with pytest.raises(UsageError):
             uniform_omega(scalar_family, scalar_seeds(scalar_family), n=2)
+
+    @pytest.mark.parametrize("kw", [{"metric": "bogus"}, {"eps_net": 0.0},
+                                    {"tol": -1.0}])
+    def test_bad_arguments_fail_before_integration(self, scalar_family,
+                                                   monkeypatch, kw):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the arguments")
+
+        monkeypatch.setattr(ges.omega, "pullback_image", no_integration)
+        with pytest.raises(UsageError):
+            uniform_omega(scalar_family, scalar_seeds(scalar_family), n=4, **kw)
