@@ -1,12 +1,14 @@
-"""Timings of the hot distance/advection kernels.
+"""Timings of the hot distance/advection kernels and of state packing.
 
 Runs each kernel on inputs shaped like the real workloads: packed
 coefficient blocks for the cross-distance kernels (a mid-size tier
 comparison, and the survival-filter shape of `ges omega --system heat
 --n-seeds 512`: one state against a 512-state tier over 2,049 grid
-slots) and the truncated spectral basis for the advection term, at the
-default cutoff kmax=4 and at kmax=6.  Each kernel runs once untimed
-before the timed repetitions, and the table reports the best time.
+slots), the truncated spectral basis for the advection term, at the
+default cutoff kmax=4 and at kmax=6, and `pack_states` on 1,024 heat tier
+images (64 seeds at 16 times, so each seed's images share one index
+array).  Each case runs once untimed before the timed repetitions, and
+the table reports the best time.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -18,6 +20,8 @@ import time
 import numpy as np
 
 from ges import kernels
+from ges.space import pack_states
+from ges.systems.heat import HeatSystem
 from ges.systems.nse import SpectralBasis
 
 
@@ -49,10 +53,16 @@ def make_cases(rng):
           + 1j * rng.standard_normal((513, grid, 1)))
     hw = 2.0 ** (-np.abs(np.arange(grid) - grid // 2) / 64.0) / 64.0
 
+    # heat tier images: what `ges omega --system heat` packs, at 1/8 the size
+    heat = HeatSystem()
+    tiers = [y for x in heat.sample_states(64, rng)
+             for y in heat.evolve(0.0, x, np.linspace(0.05, 0.8, 16))]
+
     cases = [
         ("strong_cross", lambda: kernels.strong_cross(av, bv, qw)),
         ("weak_cross", lambda: kernels.weak_cross(av, bv, ww)),
         ("weak_cross/heat", lambda: kernels.weak_cross(hv[:1], hv[1:], hw)),
+        ("pack_states/heat", lambda: pack_states(heat.space, tiers)),
     ]
     for kmax in (4, 6):
         basis = SpectralBasis(kmax=kmax)

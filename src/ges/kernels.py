@@ -42,12 +42,17 @@ def _block_rows(u: int, c: int) -> int:
     return max(4, _BLOCK_CELLS // max(u * c, 1) // 4 * 4)
 
 
+def _block_edges(n: int, rows: int) -> list[int]:
+    """Edges of blocks of `rows` rows over n; the last also takes a tail of < 4."""
+    return [*range(0, max(n - 3, 1), rows), n]
+
+
 def _cross(av, bv, w, weak):
     na, u, c = av.shape
     nb = bv.shape[0]
     out = np.empty((na, nb), dtype=np.float64)
     rows = _block_rows(u, c)
-    edges = [*range(0, max(nb - 3, 1), rows), nb]
+    edges = _block_edges(nb, rows)
     n = min(rows + 3, nb)
     diff = np.empty((n, u, c), dtype=np.complex128)
     parts = diff.view(np.float64)  # (n, u, 2c): real and imaginary parts

@@ -25,6 +25,12 @@ module; pair distances go through the same path.  A run of
 consecutive packed rows reaches the kernels as a view, not a copy, which
 is why the omega layer packs its tier images deepest tier first: the net
 then visits rows in storage order and every tier is one such run.
+
+Packing holds little beyond the packed block itself: index rows are
+encoded once per distinct index array (states that share one array object
+share the work), no stacked copy of all rows is made, and norms are taken
+over blocks of rows.  While the block is built, the memory held beside it
+is one slot array per distinct index array.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ class CoeffState:
             raise UsageError("index and value counts differ")
         if not np.all(np.isfinite(self.val.view(np.float64))):
             raise UsageError("non-finite coefficient in state")
+        # lattice keys hold 21 bits per axis (see _encode_rows)
+        if self.idx.shape[1] > 1 and self.idx.size and (
+                self.idx.min() < -(1 << 20) or self.idx.max() >= 1 << 20):
+            raise UsageError("lattice index outside [-2^20, 2^20) in state")
         if self.idx.shape[0] > 1:
             keys = np.sort(_encode_rows(self.idx))
             if np.any(keys[1:] == keys[:-1]):
@@ -72,18 +82,36 @@ class CoeffState:
 
 
 def _encode_rows(idx: np.ndarray) -> np.ndarray:
-    """Collision-free int64 key per index row (order is irrelevant)."""
+    """Collision-free int64 key per index row; keys sort rows lexicographically.
+
+    Lattice rows take 21 bits per axis, so every coordinate must lie in
+    [-2^20, 2^20); CoeffState refuses any other.
+    """
     if idx.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     if idx.shape[1] == 1:
         return idx[:, 0].copy()
-    # bounded lattices only (|k| < 2^20 per axis is far beyond any use here)
     base = np.int64(1) << np.int64(21)
     off = np.int64(1) << np.int64(20)
     key = idx[:, 0] + off
     for c in range(1, idx.shape[1]):
         key = key * base + (idx[:, c] + off)
     return key
+
+
+def _decode_keys(keys: np.ndarray, d: int) -> np.ndarray:
+    """(n, d) index rows of the keys: the inverse of _encode_rows."""
+    if d == 1:
+        return keys.reshape(-1, 1)
+    off = np.int64(1) << np.int64(20)
+    rows = np.empty((keys.shape[0], d), dtype=np.int64)
+    rest = keys.copy()
+    for c in range(d - 1, 0, -1):
+        np.bitwise_and(rest, (1 << 21) - 1, out=rows[:, c])
+        rows[:, c] -= off
+        rest >>= 21
+    np.subtract(rest, off, out=rows[:, 0])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +172,8 @@ class DualMetricSpace:
         return self.state(np.empty((0, self.index_dim)), np.empty((0, self.component_dim)))
 
     def _check_indices(self, st: CoeffState) -> None:
+        if st.idx.size and st.idx.shape[1] != self.index_dim:
+            raise UsageError(f"indices must have dimension {self.index_dim}")
         if self.grid_extent is not None and st.idx.size:
             if np.abs(st.idx).max() > self.grid_extent:
                 raise UsageError("index outside the sampled grid")
@@ -245,7 +275,13 @@ class PackedSet:
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        sq = (np.abs(self.vals) ** 2).sum(axis=2) @ self.qw
+        # Blocked like the cross kernels, so each row's norm has the bits of
+        # one unblocked product while the temporaries stay block-sized.
+        n, u, c = self.vals.shape
+        sq = np.empty(n, dtype=np.float64)
+        edges = kernels._block_edges(n, kernels._block_rows(u, c))
+        for s, e in zip(edges[:-1], edges[1:]):
+            sq[s:e] = (np.abs(self.vals[s:e]) ** 2).sum(axis=2) @ self.qw
         self.norms = np.sqrt(np.maximum(sq, 0.0))
 
     @property
@@ -292,28 +328,34 @@ def pack_states(space: DualMetricSpace, states: Sequence[CoeffState],
 
     The union rows are sorted by encoded key, so all downstream summation
     orders depend only on the set of indices, never on input order.
+
+    States that share one idx array object (the images of one seed, or
+    every state of a fixed spectral basis) are encoded and located on the
+    union once.  Beyond the packed block, the memory held while the block
+    is built is one slot array per distinct index array.
     """
     states = list(states)
     if not states:
         raise UsageError("cannot pack an empty state list")
+    which: dict[int, int] = {}  # id of an idx array -> its place in arrays
+    arrays = []
     for s in states:
         space.check_member(s)
-        space._check_indices(s)
-    stacked = np.vstack([s.idx for s in states]) if states else None
-    if stacked.shape[0] == 0:
-        uniq_idx = np.empty((0, space.index_dim), dtype=np.int64)
-        uniq_keys = np.empty(0, dtype=np.int64)
-    else:
-        keys = _encode_rows(stacked)
-        uniq_keys, first = np.unique(keys, return_index=True)
-        uniq_idx = stacked[first]
-    u = uniq_idx.shape[0]
-    c = space.component_dim
-    vals = np.zeros((len(states), u, c), dtype=np.complex128)
+        if id(s.idx) not in which:
+            space._check_indices(s)
+            which[id(s.idx)] = len(arrays)
+            arrays.append(s.idx)
+    keys = [_encode_rows(a) for a in arrays]
+    uniq_keys = np.unique(np.concatenate(keys))
+    slots = [np.searchsorted(uniq_keys, k) for k in keys]
+    del keys  # only the slot arrays outlive this point beside the block
+    uniq_idx = _decode_keys(uniq_keys, space.index_dim)
+    del uniq_keys
+    vals = np.zeros((len(states), uniq_idx.shape[0], space.component_dim),
+                    dtype=np.complex128)
     for i, s in enumerate(states):
         if s.idx.shape[0]:
-            pos = np.searchsorted(uniq_keys, _encode_rows(s.idx))
-            vals[i, pos, :] = s.val
+            vals[i, slots[which[id(s.idx)]], :] = s.val
     packed = PackedSet(space, uniq_idx, vals,
                        space.quad_weights(uniq_idx), space.weak_weights(uniq_idx))
     if check_ball and space.ball_radius is not None:

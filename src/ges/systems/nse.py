@@ -306,10 +306,12 @@ def default_forcing() -> ForcingProfile:
 
 
 def absorbing_radius(l2b_bound: float, nu: float, lam1: float = LAMBDA_1) -> float:
-    """R = 2 ||g||_{Lb}^2 / (nu (1 - exp(-nu lam1)))."""
+    """R = 2 ||g||_{Lb}^2 / (nu (1 - exp(-nu lam1))); inf where the
+    denominator underflows to zero."""
     if nu <= 0 or lam1 <= 0:
         raise UsageError("nu and lambda_1 must be positive")
-    return 2.0 * l2b_bound / (nu * (1.0 - math.exp(-nu * lam1)))
+    den = nu * (1.0 - math.exp(-nu * lam1))
+    return 2.0 * l2b_bound / den if den > 0 else math.inf
 
 
 def absorbing_entry_time(radius: float, nu: float, lam1: float = LAMBDA_1) -> float:
@@ -345,8 +347,14 @@ class NSESystem(TrajectoryFamily):
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.ball_convention = ball_convention
-        self.l2b_bound = self.forcing.translational_bound()
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            self.l2b_bound = self.forcing.translational_bound()
+        if not math.isfinite(self.l2b_bound):
+            raise ForcingFormatError("forcing too large: its translational bound "
+                                     "is not finite")
         self.radius = absorbing_radius(self.l2b_bound, self.nu)
+        if not math.isfinite(self.radius) or (self.radius <= 0 < self.l2b_bound):
+            raise UsageError(f"nu={self.nu:g} gives no finite positive absorbing radius")
         for e in self.forcing.entries:
             self.basis.row(e.k)  # forcing must live inside the cutoff
         ball = max(2.0 * self.absorbing_set_radius(), 1.0)

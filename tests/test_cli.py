@@ -147,6 +147,32 @@ class TestNseCommand:
         assert not out.exists()
 
 
+    # a forcing whose translational bound overflows to inf
+    HUGE = {"modes": [{"k": [1, 0, 0], "amp": [1e300, 0]},
+                      {"k": [-1, 0, 0], "amp": [1e300, 0]}]}
+
+    @pytest.mark.parametrize("argv,forcing,code", [
+        (("info", "--nu", "1e-300"), None, 64),
+        (("energy", "--nu", "1e-300"), None, 64),
+        (("info", "--nu", "inf"), None, 64),
+        (("info", "--nu", "nan"), None, 64),
+        (("info",), HUGE, 65),
+        (("energy",), HUGE, 65),
+    ])
+    def test_set_up_overflow(self, tmp_path, capsys, argv, forcing, code):
+        flags = ()
+        if forcing is not None:
+            path = tmp_path / "force.json"
+            path.write_text(json.dumps(forcing))
+            flags = ("--forcing", str(path))
+        got, out = run(tmp_path, "nse", *argv, *flags)
+        assert got == code
+        err = capsys.readouterr().err
+        assert "error: " in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestUniformCommand:
     def test_default_phase_family_union_equals_uniform(self, tmp_path):
         code, out = run(tmp_path, "uniform")

@@ -7,15 +7,21 @@ computed by hand and frozen here as literals.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ges import kernels
 from ges.errors import UsageError
 from ges.space import (
+    CoeffState,
     DualMetricSpace,
+    PackedSet,
+    _decode_keys,
+    _encode_rows,
     epsilon_net,
     hausdorff_dist,
     net_rows,
@@ -24,6 +30,7 @@ from ges.space import (
     state_from_json,
     state_to_json,
 )
+from ges.systems.heat import HeatSystem
 
 SEQ = DualMetricSpace(tag="seq", index_dim=1, truncation_radius=32)
 GRID = DualMetricSpace(tag="grid", grid_spacing=1.0 / 64, grid_extent=1024,
@@ -288,6 +295,138 @@ class TestNetRows:
 
 
 # ---------------------------------------------------------------------------
+# packing
+
+
+def reference_pack(space, states):
+    """The one-pass packing form: stacked index rows, unique with first
+    positions, one key lookup per state and unblocked norms."""
+    stacked = np.vstack([s.idx for s in states])
+    if stacked.shape[0] == 0:
+        uniq_idx = np.empty((0, space.index_dim), dtype=np.int64)
+        uniq_keys = np.empty(0, dtype=np.int64)
+    else:
+        uniq_keys, first = np.unique(_encode_rows(stacked), return_index=True)
+        uniq_idx = stacked[first]
+    vals = np.zeros((len(states), uniq_idx.shape[0], space.component_dim),
+                    dtype=np.complex128)
+    for i, s in enumerate(states):
+        if s.idx.shape[0]:
+            vals[i, np.searchsorted(uniq_keys, _encode_rows(s.idx)), :] = s.val
+    qw = space.quad_weights(uniq_idx)
+    norms = np.sqrt(np.maximum((np.abs(vals) ** 2).sum(axis=2) @ qw, 0.0))
+    return {"idx": uniq_idx, "vals": vals, "qw": qw,
+            "ww": space.weak_weights(uniq_idx), "norms": norms}
+
+
+def assert_packs_bitwise(packed, ref):
+    for name, want in ref.items():
+        got = getattr(packed, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+SEQ3 = DualMetricSpace(tag="seq3", component_dim=3, truncation_radius=16)
+LAT1 = DualMetricSpace(tag="lat1", index_dim=3, truncation_radius=3)
+
+
+def random_rows(rng, space, n):
+    """n distinct index rows of the space in random (unsorted) order."""
+    if space.index_dim == 1:
+        return rng.choice(np.arange(-20, 21), size=n, replace=False)[:, None]
+    pool = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3, indexing="ij"), -1)
+    pool = pool.reshape(-1, 3)
+    return pool[rng.choice(len(pool), size=n, replace=False)]
+
+
+def random_states(rng, space, shared):
+    """Tiers of a few seeds; with shared=True a seed's images share its idx."""
+    c = space.component_dim
+    states = [space.zero_state()]
+    for _ in range(5):
+        n = int(rng.integers(1, 12))
+        seed = space.state(random_rows(rng, space, n),
+                           rng.normal(size=(n, c)) + 1j * rng.normal(size=(n, c)))
+        for _ in range(3):
+            idx = seed.idx if shared else seed.idx.copy()
+            states.append(space.state(idx, seed.val * rng.uniform(0.1, 1.0)))
+    states.append(space.zero_state())
+    order = rng.permutation(len(states))
+    return [states[i] for i in order]
+
+
+class TestPackStates:
+    @pytest.mark.parametrize("space", [SEQ, SEQ3, LAT1, LAT3, GRID],
+                             ids=lambda s: s.tag)
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_one_pass_form_bitwise(self, space, shared):
+        rng = np.random.default_rng(len(space.tag) + 10 * shared)
+        states = random_states(rng, space, shared)
+        ids = {id(s.idx) for s in states}
+        assert len(ids) < len(states) if shared else len(ids) == len(states)
+        assert_packs_bitwise(pack_states(space, states), reference_pack(space, states))
+
+    @pytest.mark.parametrize("space", [SEQ, LAT3], ids=lambda s: s.tag)
+    def test_all_empty_states(self, space):
+        states = [space.zero_state(), space.zero_state()]
+        p = pack_states(space, states)
+        assert p.idx.shape == (0, space.index_dim)
+        assert p.vals.shape == (2, 0, space.component_dim)
+        assert_packs_bitwise(p, reference_pack(space, states))
+
+    def test_state_of_the_wrong_index_dimension_rejected(self):
+        flat = CoeffState("lat3", np.array([[1]]), np.ones((1, 3)))
+        with pytest.raises(UsageError, match="dimension"):
+            pack_states(LAT3, [flat])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_keys_round_trip_at_the_axis_bounds(self, d):
+        top = (1 << 20) - 1
+        corners = np.array(np.meshgrid(*[[-top, -(1 << 20), -1, 0, 1, top]] * d,
+                                       indexing="ij")).reshape(d, -1).T
+        keys = _encode_rows(np.ascontiguousarray(corners))
+        assert np.array_equal(_decode_keys(keys, d), corners)
+        # keys order rows lexicographically
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.lexsort(corners.T[::-1]))
+
+    # n < 4 is one block; otherwise n = 4k, 4k+1, 4k+2, 4k+3 around one or
+    # three block boundaries
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("blocks,extra", [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1),
+                                              (1, 2), (1, 3), (3, 1), (3, 2), (3, 3),
+                                              (3, 4)])
+    def test_blocked_norms_equal_one_product(self, monkeypatch, c, blocks, extra):
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 96)
+        u = 11
+        n = blocks * kernels._block_rows(u, c) + extra
+        rng = np.random.default_rng(10 * n + c)
+        vals = rng.normal(size=(n, u, c)) + 1j * rng.normal(size=(n, u, c))
+        qw = rng.uniform(0.0, 1.0, size=u)
+        p = PackedSet(SEQ, np.arange(u)[:, None], vals, qw, qw)
+        want = np.sqrt(np.maximum((np.abs(vals) ** 2).sum(axis=2) @ qw, 0.0))
+        assert p.norms.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_peak_memory_stays_near_the_block(self, shared):
+        fam = HeatSystem()
+        rng = np.random.default_rng(0)
+        states = []
+        for x in fam.sample_states(32, rng):
+            for y in fam.evolve(0.0, x, np.linspace(0.05, 0.8, 16)):
+                states.append(y if shared else fam.space.state(y.idx.copy(), y.val))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = pack_states(fam.space, states)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert p.n_states == 512
+        assert peak <= 1.5 * p.vals.nbytes
+
+
+# ---------------------------------------------------------------------------
 # state validation
 
 
@@ -301,6 +440,28 @@ class TestStateValidation:
         with pytest.raises(UsageError, match="duplicate"):
             LAT3.state(idx, np.ones((4, 3)))
         assert LAT3.state(idx[:3], np.ones((3, 3))).n_coeffs == 3
+
+    def test_lattice_key_collision_refused(self):
+        # 21 bits per axis: (0, 0, 2^21) and (0, 1, 0) would share one key
+        unit = DualMetricSpace(tag="unit3", index_dim=3)
+        with pytest.raises(UsageError, match="outside"):
+            unit.state([[0, 0, 2 ** 21]], [1.0])
+        with pytest.raises(UsageError, match="outside"):
+            unit.state([[0, 0, 2 ** 21], [0, 1, 0]], [1.0, 1.0])
+        a, b = unit.state([[0, 0, 2 ** 20 - 1]], [1.0]), unit.state([[0, 1, 0]], [1.0])
+        assert unit.strong_dist(a, b) == math.sqrt(2)
+
+    @pytest.mark.parametrize("row", [[0, 0, 1 << 20], [-(1 << 20) - 1, 0, 0],
+                                     [0, 1 << 40, 0]])
+    def test_lattice_index_range_on_every_route(self, row):
+        with pytest.raises(UsageError, match="outside"):
+            LAT3.state([row], np.ones((1, 3)))
+        with pytest.raises(UsageError, match="outside"):
+            CoeffState("lat3", np.array([row]), np.ones((1, 3)))
+        with pytest.raises(UsageError, match="outside"):
+            state_from_json({"space": "lat3", "idx": [row], "val": [[1.0] * 6]})
+        edge = [[-(1 << 20), (1 << 20) - 1, 0]]
+        assert LAT3.state(edge, np.ones((1, 3))).n_coeffs == 1
 
     def test_nonfinite_rejected(self):
         with pytest.raises(UsageError):
