@@ -7,9 +7,12 @@ The pullback image operator
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
 is approximated by evolving a finite seed ensemble through every branch.
-Families also expose phase-space seed sampling keyed by labels: a label
-fixes one trajectory relative to the evaluation time, so ensembles drawn
-at different pullback depths sample the same bundle of trajectories.
+Every ensemble goes through one step, _evolve_seeds, which samples each
+trajectory at a list of times under the blow-up guard; pullback_image is
+that step at a single time.  Families also expose phase-space seed
+sampling keyed by labels: a label fixes one trajectory relative to the
+evaluation time, so ensembles drawn at different pullback depths sample
+the same bundle of trajectories.
 
 Checks in this module:
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -139,49 +142,56 @@ class PullbackEnsemble:
         return cls(system_id, t, s, entries)
 
 
+def _evolve_seeds(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
+                  ts: Sequence[float], branches: str = "all",
+                  workers: int | None = None) -> list[tuple]:
+    """Evolve every seed from s through the requested branches, sampled at ts.
+
+    branches is "all" or "first".  Returns one (seed index, branch, seed,
+    states) row per trajectory, states[k] being its sample at ts[k], in
+    (seed index, branch) order whatever the worker count.  A state whose
+    strong norm exceeds 10x the space's ball radius aborts the run with a
+    BlowUpError naming the offending seed.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise UsageError("evolution of an empty seed set")
+    if branches not in ("all", "first"):
+        raise UsageError("branches must be 'all' or 'first'")
+    jobs = []
+    for i, x in enumerate(seeds):
+        fam.space.check_member(x)
+        nb = fam.branch_count(s, x) if branches == "all" else 1
+        jobs.extend((i, b, x) for b in range(nb))
+
+    runs = parallel_map(lambda job: fam.evolve(s, job[2], ts, branch=job[1]),
+                        jobs, workers=workers)
+    cap = fam.space.ball_radius
+    if cap is not None:
+        for (i, b, _), states in zip(jobs, runs):
+            for tau, st in zip(ts, states):
+                nrm = fam.space.strong_norm(st)
+                if nrm > 10.0 * cap:
+                    raise BlowUpError(
+                        f"seed #{i} (branch {b}) blew up: |u({tau})| = {nrm:.3g} "
+                        f"exceeds 10x ball radius {cap:.3g}")
+    return [(i, b, x, states) for (i, b, x), states in zip(jobs, runs)]
+
+
 def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
                    t: float, s: float, branches: str = "all",
                    workers: int | None = None) -> PullbackEnsemble:
     """Evolve every seed from s to t through the requested branches.
 
-    branches is "all" or "first".  Entries are ordered by (seed index,
-    branch id), so the ensemble is a deterministic function of the seed
-    list; as a set it does not depend on the seed order.  A state whose
-    strong norm exceeds 10x the space's ball radius aborts the run with
-    a BlowUpError naming the offending seed.
+    Entries are ordered by (seed index, branch id), so the ensemble is a
+    deterministic function of the seed list; as a set it does not depend
+    on the seed order.  branches and the blow-up guard as in _evolve_seeds.
     """
     if s > t:
         raise UsageError(f"pullback start s={s} must not exceed t={t}")
-    seeds = list(seeds)
-    if not seeds:
-        raise UsageError("pullback image of an empty seed set")
-    if branches not in ("all", "first"):
-        raise UsageError("branches must be 'all' or 'first'")
-
-    jobs = []
-    for i, x in enumerate(seeds):
-        fam.space.check_member(x)
-        nb = fam.branch_count(s, x) if branches == "all" else 1
-        for b in range(nb):
-            jobs.append((i, b, x))
-
-    def run(job):
-        i, b, x = job
-        return fam.evolve(s, x, [t], branch=b)[0]
-
-    states = parallel_map(run, jobs, workers=workers)
-
-    cap = fam.space.ball_radius
-    entries = []
-    for (i, b, x), st in zip(jobs, states):
-        if cap is not None:
-            nrm = fam.space.strong_norm(st)
-            if nrm > 10.0 * cap:
-                raise BlowUpError(
-                    f"seed #{i} (branch {b}) blew up: |u({t})| = {nrm:.3g} "
-                    f"exceeds 10x ball radius {cap:.3g}")
-        entries.append(EnsembleEntry(i, b, x, st))
-    return PullbackEnsemble(fam.system_id, t, s, entries)
+    runs = _evolve_seeds(fam, seeds, s, [t], branches, workers)
+    return PullbackEnsemble(fam.system_id, t, s, [
+        EnsembleEntry(i, b, x, states[0]) for i, b, x, states in runs])
 
 
 def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
@@ -352,15 +362,19 @@ def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     seeds = list(seeds)
     if len(seeds) < 2:
         raise UsageError("need at least one converging seed plus the limit")
+    if grid_n < 2:
+        raise UsageError("the evolution grid needs at least two times")
     grid = np.linspace(s, s + horizon, grid_n)
     limit_traj = fam.evolve(s, seeds[-1], grid, branch=branch)
+    rows = np.arange(grid_n)
     weak_sups = []
     strong_first = None
     strong_last = None
     for x in seeds[:-1]:
-        traj = fam.evolve(s, x, grid, branch=branch)
-        weak_d = np.array([fam.space.weak_dist(a, b) for a, b in zip(traj, limit_traj)])
-        strong_d = np.array([fam.space.strong_dist(a, b) for a, b in zip(traj, limit_traj)])
+        packed = pack_states(fam.space, fam.evolve(s, x, grid, branch=branch)
+                             + limit_traj)
+        weak_d = np.diagonal(packed.cross(rows, rows + grid_n, "weak"))
+        strong_d = np.diagonal(packed.cross(rows, rows + grid_n, "strong"))
         weak_sups.append(float(weak_d.max()))
         if strong_first is None:
             strong_first = strong_d

@@ -15,6 +15,10 @@ below tol and is non-increasing over its last third.  When nothing
 survives, the profile instead records each tier's drift from the
 shallowest image and the note says so.
 
+Omega, attraction and PAC share one tier-image step; forward ladders
+evolve each trajectory once over all horizons, and tracking and quasi
+invariance pack each trajectory set once, not once per pair.
+
 Diagnostics built on the same ensembles:
 
 * attraction_diagnostic -- does P(t, s_i)A approach a given target set
@@ -41,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UnsupportedError, UsageError
-from .evolution import TrajectoryFamily, pullback_image
+from .evolution import TrajectoryFamily, _evolve_seeds, pullback_image
 from .space import (CoeffState, PackedSet, net_rows, pack_states, set_semidist,
                     state_from_json, state_to_json)
 from .util import fmt_float
@@ -91,10 +95,13 @@ def _tier_seeds(fam: TrajectoryFamily, seeds, labels, n_seeds: int,
                 starts: Sequence[float]) -> list[list[CoeffState]]:
     """One seed list per start time.
 
-    A fixed seed collection is reused verbatim at every depth.  With
-    labels (given, or drawn once from the family), seed_for pins each
-    label to the same trajectory regardless of how deep the start sits.
+    A fixed seed collection is reused verbatim at every depth, and a
+    callable s -> seed list gives depth-dependent seeds.  With labels
+    (given, or drawn once from the family), seed_for pins each label to
+    the same trajectory regardless of how deep the start sits.
     """
+    if callable(seeds):
+        return [list(seeds(s)) for s in starts]
     if seeds is not None:
         seeds = list(seeds)
         if not seeds:
@@ -107,6 +114,15 @@ def _tier_seeds(fam: TrajectoryFamily, seeds, labels, n_seeds: int,
     if not labels:
         raise UsageError("empty label collection")
     return [[fam.seed_for(lab, s, t) for lab in labels] for s in starts]
+
+
+def _tier_images(fam: TrajectoryFamily, tier_seed_lists, t: float,
+                 starts: Sequence[float], branches: str,
+                 workers: int | None) -> list[list[CoeffState]]:
+    """The image P(t, s_i) A_i of each tier's seed list, one per start time."""
+    return [pullback_image(fam, tier_seed, t, s, branches=branches,
+                           workers=workers).states()
+            for s, tier_seed in zip(starts, tier_seed_lists)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +279,7 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
     _check_omega_args(metric, eps_net, tol)
     t, starts = schedule.t, schedule.starts
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
-    tier_states = [
-        pullback_image(fam, tier_seed, t, s, branches=branches,
-                       workers=workers).states()
-        for s, tier_seed in zip(starts, tier_seed_lists)
-    ]
+    tier_states = _tier_images(fam, tier_seed_lists, t, starts, branches, workers)
     return _omega_from_tiers(fam.system_id, fam.space, tier_states, starts,
                              t, metric, eps_net, tol, note)
 
@@ -297,8 +309,9 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     """Forward omega over horizons t0 + delta * rho**i, i = 1..n.
 
     Tier i is the union of every system's image of the fixed seed set at
-    horizon i, in system order.  All arguments are checked before any
-    integration starts.
+    horizon i, in (system, seed, branch) order.  Each trajectory is
+    evolved once and sampled at every horizon.  All arguments are checked
+    before any integration starts.
     """
     _check_omega_args(metric, eps_net, tol)
     if delta <= 0 or rho <= 1 or n < 3:
@@ -307,10 +320,10 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     if not seeds:
         raise UsageError("empty seed collection")
     horizons = [t0 + delta * rho ** i for i in range(1, n + 1)]
-    tier_states = [[st for fam in systems
-                    for st in pullback_image(fam, seeds, h, t0, branches=branches,
-                                             workers=workers).states()]
-                   for h in horizons]
+    runs = [states for fam in systems
+            for _, _, _, states in _evolve_seeds(fam, seeds, t0, horizons,
+                                                 branches, workers)]
+    tier_states = [[states[i] for states in runs] for i in range(n)]
     return _omega_from_tiers(system_id, systems[0].space, tier_states, horizons,
                              horizons[-1], metric, eps_net, tol, "")
 
@@ -359,17 +372,10 @@ def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
     if not target:
         raise UsageError("empty target set")
     t, starts = schedule.t, schedule.starts
-    if callable(seeds):
-        tier_seed_lists = [list(seeds(s)) for s in starts]
-    else:
-        tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
-
-    profile = []
-    for s, tier_seed in zip(starts, tier_seed_lists):
-        ens = pullback_image(fam, tier_seed, t, s, branches=branches,
-                             workers=workers)
-        profile.append((float(s),
-                        set_semidist(fam.space, ens.states(), target, metric)))
+    tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
+    images = _tier_images(fam, tier_seed_lists, t, starts, branches, workers)
+    profile = [(float(s), set_semidist(fam.space, img, target, metric))
+               for s, img in zip(starts, images)]
 
     vals = np.array([d for _, d in profile])
     third = vals[-max(2, vals.size // 3):]
@@ -506,26 +512,25 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
     n = len(starts)
     cluster_min = max(3, math.ceil(n * cluster_frac))
     rng = rng if rng is not None else np.random.default_rng(0)
-    reports: list[PACSequenceReport] = []
+    labels = fam.seed_labels(sample_size, rng)
+    tier_seeds = [[fam.seed_for(lab, s, t) for lab in labels] for s in starts]
+    adv = list((fam.adversarial_sequence(t, starts) if include_adversarial
+                else None) or [])
+    for tier_seed, x in zip(tier_seeds, adv):
+        tier_seed.append(x)
+    # branch "first": seed k of every tier is image k of that tier
+    images = _tier_images(fam, tier_seeds, t, starts, "first", workers)
+    sequences = [("sampled", [img[k] for img in images])
+                 for k in range(len(labels))]
+    if adv:
+        sequences.append(("adversarial", [img[-1] for img in images[:len(adv)]]))
 
-    def run(kind: str, seeds_per_tier: list[CoeffState]):
-        points = []
-        for s, x in zip(starts, seeds_per_tier):
-            points.append(pullback_image(fam, [x], t, s, branches="first",
-                                         workers=workers).states()[0])
+    reports = []
+    for kind, points in sequences:
         best, min_sep = _cluster_stats(fam, points, tol)
         reports.append(PACSequenceReport(kind, best, cluster_min, min_sep,
                                          min_sep >= 2.0 * tol,
                                          best >= cluster_min))
-
-    labels = fam.seed_labels(sample_size, rng)
-    for lab in labels:
-        run("sampled", [fam.seed_for(lab, s, t) for s in starts])
-    if include_adversarial:
-        adv = fam.adversarial_sequence(t, starts)
-        if adv is not None:
-            run("adversarial", list(adv))
-
     verdict = ("PAC-consistent" if all(r.cauchy for r in reports)
                else "PAC-violated")
     return PACReport(fam.system_id, float(tol), reports, verdict)
@@ -608,23 +613,17 @@ def invariance_check(fam: TrajectoryFamily,
         s_deep = lo - pull_depth
         tier = _tier_seeds(fam, None, labels, budget, rng, times[-1],
                            [s_deep])[0]
-        trajs = []
-        for x in tier:
-            nb = fam.branch_count(s_deep, x) if branches == "all" else 1
-            for b in range(nb):
-                trajs.append(fam.evolve(s_deep, x, times, branch=b))
-        for j in range(len(times)):
-            for b_pt in sets[j]:
-                matched = False
-                for traj in trajs:
-                    if fam.space.dist(traj[j], b_pt, metric) > tol:
-                        continue
-                    if all(set_semidist(fam.space, [traj[i]], sets[i], metric)
-                           <= tol for i in range(j)):
-                        matched = True
-                        break
-                if not matched:
-                    quasi_unmatched += 1
+        trajs = [u for _, _, _, u in _evolve_seeds(fam, tier, s_deep, times,
+                                                   branches, workers)]
+        n = len(trajs)
+        # stayed[r]: trajectory r came within tol of every earlier set
+        stayed = np.ones(n, dtype=bool)
+        for j, b_set in enumerate(sets):
+            packed = pack_states(fam.space, [u[j] for u in trajs] + b_set)
+            near = packed.cross(np.arange(n), np.arange(n, packed.n_states),
+                                metric) <= tol
+            quasi_unmatched += int(np.sum(~(near & stayed[:, None]).any(axis=0)))
+            stayed &= near.any(axis=1)
         quasi_ok = quasi_unmatched == 0
 
     if kind == "semi":
@@ -683,14 +682,20 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
     strong=True (for systems whose compactness certificate licenses it)
     the same matching is also required pointwise in the strong metric.
     seeds: fixed list, or a callable s' -> seed list, or None to use the
-    family's canonical sampler.
+    family's canonical sampler.  grid_n must be at least 2, deep_tiers
+    between 1 and the schedule length, and every started set non-empty.
     """
+    if grid_n < 2:
+        raise UsageError("tracking needs at least two grid times")
+    if not 1 <= deep_tiers <= len(schedule.starts):
+        raise UsageError(f"deep_tiers must lie in [1, {len(schedule.starts)}]")
     rng = rng if rng is not None else np.random.default_rng(0)
     trajs = fam.complete_trajectories(n_complete, rng)
     if not trajs:
         raise UnsupportedError(
             f"system {fam.system_id!r} registers no complete trajectories")
     deep_starts = list(schedule.starts[-deep_tiers:])
+    rows = np.arange(grid_n)
     weak_sups: list[float] = []
     strong_sups: list[float] = []
     for s_deep in deep_starts:
@@ -701,24 +706,15 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
         else:
             started = fam.sample_states(count, rng)
         grid = [s_deep + horizon * k / (grid_n - 1) for k in range(grid_n)]
-        complete_vals = [[v(tau) for tau in grid] for v in trajs]
-        for x in started:
-            nb = fam.branch_count(s_deep, x)
-            for b in range(nb):
-                u = fam.evolve(s_deep, x, grid, branch=b)
-                best_w = math.inf
-                best_s = math.inf
-                for vvals in complete_vals:
-                    wsup = max(fam.space.weak_dist(a, v)
-                               for a, v in zip(u, vvals))
-                    ssup = max(fam.space.strong_dist(a, v)
-                               for a, v in zip(u, vvals))
-                    if wsup < best_w:
-                        best_w = wsup
-                    if ssup < best_s:
-                        best_s = ssup
-                weak_sups.append(float(best_w))
-                strong_sups.append(float(best_s))
+        complete_vals = [v(tau) for v in trajs for tau in grid]
+        for _, _, _, u in _evolve_seeds(fam, started, s_deep, grid, "all",
+                                        workers):
+            packed = pack_states(fam.space, u + complete_vals)
+            for metric, sups in (("weak", weak_sups), ("strong", strong_sups)):
+                d = packed.cross(rows, np.arange(grid_n, packed.n_states), metric)
+                # d[k, j, k]: distance at grid time k to complete trajectory j
+                per_time = d.reshape(grid_n, len(trajs), grid_n)[rows, :, rows]
+                sups.append(float(per_time.max(axis=0).min()))
     ok = max(weak_sups) <= eps
     if strong:
         ok = ok and max(strong_sups) <= eps

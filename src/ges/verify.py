@@ -68,7 +68,10 @@ def _sparse_states(space: DualMetricSpace, rng: np.random.Generator, count: int)
     return out
 
 
-def suite_metrics(seed: int, workers: int | None = None) -> list[CheckResult]:
+def suite_metrics(seed: int, workers: int | None = None,
+                  system: str | None = None) -> list[CheckResult]:
+    """Metric axioms on a fixed lattice space, one pair per call (the
+    identity and symmetry checks are exact); system is unused."""
     space = _lattice_space()
     rng = np.random.default_rng(seed)
     res = []
@@ -189,20 +192,24 @@ def suite_energy(seed: int, workers: int | None = None,
 
 
 def invariance_plan(fam, rng: np.random.Generator) -> list[tuple]:
-    """(check name, set family, kind, expected verdict, quasi labels)
-    rows for the system's canonical invariant family."""
+    """(check name, set family, kind, expected verdict, quasi ensemble)
+    rows for the system's canonical invariant family; the quasi ensemble
+    is invariance_check's labels, pull_depth and budget."""
     sys_id = fam.system_id
+    # the spectral flow is integrated numerically: a shallower, smaller ensemble
+    quasi = ({"labels": None, "pull_depth": 10.0, "budget": 8} if sys_id == "nse"
+             else {"labels": None, "pull_depth": 40.0, "budget": 24})
     if sys_id in ("heat", "branch2"):
         zero = fam.space.zero_state()
         return [(f"{sys_id} zero family full", lambda t: [zero], "full",
-                 "invariant", None)]
+                 "invariant", quasi)]
     if sys_id == "forced-scalar":
         return [("forced-scalar orbit full",
                  lambda t: [fam.scalar(fam.particular(t))], "full",
-                 "invariant", None)]
+                 "invariant", quasi)]
     if sys_id == "single":
         return [("single trajectory full", lambda t: [fam.trajectory(t)],
-                 "full", "invariant", None)]
+                 "full", "invariant", quasi)]
     if sys_id == "bump":
         shifts = np.linspace(-12.0, 12.0, 25)
         zero = fam.space.zero_state()
@@ -218,9 +225,9 @@ def invariance_plan(fam, rng: np.random.Generator) -> list[tuple]:
         # escapee to thread the weak-limit zero point
         labels = list(2.0 - shifts) + [14.0]
         return [("bump manifold semi", manifold, "semi", "semi-invariant",
-                 None),
+                 quasi),
                 ("bump manifold+0 quasi", with_zero, "quasi",
-                 "quasi-invariant", labels)]
+                 "quasi-invariant", dict(quasi, labels=labels))]
     if sys_id == "nse":
         from .omega import omega_pullback
         sched = PullbackSchedule.geometric(0.0, n=6)
@@ -229,7 +236,7 @@ def invariance_plan(fam, rng: np.random.Generator) -> list[tuple]:
             raise UsageError("nse omega approximation came back empty")
         pts = om.points
         return [("nse omega points full", lambda t: pts, "full", "invariant",
-                 None)]
+                 quasi)]
     raise UsageError(f"no canonical invariant family for system {sys_id!r}")
 
 
@@ -240,14 +247,10 @@ def suite_invariance(seed: int, workers: int | None = None,
     for sys_id in plans:
         fam = make_system(sys_id)
         rng = np.random.default_rng(seed)
-        depth = 10.0 if sys_id == "nse" else 40.0
-        budget = 8 if sys_id == "nse" else 24
-        for name, family, kind, want, labels in invariance_plan(fam, rng):
+        for name, family, kind, want, quasi in invariance_plan(fam, rng):
             rep = invariance_check(fam, family, kind=kind, window=(0.0, 2.0),
-                                   tol=0.05, labels=labels, pull_depth=depth,
-                                   budget=budget,
-                                   rng=np.random.default_rng(seed),
-                                   workers=workers)
+                                   tol=0.05, rng=np.random.default_rng(seed),
+                                   workers=workers, **quasi)
             res.append(CheckResult(name, rep.verdict == want,
                                    {"verdict": rep.verdict, "expected": want,
                                     "max_semi_dev": max(rep.semi_dev,
@@ -272,7 +275,6 @@ def suite_tracking(seed: int, workers: int | None = None,
     res = []
     for sys_id in plans:
         fam = make_system(sys_id)
-        rng = np.random.default_rng(seed)
         sched = PullbackSchedule.geometric(0.0, n=10)
         if sys_id == "heat":
             seeds = lambda s: [high_band_seed(fam.space, np.random.default_rng(seed + k))
@@ -329,11 +331,7 @@ def run_suite(suite: str, seed: int = 0, workers: int | None = None,
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
     results: list[CheckResult] = []
     for name in names:
-        fn = _SUITE_FNS[name]
-        if name == "metrics":
-            results.extend(fn(seed, workers))
-        else:
-            results.extend(fn(seed, workers, system=system))
+        results.extend(_SUITE_FNS[name](seed, workers, system=system))
     verdict = "pass" if all(r.ok for r in results) else "fail"
     return SuiteReport(suite, seed, results, verdict)
 

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import ges
-from ges.cli import ExperimentConfig, main
+import ges.cli
+from ges.cli import ExperimentConfig, _omega_exit, main
+from ges.omega import OmegaApprox
 
 
 def run(tmp_path, *argv):
@@ -69,6 +71,46 @@ class TestOmegaCommand:
         assert len(obj["points"]) >= 1  # survivors exist, they just plateau
 
 
+def omega_record(profile, points=(), converged=False, note=""):
+    return OmegaApprox("nse", 0.0, "weak", 0.05, 0.05, list(points),
+                       [(-2.0 * (i + 1), d) for i, d in enumerate(profile)],
+                       converged, note)
+
+
+class TestOmegaExit:
+    """Exit 3 needs a growing profile; an empty net alone is inconclusive."""
+
+    @pytest.mark.parametrize("profile,expected,code", [
+        ((0.0, 0.354, 0.370), True, 2),       # flat: too shallow a ladder
+        ((0.0, 0.2, 0.5, 1.1), True, 3),      # grows over its last half
+        ((0.0, 0.2, 0.5, 1.1), False, 2),     # no attractor registered
+        ((0.3, 0.3, 0.3), True, 2),           # plateau above tol
+        ((0.0, float("inf"), float("inf")), True, 2),
+    ])
+    def test_empty_survivor_set(self, profile, expected, code):
+        assert _omega_exit(omega_record(profile), expected, 0.05) == code
+
+    def test_growing_profile_with_points_fails(self):
+        om = omega_record((0.01, 0.2, 0.5), points=[object()])
+        assert _omega_exit(om, True, 0.05) == 3
+
+    def test_converged(self):
+        om = omega_record((0.0, 0.0, 0.0), points=[object()], converged=True)
+        assert _omega_exit(om, True, 0.05) == 0
+
+    def test_nse_omega_prints_the_note(self, tmp_path, capsys, monkeypatch):
+        om = omega_record((0.0, 0.354, 0.370),
+                          note="no convergence at this depth")
+        monkeypatch.setattr(ges.cli, "omega_pullback", lambda *a, **kw: om)
+        code, out = run(tmp_path, "nse", "omega", "--n", "3")
+        assert code == 2
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == ("omega nse weak: converged=False points=0 final=0.37 "
+                         "note='no convergence at this depth'")
+        assert read_json(out, "omega_nse_weak.json")["note"] == om.note
+        assert (out / "profile_nse_weak.csv").exists()
+
+
 class TestAttractCommand:
     def test_heat_weak_zero_target_attracts(self, tmp_path):
         code, out = run(tmp_path, "attract", "--system", "heat")
@@ -100,6 +142,14 @@ class TestVerifyCommand:
         assert obj["verdict"] == "pass"
         assert capsys.readouterr().out.splitlines()[-2].startswith(
             "suite metrics: pass")
+
+    def test_metrics_suite_ignores_the_system(self, tmp_path):
+        _, plain = run(tmp_path / "a", "verify", "metrics", "--seed", "7")
+        code, scoped = run(tmp_path / "b", "verify", "metrics", "--seed", "7",
+                           "--system", "heat")
+        assert code == 0
+        assert (plain / "verify_metrics.json").read_bytes() == \
+            (scoped / "verify_metrics.json").read_bytes()
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", "does-not-exist")

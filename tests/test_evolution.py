@@ -282,3 +282,23 @@ class TestWeakContinuity:
         fam = BranchSystem()
         with pytest.raises(UsageError):
             weak_c_convergence_check(fam, [fam.space.state([0], [0.5])], 0.0, 1.0)
+
+    @pytest.mark.parametrize("grid_n", [1, 0])
+    def test_needs_two_grid_times(self, grid_n):
+        fam = BranchSystem()
+        x = fam.space.state([0], [0.5])
+        with pytest.raises(UsageError, match="two times"):
+            weak_c_convergence_check(fam, [x, x], 0.0, 1.0, grid_n=grid_n)
+
+    def test_packed_sups_match_pair_distances(self):
+        fam = HeatSystem()
+        rng = np.random.default_rng(5)
+        seeds = [high_band_seed(fam.space, rng, xi_min=1.0 + k, xi_max=3.0 + k)
+                 for k in range(3)]
+        rep = weak_c_convergence_check(fam, seeds, 0.0, 1.0, grid_n=9)
+        limit = fam.evolve(0.0, seeds[-1], rep.grid)
+        want = [max(fam.space.weak_dist(a, b)
+                    for a, b in zip(fam.evolve(0.0, x, rep.grid), limit))
+                for x in seeds[:-1]]
+        assert min(want) > 0.0
+        np.testing.assert_allclose(rep.weak_sups, want, rtol=1e-14, atol=0)

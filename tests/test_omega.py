@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import ges.omega
-from ges.errors import UnsupportedError, UsageError
+from ges.errors import BlowUpError, UnsupportedError, UsageError
+from ges.evolution import TrajectoryFamily, pullback_image
 from ges.omega import (
     AttractionReport,
     OmegaApprox,
@@ -30,6 +31,7 @@ from ges.omega import (
     tracking_check,
 )
 from ges.space import DualMetricSpace, hausdorff_dist, pack_states, set_semidist
+from ges.symbols import SymbolFamily, uniform_omega
 from ges.systems import (
     BranchSystem,
     BumpSystem,
@@ -218,10 +220,61 @@ class TestForwardOmega:
             raise AssertionError("integrated before checking the arguments")
 
         monkeypatch.setattr(ges.omega, "pullback_image", no_integration)
+        monkeypatch.setattr(ges.omega, "_evolve_seeds", no_integration)
         fam = BranchSystem()
         seeds = fam.sample_states(2, np.random.default_rng(9))
         with pytest.raises(UsageError):
             forward_omega(fam, 0.0, seeds, n=4, **kw)
+
+
+def same_states(a, b) -> bool:
+    return len(a) == len(b) and all(
+        x.idx.tobytes() == y.idx.tobytes() and x.val.tobytes() == y.val.tobytes()
+        for x, y in zip(a, b))
+
+
+class TestForwardLadders:
+    """Forward tiers come from one evolution per trajectory, sampled at every
+    horizon; on closed-form systems they are bitwise the per-horizon images."""
+
+    def tiers_of(self, monkeypatch, run):
+        seen = []
+        real = ges.omega._omega_from_tiers
+
+        def spy(system_id, space, tier_states, *args):
+            seen.append(tier_states)
+            return real(system_id, space, tier_states, *args)
+
+        monkeypatch.setattr(ges.omega, "_omega_from_tiers", spy)
+        run()
+        return seen[0]
+
+    def reference(self, systems, seeds, t0, n):
+        horizons = [t0 + 1.6 ** i for i in range(1, n + 1)]
+        return [[st for fam in systems
+                 for st in pullback_image(fam, seeds, h, t0).states()]
+                for h in horizons]
+
+    @pytest.mark.parametrize("make", [BranchSystem, BumpSystem])
+    def test_autonomous_systems(self, monkeypatch, make):
+        fam = make()
+        seeds = fam.sample_states(5, np.random.default_rng(11))
+        tiers = self.tiers_of(
+            monkeypatch, lambda: forward_omega(fam, 0.5, seeds, n=8))
+        want = self.reference([fam], seeds, 0.5, 8)
+        assert len(tiers) == len(want) == 8
+        assert all(same_states(a, b) for a, b in zip(tiers, want))
+
+    def test_scalar_phase_family(self, monkeypatch):
+        symfam = SymbolFamily.phase_family("forced-scalar", count=6)
+        space = symfam.system(0.0).space
+        seeds = [space.state([0], [v]) for v in np.linspace(-1.5, 1.5, 4)]
+        tiers = self.tiers_of(
+            monkeypatch, lambda: uniform_omega(symfam, seeds, n=7))
+        systems = [symfam.system(s) for s in symfam.symbols]
+        want = self.reference(systems, seeds, 0.0, 7)
+        assert len(tiers) == len(want) == 7
+        assert all(same_states(a, b) for a, b in zip(tiers, want))
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +529,37 @@ class TestPAC:
         assert obj["kind"] == "pac" and obj["verdict"] == rep.verdict
         assert len(obj["sequences"]) == len(rep.sequences)
 
+    @pytest.mark.parametrize("make", [HeatSystem, BumpSystem, BranchSystem])
+    def test_one_image_per_tier_matches_per_label_images(self, make):
+        fam = make()
+        sched = PullbackSchedule.geometric(0.0, n=10)
+        rep = pac_check(fam, sched, rng=np.random.default_rng(6))
+        assert rep == reference_pac(fam, sched, rng=np.random.default_rng(6))
+
+
+def reference_pac(fam, schedule, rng, tol=0.4, sample_size=10):
+    """pac_check as one pullback image per label per tier, for comparison."""
+    t, starts = schedule.t, schedule.starts
+    cluster_min = max(3, math.ceil(len(starts) / 3.0))
+    reports = []
+
+    def run(kind, seeds_per_tier):
+        points = [pullback_image(fam, [x], t, s, branches="first").states()[0]
+                  for s, x in zip(starts, seeds_per_tier)]
+        best, min_sep = ges.omega._cluster_stats(fam, points, tol)
+        reports.append(ges.omega.PACSequenceReport(
+            kind, best, cluster_min, min_sep, min_sep >= 2.0 * tol,
+            best >= cluster_min))
+
+    for lab in fam.seed_labels(sample_size, rng):
+        run("sampled", [fam.seed_for(lab, s, t) for s in starts])
+    adv = fam.adversarial_sequence(t, starts)
+    if adv is not None:
+        run("adversarial", list(adv))
+    verdict = ("PAC-consistent" if all(r.cauchy for r in reports)
+               else "PAC-violated")
+    return ges.omega.PACReport(fam.system_id, float(tol), reports, verdict)
+
 
 # ---------------------------------------------------------------------------
 # invariance
@@ -553,6 +637,70 @@ class TestInvariance:
         assert obj["kind"] == "invariance"
         assert obj["check"] == "semi"
 
+    # case -> (family, metric, budget, labels, set family of the system)
+    QUASI_CASES = {
+        "heat spike, unmatched": (
+            HeatSystem, "strong", 6, None,
+            lambda fam: lambda t: [high_band_seed(fam.space,
+                                                  np.random.default_rng(4))]),
+        "scalar orbit plus a stray point, unmatched": (
+            ForcedScalarSystem, "weak", 24, None,
+            lambda fam: lambda t: [fam.scalar(fam.particular(t)),
+                                   fam.scalar(1.9)]),
+        "branch2 zero": (
+            BranchSystem, "weak", 8, None,
+            lambda fam: lambda t: [fam.space.zero_state()]),
+        "bump manifold plus zero": (
+            BumpSystem, "weak", 24,
+            list(2.0 - np.linspace(-12.0, 12.0, 25)) + [14.0],
+            lambda fam: lambda t: [bump_state(fam.space, float(r), t)
+                                   for r in np.linspace(-12.0, 12.0, 25)]
+            + [fam.space.zero_state()]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(QUASI_CASES))
+    def test_quasi_table_matches_per_pair_loop(self, case):
+        make, metric, budget, labels, family_of = self.QUASI_CASES[case]
+        fam = make()
+        family = family_of(fam)
+        reps = [invariance_check(fam, family, kind="quasi", metric=metric,
+                                 budget=budget, labels=labels,
+                                 rng=np.random.default_rng(9), workers=w)
+                for w in (1, 2)]
+        want = reference_quasi_unmatched(fam, family, metric, budget, labels,
+                                         np.random.default_rng(9))
+        assert reps[0] == reps[1]
+        assert reps[0].quasi_unmatched == want
+        assert reps[0].verdict == ("quasi-invariant" if want == 0
+                                   else "inconclusive")
+        assert (want > 0) == case.endswith("unmatched")
+
+
+def reference_quasi_unmatched(fam, set_family, metric, budget, labels, rng,
+                              window=(0.0, 2.0), grid_n=5, tol=0.05,
+                              pull_depth=40.0):
+    """The quasi side of invariance_check as a per-pair loop."""
+    lo, hi = window
+    times = [lo + (hi - lo) * k / (grid_n - 1) for k in range(grid_n)]
+    sets = [list(set_family(tau)) for tau in times]
+    s_deep = lo - pull_depth
+    if labels is None:
+        labels = fam.seed_labels(budget, rng)
+    trajs = []
+    for x in [fam.seed_for(lab, s_deep, times[-1]) for lab in labels]:
+        for b in range(fam.branch_count(s_deep, x)):
+            trajs.append(fam.evolve(s_deep, x, times, branch=b))
+    unmatched = 0
+    for j in range(len(times)):
+        for b_pt in sets[j]:
+            matched = any(
+                fam.space.dist(traj[j], b_pt, metric) <= tol
+                and all(set_semidist(fam.space, [traj[i]], sets[i], metric)
+                        <= tol for i in range(j))
+                for traj in trajs)
+            unmatched += not matched
+    return unmatched
+
 
 # ---------------------------------------------------------------------------
 # tracking
@@ -609,3 +757,101 @@ class TestTracking:
         rep = tracking_check(fam, sched, rng=np.random.default_rng(4))
         obj = json.loads(rep.to_json())
         assert obj["kind"] == "tracking" and obj["verdict"] == "holds"
+
+    # case -> (family, started seeds of the family, or None to sample)
+    CASES = {
+        "heat high bands": (HeatSystem, lambda fam: lambda s: [
+            high_band_seed(fam.space, np.random.default_rng(k), xi_min=2.0 + k)
+            for k in range(3)]),
+        "bump off-grid shifts": (BumpSystem, lambda fam: lambda s: [
+            bump_state(fam.space, float(r), s)
+            for r in np.linspace(-5.3, 6.1, 5)]),
+        "forced-scalar sampled": (ForcedScalarSystem, lambda fam: None),
+        "single sampled": (SingleTrajectorySystem, lambda fam: None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_packed_sups_match_per_pair_loop(self, case):
+        make, seeds_of = self.CASES[case]
+        fam = make()
+        sched = PullbackSchedule.geometric(0.0, n=10)
+        kw = dict(horizon=2.0, eps=0.05, seeds=seeds_of(fam), count=4,
+                  n_complete=5, deep_tiers=3)
+        reps = [tracking_check(fam, sched, rng=np.random.default_rng(3),
+                               workers=w, strong=True, **kw) for w in (1, 2)]
+        weak, strong = reference_tracking(fam, sched,
+                                          rng=np.random.default_rng(3), **kw)
+        assert reps[0] == reps[1]
+        np.testing.assert_allclose(reps[0].weak_sups, weak, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(reps[0].strong_sups, strong, rtol=1e-14,
+                                   atol=0)
+        holds = max(weak) <= 0.05 and max(strong) <= 0.05
+        assert reps[0].verdict == ("holds" if holds else "fails")
+
+    @pytest.mark.parametrize("kw", [{"grid_n": 1}, {"grid_n": 0},
+                                    {"deep_tiers": 0}, {"deep_tiers": -1},
+                                    {"deep_tiers": 11}, {"count": 0},
+                                    {"seeds": []}])
+    def test_bad_arguments(self, kw):
+        fam = ForcedScalarSystem()
+        sched = PullbackSchedule.geometric(0.0, n=10)
+        with pytest.raises(UsageError):
+            tracking_check(fam, sched, **kw)
+
+
+def reference_tracking(fam, schedule, rng, horizon, eps, seeds, count,
+                       n_complete, deep_tiers, grid_n=9):
+    """tracking_check's weak and strong sups as a per-pair loop."""
+    trajs = fam.complete_trajectories(n_complete, rng)
+    weak_sups, strong_sups = [], []
+    for s_deep in schedule.starts[-deep_tiers:]:
+        if callable(seeds):
+            started = list(seeds(s_deep))
+        else:
+            started = fam.sample_states(count, rng)
+        grid = [s_deep + horizon * k / (grid_n - 1) for k in range(grid_n)]
+        complete_vals = [[v(tau) for tau in grid] for v in trajs]
+        for x in started:
+            for b in range(fam.branch_count(s_deep, x)):
+                u = fam.evolve(s_deep, x, grid, branch=b)
+                weak_sups.append(min(
+                    max(fam.space.weak_dist(a, v) for a, v in zip(u, vvals))
+                    for vvals in complete_vals))
+                strong_sups.append(min(
+                    max(fam.space.strong_dist(a, v) for a, v in zip(u, vvals))
+                    for vvals in complete_vals))
+    return weak_sups, strong_sups
+
+
+class SpikeSystem(TrajectoryFamily):
+    """Every trajectory sits at 0.5, except that it leaves 10x the unit
+    ball at the middle sample time."""
+
+    system_id = "spike"
+
+    def __init__(self):
+        super().__init__(DualMetricSpace(tag="spike", ball_radius=1.0))
+
+    def evolve(self, s, x, ts, branch=0):
+        mid = len(ts) // 2
+        return [self.space.state([0], [20.0 if k == mid else 0.5])
+                for k in range(len(ts))]
+
+    def sample_states(self, count, rng):
+        return [self.space.state([0], [0.5]) for _ in range(count)]
+
+    def complete_trajectories(self, count, rng):
+        return [lambda tau: self.space.state([0], [0.5])]
+
+
+class TestBlowUpGuard:
+    def test_tracking(self):
+        fam = SpikeSystem()
+        with pytest.raises(BlowUpError, match="seed #0"):
+            tracking_check(fam, PullbackSchedule.geometric(0.0, n=4))
+
+    def test_quasi_invariance(self):
+        fam = SpikeSystem()
+        with pytest.raises(BlowUpError, match="seed #0"):
+            invariance_check(fam, lambda t: [fam.space.state([0], [0.5])],
+                             kind="quasi", budget=3)
