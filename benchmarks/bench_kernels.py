@@ -1,10 +1,11 @@
 """Timings of the hot distance/advection kernels and of state packing.
 
 Runs each kernel on inputs shaped like the real workloads: packed
-coefficient blocks for the cross-distance kernels (a mid-size tier
-comparison, and the survival-filter shape of `ges omega --system heat
---n-seeds 512`: one state against a 512-state tier over 2,049 grid
-slots), the truncated spectral basis for the advection term, at the
+coefficient blocks for the cross-distance kernels (a mid-size complex
+tier comparison, and the survival-filter shape of `ges omega --system heat
+--n-seeds 512`: one real state against a 512-state real tier over 2,049
+grid slots, since heat values are real and pack into a float64 block),
+the truncated spectral basis for the advection term, at the
 default cutoff kmax=4 and at kmax=6, and `pack_states` on 1,024 heat tier
 images (64 seeds at 16 times, so each seed's images share one index
 array).  Each case runs once untimed before the timed repetitions, and
@@ -49,8 +50,7 @@ def make_cases(rng):
 
     # heat survival filter: one netted state against one 512-state tier
     grid = 2049
-    hv = (rng.standard_normal((513, grid, 1))
-          + 1j * rng.standard_normal((513, grid, 1)))
+    hv = rng.standard_normal((513, grid, 1))
     hw = 2.0 ** (-np.abs(np.arange(grid) - grid // 2) / 64.0) / 64.0
 
     # heat tier images: what `ges omega --system heat` packs, at 1/8 the size

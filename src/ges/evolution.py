@@ -7,9 +7,12 @@ The pullback image operator
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
 is approximated by evolving a finite seed ensemble through every branch.
-Every ensemble goes through one step, _evolve_seeds, which samples each
-trajectory at a list of times under the blow-up guard; pullback_image is
-that step at a single time.  Families also expose phase-space seed
+Ensembles that end as states go through one step, _evolve_seeds, which
+samples each trajectory at a list of times under the blow-up guard;
+pullback_image is that step at a single time.  Omega ladders instead ask
+a family for evolve_block: every image of one seed as values ready for
+packing, which a family with a closed-form multiplier computes in one
+broadcast.  Families also expose phase-space seed
 sampling keyed by labels: a label fixes one trajectory relative to the
 evaluation time, so ensembles drawn at different pullback depths sample
 the same bundle of trajectories.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +66,22 @@ class TrajectoryFamily(ABC):
     def evolve(self, s: float, x: CoeffState, ts: Sequence[float],
                branch: int = 0) -> list[CoeffState]:
         """Sample the branch's trajectory through (s, x) at times ts >= s."""
+
+    def evolve_block(self, x: CoeffState, starts: Sequence[float],
+                     ts: Sequence[float], branch: int = 0) -> list[tuple]:
+        """The images P(ts[k], starts[k]) x of one seed, as packing groups.
+
+        Returns (idx, vals) groups in image order; vals[j] holds the next
+        image's values on the index rows idx, or vals is a callable giving
+        them (see space.pack_groups).  The default evolves once per run of
+        equal start times and makes one group per image; a family whose
+        images stay on the seed's own index rows may return one group.
+        """
+        groups = []
+        for s, run in groupby(zip(starts, ts), key=lambda pair: pair[0]):
+            for st in self.evolve(s, x, [t for _, t in run], branch=branch):
+                groups.append((st.idx, st.val[None]))
+        return groups
 
     # -- phase-space sampling ---------------------------------------------------
 
@@ -142,6 +162,30 @@ class PullbackEnsemble:
         return cls(system_id, t, s, entries)
 
 
+def _trajectories(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
+                  branches: str = "all") -> list[tuple]:
+    """(seed index, branch, seed) per trajectory from time s, in that order.
+
+    branches is "all" or "first"; every seed must live on the family's space.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise UsageError("evolution of an empty seed set")
+    if branches not in ("all", "first"):
+        raise UsageError("branches must be 'all' or 'first'")
+    out = []
+    for i, x in enumerate(seeds):
+        fam.space.check_member(x)
+        nb = fam.branch_count(s, x) if branches == "all" else 1
+        out.extend((i, b, x) for b in range(nb))
+    return out
+
+
+def _blow_up(i: int, b: int, tau: float, nrm: float, cap: float) -> BlowUpError:
+    return BlowUpError(f"seed #{i} (branch {b}) blew up: |u({tau})| = {nrm:.3g} "
+                       f"exceeds 10x ball radius {cap:.3g}")
+
+
 def _evolve_seeds(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
                   ts: Sequence[float], branches: str = "all",
                   workers: int | None = None) -> list[tuple]:
@@ -153,17 +197,7 @@ def _evolve_seeds(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
     strong norm exceeds 10x the space's ball radius aborts the run with a
     BlowUpError naming the offending seed.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise UsageError("evolution of an empty seed set")
-    if branches not in ("all", "first"):
-        raise UsageError("branches must be 'all' or 'first'")
-    jobs = []
-    for i, x in enumerate(seeds):
-        fam.space.check_member(x)
-        nb = fam.branch_count(s, x) if branches == "all" else 1
-        jobs.extend((i, b, x) for b in range(nb))
-
+    jobs = _trajectories(fam, seeds, s, branches)
     runs = parallel_map(lambda job: fam.evolve(s, job[2], ts, branch=job[1]),
                         jobs, workers=workers)
     cap = fam.space.ball_radius
@@ -172,9 +206,7 @@ def _evolve_seeds(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
             for tau, st in zip(ts, states):
                 nrm = fam.space.strong_norm(st)
                 if nrm > 10.0 * cap:
-                    raise BlowUpError(
-                        f"seed #{i} (branch {b}) blew up: |u({tau})| = {nrm:.3g} "
-                        f"exceeds 10x ball radius {cap:.3g}")
+                    raise _blow_up(i, b, tau, nrm, cap)
     return [(i, b, x, states) for (i, b, x), states in zip(jobs, runs)]
 
 

@@ -12,7 +12,9 @@ Each kernel has one numpy implementation.  The two cross kernels walk
 bv in fixed blocks of rows through preallocated buffers, so their
 temporaries stay cache-sized whatever the set size.  Blocking changes no
 summation order: every distance is bitwise what one unblocked pass
-gives, and repeated runs stay byte-identical.
+gives, and repeated runs stay byte-identical.  The cross kernels take
+real (float64) or complex blocks; a real pair gives bitwise the distances
+of its complex copy.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ import scipy.fft as sfft
 #
 # Both cross kernels share one blocked pass.  For each block of bv rows and
 # each av row: diff -> re^2 + im^2 -> sum over components, then t @ w per
-# row (strong: sqrt of that; weak: sqrt and t / (1 + t) before it).  A
-# block's buffers take about 32 bytes per (row, index, component) cell, so
+# row (strong: sqrt of that; weak: sqrt and t / (1 + t) before it).  When
+# both blocks are real, diff^2 is that squared term directly: im^2 would be
+# +0.0 and x + 0.0 == x, so the bits match the complex pass.  A block's
+# buffers take at most about 32 bytes per (row, index, component) cell, so
 # _BLOCK_CELLS cells stay inside a core's L2 cache.  Blocks are a multiple
 # of 4 rows long and the last one also takes the leftover tail of under 4
 # rows: BLAS matrix-vector products take rows in groups of four plus such a
@@ -54,17 +58,21 @@ def _cross(av, bv, w, weak):
     rows = _block_rows(u, c)
     edges = _block_edges(nb, rows)
     n = min(rows + 3, nb)
-    diff = np.empty((n, u, c), dtype=np.complex128)
-    parts = diff.view(np.float64)  # (n, u, 2c): real and imaginary parts
-    sq = np.empty((n, u, c), dtype=np.float64)
+    real = not (np.iscomplexobj(av) or np.iscomplexobj(bv))
+    diff = np.empty((n, u, c), dtype=np.float64 if real else np.complex128)
+    parts = None if real else diff.view(np.float64)  # (n, u, 2c): re and im parts
+    sq = diff if real else np.empty((n, u, c), dtype=np.float64)
     t = sq[:, :, 0] if c == 1 else np.empty((n, u), dtype=np.float64)
     den = np.empty((n, u), dtype=np.float64) if weak else None
     for s, e in zip(edges[:-1], edges[1:]):
         m = e - s
         for i in range(na):
             np.subtract(av[i], bv[s:e], out=diff[:m])
-            np.multiply(parts[:m], parts[:m], out=parts[:m])
-            np.add(parts[:m, :, 0::2], parts[:m, :, 1::2], out=sq[:m])
+            if real:
+                np.multiply(diff[:m], diff[:m], out=sq[:m])
+            else:
+                np.multiply(parts[:m], parts[:m], out=parts[:m])
+                np.add(parts[:m, :, 0::2], parts[:m, :, 1::2], out=sq[:m])
             if c > 1:
                 np.add.reduce(sq[:m], axis=2, out=t[:m])
             tm = t[:m]
@@ -81,7 +89,7 @@ def _cross(av, bv, w, weak):
 def strong_cross(av: np.ndarray, bv: np.ndarray, qw: np.ndarray) -> np.ndarray:
     """Pairwise strong distances between packed value blocks.
 
-    av, bv: (n, u, c) complex arrays over a shared index union,
+    av, bv: (n, u, c) real or complex arrays over a shared index union,
     qw: (u,) quadrature weights.  Returns an (na, nb) float matrix.
     """
     return _cross(av, bv, qw, weak=False)

@@ -15,9 +15,14 @@ below tol and is non-increasing over its last third.  When nothing
 survives, the profile instead records each tier's drift from the
 shallowest image and the note says so.
 
-Omega, attraction and PAC share one tier-image step; forward ladders
-evolve each trajectory once over all horizons, and tracking and quasi
-invariance pack each trajectory set once, not once per pair.
+Pullback and forward omega build their packed block straight from the
+seeds: one evolve_block call per seed and branch covers all of its tier
+images, and a family may return them as values on the seed's own index
+rows that go directly into the block, so no state object is made per
+image; only surviving points become states.  The blow-up guard reads the
+block's norms.  Forward ladders evolve each trajectory once over all
+horizons.  Attraction and PAC share one tier-image step, and tracking and
+quasi invariance pack each trajectory set once, not once per pair.
 
 Diagnostics built on the same ensembles:
 
@@ -45,10 +50,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UnsupportedError, UsageError
-from .evolution import TrajectoryFamily, _evolve_seeds, pullback_image
-from .space import (CoeffState, PackedSet, net_rows, pack_states, set_semidist,
-                    state_from_json, state_to_json)
-from .util import fmt_float
+from .evolution import (TrajectoryFamily, _blow_up, _evolve_seeds, _trajectories,
+                        pullback_image)
+from .space import (CoeffState, PackedSet, net_rows, pack_groups, pack_states,
+                    set_semidist, state_from_json, state_to_json)
+from .util import fmt_float, parallel_map
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,48 @@ def _tier_images(fam: TrajectoryFamily, tier_seed_lists, t: float,
     return [pullback_image(fam, tier_seed, t, s, branches=branches,
                            workers=workers).states()
             for s, tier_seed in zip(starts, tier_seed_lists)]
+
+
+def _tier_block(space, tiers, workers: int | None) -> tuple[PackedSet, list]:
+    """Pack every tier image straight from its seed, deepest tier first.
+
+    tiers[i] lists tier i's trajectories as (fam, seed index, branch, seed,
+    s, t) rows, the image being P(t, s) seed on that branch; the last tier
+    is the deepest.  Each tier becomes one run of consecutive packed rows
+    in its own order.  One evolve_block call covers every image of one
+    (family, seed object, branch); the calls are split over the workers.
+    The blow-up guard reads the block's norms, tier by tier in the given
+    order, before the ball check.  Returns the block and each tier's rows.
+    """
+    sizes = [len(tier) for tier in tiers]
+    ends = np.cumsum(sizes[::-1])[::-1]
+    tier_rows = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
+    # ids of (family, seed, branch) -> (family, seed, branch, [(s, t, packed row)])
+    jobs: dict[tuple, tuple] = {}
+    for rows, tier in zip(tier_rows, tiers):
+        for row, (fam, _, b, x, s, t) in zip(rows, tier):
+            jobs.setdefault((id(fam), id(x), b), (fam, x, b, []))[3].append((s, t, row))
+
+    def evolve(job):
+        fam, x, b, images = job
+        return fam.evolve_block(x, [s for s, _, _ in images],
+                                [t for _, t, _ in images], branch=b)
+
+    jobs = list(jobs.values())
+    groups = parallel_map(evolve, jobs, workers=workers)
+    packed = pack_groups(space, sum(sizes),
+                         [([row for _, _, row in job[3]], g)
+                          for job, g in zip(jobs, groups)],
+                         check_ball=False)
+    cap = space.ball_radius
+    if cap is not None:
+        for rows, tier in zip(tier_rows, tiers):
+            over = np.flatnonzero(packed.norms[rows] > 10.0 * cap)
+            if over.size:
+                _, i, b, _, _, t = tier[over[0]]
+                raise _blow_up(i, b, t, packed.norms[rows[over[0]]], cap)
+    packed.check_ball()
+    return packed, tier_rows
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +279,10 @@ def _check_omega_args(metric: str, eps_net: float, tol: float) -> None:
         raise UsageError("eps_net and tol must be positive")
 
 
-def _omega_from_tiers(system_id: str, space, tier_states, tick_values,
+def _omega_from_tiers(system_id: str, packed: PackedSet, tier_rows, tick_values,
                       t_report: float, metric: str, eps_net: float,
                       tol: float, note: str) -> OmegaApprox:
     # deepest tier first: the net visits rows 0..N-1 in storage order
-    all_states = [st for states in reversed(tier_states) for st in states]
-    ends = np.cumsum([len(states) for states in reversed(tier_states)])[::-1]
-    tier_rows = [np.arange(end - len(states), end)
-                 for states, end in zip(tier_states, ends)]
-    packed = pack_states(space, all_states)
     survivors = _net_and_survive(packed, tier_rows, eps_net, metric)
 
     if survivors:
@@ -279,8 +322,11 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
     _check_omega_args(metric, eps_net, tol)
     t, starts = schedule.t, schedule.starts
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
-    tier_states = _tier_images(fam, tier_seed_lists, t, starts, branches, workers)
-    return _omega_from_tiers(fam.system_id, fam.space, tier_states, starts,
+    tiers = [[(fam, i, b, x, s, t)
+              for i, b, x in _trajectories(fam, tier_seed, s, branches)]
+             for s, tier_seed in zip(starts, tier_seed_lists)]
+    packed, tier_rows = _tier_block(fam.space, tiers, workers)
+    return _omega_from_tiers(fam.system_id, packed, tier_rows, starts,
                              t, metric, eps_net, tol, note)
 
 
@@ -320,11 +366,11 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     if not seeds:
         raise UsageError("empty seed collection")
     horizons = [t0 + delta * rho ** i for i in range(1, n + 1)]
-    runs = [states for fam in systems
-            for _, _, _, states in _evolve_seeds(fam, seeds, t0, horizons,
-                                                 branches, workers)]
-    tier_states = [[states[i] for states in runs] for i in range(n)]
-    return _omega_from_tiers(system_id, systems[0].space, tier_states, horizons,
+    trajs = [(fam, i, b, x) for fam in systems
+             for i, b, x in _trajectories(fam, seeds, t0, branches)]
+    tiers = [[(fam, i, b, x, t0, h) for fam, i, b, x in trajs] for h in horizons]
+    packed, tier_rows = _tier_block(systems[0].space, tiers, workers)
+    return _omega_from_tiers(system_id, packed, tier_rows, horizons,
                              horizons[-1], metric, eps_net, tol, "")
 
 

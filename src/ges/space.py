@@ -26,11 +26,16 @@ consecutive packed rows reaches the kernels as a view, not a copy, which
 is why the omega layer packs its tier images deepest tier first: the net
 then visits rows in storage order and every tier is one such run.
 
-Packing holds little beyond the packed block itself: index rows are
-encoded once per distinct index array (states that share one array object
+One scatter packer, pack_groups, builds every block; pack_states is its
+case of one state per group, and the omega ladders hand it each seed's
+images as one group whose values may be computed only once the block
+exists.  Packing holds little beyond the block itself: index rows are
+encoded once per distinct index array (groups that share one array object
 share the work), no stacked copy of all rows is made, and norms are taken
 over blocks of rows.  While the block is built, the memory held beside it
-is one slot array per distinct index array.
+is one 4-byte slot array per distinct index array and one deferred group.
+The block is float64 when every value is real, complex128 otherwise; the
+two give bitwise the same norms and distances.
 """
 
 from __future__ import annotations
@@ -79,6 +84,23 @@ class CoeffState:
     @property
     def n_coeffs(self) -> int:
         return self.idx.shape[0]
+
+    def with_values(self, val) -> "CoeffState":
+        """A state on these already checked index rows with new values.
+
+        Only the values' shape and finiteness are checked, so a trajectory's
+        samples need not sort the seed's keys again.
+        """
+        v = np.ascontiguousarray(val, dtype=np.complex128)
+        if v.shape != self.val.shape:
+            raise UsageError("new values must keep the state's shape")
+        if not np.all(np.isfinite(v.view(np.float64))):
+            raise UsageError("non-finite coefficient in state")
+        st = object.__new__(CoeffState)
+        object.__setattr__(st, "space_tag", self.space_tag)
+        object.__setattr__(st, "idx", self.idx)
+        object.__setattr__(st, "val", v)
+        return st
 
 
 def _encode_rows(idx: np.ndarray) -> np.ndarray:
@@ -165,17 +187,17 @@ class DualMetricSpace:
         if v.shape[1] != self.component_dim:
             raise UsageError(f"values must have {self.component_dim} components")
         st = CoeffState(self.tag, a, v)
-        self._check_indices(st)
+        self._check_indices(st.idx)
         return st
 
     def zero_state(self) -> CoeffState:
         return self.state(np.empty((0, self.index_dim)), np.empty((0, self.component_dim)))
 
-    def _check_indices(self, st: CoeffState) -> None:
-        if st.idx.size and st.idx.shape[1] != self.index_dim:
+    def _check_indices(self, idx: np.ndarray) -> None:
+        if idx.size and idx.shape[1] != self.index_dim:
             raise UsageError(f"indices must have dimension {self.index_dim}")
-        if self.grid_extent is not None and st.idx.size:
-            if np.abs(st.idx).max() > self.grid_extent:
+        if self.grid_extent is not None and idx.size:
+            if np.abs(idx).max() > self.grid_extent:
                 raise UsageError("index outside the sampled grid")
 
     def check_member(self, st: CoeffState) -> CoeffState:
@@ -245,7 +267,7 @@ class DualMetricSpace:
 
     def strong_norm(self, a: CoeffState) -> float:
         self.check_member(a)
-        self._check_indices(a)
+        self._check_indices(a.idx)
         q = self.quad_weights(a.idx)
         return float(np.sqrt((np.abs(a.val) ** 2).sum(axis=1) @ q))
 
@@ -269,7 +291,7 @@ class PackedSet:
 
     space: DualMetricSpace
     idx: np.ndarray  # (u, d)
-    vals: np.ndarray  # (n, u, c)
+    vals: np.ndarray  # (n, u, c): float64 when every value is real, else complex128
     qw: np.ndarray  # (u,)
     ww: np.ndarray  # (u,)
     norms: np.ndarray = field(init=False)
@@ -287,6 +309,15 @@ class PackedSet:
     @property
     def n_states(self) -> int:
         return self.vals.shape[0]
+
+    def check_ball(self) -> None:
+        """UsageError when some row's strong norm leaves the space's ball."""
+        cap = self.space.ball_radius
+        worst = self.norms.max(initial=0.0)
+        if cap is not None and worst > cap + BALL_SLACK:
+            raise UsageError(
+                f"state with strong norm {worst:.6g} exceeds the ball radius "
+                f"{cap:.6g} of space {self.space.tag!r}")
 
     def _rows(self, rows) -> np.ndarray:
         """vals at the given rows; a run of consecutive rows is a view."""
@@ -322,49 +353,83 @@ class PackedSet:
         return self.space.state(self.idx[keep], self.vals[row][keep])
 
 
-def pack_states(space: DualMetricSpace, states: Sequence[CoeffState],
+def pack_groups(space: DualMetricSpace, n_states: int, runs,
                 check_ball: bool = True) -> PackedSet:
-    """Densify states onto their sorted index union.
+    """Scatter groups of states onto their sorted index union.
+
+    runs holds (rows, groups) pairs.  Each group is an (idx, vals) pair
+    whose states take the next len(vals) entries of rows: vals[k] holds a
+    state's values on the index rows idx, so vals is (k, len(idx), c).  A
+    group may give vals as a callable instead, which is called once, after
+    the block is allocated; values computed that way go straight into the
+    block and never all exist beside it.
 
     The union rows are sorted by encoded key, so all downstream summation
-    orders depend only on the set of indices, never on input order.
+    orders depend only on the set of indices, never on input order.  Each
+    distinct idx array object is encoded and located on the union once;
+    beyond the block, the memory held while it is built is one slot array
+    per distinct index array and one deferred group at a time.  The block
+    is float64 when every value has a zero imaginary part, which changes no
+    distance or norm: x + 0.0 == x and hypot(x, 0) == |x|.  A deferred
+    group with a nonzero imaginary part turns the block complex.
+    """
+    runs = list(runs)
+    which: dict[int, int] = {}  # id of an idx array -> its place in arrays
+    arrays = []
+    real = True
+    for _, groups in runs:
+        for idx, vals in groups:
+            if id(idx) not in which:
+                space._check_indices(idx)
+                which[id(idx)] = len(arrays)
+                arrays.append(idx)
+            if real and not callable(vals) and vals.dtype.kind == "c":
+                real = not np.count_nonzero(vals.imag)
+    keys = [_encode_rows(a) for a in arrays]
+    uniq_keys = np.unique(np.concatenate(keys))
+    # a union never reaches 2^31 rows, so 4-byte slots halve what sits beside the block
+    slots = [np.searchsorted(uniq_keys, k).astype(np.int32) for k in keys]
+    del keys  # only the slot arrays outlive this point beside the block
+    uniq_idx = _decode_keys(uniq_keys, space.index_dim)
+    del uniq_keys
+    block = np.zeros((n_states, uniq_idx.shape[0], space.component_dim),
+                     dtype=np.float64 if real else np.complex128)
+    for rows, groups in runs:
+        k = 0
+        for idx, vals in groups:
+            if callable(vals):
+                vals = vals()
+                if real and vals.dtype.kind == "c" and np.count_nonzero(vals.imag):
+                    block, real = block.astype(np.complex128), False
+            if real and vals.dtype.kind == "c":
+                vals = vals.real
+            slot = slots[which[id(idx)]]
+            for row, v in zip(rows[k:], vals):
+                block[row, slot] = v
+            k += len(vals)
+        if k != len(rows):
+            raise UsageError(f"{k} packed states for {len(rows)} rows")
+    packed = PackedSet(space, uniq_idx, block,
+                       space.quad_weights(uniq_idx), space.weak_weights(uniq_idx))
+    if check_ball:
+        packed.check_ball()
+    return packed
 
-    States that share one idx array object (the images of one seed, or
-    every state of a fixed spectral basis) are encoded and located on the
-    union once.  Beyond the packed block, the memory held while the block
-    is built is one slot array per distinct index array.
+
+def pack_states(space: DualMetricSpace, states: Sequence[CoeffState],
+                check_ball: bool = True) -> PackedSet:
+    """Densify states onto their sorted index union: pack_groups with one
+    state per group.  States that share one idx array object (the images of
+    one seed, or every state of a fixed spectral basis) share its encoding.
     """
     states = list(states)
     if not states:
         raise UsageError("cannot pack an empty state list")
-    which: dict[int, int] = {}  # id of an idx array -> its place in arrays
-    arrays = []
     for s in states:
         space.check_member(s)
-        if id(s.idx) not in which:
-            space._check_indices(s)
-            which[id(s.idx)] = len(arrays)
-            arrays.append(s.idx)
-    keys = [_encode_rows(a) for a in arrays]
-    uniq_keys = np.unique(np.concatenate(keys))
-    slots = [np.searchsorted(uniq_keys, k) for k in keys]
-    del keys  # only the slot arrays outlive this point beside the block
-    uniq_idx = _decode_keys(uniq_keys, space.index_dim)
-    del uniq_keys
-    vals = np.zeros((len(states), uniq_idx.shape[0], space.component_dim),
-                    dtype=np.complex128)
-    for i, s in enumerate(states):
-        if s.idx.shape[0]:
-            vals[i, slots[which[id(s.idx)]], :] = s.val
-    packed = PackedSet(space, uniq_idx, vals,
-                       space.quad_weights(uniq_idx), space.weak_weights(uniq_idx))
-    if check_ball and space.ball_radius is not None:
-        worst = packed.norms.max(initial=0.0)
-        if worst > space.ball_radius + BALL_SLACK:
-            raise UsageError(
-                f"state with strong norm {worst:.6g} exceeds the ball radius "
-                f"{space.ball_radius:.6g} of space {space.tag!r}")
-    return packed
+    return pack_groups(space, len(states),
+                       [((i,), [(s.idx, s.val[None])]) for i, s in enumerate(states)],
+                       check_ball)
 
 
 def set_semidist(space: DualMetricSpace, a_set: Iterable[CoeffState],

@@ -18,6 +18,7 @@ grid counterpart of coefficient weighting on a countable dense system.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -35,12 +36,28 @@ def make_heat_space(tag: str = "heat") -> DualMetricSpace:
                            grid_extent=GRID_EXTENT)
 
 
-def heat_evolve(space: DualMetricSpace, x: CoeffState, s: float, t: float) -> CoeffState:
-    if t < s:
+def _lags(starts, ts) -> np.ndarray:
+    lag = np.asarray(starts, dtype=np.float64) - np.asarray(ts, dtype=np.float64)
+    if np.any(lag > 0.0):
         raise UsageError("diffusion runs forward only")
+    return lag
+
+
+def heat_block(space: DualMetricSpace, x: CoeffState, starts, ts) -> np.ndarray:
+    """Values of the images P(ts[k], starts[k]) x on x's own index rows.
+
+    One broadcast of exp(xi^2 (s - t)) over all images, (k, rows, c); real
+    when x is.  Each entry is bitwise the single-image product.
+    """
+    lag = _lags(starts, ts)
     xi = x.idx[:, 0].astype(np.float64) * space.grid_spacing
-    factor = np.exp(xi * xi * (s - t))
-    return space.state(x.idx, x.val * factor[:, None])
+    factor = np.exp(xi * xi * lag[:, None])
+    val = x.val if np.any(x.val.imag) else x.val.real
+    return val[None] * factor[:, :, None]
+
+
+def heat_evolve(space: DualMetricSpace, x: CoeffState, s: float, t: float) -> CoeffState:
+    return x.with_values(heat_block(space, x, [s], [t])[0])
 
 
 def band_witness(space: DualMetricSpace, t: float, s0: float,
@@ -124,7 +141,15 @@ class HeatSystem(TrajectoryFamily):
         if branch != 0:
             raise UsageError("single-valued system has only branch 0")
         self.space.check_member(x)
-        return [heat_evolve(self.space, x, s, float(t)) for t in ts]
+        return [x.with_values(v) for v in heat_block(self.space, x, [s] * len(ts), ts)]
+
+    def evolve_block(self, x, starts, ts, branch=0):
+        """One group on the seed's rows, its values deferred to the packer."""
+        if branch != 0:
+            raise UsageError("single-valued system has only branch 0")
+        self.space.check_member(x)
+        _lags(starts, ts)
+        return [(x.idx, partial(heat_block, self.space, x, starts, ts))]
 
     def sample_states(self, count, rng):
         return [band_profile(self.space, int(rng.integers(0, 4)), rng)

@@ -69,6 +69,33 @@ def test_blocked_kernels_equal_row_at_a_time(monkeypatch, c, na, blocks, extra):
     assert np.array_equal(weak, weak_rows(av, bv, w))
 
 
+def with_zero_imag(rng, block):
+    """block as complex values whose imaginary parts are +0.0 or -0.0."""
+    out = block.astype(np.complex128)
+    out.imag[rng.random(block.shape) < 0.5] = -0.0
+    return out
+
+
+# nb = 4k .. 4k+4 around a block edge: blocks hold 8 rows at c = 1 and 4 at
+# c = 3 under the 96-cell budget
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("nb", [8, 9, 10, 11, 12])
+def test_real_blocks_equal_complex_blocks(monkeypatch, c, nb):
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", 96)
+    u = 11
+    rng = np.random.default_rng(10 * c + nb)
+    av = rng.normal(size=(3, u, c))
+    bv = rng.normal(size=(nb, u, c))
+    bv[0] = av[0]  # an exact zero distance
+    w = rng.uniform(0.0, 1.0, size=u)
+    avc, bvc = with_zero_imag(rng, av), with_zero_imag(rng, bv)
+    assert np.signbit(avc.imag).any() and not np.signbit(avc.imag).all()
+    for kernel in (kernels.strong_cross, kernels.weak_cross):
+        got = kernel(av, bv, w)
+        assert got.tobytes() == kernel(avc, bvc, w).tobytes()
+        assert got.tobytes() == kernel(av, bvc, w).tobytes()  # mixed: complex pass
+
+
 def test_blocked_kernels_below_one_block_at_full_budget():
     rng = np.random.default_rng(7)
     u, c = 2049, 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,30 +221,34 @@ class TestForwardOmega:
             raise AssertionError("integrated before checking the arguments")
 
         monkeypatch.setattr(ges.omega, "pullback_image", no_integration)
-        monkeypatch.setattr(ges.omega, "_evolve_seeds", no_integration)
+        monkeypatch.setattr(ges.omega, "_tier_block", no_integration)
         fam = BranchSystem()
         seeds = fam.sample_states(2, np.random.default_rng(9))
         with pytest.raises(UsageError):
             forward_omega(fam, 0.0, seeds, n=4, **kw)
 
 
-def same_states(a, b) -> bool:
-    return len(a) == len(b) and all(
-        x.idx.tobytes() == y.idx.tobytes() and x.val.tobytes() == y.val.tobytes()
-        for x, y in zip(a, b))
+def assert_same_block(packed, tier_rows, want):
+    """packed is bitwise pack_states of the tier states, deepest tier first."""
+    ref = pack_states(packed.space, [st for tier in reversed(want) for st in tier])
+    assert [len(rows) for rows in tier_rows] == [len(tier) for tier in want]
+    for name in ("idx", "vals", "norms"):
+        got, exp = getattr(packed, name), getattr(ref, name)
+        assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), name
 
 
 class TestForwardLadders:
     """Forward tiers come from one evolution per trajectory, sampled at every
-    horizon; on closed-form systems they are bitwise the per-horizon images."""
+    horizon; on closed-form systems their block is bitwise the packed
+    per-horizon images."""
 
-    def tiers_of(self, monkeypatch, run):
+    def block_of(self, monkeypatch, run):
         seen = []
         real = ges.omega._omega_from_tiers
 
-        def spy(system_id, space, tier_states, *args):
-            seen.append(tier_states)
-            return real(system_id, space, tier_states, *args)
+        def spy(system_id, packed, tier_rows, *args):
+            seen.append((packed, tier_rows))
+            return real(system_id, packed, tier_rows, *args)
 
         monkeypatch.setattr(ges.omega, "_omega_from_tiers", spy)
         run()
@@ -259,22 +264,121 @@ class TestForwardLadders:
     def test_autonomous_systems(self, monkeypatch, make):
         fam = make()
         seeds = fam.sample_states(5, np.random.default_rng(11))
-        tiers = self.tiers_of(
+        packed, tier_rows = self.block_of(
             monkeypatch, lambda: forward_omega(fam, 0.5, seeds, n=8))
         want = self.reference([fam], seeds, 0.5, 8)
-        assert len(tiers) == len(want) == 8
-        assert all(same_states(a, b) for a, b in zip(tiers, want))
+        assert len(tier_rows) == len(want) == 8
+        assert_same_block(packed, tier_rows, want)
 
     def test_scalar_phase_family(self, monkeypatch):
         symfam = SymbolFamily.phase_family("forced-scalar", count=6)
         space = symfam.system(0.0).space
         seeds = [space.state([0], [v]) for v in np.linspace(-1.5, 1.5, 4)]
-        tiers = self.tiers_of(
+        packed, tier_rows = self.block_of(
             monkeypatch, lambda: uniform_omega(symfam, seeds, n=7))
         systems = [symfam.system(s) for s in symfam.symbols]
         want = self.reference(systems, seeds, 0.0, 7)
-        assert len(tiers) == len(want) == 7
-        assert all(same_states(a, b) for a, b in zip(tiers, want))
+        assert len(tier_rows) == len(want) == 7
+        assert_same_block(packed, tier_rows, want)
+
+
+# ---------------------------------------------------------------------------
+# the tier block against per-tier images
+
+
+def packed_tiers(fam, tier_states):
+    """pack_states of the tier states, deepest tier first, and each tier's rows."""
+    packed = pack_states(fam.space, [st for tier in reversed(tier_states) for st in tier])
+    ends = np.cumsum([len(tier) for tier in reversed(tier_states)])[::-1]
+    return packed, [np.arange(end - len(tier), end) for tier, end in zip(tier_states, ends)]
+
+
+def reference_pullback(fam, schedule, n_seeds, rng, seeds=None):
+    """omega_pullback from per-tier pullback_image states and pack_states."""
+    t, starts = schedule.t, schedule.starts
+    lists = ges.omega._tier_seeds(fam, seeds, None, n_seeds, rng, t, starts)
+    tiers = [pullback_image(fam, lst, t, s).states() for s, lst in zip(starts, lists)]
+    packed, rows = packed_tiers(fam, tiers)
+    return ges.omega._omega_from_tiers(fam.system_id, packed, rows, starts, t,
+                                       "weak", 0.05, 1e-3, "")
+
+
+def reference_forward(fam, t0, seeds, n):
+    horizons = [t0 + 1.6 ** i for i in range(1, n + 1)]
+    tiers = [pullback_image(fam, seeds, h, t0).states() for h in horizons]
+    packed, rows = packed_tiers(fam, tiers)
+    return ges.omega._omega_from_tiers(fam.system_id, packed, rows, horizons,
+                                       horizons[-1], "weak", 0.05, 1e-3, "")
+
+
+def complex_heat_seeds(fam):
+    """Real band profiles, then the same profiles turned complex."""
+    real = fam.sample_states(6, np.random.default_rng(8))
+    return real + [fam.space.state(x.idx, x.val * (0.6 - 0.6j)) for x in real]
+
+
+class TestTierBlock:
+    """The omega block is built straight from the seeds; its artifacts are
+    byte-equal to packing the per-tier images."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("make,n_seeds", [(HeatSystem, 40), (BumpSystem, 24),
+                                              (BranchSystem, 8)])
+    def test_pullback_matches_per_tier_images(self, make, n_seeds, workers):
+        fam = make()
+        sched = PullbackSchedule.geometric(0.0, n=12)
+        om = omega_pullback(fam, sched, n_seeds=n_seeds,
+                            rng=np.random.default_rng(3), workers=workers)
+        want = reference_pullback(fam, sched, n_seeds, np.random.default_rng(3))
+        assert om.points and om.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_complex_heat_seeds_turn_the_block_complex(self, monkeypatch, workers):
+        fam = HeatSystem()
+        seeds = complex_heat_seeds(fam)
+        sched = PullbackSchedule.geometric(0.0, n=10)
+        seen = []
+        real = ges.omega._omega_from_tiers
+
+        def spy(system_id, packed, *args):
+            seen.append(packed.vals.dtype)
+            return real(system_id, packed, *args)
+
+        monkeypatch.setattr(ges.omega, "_omega_from_tiers", spy)
+        om = omega_pullback(fam, sched, seeds=seeds, workers=workers)
+        want = reference_pullback(fam, sched, None, None, seeds=seeds)
+        assert seen[0] == np.complex128
+        assert om.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_heat_forward_matches_per_horizon_images(self, workers):
+        fam = HeatSystem()
+        seeds = fam.sample_states(24, np.random.default_rng(5))
+        om = forward_omega(fam, 0.5, seeds, n=10, workers=workers)
+        want = reference_forward(fam, 0.5, seeds, 10)
+        assert om.points and om.to_json() == want.to_json()
+
+    def test_heat_omega_peaks_near_its_block(self, monkeypatch):
+        fam = HeatSystem()
+        blocks = []
+        real = ges.omega._omega_from_tiers
+
+        def spy(system_id, packed, *args):
+            blocks.append(packed.vals.nbytes)
+            return real(system_id, packed, *args)
+
+        monkeypatch.setattr(ges.omega, "_omega_from_tiers", spy)
+        sched = PullbackSchedule.geometric(0.0, n=16)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            omega_pullback(fam, sched, n_seeds=128, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert blocks[0] == 128 * 16 * 1986 * 8  # real values on the band union
+        assert peak <= 1.3 * blocks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +948,22 @@ class SpikeSystem(TrajectoryFamily):
         return [lambda tau: self.space.state([0], [0.5])]
 
 
+class AutonomousSpikeSystem(SpikeSystem):
+    autonomous = True
+
+
 class TestBlowUpGuard:
+    def test_omega_pullback(self):
+        fam = SpikeSystem()
+        with pytest.raises(BlowUpError, match=r"seed #0 \(branch 0\) blew up: \|u\(0.0\)\|"):
+            omega_pullback(fam, PullbackSchedule.geometric(0.0, n=4), n_seeds=3)
+
+    def test_forward_omega(self):
+        fam = AutonomousSpikeSystem()
+        seeds = fam.sample_states(3, np.random.default_rng(0))
+        with pytest.raises(BlowUpError, match="seed #0"):
+            forward_omega(fam, 0.0, seeds, n=5)
+
     def test_tracking(self):
         fam = SpikeSystem()
         with pytest.raises(BlowUpError, match="seed #0"):

@@ -6,6 +6,7 @@ computed by hand and frozen here as literals.
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from ges.space import (
     epsilon_net,
     hausdorff_dist,
     net_rows,
+    pack_groups,
     pack_states,
     set_semidist,
     state_from_json,
@@ -300,7 +302,8 @@ class TestNetRows:
 
 def reference_pack(space, states):
     """The one-pass packing form: stacked index rows, unique with first
-    positions, one key lookup per state and unblocked norms."""
+    positions, one key lookup per state and unblocked norms.  The block is
+    real when no value has a nonzero imaginary part."""
     stacked = np.vstack([s.idx for s in states])
     if stacked.shape[0] == 0:
         uniq_idx = np.empty((0, space.index_dim), dtype=np.int64)
@@ -308,11 +311,13 @@ def reference_pack(space, states):
     else:
         uniq_keys, first = np.unique(_encode_rows(stacked), return_index=True)
         uniq_idx = stacked[first]
+    real = not any(np.any(s.val.imag) for s in states)
     vals = np.zeros((len(states), uniq_idx.shape[0], space.component_dim),
-                    dtype=np.complex128)
+                    dtype=np.float64 if real else np.complex128)
     for i, s in enumerate(states):
         if s.idx.shape[0]:
-            vals[i, np.searchsorted(uniq_keys, _encode_rows(s.idx)), :] = s.val
+            vals[i, np.searchsorted(uniq_keys, _encode_rows(s.idx)), :] = (
+                s.val.real if real else s.val)
     qw = space.quad_weights(uniq_idx)
     norms = np.sqrt(np.maximum((np.abs(vals) ** 2).sum(axis=2) @ qw, 0.0))
     return {"idx": uniq_idx, "vals": vals, "qw": qw,
@@ -407,6 +412,69 @@ class TestPackStates:
         want = np.sqrt(np.maximum((np.abs(vals) ** 2).sum(axis=2) @ qw, 0.0))
         assert p.norms.tobytes() == want.tobytes()
 
+    # n = 4k .. 4k+4 around a block edge: 8 rows per block at c = 1, 4 at c = 3
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+    def test_real_block_norms_equal_complex_block_norms(self, monkeypatch, c, n):
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 96)
+        u = 11
+        rng = np.random.default_rng(10 * n + c)
+        vals = rng.normal(size=(n, u, c))
+        cvals = vals.astype(np.complex128)
+        cvals.imag[rng.random(vals.shape) < 0.5] = -0.0
+        qw = rng.uniform(0.0, 1.0, size=u)
+        real = PackedSet(SEQ, np.arange(u)[:, None], vals, qw, qw)
+        cplx = PackedSet(SEQ, np.arange(u)[:, None], cvals, qw, qw)
+        assert real.norms.tobytes() == cplx.norms.tobytes()
+        rows = np.arange(n)
+        for metric in ("strong", "weak"):
+            assert (real.cross(rows[:3], rows, metric).tobytes()
+                    == cplx.cross(rows[:3], rows, metric).tobytes())
+
+    def test_block_is_real_unless_some_value_is_complex(self):
+        real = [e(0, 0.5), e(2, -0.25), SEQ.state([1], [complex(0.75, -0.0)]), ZERO]
+        p = pack_states(SEQ, real)
+        assert p.vals.dtype == np.float64
+        mixed = pack_states(SEQ, real + [e(1, 0.5j)])
+        assert mixed.vals.dtype == np.complex128
+        assert np.array_equal(mixed.vals[:4], p.vals)
+        assert mixed.norms[:4].tobytes() == p.norms.tobytes()
+
+    def test_packed_state_serializes_as_from_a_complex_block(self):
+        rng = np.random.default_rng(3)
+        states = [SEQ.state(rng.choice(np.arange(-6, 7), size=4, replace=False),
+                            rng.normal(size=4)) for _ in range(6)]
+        states.append(SEQ.state([3], [complex(-1.5, -0.0)]))
+        p = pack_states(SEQ, states)
+        assert p.vals.dtype == np.float64
+        cplx = PackedSet(SEQ, p.idx, p.vals.astype(np.complex128), p.qw, p.ww)
+        for row in range(p.n_states):
+            assert (json.dumps(state_to_json(p.state(row)))
+                    == json.dumps(state_to_json(cplx.state(row))))
+
+    def test_deferred_groups_fill_the_block(self):
+        a, b = SEQ.state([0, 2], [1.0, -0.5]), SEQ.state([1], [0.25])
+        runs = [((2, 0), [(a.idx, lambda: np.stack([a.val, 2 * a.val]))]),
+                ((1,), [(b.idx, b.val[None] * 1j)])]
+        p = pack_groups(SEQ, 3, runs)
+        want = pack_states(SEQ, [a.with_values(2 * a.val), b.with_values(b.val * 1j), a])
+        assert p.vals.dtype == np.complex128
+        assert p.vals.tobytes() == want.vals.tobytes()
+        real = pack_groups(SEQ, 3, runs[:1] + [((1,), [(b.idx, lambda: b.val[None])])])
+        assert real.vals.dtype == np.float64
+        with pytest.raises(UsageError, match="rows"):
+            pack_groups(SEQ, 3, [((0, 1), [(a.idx, a.val[None])])])
+        with pytest.raises(UsageError, match="rows"):
+            pack_groups(SEQ, 3, [((0,), [(a.idx, np.stack([a.val, a.val]))])])
+
+    def test_deferred_complex_group_turns_the_block_complex(self):
+        a, b = SEQ.state([0], [0.5]), SEQ.state([1], [0.5j])
+        runs = [((0,), [(a.idx, lambda: a.val[None])]),
+                ((1,), [(b.idx, lambda: b.val[None])])]
+        p = pack_groups(SEQ, 2, runs)
+        assert p.vals.dtype == np.complex128
+        assert p.vals.tobytes() == pack_states(SEQ, [a, b]).vals.tobytes()
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_peak_memory_stays_near_the_block(self, shared):
         fam = HeatSystem()
@@ -431,6 +499,16 @@ class TestPackStates:
 
 
 class TestStateValidation:
+    def test_with_values_keeps_the_index_rows(self):
+        x = SEQ.state([3, -1], [1.0, 2.0])
+        y = x.with_values(np.array([[0.5], [0.25j]]))
+        assert y.idx is x.idx and y.space_tag == x.space_tag
+        assert y.val.dtype == np.complex128 and y.val[1, 0] == 0.25j
+        with pytest.raises(UsageError, match="shape"):
+            x.with_values(np.ones((3, 1)))
+        with pytest.raises(UsageError, match="non-finite"):
+            x.with_values(np.array([[1.0], [np.inf]]))
+
     def test_duplicate_indices_rejected(self):
         with pytest.raises(UsageError, match="duplicate"):
             SEQ.state([1, 1], [1.0, 2.0])

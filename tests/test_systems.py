@@ -93,6 +93,26 @@ class TestHeat:
         x = self.space.state([32], [1.0])
         with pytest.raises(UsageError, match="forward"):
             heat_evolve(self.space, x, 0.0, -1.0)
+        with pytest.raises(UsageError, match="forward"):
+            HeatSystem(self.space).evolve_block(x, [0.0, 1.0], [0.5, 0.5])
+
+    def test_broadcast_images_are_bitwise_per_image_products(self):
+        fam = HeatSystem(self.space)
+        seeds = fam.sample_states(4, np.random.default_rng(4))
+        seeds.append(self.space.state(seeds[0].idx, seeds[0].val * (0.6 - 0.3j)))
+        depths = [0.05, 0.4, 1.6, 6.5536]
+        for x in seeds:
+            xi = x.idx[:, 0].astype(np.float64) * self.space.grid_spacing
+            want = [x.val * np.exp(xi * xi * (0.0 - d))[:, None] for d in depths]
+            got = fam.evolve(0.0, x, depths)
+            assert all(g.idx is x.idx for g in got)
+            (idx, block), = fam.evolve_block(x, [-d for d in depths], [0.0] * 4)
+            block = block()
+            assert idx is x.idx and block.dtype == (
+                np.complex128 if np.any(x.val.imag) else np.float64)
+            for k, w in enumerate(want):
+                assert got[k].val.tobytes() == w.tobytes()
+                assert block[k].tobytes() == (w if np.any(w.imag) else w.real).tobytes()
 
     @pytest.mark.parametrize("elapsed,band", [
         (1.0, 0), (math.log(2.0) / 2.0, 1), (2.0, 0), (4.0, -1)])
