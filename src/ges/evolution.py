@@ -7,15 +7,15 @@ The pullback image operator
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
 is approximated by evolving a finite seed ensemble through every branch.
-Ensembles that end as states go through one step, _evolve_seeds, which
-samples each trajectory at a list of times under the blow-up guard;
-pullback_image is that step at a single time.  Omega ladders instead ask
-a family for evolve_block: every image of one seed as values ready for
-packing, which a family with a closed-form multiplier computes in one
-broadcast.  Families also expose phase-space seed
-sampling keyed by labels: a label fixes one trajectory relative to the
-evaluation time, so ensembles drawn at different pullback depths sample
-the same bundle of trajectories.
+Whatever reads distances from images packs them with _tier_block: one
+evolve_block call per seed and branch gives all of that seed's images as
+values ready for packing (one broadcast for a closed-form multiplier),
+fixed states follow them, and the blow-up guard reads the block's norms.
+pullback_image keeps images as states, for compose_check and callers
+that want them.  Families also expose phase-space seed sampling keyed by
+labels: a label fixes one trajectory relative to the evaluation time, so
+ensembles drawn at different pullback depths sample the same bundle of
+trajectories.
 
 Checks in this module:
 
@@ -38,8 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError, UsageError
-from .space import (CoeffState, DualMetricSpace, pack_states, set_semidist,
-                    state_from_json, state_to_json)
+from .space import (CoeffState, DualMetricSpace, PackedSet, pack_groups,
+                    set_semidist, state_from_json, state_to_json)
 from .util import parallel_map
 
 
@@ -186,28 +186,57 @@ def _blow_up(i: int, b: int, tau: float, nrm: float, cap: float) -> BlowUpError:
                        f"exceeds 10x ball radius {cap:.3g}")
 
 
-def _evolve_seeds(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
-                  ts: Sequence[float], branches: str = "all",
-                  workers: int | None = None) -> list[tuple]:
-    """Evolve every seed from s through the requested branches, sampled at ts.
+def _image_tier(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
+                t: float, branches: str = "all") -> list[tuple]:
+    """The _tier_block rows of the image P(t, s) seeds, in _trajectories order."""
+    return [(fam, i, b, x, s, t) for i, b, x in _trajectories(fam, seeds, s, branches)]
 
-    branches is "all" or "first".  Returns one (seed index, branch, seed,
-    states) row per trajectory, states[k] being its sample at ts[k], in
-    (seed index, branch) order whatever the worker count.  A state whose
-    strong norm exceeds 10x the space's ball radius aborts the run with a
-    BlowUpError naming the offending seed.
+
+def _tier_block(space: DualMetricSpace, tiers, workers: int | None,
+                fixed: Sequence[CoeffState] = ()) -> tuple[PackedSet, list, np.ndarray]:
+    """Pack every tier image straight from its seed, deepest tier first,
+    then the fixed states in their own order.
+
+    tiers[i] lists tier i's trajectories as (fam, seed index, branch, seed,
+    s, t) rows, the image being P(t, s) seed on that branch; the last tier
+    is the deepest.  Each tier becomes one run of consecutive packed rows
+    in its own order.  One evolve_block call covers every image of one
+    (family, seed object, branch); the calls are split over the workers.
+    The blow-up guard reads the images' norms, tier by tier in the given
+    order, before the ball check of the whole block.  Returns the block,
+    each tier's rows and the fixed rows.
     """
-    jobs = _trajectories(fam, seeds, s, branches)
-    runs = parallel_map(lambda job: fam.evolve(s, job[2], ts, branch=job[1]),
-                        jobs, workers=workers)
-    cap = fam.space.ball_radius
+    fixed = [space.check_member(st) for st in fixed]
+    sizes = [len(tier) for tier in tiers]
+    n_images = sum(sizes)
+    ends = np.cumsum(sizes[::-1])[::-1]
+    tier_rows = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
+    fixed_rows = np.arange(n_images, n_images + len(fixed))
+    # ids of (family, seed, branch) -> (family, seed, branch, [(s, t, packed row)])
+    jobs: dict[tuple, tuple] = {}
+    for rows, tier in zip(tier_rows, tiers):
+        for row, (fam, _, b, x, s, t) in zip(rows, tier):
+            jobs.setdefault((id(fam), id(x), b), (fam, x, b, []))[3].append((s, t, row))
+
+    def evolve(job):
+        fam, x, b, images = job
+        return fam.evolve_block(x, [s for s, _, _ in images],
+                                [t for _, t, _ in images], branch=b)
+
+    jobs = list(jobs.values())
+    groups = parallel_map(evolve, jobs, workers=workers)
+    runs = [([row for _, _, row in job[3]], g) for job, g in zip(jobs, groups)]
+    runs.append((fixed_rows, [(st.idx, st.val[None]) for st in fixed]))
+    packed = pack_groups(space, n_images + len(fixed), runs, check_ball=False)
+    cap = space.ball_radius
     if cap is not None:
-        for (i, b, _), states in zip(jobs, runs):
-            for tau, st in zip(ts, states):
-                nrm = fam.space.strong_norm(st)
-                if nrm > 10.0 * cap:
-                    raise _blow_up(i, b, tau, nrm, cap)
-    return [(i, b, x, states) for (i, b, x), states in zip(jobs, runs)]
+        for rows, tier in zip(tier_rows, tiers):
+            over = np.flatnonzero(packed.norms[rows] > 10.0 * cap)
+            if over.size:
+                _, i, b, _, _, t = tier[over[0]]
+                raise _blow_up(i, b, t, packed.norms[rows[over[0]]], cap)
+    packed.check_ball()
+    return packed, tier_rows, fixed_rows
 
 
 def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
@@ -215,15 +244,25 @@ def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
                    workers: int | None = None) -> PullbackEnsemble:
     """Evolve every seed from s to t through the requested branches.
 
-    Entries are ordered by (seed index, branch id), so the ensemble is a
-    deterministic function of the seed list; as a set it does not depend
-    on the seed order.  branches and the blow-up guard as in _evolve_seeds.
+    branches is "all" or "first".  Entries are ordered by (seed index,
+    branch id), so the ensemble is a deterministic function of the seed
+    list; as a set it does not depend on the seed order.  An image whose
+    strong norm exceeds 10x the space's ball radius aborts the run with a
+    BlowUpError naming the offending seed.
     """
     if s > t:
         raise UsageError(f"pullback start s={s} must not exceed t={t}")
-    runs = _evolve_seeds(fam, seeds, s, [t], branches, workers)
+    jobs = _trajectories(fam, seeds, s, branches)
+    states = parallel_map(lambda job: fam.evolve(s, job[2], [t], branch=job[1])[0],
+                          jobs, workers=workers)
+    cap = fam.space.ball_radius
+    if cap is not None:
+        for (i, b, _), st in zip(jobs, states):
+            nrm = fam.space.strong_norm(st)
+            if nrm > 10.0 * cap:
+                raise _blow_up(i, b, t, nrm, cap)
     return PullbackEnsemble(fam.system_id, t, s, [
-        EnsembleEntry(i, b, x, states[0]) for i, b, x, states in runs])
+        EnsembleEntry(i, b, x, st) for (i, b, x), st in zip(jobs, states)])
 
 
 def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
@@ -397,20 +436,15 @@ def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     if grid_n < 2:
         raise UsageError("the evolution grid needs at least two times")
     grid = np.linspace(s, s + horizon, grid_n)
-    limit_traj = fam.evolve(s, seeds[-1], grid, branch=branch)
-    rows = np.arange(grid_n)
-    weak_sups = []
-    strong_first = None
-    strong_last = None
-    for x in seeds[:-1]:
-        packed = pack_states(fam.space, fam.evolve(s, x, grid, branch=branch)
-                             + limit_traj)
-        weak_d = np.diagonal(packed.cross(rows, rows + grid_n, "weak"))
-        strong_d = np.diagonal(packed.cross(rows, rows + grid_n, "strong"))
-        weak_sups.append(float(weak_d.max()))
-        if strong_first is None:
-            strong_first = strong_d
-        strong_last = strong_d
+    tiers = [[(fam, i, branch, x, s, tau) for i, x in enumerate(seeds)]
+             for tau in grid]
+    packed, tier_rows, _ = _tier_block(fam.space, tiers, None)
+    # d[metric][k, n]: distance at grid time k from seed n's image to the limit's
+    d = {metric: np.stack([packed.cross(rows[:-1], rows[-1:], metric)[:, 0]
+                           for rows in tier_rows])
+         for metric in ("weak", "strong")}
+    weak_sups = [float(v) for v in d["weak"].max(axis=0)]
+    strong_first, strong_last = d["strong"][:, 0], d["strong"][:, -1]
     converged = strong_last <= np.maximum(strong_atol, 0.5 * strong_first)
     return WeakConvergenceReport(weak_sups, weak_sups[-1],
                                  float(converged.mean()), grid)

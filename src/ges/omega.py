@@ -15,14 +15,13 @@ below tol and is non-increasing over its last third.  When nothing
 survives, the profile instead records each tier's drift from the
 shallowest image and the note says so.
 
-Pullback and forward omega build their packed block straight from the
-seeds: one evolve_block call per seed and branch covers all of its tier
-images, and a family may return them as values on the seed's own index
-rows that go directly into the block, so no state object is made per
-image; only surviving points become states.  The blow-up guard reads the
-block's norms.  Forward ladders evolve each trajectory once over all
-horizons.  Attraction and PAC share one tier-image step, and tracking and
-quasi invariance pack each trajectory set once, not once per pair.
+Every image is packed straight from its seed by evolution._tier_block,
+so no state object is made per image; only surviving omega points become
+states.  Forward ladders evolve each trajectory once over all horizons.
+Each diagnostic below that evolves an ensemble reads all of its
+distances from one such block, with the states it measures against (a
+target, the sets B(t), samples of complete trajectories) packed after
+the images; minimality packs its two given sets once.
 
 Diagnostics built on the same ensembles:
 
@@ -50,11 +49,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import UnsupportedError, UsageError
-from .evolution import (TrajectoryFamily, _blow_up, _evolve_seeds, _trajectories,
-                        pullback_image)
-from .space import (CoeffState, PackedSet, net_rows, pack_groups, pack_states,
-                    set_semidist, state_from_json, state_to_json)
-from .util import fmt_float, parallel_map
+from .evolution import TrajectoryFamily, _image_tier, _tier_block, _trajectories
+from .space import (CoeffState, PackedSet, net_rows, pack_states, state_from_json,
+                    state_to_json)
+from .util import fmt_float
 
 
 # ---------------------------------------------------------------------------
@@ -120,57 +118,6 @@ def _tier_seeds(fam: TrajectoryFamily, seeds, labels, n_seeds: int,
     if not labels:
         raise UsageError("empty label collection")
     return [[fam.seed_for(lab, s, t) for lab in labels] for s in starts]
-
-
-def _tier_images(fam: TrajectoryFamily, tier_seed_lists, t: float,
-                 starts: Sequence[float], branches: str,
-                 workers: int | None) -> list[list[CoeffState]]:
-    """The image P(t, s_i) A_i of each tier's seed list, one per start time."""
-    return [pullback_image(fam, tier_seed, t, s, branches=branches,
-                           workers=workers).states()
-            for s, tier_seed in zip(starts, tier_seed_lists)]
-
-
-def _tier_block(space, tiers, workers: int | None) -> tuple[PackedSet, list]:
-    """Pack every tier image straight from its seed, deepest tier first.
-
-    tiers[i] lists tier i's trajectories as (fam, seed index, branch, seed,
-    s, t) rows, the image being P(t, s) seed on that branch; the last tier
-    is the deepest.  Each tier becomes one run of consecutive packed rows
-    in its own order.  One evolve_block call covers every image of one
-    (family, seed object, branch); the calls are split over the workers.
-    The blow-up guard reads the block's norms, tier by tier in the given
-    order, before the ball check.  Returns the block and each tier's rows.
-    """
-    sizes = [len(tier) for tier in tiers]
-    ends = np.cumsum(sizes[::-1])[::-1]
-    tier_rows = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
-    # ids of (family, seed, branch) -> (family, seed, branch, [(s, t, packed row)])
-    jobs: dict[tuple, tuple] = {}
-    for rows, tier in zip(tier_rows, tiers):
-        for row, (fam, _, b, x, s, t) in zip(rows, tier):
-            jobs.setdefault((id(fam), id(x), b), (fam, x, b, []))[3].append((s, t, row))
-
-    def evolve(job):
-        fam, x, b, images = job
-        return fam.evolve_block(x, [s for s, _, _ in images],
-                                [t for _, t, _ in images], branch=b)
-
-    jobs = list(jobs.values())
-    groups = parallel_map(evolve, jobs, workers=workers)
-    packed = pack_groups(space, sum(sizes),
-                         [([row for _, _, row in job[3]], g)
-                          for job, g in zip(jobs, groups)],
-                         check_ball=False)
-    cap = space.ball_radius
-    if cap is not None:
-        for rows, tier in zip(tier_rows, tiers):
-            over = np.flatnonzero(packed.norms[rows] > 10.0 * cap)
-            if over.size:
-                _, i, b, _, _, t = tier[over[0]]
-                raise _blow_up(i, b, t, packed.norms[rows[over[0]]], cap)
-    packed.check_ball()
-    return packed, tier_rows
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +269,9 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
     _check_omega_args(metric, eps_net, tol)
     t, starts = schedule.t, schedule.starts
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
-    tiers = [[(fam, i, b, x, s, t)
-              for i, b, x in _trajectories(fam, tier_seed, s, branches)]
+    tiers = [_image_tier(fam, tier_seed, s, t, branches)
              for s, tier_seed in zip(starts, tier_seed_lists)]
-    packed, tier_rows = _tier_block(fam.space, tiers, workers)
+    packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
     return _omega_from_tiers(fam.system_id, packed, tier_rows, starts,
                              t, metric, eps_net, tol, note)
 
@@ -369,7 +315,7 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     trajs = [(fam, i, b, x) for fam in systems
              for i, b, x in _trajectories(fam, seeds, t0, branches)]
     tiers = [[(fam, i, b, x, t0, h) for fam, i, b, x in trajs] for h in horizons]
-    packed, tier_rows = _tier_block(systems[0].space, tiers, workers)
+    packed, tier_rows, _ = _tier_block(systems[0].space, tiers, workers)
     return _omega_from_tiers(system_id, packed, tier_rows, horizons,
                              horizons[-1], metric, eps_net, tol, "")
 
@@ -419,9 +365,11 @@ def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
         raise UsageError("empty target set")
     t, starts = schedule.t, schedule.starts
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
-    images = _tier_images(fam, tier_seed_lists, t, starts, branches, workers)
-    profile = [(float(s), set_semidist(fam.space, img, target, metric))
-               for s, img in zip(starts, images)]
+    tiers = [_image_tier(fam, tier_seed, s, t, branches)
+             for s, tier_seed in zip(starts, tier_seed_lists)]
+    packed, tier_rows, target_rows = _tier_block(fam.space, tiers, workers, target)
+    profile = [(float(s), packed.semidist(rows, target_rows, metric))
+               for s, rows in zip(starts, tier_rows)]
 
     vals = np.array([d for _, d in profile])
     third = vals[-max(2, vals.size // 3):]
@@ -466,11 +414,11 @@ def minimality_check(fam: TrajectoryFamily, candidate: Sequence[CoeffState],
         raise UsageError("minimality against an empty omega approximation")
     metric = metric if metric is not None else omega.metric
     cap = tol if tol is not None else omega.tol + omega.eps_net
-    gap = set_semidist(fam.space, omega.points, candidate, metric)
     packed = pack_states(fam.space, candidate + omega.points)
-    nc = len(candidate)
-    d = packed.cross(np.arange(nc), np.arange(nc, packed.n_states), metric)
-    per_point = d.min(axis=1)
+    cand_rows = np.arange(len(candidate))
+    point_rows = np.arange(len(candidate), packed.n_states)
+    gap = packed.semidist(point_rows, cand_rows, metric)
+    per_point = packed.cross(cand_rows, point_rows, metric).min(axis=1)
     excess = [int(i) for i in np.nonzero(per_point > 2.0 * omega.eps_net)[0]]
     contained = gap <= cap
     if contained and not excess:
@@ -517,16 +465,15 @@ class PACReport:
         }, sort_keys=True)
 
 
-def _cluster_stats(fam: TrajectoryFamily, points: list[CoeffState],
-                   tol: float) -> tuple[int, float]:
-    packed = pack_states(fam.space, points)
-    n = packed.n_states
-    rows = np.arange(n)
+def _cluster_stats(packed: PackedSet, rows, tol: float) -> tuple[int, float]:
+    """Best tol-cluster size and minimum deep-tail separation of one
+    sequence, whose points are the packed rows in sequence order."""
+    n = len(rows)
     d = packed.cross(rows, rows, "strong")
     best = 1
     for a in range(n):
         best = max(best, int(np.sum(d[a, a:] <= tol)))
-    tail = rows[10:] if n > 11 else rows[n // 2:]
+    tail = np.arange(10 if n > 11 else n // 2, n)
     if tail.size >= 2:
         sub = d[np.ix_(tail, tail)]
         min_sep = float(np.min(sub[np.triu_indices(tail.size, k=1)]))
@@ -564,16 +511,18 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
                 else None) or [])
     for tier_seed, x in zip(tier_seeds, adv):
         tier_seed.append(x)
-    # branch "first": seed k of every tier is image k of that tier
-    images = _tier_images(fam, tier_seeds, t, starts, "first", workers)
-    sequences = [("sampled", [img[k] for img in images])
+    tiers = [_image_tier(fam, tier_seed, s, t, "first")
+             for s, tier_seed in zip(starts, tier_seeds)]
+    packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
+    # branch "first": seed k of every tier is row k of that tier
+    sequences = [("sampled", [rows[k] for rows in tier_rows])
                  for k in range(len(labels))]
     if adv:
-        sequences.append(("adversarial", [img[-1] for img in images[:len(adv)]]))
+        sequences.append(("adversarial", [rows[-1] for rows in tier_rows[:len(adv)]]))
 
     reports = []
-    for kind, points in sequences:
-        best, min_sep = _cluster_stats(fam, points, tol)
+    for kind, rows in sequences:
+        best, min_sep = _cluster_stats(packed, rows, tol)
         reports.append(PACSequenceReport(kind, best, cluster_min, min_sep,
                                          min_sep >= 2.0 * tol,
                                          best >= cluster_min))
@@ -644,30 +593,33 @@ def invariance_check(fam: TrajectoryFamily,
         if not b:
             raise UsageError(f"set family is empty at t={tau}")
 
-    semi_dev: list[float] = []
-    semi_ok = True
-    if kind in ("semi", "full"):
-        for k in range(len(times) - 1):
-            img = pullback_image(fam, sets[k], times[k + 1], times[k],
-                                 branches=branches, workers=workers).states()
-            semi_dev.append(set_semidist(fam.space, img, sets[k + 1], metric))
-        semi_ok = max(semi_dev) <= tol
+    semi, quasi = kind in ("semi", "full"), kind in ("quasi", "full")
+    # semi tiers: the image of B(t_k) at t_{k+1}; quasi tiers: the deep
+    # ensemble at each grid time.  The sets B(t_k) are the fixed rows.
+    tiers = []
+    if semi:
+        tiers += [_image_tier(fam, sets[k], times[k], times[k + 1], branches)
+                  for k in range(grid_n - 1)]
+    if quasi:
+        s_deep = lo - pull_depth
+        seeds = _tier_seeds(fam, None, labels, budget, rng, times[-1],
+                            [s_deep])[0]
+        tiers += [_image_tier(fam, seeds, s_deep, tau, branches) for tau in times]
+    packed, tier_rows, fixed_rows = _tier_block(
+        fam.space, tiers, workers, [st for b_set in sets for st in b_set])
+    set_rows = np.split(fixed_rows, np.cumsum([len(b_set) for b_set in sets])[:-1])
+
+    semi_dev = [packed.semidist(rows, set_rows[k + 1], metric)
+                for k, rows in enumerate(tier_rows[:grid_n - 1])] if semi else []
+    semi_ok = not semi or max(semi_dev) <= tol
 
     quasi_unmatched = 0
     quasi_ok = True
-    if kind in ("quasi", "full"):
-        s_deep = lo - pull_depth
-        tier = _tier_seeds(fam, None, labels, budget, rng, times[-1],
-                           [s_deep])[0]
-        trajs = [u for _, _, _, u in _evolve_seeds(fam, tier, s_deep, times,
-                                                   branches, workers)]
-        n = len(trajs)
+    if quasi:
         # stayed[r]: trajectory r came within tol of every earlier set
-        stayed = np.ones(n, dtype=bool)
-        for j, b_set in enumerate(sets):
-            packed = pack_states(fam.space, [u[j] for u in trajs] + b_set)
-            near = packed.cross(np.arange(n), np.arange(n, packed.n_states),
-                                metric) <= tol
+        stayed = np.ones(len(tier_rows[-1]), dtype=bool)
+        for rows, b_rows in zip(tier_rows[-grid_n:], set_rows):
+            near = packed.cross(rows, b_rows, metric) <= tol
             quasi_unmatched += int(np.sum(~(near & stayed[:, None]).any(axis=0)))
             stayed &= near.any(axis=1)
         quasi_ok = quasi_unmatched == 0
@@ -741,9 +693,9 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
         raise UnsupportedError(
             f"system {fam.system_id!r} registers no complete trajectories")
     deep_starts = list(schedule.starts[-deep_tiers:])
-    rows = np.arange(grid_n)
-    weak_sups: list[float] = []
-    strong_sups: list[float] = []
+    # one tier per (deep start, grid time): the started trajectories there;
+    # the fixed rows hold every complete trajectory at each such time
+    tiers, complete = [], []
     for s_deep in deep_starts:
         if callable(seeds):
             started = list(seeds(s_deep))
@@ -752,15 +704,19 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
         else:
             started = fam.sample_states(count, rng)
         grid = [s_deep + horizon * k / (grid_n - 1) for k in range(grid_n)]
-        complete_vals = [v(tau) for v in trajs for tau in grid]
-        for _, _, _, u in _evolve_seeds(fam, started, s_deep, grid, "all",
-                                        workers):
-            packed = pack_states(fam.space, u + complete_vals)
-            for metric, sups in (("weak", weak_sups), ("strong", strong_sups)):
-                d = packed.cross(rows, np.arange(grid_n, packed.n_states), metric)
-                # d[k, j, k]: distance at grid time k to complete trajectory j
-                per_time = d.reshape(grid_n, len(trajs), grid_n)[rows, :, rows]
-                sups.append(float(per_time.max(axis=0).min()))
+        tiers += [_image_tier(fam, started, s_deep, tau) for tau in grid]
+        complete += [v(tau) for tau in grid for v in trajs]
+    packed, tier_rows, fixed_rows = _tier_block(fam.space, tiers, workers, complete)
+    nc = len(trajs)
+    sups = {}
+    for metric in ("weak", "strong"):
+        # d[q][r, j]: distance in tier q from started trajectory r to complete
+        # trajectory j; each run of grid_n tiers is one deep start's grid
+        d = [packed.cross(rows, fixed_rows[q * nc:(q + 1) * nc], metric)
+             for q, rows in enumerate(tier_rows)]
+        sups[metric] = [float(v) for q0 in range(0, len(d), grid_n)
+                        for v in np.max(d[q0:q0 + grid_n], axis=0).min(axis=1)]
+    weak_sups, strong_sups = sups["weak"], sups["strong"]
     ok = max(weak_sups) <= eps
     if strong:
         ok = ok and max(strong_sups) <= eps

@@ -16,6 +16,7 @@ import pytest
 
 import ges
 import ges.cli
+import ges.verify
 from ges.cli import ExperimentConfig, _omega_exit, main
 from ges.omega import OmegaApprox
 
@@ -154,6 +155,23 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", "does-not-exist")
         assert code == 64
+
+    def test_tracking_suite_checks_bump_in_the_strong_metric(self, monkeypatch):
+        # a started profile at shift 100 shares no slot with any registered
+        # complete trajectory; at the suite's deep starts both sit past the
+        # weak truncation radius, so only the strong metric can see it
+        real = ges.verify.bump_state
+        monkeypatch.setattr(ges.verify, "bump_state", lambda space, r, t:
+                            real(space, 100.0 if r == 6.0 else r, t))
+        [res] = ges.verify.suite_tracking(0, system="bump")
+        assert not res.ok and res.info["verdict"] == "fails"
+        assert res.info["max_weak_sup"] == 0.0
+        assert res.info["max_strong_sup"] == pytest.approx(math.sqrt(2.0))
+
+    @pytest.mark.parametrize("system", ["bump", "single"])
+    def test_tracking_suite_reports_the_strong_sup(self, system):
+        [res] = ges.verify.suite_tracking(0, system=system)
+        assert res.ok and res.info["max_strong_sup"] <= 1e-13
 
 
 class TestNseCommand:
@@ -388,11 +406,17 @@ class TestDeterminism:
         assert (out1 / "omega_bump_weak.json").read_bytes() != \
                (out2 / "omega_bump_weak.json").read_bytes()
 
-    def test_worker_count_never_changes_results(self, tmp_path):
-        _, out1 = run(tmp_path / "a", "omega", "--system", "heat",
-                      "--threads", "1")
-        _, out2 = run(tmp_path / "b", "omega", "--system", "heat",
-                      "--threads", "4")
+    @pytest.mark.parametrize("argv", [
+        ("omega", "--system", "heat"),
+        ("attract", "--system", "heat", "--witness"),
+        ("invariance", "--system", "bump", "--kind", "quasi"),
+        ("verify", "tracking"),
+    ], ids=["omega-heat", "attract-heat-witness", "invariance-bump-quasi",
+            "verify-tracking"])
+    def test_worker_count_never_changes_results(self, tmp_path, argv):
+        code1, out1 = run(tmp_path / "a", *argv, "--threads", "1")
+        code2, out2 = run(tmp_path / "b", *argv, "--threads", "4")
+        assert code1 == code2
         assert self.artifacts(out1) == self.artifacts(out2)
 
     def test_worker_count_never_changes_nse_results(self, tmp_path):

@@ -195,6 +195,6 @@ class TestUniform:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated before checking the arguments")
 
-        monkeypatch.setattr(ges.omega, "pullback_image", no_integration)
+        monkeypatch.setattr(ges.omega, "_tier_block", no_integration)
         with pytest.raises(UsageError):
             uniform_omega(scalar_family, scalar_seeds(scalar_family), n=4, **kw)
