@@ -4,9 +4,10 @@ One reproducible entry point over the library: omega approximations,
 attraction diagnostics, invariant suites, the spectral-flow analysis
 actions, uniform (symbol-family) runs, and invariance checks.  All
 outputs are deterministic functions of the configuration and the seed:
-JSON is written with sorted keys and schema version 1, CSV columns are
-fixed, floats are printed in shortest round-trip form, and the worker
-count never changes results (order-preserving reductions only).
+every artifact is written by `ges.util` (strict JSON with sorted keys
+and schema version 1; fixed CSV columns), floats are printed in shortest
+round-trip form, and the worker count never changes results
+(order-preserving reductions only).
 
 Exit codes:
     0   converged / attracts / suite passed / matches expectations
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -29,15 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlowUpError, ForcingFormatError, UnsupportedError, UsageError
-from .evolution import energy_inequality_check
 from .omega import (AttractionReport, OmegaApprox, PullbackSchedule,
                     attraction_diagnostic, invariance_check, omega_pullback)
 from .symbols import SymbolFamily, union_inclusion_check
 from .systems import SYSTEM_IDS, make_system
 from .systems.heat import band_witness
 from .systems.nse import LAMBDA_1, ForcingProfile, absorbing_entry_time
-from .util import fmt_float
-from .verify import SUITES, invariance_plan, report_lines, run_suite
+from .util import artifact_json, csv_text, fmt_float
+from .verify import (SUITES, invariance_plan, nse_energy_check, report_lines,
+                     run_suite)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -130,11 +132,20 @@ class ExperimentConfig:
         return PullbackSchedule.geometric(self.t0, self.delta, self.rho, self.n)
 
 
-def _write(out_dir: str, name: str, text: str) -> Path:
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    return path
+def _emit(out_dir: str, files: dict[str, str], lines: list[str]) -> None:
+    """Write each named artifact, print the summary lines, then one line
+    naming every written file."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    for line in lines:
+        print(line)
+    print("wrote " + " and ".join(str(out / name) for name in files))
+
+
+def _finite_or_null(x: float) -> float | None:
+    return x if math.isfinite(x) else None  # strict JSON has no infinity
 
 
 def _omega_exit(om: OmegaApprox, expected_attractor: bool, tol: float) -> int:
@@ -171,14 +182,12 @@ def _run_omega(cfg: ExperimentConfig, fam) -> int:
                         metric=cfg.metric, eps_net=cfg.eps_net, tol=cfg.tol,
                         rng=cfg.rng(), branches=cfg.branches,
                         workers=cfg.threads)
-    jp = _write(cfg.out, f"omega_{cfg.system}_{cfg.metric}.json", om.to_json())
-    cp = _write(cfg.out, f"profile_{cfg.system}_{cfg.metric}.csv",
-                om.profile_csv())
     final = om.profile[-1][1] if om.profile else float("nan")
-    print(f"omega {cfg.system} {cfg.metric}: converged={om.converged} "
-          f"points={len(om.points)} final={fmt_float(final)}"
-          + (f" note={om.note!r}" if om.note else ""))
-    print(f"wrote {jp} and {cp}")
+    _emit(cfg.out, {f"omega_{cfg.system}_{cfg.metric}.json": om.to_json(),
+                    f"profile_{cfg.system}_{cfg.metric}.csv": om.profile_csv()},
+          [f"omega {cfg.system} {cfg.metric}: converged={om.converged} "
+           f"points={len(om.points)} final={fmt_float(final)}"
+           + (f" note={om.note!r}" if om.note else "")])
     expected = bool(fam.expectations.get(f"{cfg.metric}_attractor", False))
     return _omega_exit(om, expected, cfg.tol)
 
@@ -212,13 +221,10 @@ def cmd_attract(args) -> int:
                                 n_seeds=cfg.n_seeds, metric=cfg.metric,
                                 tol=cfg.tol, rng=cfg.rng(),
                                 branches=cfg.branches, workers=cfg.threads)
-    jp = _write(cfg.out, f"attract_{cfg.system}_{cfg.metric}.json",
-                rep.to_json())
-    cp = _write(cfg.out, f"attract_{cfg.system}_{cfg.metric}.csv",
-                rep.profile_csv())
-    print(f"attract {cfg.system} {cfg.metric} -> {args.target}: {rep.verdict} "
-          f"final={fmt_float(rep.profile[-1][1])}")
-    print(f"wrote {jp} and {cp}")
+    stem = f"attract_{cfg.system}_{cfg.metric}"
+    _emit(cfg.out, {f"{stem}.json": rep.to_json(), f"{stem}.csv": rep.profile_csv()},
+          [f"attract {cfg.system} {cfg.metric} -> {args.target}: {rep.verdict} "
+           f"final={fmt_float(rep.profile[-1][1])}"])
     expected = bool(fam.expectations.get(f"{cfg.metric}_attractor", False))
     return _attract_exit(rep, expected)
 
@@ -227,10 +233,7 @@ def cmd_verify(args) -> int:
     cfg = ExperimentConfig.build(args)
     rep = run_suite(args.suite, seed=cfg.seed, workers=cfg.threads,
                     system=getattr(args, "system", None))
-    jp = _write(cfg.out, f"verify_{args.suite}.json", rep.to_json())
-    for line in report_lines(rep):
-        print(line)
-    print(f"wrote {jp}")
+    _emit(cfg.out, {f"verify_{args.suite}.json": rep.to_json()}, report_lines(rep))
     return EXIT_OK if rep.verdict == "pass" else EXIT_VIOLATION
 
 
@@ -243,15 +246,12 @@ def cmd_nse(args) -> int:
     action = args.action
 
     if action == "info":
-        eps_list = [0.25, 0.5, 1.0]
-        normality = fam.forcing.normality_check(eps_list)
-        entry = None
+        normality = fam.forcing.normality_check([0.25, 0.5, 1.0])
         radius = fam.absorbing_set_radius()
-        if radius > 0.5:
-            entry = absorbing_entry_time(radius, fam.nu)
-        obj = {
-            "schema": 1, "kind": "nse-info", "nu": fam.nu,
-            "kmax": fam.basis.kmax, "retained_modes": int(fam.basis.m),
+        entry = absorbing_entry_time(radius, fam.nu) if radius > 0.5 else None
+        info = artifact_json("nse-info", {
+            "nu": fam.nu, "kmax": fam.basis.kmax,
+            "retained_modes": int(fam.basis.m),
             "forcing": fam.forcing.to_dict(),
             "hermitian_forcing": fam.forcing.is_hermitian(),
             "l2b_bound": fam.l2b_bound, "absorbing_radius": fam.radius,
@@ -259,34 +259,26 @@ def cmd_nse(args) -> int:
             "absorbing_norm_radius": radius,
             "entry_time_from_2R": entry,
             "normality": [[e, d] for e, d in normality],
-        }
-        jp = _write(cfg.out, "nse_info.json", json.dumps(obj, sort_keys=True))
-        print(f"modes={fam.basis.m} l2b={fmt_float(fam.l2b_bound)} "
-              f"R={fmt_float(fam.radius)}")
-        for e, d in normality:
-            print(f"normality eps={fmt_float(e)} delta={fmt_float(d)}")
-        print(f"wrote {jp}")
+        })
+        _emit(cfg.out, {"nse_info.json": info},
+              [f"modes={fam.basis.m} l2b={fmt_float(fam.l2b_bound)} "
+               f"R={fmt_float(fam.radius)}"]
+              + [f"normality eps={fmt_float(e)} delta={fmt_float(d)}"
+                 for e, d in normality])
         return EXIT_OK
 
     if action == "energy":
-        x = fam.sample_states(1, rng)[0]
-        traj = fam.energy_sample(0.0, x, 1.0, n=8001)
-        eps, delta = fam.forcing.normality_check([0.25])[0]
-        rep = energy_inequality_check(traj, nu=fam.nu, eps=eps, delta=delta,
-                                      integral_tol=1e-6)
-        lines = ["t,norm,vnorm_sq,force_pair"]
-        for i in range(traj.times.size):
-            lines.append(f"{fmt_float(traj.times[i])},{fmt_float(traj.norms[i])},"
-                         f"{fmt_float(traj.vnorm_sq[i])},"
-                         f"{fmt_float(traj.force_pair[i])}")
-        cp = _write(cfg.out, "nse_energy.csv", "\n".join(lines) + "\n")
-        obj = {"schema": 1, "kind": "nse-energy", "verdict": rep.verdict,
-               "max_residual": rep.max_residual, "grid_spacing": rep.grid_spacing,
-               "violations": len(rep.violations)}
-        jp = _write(cfg.out, "nse_energy.json", json.dumps(obj, sort_keys=True))
-        print(f"energy balance: {rep.verdict} "
-              f"max_residual={fmt_float(rep.max_residual)}")
-        print(f"wrote {jp} and {cp}")
+        traj, rep = nse_energy_check(fam, rng)
+        _emit(cfg.out, {
+            "nse_energy.json": artifact_json("nse-energy", {
+                "verdict": rep.verdict, "max_residual": rep.max_residual,
+                "grid_spacing": rep.grid_spacing,
+                "violations": len(rep.violations)}),
+            "nse_energy.csv": csv_text(
+                ("t", "norm", "vnorm_sq", "force_pair"),
+                zip(traj.times, traj.norms, traj.vnorm_sq, traj.force_pair)),
+        }, [f"energy balance: {rep.verdict} "
+            f"max_residual={fmt_float(rep.max_residual)}"])
         return EXIT_OK if rep.verdict == "holds" else EXIT_VIOLATION
 
     if action == "absorbing":
@@ -297,27 +289,24 @@ def cmd_nse(args) -> int:
         seeds = fam.sample_states(cfg.n_seeds if cfg.n_seeds <= 8 else 5, rng,
                                   radius=2.0 * radius if radius > 0 else None)
         bound_const = fam.l2b_bound / (fam.nu * (1.0 - np.exp(-fam.nu * LAMBDA_1)))
-        lines = ["t,seed,norm"]
+        rows = []
         worst = -np.inf
         for i, x in enumerate(seeds):
             states = fam.evolve(0.0, x, list(grid))
             norms = np.array([fam.space.strong_norm(u) for u in states])
-            for tv, nv in zip(grid, norms):
-                lines.append(f"{fmt_float(tv)},{i},{fmt_float(nv)}")
+            rows.extend((tv, i, nv) for tv, nv in zip(grid, norms))
             sq = norms ** 2
             for a in range(grid.size):
                 decay = sq[a] * np.exp(-fam.nu * LAMBDA_1 * (grid[a:] - grid[a]))
                 worst = max(worst, float((sq[a:] - decay - bound_const).max()))
-        cp = _write(cfg.out, "nse_absorbing.csv", "\n".join(lines) + "\n")
-        ok = worst <= 1e-6
-        obj = {"schema": 1, "kind": "nse-absorbing", "seeds": len(seeds),
-               "horizon": float(horizon), "max_violation": worst,
-               "verdict": "holds" if ok else "violated"}
-        jp = _write(cfg.out, "nse_absorbing.json", json.dumps(obj, sort_keys=True))
-        print(f"absorbing inequality: {'holds' if ok else 'violated'} "
-              f"max_violation={fmt_float(worst)}")
-        print(f"wrote {jp} and {cp}")
-        return EXIT_OK if ok else EXIT_VIOLATION
+        verdict = "holds" if worst <= 1e-6 else "violated"
+        _emit(cfg.out, {
+            "nse_absorbing.json": artifact_json("nse-absorbing", {
+                "seeds": len(seeds), "horizon": float(horizon),
+                "max_violation": worst, "verdict": verdict}),
+            "nse_absorbing.csv": csv_text(("t", "seed", "norm"), rows),
+        }, [f"absorbing inequality: {verdict} max_violation={fmt_float(worst)}"])
+        return EXIT_OK if verdict == "holds" else EXIT_VIOLATION
 
     return _run_omega(cfg, fam)  # action == "omega"
 
@@ -343,20 +332,19 @@ def cmd_uniform(args) -> int:
                                 schedule=cfg.schedule(), metric=cfg.metric,
                                 eps_net=cfg.eps_net, tol=cfg.tol,
                                 workers=cfg.threads)
-    obj = {
-        "schema": 1, "kind": "uniform-inclusion", "base": symfam.base_id,
-        "symbols": len(symfam.symbols), "t0": rep.t0, "metric": rep.metric,
-        "eps_net": rep.eps_net, "union_in_uniform": rep.union_in_uniform,
-        "uniform_in_union": rep.uniform_in_union, "threshold": rep.threshold,
-        "closed_sample": rep.closed_sample, "all_converged": rep.all_converged,
-        "equal": rep.equal, "verdict": rep.verdict, "note": rep.note,
-    }
-    jp = _write(cfg.out, f"uniform_{symfam.base_id}.json",
-                json.dumps(obj, sort_keys=True))
-    print(f"uniform {symfam.base_id} ({len(symfam.symbols)} symbols): "
-          f"{rep.verdict} union_in_uniform={fmt_float(rep.union_in_uniform)} "
-          f"reverse={fmt_float(rep.uniform_in_union)} equal={rep.equal}")
-    print(f"wrote {jp}")
+    obj = artifact_json("uniform-inclusion", {
+        "base": symfam.base_id, "symbols": len(symfam.symbols), "t0": rep.t0,
+        "metric": rep.metric, "eps_net": rep.eps_net,
+        "union_in_uniform": _finite_or_null(rep.union_in_uniform),
+        "uniform_in_union": _finite_or_null(rep.uniform_in_union),
+        "threshold": rep.threshold, "closed_sample": rep.closed_sample,
+        "all_converged": rep.all_converged, "equal": rep.equal,
+        "verdict": rep.verdict, "note": rep.note,
+    })
+    _emit(cfg.out, {f"uniform_{symfam.base_id}.json": obj},
+          [f"uniform {symfam.base_id} ({len(symfam.symbols)} symbols): "
+           f"{rep.verdict} union_in_uniform={fmt_float(rep.union_in_uniform)} "
+           f"reverse={fmt_float(rep.uniform_in_union)} equal={rep.equal}"])
     if rep.verdict == "included":
         return EXIT_OK
     if rep.verdict == "inconclusive":
@@ -380,9 +368,8 @@ def cmd_invariance(args) -> int:
     rep = invariance_check(fam, family, kind=kind, window=(0.0, 2.0),
                            tol=max(cfg.tol, 0.05), rng=cfg.rng(),
                            workers=cfg.threads, **quasi)
-    jp = _write(cfg.out, f"invariance_{cfg.system}_{kind}.json", rep.to_json())
-    print(f"invariance {cfg.system} {kind}: {rep.verdict}")
-    print(f"wrote {jp}")
+    _emit(cfg.out, {f"invariance_{cfg.system}_{kind}.json": rep.to_json()},
+          [f"invariance {cfg.system} {kind}: {rep.verdict}"])
     if rep.verdict == want:
         return EXIT_OK
     if rep.verdict == "inconclusive":
@@ -475,8 +462,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise UsageError("--threads must be at least 1")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

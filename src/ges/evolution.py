@@ -40,7 +40,7 @@ import numpy as np
 from .errors import BlowUpError, UsageError
 from .space import (CoeffState, DualMetricSpace, PackedSet, pack_groups,
                     set_semidist, state_from_json, state_to_json)
-from .util import parallel_map
+from .util import parallel_map, strict_json
 
 
 class TrajectoryFamily(ABC):
@@ -48,7 +48,6 @@ class TrajectoryFamily(ABC):
 
     system_id: str = "abstract"
     autonomous: bool = False
-    multivalued: bool = False
 
     #: registry expectation used by the CLI exit-code contract:
     #: does a weak (resp. strong) pullback attractor exist for this system
@@ -141,12 +140,10 @@ class PullbackEnsemble:
         return [e.state for e in self.entries]
 
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(json.dumps({
-                "t": self.t, "s": self.s, "branch": e.branch,
-                "seed": state_to_json(e.seed), "state": state_to_json(e.state),
-            }, sort_keys=True))
+        lines = [strict_json({
+            "t": self.t, "s": self.s, "branch": e.branch,
+            "seed": state_to_json(e.seed), "state": state_to_json(e.state),
+        }) for e in self.entries]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -52,7 +52,7 @@ from .errors import UnsupportedError, UsageError
 from .evolution import TrajectoryFamily, _image_tier, _tier_block, _trajectories
 from .space import (CoeffState, PackedSet, net_rows, pack_states, state_from_json,
                     state_to_json)
-from .util import fmt_float
+from .util import artifact_json, csv_text, fmt_float
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +142,7 @@ class OmegaApprox:
         return np.array([d for _, d in self.profile])
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1,
-            "kind": "omega",
+        return artifact_json("omega", {
             "system": self.system_id,
             "t": self.t,
             "metric": self.metric,
@@ -154,7 +152,7 @@ class OmegaApprox:
             "note": self.note,
             "points": [state_to_json(p) for p in self.points],
             "profile": [[s, d] for s, d in self.profile],
-        }, sort_keys=True)
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "OmegaApprox":
@@ -174,10 +172,8 @@ class OmegaApprox:
 
 def _profile_csv(profile, metric: str, system_id: str, t_cell: str) -> str:
     """One CSV row per profile entry; t_cell fills the last column."""
-    lines = ["s,semidist,metric,system,t"]
-    for s, d in profile:
-        lines.append(f"{fmt_float(s)},{fmt_float(d)},{metric},{system_id},{t_cell}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("s", "semidist", "metric", "system", "t"),
+                    [(s, d, metric, system_id, t_cell) for s, d in profile])
 
 
 def _profile_converged(values: np.ndarray, tol: float) -> bool:
@@ -333,12 +329,11 @@ class AttractionReport:
     verdict: str  # "attracts" | "fails" | "inconclusive"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1, "kind": "attraction", "system": self.system_id,
-            "metric": self.metric, "tol": self.tol,
+        return artifact_json("attraction", {
+            "system": self.system_id, "metric": self.metric, "tol": self.tol,
             "profile": [[s, d] for s, d in self.profile],
             "verdict": self.verdict,
-        }, sort_keys=True)
+        })
 
     def profile_csv(self) -> str:
         return _profile_csv(self.profile, self.metric, self.system_id, "")
@@ -453,16 +448,15 @@ class PACReport:
     verdict: str  # "PAC-consistent" | "PAC-violated"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1, "kind": "pac", "system": self.system_id,
-            "tol": self.tol, "verdict": self.verdict,
+        return artifact_json("pac", {
+            "system": self.system_id, "tol": self.tol, "verdict": self.verdict,
             "sequences": [{
                 "kind": r.kind, "best_cluster": r.best_cluster,
                 "cluster_min": r.cluster_min,
                 "min_tail_separation": r.min_tail_separation,
                 "separated_2tol": r.separated_2tol, "cauchy": r.cauchy,
             } for r in self.sequences],
-        }, sort_keys=True)
+        })
 
 
 def _cluster_stats(packed: PackedSet, rows, tol: float) -> tuple[int, float]:
@@ -548,12 +542,12 @@ class InvarianceReport:
     #             # | "fails" | "inconclusive"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1, "kind": "invariance", "system": self.system_id,
-            "check": self.kind, "metric": self.metric, "times": self.times,
-            "semi_dev": self.semi_dev, "quasi_unmatched": self.quasi_unmatched,
+        return artifact_json("invariance", {
+            "system": self.system_id, "check": self.kind, "metric": self.metric,
+            "times": self.times, "semi_dev": self.semi_dev,
+            "quasi_unmatched": self.quasi_unmatched,
             "tol": self.tol, "verdict": self.verdict,
-        }, sort_keys=True)
+        })
 
 
 def invariance_check(fam: TrajectoryFamily,
@@ -656,12 +650,11 @@ class TrackingReport:
     verdict: str  # "holds" | "fails"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1, "kind": "tracking", "system": self.system_id,
-            "eps": self.eps, "horizon": self.horizon,
+        return artifact_json("tracking", {
+            "system": self.system_id, "eps": self.eps, "horizon": self.horizon,
             "deep_starts": self.deep_starts, "weak_sups": self.weak_sups,
             "strong_sups": self.strong_sups, "verdict": self.verdict,
-        }, sort_keys=True)
+        })
 
 
 def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,

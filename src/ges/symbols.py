@@ -115,8 +115,12 @@ class SymbolFamily:
     def from_config(cls, obj: dict) -> "SymbolFamily":
         if not isinstance(obj, dict) or obj.get("kind") != "phase":
             raise UsageError("symbol family config needs kind 'phase'")
-        return cls.phase_family(obj.get("system", "forced-scalar"),
-                                int(obj.get("count", 32)))
+        base_id, count = obj.get("system", "forced-scalar"), obj.get("count", 32)
+        if not isinstance(base_id, str):
+            raise UsageError("symbol family 'system' must be a string")
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise UsageError("symbol family 'count' must be an integer")
+        return cls.phase_family(base_id, count)
 
 
 def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,

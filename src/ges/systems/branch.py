@@ -26,7 +26,6 @@ def make_branch_space(tag: str = "branch2") -> DualMetricSpace:
 class BranchSystem(TrajectoryFamily):
     system_id = "branch2"
     autonomous = True
-    multivalued = True
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
     def __init__(self, space: DualMetricSpace | None = None):

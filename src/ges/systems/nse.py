@@ -403,10 +403,6 @@ class NSESystem(TrajectoryFamily):
                                    self.basis.grid_n)
         return -self.nu * self.basis.ksq[:, None] * v + adv + self.g_dense(t)
 
-    def rhs(self, x: CoeffState, t: float = 0.0) -> CoeffState:
-        """Instantaneous d/dt of a (divergence-free) coefficient state."""
-        return self.state_from_dense(self.rhs_dense(t, self.dense_values(x)))
-
     def bilinear(self, x: CoeffState) -> CoeffState:
         """The projected advection term alone (as it enters the right side)."""
         v = self.dense_values(x)

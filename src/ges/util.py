@@ -1,9 +1,11 @@
-"""Small shared helpers: worker pools and deterministic text formatting."""
+"""Small shared helpers: worker pools and the one writer of every JSON
+(strict: no NaN or infinity) and CSV artifact."""
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -29,3 +31,21 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form, identical across runs."""
     return repr(float(x))
+
+
+def strict_json(obj) -> str:
+    """Sorted-key JSON; a NaN or infinity raises ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+def artifact_json(kind: str, fields: dict) -> str:
+    """One JSON artifact: the fields plus `schema: 1` and its kind."""
+    return strict_json({"schema": 1, "kind": kind, **fields})
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with a header line; float cells use fmt_float, others str."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt_float(c) if isinstance(c, float) else str(c) for c in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ while these runs are the quick reproducible health checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .symbols import SymbolFamily, union_inclusion_check
 from .systems import make_system
 from .systems.bump import bump_state
 from .systems.heat import high_band_seed
-from .util import fmt_float
+from .util import artifact_json, fmt_float
 
 SUITES = ("metrics", "inclusion", "energy", "invariance", "tracking",
           "uniform", "all")
@@ -43,15 +42,13 @@ class SuiteReport:
     verdict: str  # "pass" | "fail"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema": 1,
-            "kind": "verify",
+        return artifact_json("verify", {
             "suite": self.suite,
             "seed": self.seed,
             "verdict": self.verdict,
             "results": [{"name": r.name, "ok": r.ok, "info": r.info}
                         for r in self.results],
-        }, sort_keys=True)
+        })
 
 
 def _lattice_space() -> DualMetricSpace:
@@ -149,6 +146,22 @@ def suite_inclusion(seed: int, workers: int | None = None,
     return res
 
 
+NSE_INTEGRAL_TOL = 1e-6
+
+
+def nse_energy_check(fam, rng: np.random.Generator):
+    """(trajectory, report) of the energy inequality along one sampled NSE
+    field over [0, 1].  The windowed-norm tolerance comes from the
+    forcing's normality relation: over a window of length delta the force
+    can raise the norm by at most eps, so (eps, delta(eps)) is the valid
+    windowed inequality for a forced system."""
+    x = fam.sample_states(1, rng)[0]
+    traj = fam.energy_sample(0.0, x, 1.0, n=8001)
+    eps, delta = fam.forcing.normality_check([0.25])[0]
+    return traj, energy_inequality_check(traj, nu=fam.nu, eps=eps, delta=delta,
+                                         integral_tol=NSE_INTEGRAL_TOL)
+
+
 def suite_energy(seed: int, workers: int | None = None,
                  system: str | None = None) -> list[CheckResult]:
     res = []
@@ -170,21 +183,11 @@ def suite_energy(seed: int, workers: int | None = None,
             res.append(CheckResult("heat norm decay", True,
                                    {"max_residual": worst}))
     if system in (None, "nse"):
-        fam = make_system("nse")
-        rng = np.random.default_rng(seed)
-        x = fam.sample_states(1, rng)[0]
-        traj = fam.energy_sample(0.0, x, 1.0, n=8001)
-        # the windowed-norm tolerance comes from the forcing's normality
-        # relation: over a window of length delta the force can raise the
-        # norm by at most eps, so the pair (eps, delta(eps)) is the valid
-        # windowed inequality for a forced system
-        eps, delta = fam.forcing.normality_check([0.25])[0]
-        rep = energy_inequality_check(traj, nu=fam.nu, eps=eps, delta=delta,
-                                      integral_tol=1e-6)
+        _, rep = nse_energy_check(make_system("nse"), np.random.default_rng(seed))
         res.append(CheckResult("nse energy balance", rep.verdict == "holds",
                                {"max_residual": rep.max_residual,
-                                "integral_tol": 1e-6, "eps": eps,
-                                "delta": delta,
+                                "integral_tol": NSE_INTEGRAL_TOL,
+                                "eps": rep.eps_used, "delta": rep.delta_used,
                                 "grid_spacing": rep.grid_spacing}))
     if not res:
         raise UsageError(f"no energy contract registered for system {system!r}")

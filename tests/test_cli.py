@@ -27,8 +27,13 @@ def run(tmp_path, *argv):
     return code, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"artifact holds the non-strict JSON constant {name}")
+
+
 def read_json(out, name):
-    return json.loads((out / name).read_text())
+    """Parse an artifact as strict JSON: NaN and Infinity are refused."""
+    return json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +258,27 @@ class TestUniformCommand:
         assert obj["equal"] is True
         assert obj["union_in_uniform"] <= obj["threshold"]
         assert obj["uniform_in_union"] <= obj["threshold"]
+
+    def test_empty_side_semidistances_are_written_as_null(self, tmp_path, capsys):
+        # no per-symbol point survives a net this fine on three tiers, so
+        # both semidistances have an empty side
+        code, out = run(tmp_path, "uniform", "--count", "4", "--eps-net", "1e-14",
+                        "--n", "3")
+        assert code == 2
+        obj = read_json(out, "uniform_forced-scalar.json")
+        assert obj["union_in_uniform"] is None
+        assert obj["uniform_in_union"] is None
+        assert "union_in_uniform=inf reverse=inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ['"abc"', "1e400", "true", "2.9"])
+    def test_family_count_must_be_an_integer(self, tmp_path, capsys, count):
+        family = tmp_path / "family.json"
+        family.write_text(f'{{"kind": "phase", "count": {count}}}')
+        code, out = run(tmp_path, "uniform", "--family", str(family))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestInvarianceCommand:
