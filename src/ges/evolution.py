@@ -9,7 +9,8 @@ The pullback image operator
 is approximated by evolving a finite seed ensemble through every branch.
 Whatever reads distances from images packs them with _tier_block: one
 evolve_block call per seed and branch gives all of that seed's images as
-values ready for packing (one broadcast for a closed-form multiplier),
+values ready for packing (one broadcast for a closed-form multiplier; one
+solve for autonomous NSE, where the default solves per start time),
 fixed states follow them, and the blow-up guard reads the block's norms.
 pullback_image keeps images as states, for compose_check and callers
 that want them.  Families also expose phase-space seed sampling keyed by
@@ -74,7 +75,9 @@ class TrajectoryFamily(ABC):
         image's values on the index rows idx, or vals is a callable giving
         them (see space.pack_groups).  The default evolves once per run of
         equal start times and makes one group per image; a family whose
-        images stay on the seed's own index rows may return one group.
+        images stay on the seed's own index rows may return one group, and
+        an autonomous family may sample one solve at every duration t - s
+        (NSE under a static force does).
         """
         groups = []
         for s, run in groupby(zip(starts, ts), key=lambda pair: pair[0]):

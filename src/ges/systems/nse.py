@@ -333,7 +333,9 @@ def make_nse_space(ball_radius: float, kmax: int, tag: str = "nse") -> DualMetri
 
 class NSESystem(TrajectoryFamily):
     system_id = "nse"
-    autonomous = False  # true only for static forcing; keep the general contract
+    # set per instance: true only for a static force, and then evolve_block
+    # makes one solve per seed instead of one per run of equal start times
+    autonomous = False
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
     def __init__(self, nu: float = 1.0, forcing: ForcingProfile | None = None,
@@ -410,6 +412,25 @@ class NSESystem(TrajectoryFamily):
                                    self.basis.grid_n)
         return self.state_from_dense(adv)
 
+    def _integrate(self, s: float, v0: np.ndarray, t_end: float,
+                   t_eval) -> np.ndarray:
+        """One RK45 solve from the dense field v0 at time s to t_end; the
+        columns of the result are the flat fields at t_eval.  A failed solve
+        or a non-finite sample raises BlowUpError."""
+        m = self.basis.m
+
+        def fun(t, y):
+            return self.rhs_dense(t, y.reshape(m, 3)).ravel()
+
+        sol = solve_ivp(fun, (s, t_end), v0.ravel(), method="RK45",
+                        rtol=self.rtol, atol=self.atol, t_eval=t_eval)
+        if not sol.success:
+            raise BlowUpError(f"integration failed: {sol.message}")
+        if not np.all(np.isfinite(sol.y)):
+            raise BlowUpError(f"integration from t={s:g} to t={t_end:g} gave a "
+                              f"non-finite coefficient")
+        return sol.y
+
     def evolve(self, s, x, ts, branch=0):
         if branch != 0:
             raise UsageError("single-valued system has only branch 0")
@@ -421,19 +442,21 @@ class NSESystem(TrajectoryFamily):
             return [self.state_from_dense(v0) for _ in ts]
 
         m = self.basis.m
-
-        def fun(t, y):
-            return self.rhs_dense(t, y.reshape(m, 3)).ravel()
-
         t_eval = sorted(set(ts))
-        sol = solve_ivp(fun, (s, max(ts)), v0.ravel(), method="RK45",
-                        rtol=self.rtol, atol=self.atol, t_eval=t_eval,
-                        dense_output=False)
-        if not sol.success:
-            raise BlowUpError(f"integration failed: {sol.message}")
-        by_time = {tv: self.state_from_dense(sol.y[:, i].reshape(m, 3))
+        y = self._integrate(s, v0, max(ts), t_eval)
+        by_time = {tv: self.state_from_dense(y[:, i].reshape(m, 3))
                    for i, tv in enumerate(t_eval)}
         return [by_time[t] for t in ts]
+
+    def evolve_block(self, x, starts, ts, branch=0):
+        """Under a static force P(t, s) x = S(t - s) x, so one solve from
+        time 0, sampled at every duration t - s, gives all of the seed's
+        images; a time-dependent force keeps the per-start default."""
+        if not self.autonomous:
+            return super().evolve_block(x, starts, ts, branch=branch)
+        durations = [float(t) - float(s) for s, t in zip(starts, ts)]
+        return [(st.idx, st.val[None])
+                for st in self.evolve(0.0, x, durations, branch=branch)]
 
     # -- energy functionals ----------------------------------------------------------
 
@@ -449,19 +472,12 @@ class NSESystem(TrajectoryFamily):
         """Integrate once and sample the three energy functionals densely."""
         grid = np.linspace(s, t_hi, n)
         m = self.basis.m
-
-        def fun(t, y):
-            return self.rhs_dense(t, y.reshape(m, 3)).ravel()
-
-        sol = solve_ivp(fun, (s, t_hi), self.dense_values(x).ravel(), method="RK45",
-                        rtol=self.rtol, atol=self.atol, t_eval=grid)
-        if not sol.success:
-            raise BlowUpError(f"integration failed: {sol.message}")
+        y = self._integrate(s, self.dense_values(x), t_hi, grid)
         norms = np.empty(n)
         vsq = np.empty(n)
         pair = np.empty(n)
         for i, t in enumerate(grid):
-            v = sol.y[:, i].reshape(m, 3)
+            v = y[:, i].reshape(m, 3)
             esq, vs, pr = self.energy_norms(v, t)
             norms[i] = math.sqrt(esq)
             vsq[i] = vs

@@ -16,6 +16,7 @@ import pytest
 
 import ges
 import ges.cli
+import ges.systems.nse
 import ges.verify
 from ges.cli import ExperimentConfig, _omega_exit, main
 from ges.omega import OmegaApprox
@@ -245,6 +246,26 @@ class TestNseCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("omega", "--n", "3", "--n-seeds", "1", "--delta", "2"),
+        ("energy",),
+    ], ids=["omega", "energy"])
+    def test_non_finite_solver_output_is_a_blow_up(self, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        real = ges.systems.nse.solve_ivp
+
+        def last_sample_nan(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            sol.y[:, -1] = math.nan
+            return sol
+
+        monkeypatch.setattr(ges.systems.nse, "solve_ivp", last_sample_nan)
+        code, out = run(tmp_path, "nse", *argv)
+        assert code == 70
+        err = capsys.readouterr().err
+        assert err.startswith("blow-up: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestUniformCommand:
     def test_default_phase_family_union_equals_uniform(self, tmp_path):
@@ -437,8 +458,10 @@ class TestDeterminism:
         ("attract", "--system", "heat", "--witness"),
         ("invariance", "--system", "bump", "--kind", "quasi"),
         ("verify", "tracking"),
+        ("attract", "--system", "nse", "--target", "omega", "--n", "3",
+         "--n-seeds", "2", "--delta", "2"),
     ], ids=["omega-heat", "attract-heat-witness", "invariance-bump-quasi",
-            "verify-tracking"])
+            "verify-tracking", "attract-nse-omega"])
     def test_worker_count_never_changes_results(self, tmp_path, argv):
         code1, out1 = run(tmp_path / "a", *argv, "--threads", "1")
         code2, out2 = run(tmp_path / "b", *argv, "--threads", "4")

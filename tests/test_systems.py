@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import ges.systems.nse as nse_module
 from ges import kernels
 from ges.errors import ForcingFormatError, UsageError
 from ges.evolution import pullback_image
@@ -488,6 +489,56 @@ class TestNSEFlow:
         x = nse.sample_states(1, np.random.default_rng(11))[0]
         with pytest.raises(UsageError, match="precede"):
             nse.evolve(0.0, x, [-0.5])
+
+
+def _counting_solves(monkeypatch):
+    """Wrap the NSE module's solve_ivp; returns the list of call starts."""
+    calls = []
+    real = nse_module.solve_ivp
+
+    def counting(fun, t_span, *args, **kwargs):
+        calls.append(t_span[0])
+        return real(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(nse_module, "solve_ivp", counting)
+    return calls
+
+
+class TestNSEBlock:
+    def test_static_force_makes_one_solve_for_every_depth(self, nse, monkeypatch):
+        assert nse.autonomous
+        x = nse.sample_states(1, np.random.default_rng(12))[0]
+        starts = [-3.2, -5.12, -8.192]
+        calls = _counting_solves(monkeypatch)
+        groups = nse.evolve_block(x, starts, [0.0] * 3)
+        assert len(calls) == 1
+        assert len(groups) == 3
+        for s, (idx, vals) in zip(starts, groups):
+            want = nse.evolve(s, x, [0.0])[0]
+            got = nse.space.state(idx, vals[0])
+            assert nse.space.strong_dist(got, want) <= \
+                1e-7 * nse.space.strong_norm(want)
+
+    def test_time_dependent_force_solves_once_per_start(self, monkeypatch):
+        modes = [ForcingMode(k=k, amp=complex(0.5), kind="sin", omega=2.0)
+                 for k in ((1, 0, 0), (-1, 0, 0))]
+        fam = NSESystem(forcing=ForcingProfile(modes))
+        assert not fam.autonomous
+        x = fam.sample_states(1, np.random.default_rng(13))[0]
+        starts, ts = [-0.5, -0.5, -0.8], [0.0, 0.2, 0.0]
+        calls = _counting_solves(monkeypatch)
+        groups = fam.evolve_block(x, starts, ts)
+        assert calls == [-0.5, -0.8]
+        want = fam.evolve(-0.5, x, [0.0, 0.2]) + fam.evolve(-0.8, x, [0.0])
+        assert len(groups) == len(want)
+        for (idx, vals), st in zip(groups, want):
+            assert np.array_equal(idx, st.idx)
+            assert np.array_equal(vals, st.val[None])
+
+    def test_image_before_its_start_rejected(self, nse):
+        x = nse.sample_states(1, np.random.default_rng(14))[0]
+        with pytest.raises(UsageError, match="precede"):
+            nse.evolve_block(x, [-1.0, 0.0], [0.0, -0.5])
 
 
 class TestAbsorbing:
