@@ -176,18 +176,28 @@ def _attract_exit(rep: AttractionReport, expected_attractor: bool) -> int:
 # subcommands
 
 
-def _run_omega(cfg: ExperimentConfig, fam) -> int:
-    """Pullback omega of the configured ladder: write, print, exit code."""
-    om = omega_pullback(fam, cfg.schedule(), n_seeds=cfg.n_seeds,
-                        metric=cfg.metric, eps_net=cfg.eps_net, tol=cfg.tol,
-                        rng=cfg.rng(), branches=cfg.branches,
-                        workers=cfg.threads)
+def _omega_ladder(cfg: ExperimentConfig, fam) -> OmegaApprox:
+    """Pullback omega of the configured ladder."""
+    return omega_pullback(fam, cfg.schedule(), n_seeds=cfg.n_seeds,
+                          metric=cfg.metric, eps_net=cfg.eps_net, tol=cfg.tol,
+                          rng=cfg.rng(), branches=cfg.branches,
+                          workers=cfg.threads)
+
+
+def _write_omega(cfg: ExperimentConfig, om: OmegaApprox) -> None:
+    """Write the omega artifacts and print their summary line."""
     final = om.profile[-1][1] if om.profile else float("nan")
     _emit(cfg.out, {f"omega_{cfg.system}_{cfg.metric}.json": om.to_json(),
                     f"profile_{cfg.system}_{cfg.metric}.csv": om.profile_csv()},
           [f"omega {cfg.system} {cfg.metric}: converged={om.converged} "
            f"points={len(om.points)} final={fmt_float(final)}"
            + (f" note={om.note!r}" if om.note else "")])
+
+
+def _run_omega(cfg: ExperimentConfig, fam) -> int:
+    """Pullback omega of the configured ladder: write, print, exit code."""
+    om = _omega_ladder(cfg, fam)
+    _write_omega(cfg, om)
     expected = bool(fam.expectations.get(f"{cfg.metric}_attractor", False))
     return _omega_exit(om, expected, cfg.tol)
 
@@ -204,12 +214,10 @@ def cmd_attract(args) -> int:
     if args.target == "zero":
         target = [fam.space.zero_state()]
     else:  # "omega"
-        target = omega_pullback(fam, sched, n_seeds=cfg.n_seeds,
-                                metric=cfg.metric, eps_net=cfg.eps_net,
-                                tol=cfg.tol, rng=cfg.rng(),
-                                branches=cfg.branches,
-                                workers=cfg.threads).points
-        if not target:
+        om = _omega_ladder(cfg, fam)
+        target = om.points
+        if not target:  # keep the ladder's work: its profile says why
+            _write_omega(cfg, om)
             print("omega approximation is empty; nothing to attract to")
             return EXIT_INCONCLUSIVE
     seeds = None

@@ -6,7 +6,7 @@ inner loops stay free of Python objects:
 * strong_cross  -- pairwise quadrature-weighted l2 distances
 * weak_cross    -- pairwise weighted bounded-difference series
 * nse_bilinear  -- truncated convolution of the advection term with
-                   Leray projection, evaluated by zero-padded FFTs
+                   Leray projection, by 9 zero-padded FFTs (rotational form)
 
 Each kernel has one numpy implementation.  The two cross kernels walk
 bv in fixed blocks of rows through preallocated buffers, so their
@@ -104,14 +104,13 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
 # spectral advection term for the Galerkin velocity field
 #
 # out_k = -P_k [ sum_{p+q=k} (v_p . i q) v_q ]  with P_k = I - k k^T / |k|^2,
-# evaluated pseudo-spectrally (Orszag 1971): scatter v and i k_l v onto a
-# zero-padded n^3 grid, inverse-transform, form the advective product
-# sum_l u_l d_l u_j pointwise, transform back and keep the retained modes.
-# Every retained wave-vector component lies in [-kmax, kmax], so products
-# reach at most 2 kmax and n >= 3 kmax + 1 keeps every alias off the
-# retained set: the result is the sharply truncated convolution up to
-# roundoff.  Complex transforms and the advective form make that hold for
-# any complex input, Hermitian or not, solenoidal or not.
+# evaluated pseudo-spectrally (Orszag 1971) in rotational form: inverse-
+# transform v and w_k = i k x v_k on a zero-padded n^3 grid (6 FFTs), form
+# w x u, transform back (3 FFTs) and keep the retained modes.  As
+# (u . grad) u = grad(u . u / 2) + w x u takes no conjugate, it holds for any
+# complex input, and P_k removes the gradient.  Products of retained modes
+# reach 2 kmax per component, so n >= 3 kmax + 1 keeps every alias off the
+# retained set: the result is the truncated convolution up to roundoff.
 
 
 def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
@@ -120,15 +119,16 @@ def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
     vals: (m, 3) complex coefficients, kvec: (m, 3) wave vectors,
     grid_index: (m,) flat index of each mode on the padded n^3 grid.
     """
-    spec = np.zeros((4, 3, n ** 3), dtype=np.complex128)
+    spec = np.zeros((2, 3, n ** 3), dtype=np.complex128)
     spec[0][:, grid_index] = vals.T
-    spec[1:][:, :, grid_index] = 1j * kvec.T[:, None, :] * vals.T
+    spec[1][:, grid_index] = 1j * np.cross(kvec, vals).T
     # both buffers are private to this call, so the transforms may reuse them
-    phys = sfft.ifftn(spec.reshape(4, 3, n, n, n), axes=(2, 3, 4), norm="forward",
+    u, w = sfft.ifftn(spec.reshape(2, 3, n, n, n), axes=(2, 3, 4), norm="forward",
                       overwrite_x=True)
-    u = phys[0]
-    adv = u[0] * phys[1] + u[1] * phys[2] + u[2] * phys[3]
-    out = sfft.fftn(adv, axes=(1, 2, 3), norm="forward",
+    rot = np.empty_like(u)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(w[b] * u[c], w[c] * u[b], out=rot[a])
+    out = sfft.fftn(rot, axes=(1, 2, 3), norm="forward",
                     overwrite_x=True).reshape(3, n ** 3)
     out = out[:, grid_index].T
     ksq = (kvec * kvec).sum(axis=1)

@@ -84,12 +84,6 @@ class PullbackSchedule:
         return cls(float(t),
                    tuple(float(t) - delta * rho ** i for i in range(1, n + 1)))
 
-    @classmethod
-    def linear(cls, t: float, step: float = 1.0, n: int = 12) -> "PullbackSchedule":
-        if step <= 0:
-            raise UsageError("need step > 0")
-        return cls(float(t), tuple(float(t) - step * (i + 1) for i in range(n)))
-
     def depths(self) -> np.ndarray:
         return self.t - np.asarray(self.starts)
 

@@ -13,9 +13,10 @@ radius).  Velocity coefficients are complex 3-vectors, divergence-free
 underlying field is real.  The advection term is the sharply truncated
 convolution with Leray projection, which conserves energy exactly:
 Re sum conj(u_hat_k) . B_k = 0 at machine precision.  It is evaluated
-pseudo-spectrally on a zero-padded grid of n >= 3 kmax + 1 points per
-direction (see kernels.nse_bilinear), which equals the convolution sum up
-to roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
+pseudo-spectrally in rotational form, -P(curl u x u), on a zero-padded grid
+of n >= 3 kmax + 1 points per direction with 9 FFTs per right-hand side
+(see kernels.nse_bilinear).  That equals the convolution sum up to
+roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
 
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
@@ -346,6 +347,7 @@ class NSESystem(TrajectoryFamily):
         self.nu = float(nu)
         self.forcing = forcing if forcing is not None else default_forcing()
         self.basis = get_basis(kmax)
+        self._visc = -self.nu * self.basis.ksq[:, None]
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.ball_convention = ball_convention
@@ -403,7 +405,7 @@ class NSESystem(TrajectoryFamily):
     def rhs_dense(self, t: float, v: np.ndarray) -> np.ndarray:
         adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
                                    self.basis.grid_n)
-        return -self.nu * self.basis.ksq[:, None] * v + adv + self.g_dense(t)
+        return self._visc * v + adv + self.g_dense(t)
 
     def bilinear(self, x: CoeffState) -> CoeffState:
         """The projected advection term alone (as it enters the right side)."""

@@ -136,6 +136,19 @@ class TestAttractCommand:
         assert obj["verdict"] == "fails"
         assert min(d for _, d in obj["profile"]) >= 0.5 - 1e-6
 
+    def test_empty_omega_target_keeps_the_ladder_artifacts(self, tmp_path, capsys):
+        argv = ("--system", "nse", "--n", "3", "--n-seeds", "2")
+        code, out = run(tmp_path / "attract", "attract", "--target", "omega", *argv)
+        assert code == 2
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "omega approximation is empty; nothing to attract to"
+        assert read_json(out, "omega_nse_weak.json")["points"] == []
+        names = ["omega_nse_weak.json", "profile_nse_weak.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        _, want = run(tmp_path / "omega", "omega", *argv)
+        assert [(out / n).read_bytes() for n in names] == \
+            [(want / n).read_bytes() for n in names]
+
     def test_witness_flag_is_heat_only(self, tmp_path):
         code, _ = run(tmp_path, "attract", "--system", "bump", "--witness")
         assert code == 64

@@ -57,10 +57,6 @@ class TestSchedule:
         assert sched.starts == (-2.0, -4.0, -8.0, -16.0)
         assert sched.depths().tolist() == [2.0, 4.0, 8.0, 16.0]
 
-    def test_linear(self):
-        sched = PullbackSchedule.linear(1.0, step=0.5, n=4)
-        assert sched.starts == (0.5, 0.0, -0.5, -1.0)
-
     def test_validation(self):
         with pytest.raises(UsageError, match="three"):
             PullbackSchedule(0.0, (-1.0, -2.0))

@@ -439,6 +439,32 @@ class TestNSEAdvection:
             v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
             self.assert_matches_pair_sum(basis, v)
 
+    @pytest.mark.parametrize("kmax", [2, 3])
+    def test_curl_free_field_has_no_projected_advection(self, kmax):
+        # for v_k = i k phi_k the advective term is the pure gradient
+        # grad(u . u / 2), which the projection removes
+        basis = get_basis(kmax)
+        rng = np.random.default_rng(20 + kmax)
+        for _ in range(3):
+            phi = rng.normal(size=basis.m) + 1j * rng.normal(size=basis.m)
+            v = 1j * basis.kvec * phi[:, None]
+            bound = 1e-13 * float((np.abs(v) ** 2).sum()) * kmax
+            got = kernels.nse_bilinear(v, basis.kvec, basis.grid_index,
+                                       basis.grid_n)
+            assert np.abs(got).max() <= bound
+            assert np.abs(pair_sum_bilinear(v, basis)).max() <= bound
+
+    def test_output_is_hermitian_and_solenoidal_at_kmax_4(self):
+        fam = NSESystem(kmax=4)
+        basis = fam.basis
+        for x in fam.sample_states(3, np.random.default_rng(4), active_kmax=4):
+            out = kernels.nse_bilinear(fam.dense_values(x), basis.kvec,
+                                       basis.grid_index, basis.grid_n)
+            scale = float(np.abs(out).max())
+            assert scale > 0
+            assert np.abs(out[basis.mirror] - np.conj(out)).max() <= 1e-14 * scale
+            assert np.abs((out * basis.kvec).sum(axis=1)).max() <= 1e-14 * scale
+
     def test_conserves_energy_at_kmax_6(self):
         fam = NSESystem(kmax=6)
         for x in fam.sample_states(2, np.random.default_rng(12), active_kmax=6):
