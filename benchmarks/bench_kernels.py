@@ -6,10 +6,12 @@ tier comparison, and the survival-filter shape of `ges omega --system heat
 --n-seeds 512`: one real state against a 512-state real tier over 2,049
 grid slots, since heat values are real and pack into a float64 block),
 the truncated spectral basis for the advection term, at the
-default cutoff kmax=4 and at kmax=6, and `pack_states` on 1,024 heat tier
+default cutoff kmax=4 and at kmax=6, `pack_states` on 1,024 heat tier
 images (64 seeds at 16 times, so each seed's images share one index
-array).  Each case runs once untimed before the timed repetitions, and
-the table reports the best time.
+array), and the omega net and survival filter on the tier block of a
+128-seed heat ladder at the CLI's default schedule, eps_net and metric
+(a quarter of the `--n-seeds 512` block).  Each case runs once untimed
+before the timed repetitions, and the table reports the best time.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -21,6 +23,8 @@ import time
 import numpy as np
 
 from ges import kernels
+from ges.evolution import _image_tier, _tier_block
+from ges.omega import PullbackSchedule, _net_and_survive, _tier_seeds
 from ges.space import pack_states
 from ges.systems.heat import HeatSystem
 from ges.systems.nse import SpectralBasis
@@ -58,11 +62,18 @@ def make_cases(rng):
     tiers = [y for x in heat.sample_states(64, rng)
              for y in heat.evolve(0.0, x, np.linspace(0.05, 0.8, 16))]
 
+    # heat omega ladder: `ges omega --system heat --n-seeds 128`'s tier block
+    sched = PullbackSchedule.geometric(0.0)
+    ladder = [_image_tier(heat, seeds, s, sched.t) for s, seeds in zip(
+        sched.starts, _tier_seeds(heat, None, None, 128, rng, sched.t, sched.starts))]
+    block, tier_rows, _ = _tier_block(heat.space, ladder, None)
+
     cases = [
         ("strong_cross", lambda: kernels.strong_cross(av, bv, qw)),
         ("weak_cross", lambda: kernels.weak_cross(av, bv, ww)),
         ("weak_cross/heat", lambda: kernels.weak_cross(hv[:1], hv[1:], hw)),
         ("pack_states/heat", lambda: pack_states(heat.space, tiers)),
+        ("net_survive/heat", lambda: _net_and_survive(block, tier_rows, 0.05, "weak")),
     ]
     for kmax in (4, 6):
         basis = SpectralBasis(kmax=kmax)

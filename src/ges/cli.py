@@ -220,15 +220,21 @@ def cmd_attract(args) -> int:
             _write_omega(cfg, om)
             print("omega approximation is empty; nothing to attract to")
             return EXIT_INCONCLUSIVE
-    seeds = None
-    if args.witness:
-        if cfg.system != "heat":
-            raise UsageError("--witness seeds exist for the heat system only")
-        seeds = lambda s: [band_witness(fam.space, sched.t, s)[1]]
-    rep = attraction_diagnostic(fam, sched, target, seeds=seeds,
-                                n_seeds=cfg.n_seeds, metric=cfg.metric,
-                                tol=cfg.tol, rng=cfg.rng(),
-                                branches=cfg.branches, workers=cfg.threads)
+    if args.target == "omega" and not args.witness:
+        # the ladder's own seeds: its profile measures each tier against
+        # the survivors, which is the attraction profile to the omega points
+        rep = AttractionReport.from_profile(fam.system_id, cfg.metric, cfg.tol,
+                                            om.profile)
+    else:
+        seeds = None
+        if args.witness:
+            if cfg.system != "heat":
+                raise UsageError("--witness seeds exist for the heat system only")
+            seeds = lambda s: [band_witness(fam.space, sched.t, s)[1]]
+        rep = attraction_diagnostic(fam, sched, target, seeds=seeds,
+                                    n_seeds=cfg.n_seeds, metric=cfg.metric,
+                                    tol=cfg.tol, rng=cfg.rng(),
+                                    branches=cfg.branches, workers=cfg.threads)
     stem = f"attract_{cfg.system}_{cfg.metric}"
     _emit(cfg.out, {f"{stem}.json": rep.to_json(), f"{stem}.csv": rep.profile_csv()},
           [f"attract {cfg.system} {cfg.metric} -> {args.target}: {rep.verdict} "

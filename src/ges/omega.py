@@ -15,6 +15,17 @@ below tol and is non-increasing over its last third.  When nothing
 survives, the profile instead records each tier's drift from the
 shallowest image and the note says so.
 
+The net and the survival filter compute only the distances that can
+change their answer.  The net compares each kept row only with the rows
+still live (farther than eps_net from every kept row so far), and
+records each other row's pivot: the first kept row within eps_net of it.
+The survival filter then bounds a candidate's distance to each tier row
+through that row's pivot (the triangle inequality, as in LAESA) and
+measures only the rows whose bound, widened by a margin far above
+rounding, reaches the survival cap; see _net_and_survive.  These pruned
+rows are scattered, and PackedSet.cross gathers them one kernel block at
+a time.  Rules, ties and verdicts are those of the full comparison.
+
 Every image is packed straight from its seed by evolution._tier_block,
 so no state object is made per image; only surviving omega points become
 states.  Forward ladders evolve each trajectory once over all horizons.
@@ -50,8 +61,8 @@ import numpy as np
 
 from .errors import UnsupportedError, UsageError
 from .evolution import TrajectoryFamily, _image_tier, _tier_block, _trajectories
-from .space import (CoeffState, PackedSet, net_rows, pack_states, state_from_json,
-                    state_to_json)
+from .space import (CoeffState, NetPivots, PackedSet, net_rows, pack_states,
+                    state_from_json, state_to_json)
 from .util import artifact_json, csv_text, fmt_float
 
 
@@ -188,22 +199,50 @@ def _net_and_survive(packed: PackedSet, tier_rows: list[np.ndarray],
     least two tiers in total.  The second clause is what lets the
     surviving set be empty: a point visited at a single depth only
     (the escaping-trajectory signature) is noise, not a limit point.
+
+    "Within" means a computed distance of at most cap = eps_net + 1e-12.
+    The net pass leaves every tier row b with a pivot p (a net point) and
+    d(b, p), and every net-to-net distance, so the triangle inequality
+    bounds d(r, b) >= |d(r, p) - d(b, p)| for a candidate r at no cost
+    (LAESA).  Only the rows whose bound is at most cap + margin are
+    measured; a tier with none left is certainly too far.  The margin
+    covers rounding.  Each computed distance d^ is d (1 + theta) with
+    |theta| <= g = (u + c + 8) 2^-53 for u index slots of c components:
+    every term of the kernels' sums is nonnegative and carries at most
+    c + 8 roundings.  With M the largest of cap, 1 and the distances in
+    the bound, a skipped row has true d(r, b) > cap + margin - 2 g M, so
+    its computed distance exceeds cap + margin - 3 g M.  The margin,
+    max(1e-9, 4e-16 (u + c + 8)) M, is above 3 g M, so every skipped row
+    would have failed the test.  Candidates and tiers are taken in the
+    order of the rule above, with the same short-circuits.
     """
     n_tiers = len(tier_rows)
     deepest_first = np.concatenate(tier_rows[::-1])
-    net = net_rows(packed, deepest_first, eps_net, metric)
+    piv = NetPivots()
+    net = net_rows(packed, deepest_first, eps_net, metric, piv)
     tier_of = np.empty(packed.n_states, dtype=np.int64)
     for j, rows in enumerate(tier_rows):
         tier_of[rows] = j
+    pivot = np.empty(packed.n_states, dtype=np.int64)
+    to_pivot = np.empty(packed.n_states, dtype=np.float64)
+    pivot[deepest_first], to_pivot[deepest_first] = piv.pivot, piv.dist
+    cap = eps_net + 1e-12
+    _, u, c = packed.vals.shape
+    reach = cap + max(1e-9, 4e-16 * (u + c + 8)) * max(
+        1.0, cap, piv.kept.max(initial=0.0), piv.dist.max(initial=0.0))
+
+    def near(a: int, j: int) -> bool:
+        """Net point a lies within cap of some row of tier j."""
+        rows = np.asarray(tier_rows[j])
+        rows = rows[np.abs(piv.kept[a, pivot[rows]] - to_pivot[rows]) <= reach]
+        return bool(rows.size) and packed.cross([net[a]], rows, metric).min() <= cap
+
     survivors = []
-    for row in net:
-        me = np.array([row])
+    for a, row in enumerate(net):
         src = int(tier_of[row])
-        ok = all(packed.cross(me, tier_rows[j], metric).min() <= eps_net + 1e-12
-                 for j in range(src + 1, n_tiers))
+        ok = all(near(a, j) for j in range(src + 1, n_tiers))
         if ok and src == n_tiers - 1:
-            ok = any(packed.cross(me, tier_rows[j], metric).min()
-                     <= eps_net + 1e-12 for j in range(n_tiers - 1))
+            ok = any(near(a, j) for j in range(n_tiers - 1))
         if ok:
             survivors.append(row)
     return survivors
@@ -322,6 +361,22 @@ class AttractionReport:
     profile: list[tuple[float, float]]
     verdict: str  # "attracts" | "fails" | "inconclusive"
 
+    @classmethod
+    def from_profile(cls, system_id: str, metric: str, tol: float,
+                     profile: list[tuple[float, float]]) -> "AttractionReport":
+        """The report with the verdict rule of attraction_diagnostic applied."""
+        vals = np.array([d for _, d in profile])
+        third = vals[-max(2, vals.size // 3):]
+        half = vals[-max(2, vals.size // 2):]
+        slack = max(0.1 * tol, 1e-12)
+        if np.all(third <= tol) and np.all(np.diff(third) <= slack):
+            verdict = "attracts"
+        elif np.all(half >= 2.0 * tol):
+            verdict = "fails"
+        else:
+            verdict = "inconclusive"
+        return cls(system_id, metric, float(tol), profile, verdict)
+
     def to_json(self) -> str:
         return artifact_json("attraction", {
             "system": self.system_id, "metric": self.metric, "tol": self.tol,
@@ -359,18 +414,7 @@ def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
     packed, tier_rows, target_rows = _tier_block(fam.space, tiers, workers, target)
     profile = [(float(s), packed.semidist(rows, target_rows, metric))
                for s, rows in zip(starts, tier_rows)]
-
-    vals = np.array([d for _, d in profile])
-    third = vals[-max(2, vals.size // 3):]
-    half = vals[-max(2, vals.size // 2):]
-    slack = max(0.1 * tol, 1e-12)
-    if np.all(third <= tol) and np.all(np.diff(third) <= slack):
-        verdict = "attracts"
-    elif np.all(half >= 2.0 * tol):
-        verdict = "fails"
-    else:
-        verdict = "inconclusive"
-    return AttractionReport(fam.system_id, metric, float(tol), profile, verdict)
+    return AttractionReport.from_profile(fam.system_id, metric, tol, profile)
 
 
 # ---------------------------------------------------------------------------

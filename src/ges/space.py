@@ -25,6 +25,8 @@ module; pair distances go through the same path.  A run of
 consecutive packed rows reaches the kernels as a view, not a copy, which
 is why the omega layer packs its tier images deepest tier first: the net
 then visits rows in storage order and every tier is one such run.
+Scattered rows (the net's live list, a pruned tier) are gathered one
+kernel block at a time, so no copy of them all is ever made.
 
 One scatter packer, pack_groups, builds every block; pack_states is its
 case of one state per group, and the omega ladders hand it each seed's
@@ -319,25 +321,50 @@ class PackedSet:
                 f"state with strong norm {worst:.6g} exceeds the ball radius "
                 f"{cap:.6g} of space {self.space.tag!r}")
 
-    def _rows(self, rows) -> np.ndarray:
-        """vals at the given rows; a run of consecutive rows is a view."""
-        rows = np.asarray(rows)
+    def _run(self, rows: np.ndarray) -> np.ndarray | None:
+        """A view of vals when rows is a run of consecutive rows, else None."""
         if (rows.ndim == 1 and rows.size and rows.dtype.kind in "iu"
                 and rows[0] >= 0 and rows[-1] < self.n_states
                 and np.all(np.diff(rows) == 1)):
             return self.vals[rows[0]:rows[-1] + 1]
-        return np.ascontiguousarray(self.vals[rows])
+        return None
+
+    def _rows(self, rows) -> np.ndarray:
+        """vals at the given rows; a run of consecutive rows is a view."""
+        rows = np.asarray(rows)
+        run = self._run(rows)
+        return run if run is not None else np.ascontiguousarray(self.vals[rows])
 
     def cross(self, rows_a: np.ndarray, rows_b: np.ndarray, metric: str) -> np.ndarray:
-        av = self._rows(rows_a)
-        bv = self._rows(rows_b)
+        """(len(rows_a), len(rows_b)) distances in the chosen metric.
+
+        Runs of consecutive rows reach the kernel as views.  Scattered rows_a
+        are gathered whole: the kernel takes each av row on its own.
+        Scattered rows_b are gathered one kernel block at a time, along the
+        block edges the kernel itself would use on vals[rows_b], with one
+        kernel call per block.  The same blocks give bitwise the same
+        distances as one call on the full copy, and the gathered rows never
+        exceed one block beside the packed set.
+        """
         if metric == "strong":
-            return kernels.strong_cross(av, bv, self.qw)
-        if metric == "weak":
-            if self.space.weak_kind == "strong":
-                return kernels.strong_cross(av, bv, self.ww)
-            return kernels.weak_cross(av, bv, self.ww)
-        raise UsageError(f"unknown metric {metric!r}")
+            kernel, w = kernels.strong_cross, self.qw
+        elif metric == "weak":
+            kernel = (kernels.strong_cross if self.space.weak_kind == "strong"
+                      else kernels.weak_cross)
+            w = self.ww
+        else:
+            raise UsageError(f"unknown metric {metric!r}")
+        av = self._rows(rows_a)
+        rows_b = np.asarray(rows_b)
+        bv = self._run(rows_b)
+        if bv is not None:
+            return kernel(av, bv, w)
+        _, u, c = self.vals.shape
+        edges = kernels._block_edges(rows_b.size, kernels._block_rows(u, c))
+        out = np.empty((av.shape[0], rows_b.size), dtype=np.float64)
+        for s, e in zip(edges[:-1], edges[1:]):
+            out[:, s:e] = kernel(av, self.vals[rows_b[s:e]], w)
+        return out
 
     def semidist(self, rows_a, rows_b, metric: str) -> float:
         """sup over rows_a of the distance to the nearest rows_b member."""
@@ -463,29 +490,71 @@ def epsilon_net(space: DualMetricSpace, states: Sequence[CoeffState],
     return [states[i] for i in net_rows(p, np.arange(p.n_states), eps, metric)]
 
 
-def net_rows(p: PackedSet, order: np.ndarray, eps: float, metric: str) -> list[int]:
+@dataclass
+class NetPivots:
+    """Distances net_rows computed anyway, kept for pivot lower bounds.
+
+    For each place i of the visiting order, pivot[i] is the place in the
+    kept list of the first kept row within eps of order[i], and dist[i]
+    their distance; a kept row is its own pivot at distance 0.  kept[a, b]
+    is the distance between kept rows a and b (filled both ways from the
+    one computed with the earlier row first; the diagonal is 0).
+    """
+
+    pivot: np.ndarray | None = None
+    dist: np.ndarray | None = None
+    kept: np.ndarray | None = None
+
+
+def net_rows(p: PackedSet, order: np.ndarray, eps: float, metric: str,
+             pivots: NetPivots | None = None) -> list[int]:
     """Greedy first-come net over packed rows, visiting them in the given order.
 
     A row is kept iff it is farther than eps from every row kept before
     it, so the output is a deterministic function of the order.  Ties
     (distance exactly eps) are absorbed by the earlier representative.
-    Each kept row is compared once with every row after it; a running
-    minimum holds each later row's distance to its nearest kept row.
+
+    A live list holds the rows still farther than eps from every kept row.
+    The next kept row is the first live one, and it is compared only with
+    the live rows after it: a row that came within eps of some kept row can
+    never be kept, so comparing it again could not change the net.  A row
+    leaves the live list at its pivot, the first kept row within eps of it.
+    Each kept row was live when every earlier kept row was compared with
+    the rows after it, so the pass also computes every kept-to-kept
+    distance.  When pivots is given, net_rows fills it with the pivots and
+    those distances (see NetPivots).  Until the kept-to-kept matrix is
+    built, it holds each pass's distances to the rows left live, so a net
+    of K rows holds of order K^2 floats.
     """
     order = np.asarray(order, dtype=np.int64)
-    nearest = np.full(order.size, np.inf)
+    live = np.arange(order.size)
+    pivot = np.zeros(order.size, dtype=np.int64)
+    dist = np.zeros(order.size, dtype=np.float64)
     kept: list[int] = []
-    k = 0
-    while k < order.size:
+    places = []  # where each kept row sits in the order
+    passes = []  # per kept row: the rows it left live and their distances to it
+    while live.size:
+        k, live = live[0], live[1:]
+        a = len(kept)
+        pivot[k] = a
         kept.append(int(order[k]))
-        if k + 1 == order.size:
+        places.append(k)
+        if not live.size:
             break
-        rest = nearest[k + 1:]
-        np.minimum(rest, p.cross(order[k:k + 1], order[k + 1:], metric)[0], out=rest)
-        far = np.flatnonzero(rest > eps)
-        if far.size == 0:
-            break
-        k += 1 + int(far[0])
+        d = p.cross(order[k:k + 1], order[live], metric)[0]
+        far = d > eps
+        pivot[live[~far]] = a
+        dist[live[~far]] = d[~far]
+        live = live[far]
+        if pivots is not None:
+            passes.append((live, d[far]))
+    if pivots is not None:
+        between = np.zeros((len(kept), len(kept)), dtype=np.float64)
+        for a, (rows, d) in enumerate(passes):
+            # every later kept row was still live, so it sits in rows
+            between[a, a + 1:] = d[np.searchsorted(rows, places[a + 1:])]
+            between[a + 1:, a] = between[a, a + 1:]
+        pivots.pivot, pivots.dist, pivots.kept = pivot, dist, between
     return kept
 
 

@@ -18,8 +18,9 @@ import ges
 import ges.cli
 import ges.systems.nse
 import ges.verify
-from ges.cli import ExperimentConfig, _omega_exit, main
-from ges.omega import OmegaApprox
+from ges.cli import ExperimentConfig, _attract_exit, _omega_exit, build_parser, main
+from ges.omega import OmegaApprox, attraction_diagnostic
+from ges.systems import make_system
 
 
 def run(tmp_path, *argv):
@@ -148,6 +149,33 @@ class TestAttractCommand:
         _, want = run(tmp_path / "omega", "omega", *argv)
         assert [(out / n).read_bytes() for n in names] == \
             [(want / n).read_bytes() for n in names]
+
+    @pytest.mark.parametrize("argv", [
+        ("--system", "heat"), ("--system", "bump"), ("--system", "branch2"),
+        ("--system", "single"), ("--system", "forced-scalar"),
+        ("--system", "nse", "--n", "3", "--n-seeds", "2", "--delta", "2"),
+    ], ids=["heat", "bump", "branch2", "single", "forced-scalar", "nse"])
+    def test_omega_target_report_equals_a_second_diagnostic_run(self, tmp_path,
+                                                               monkeypatch, argv):
+        """The report read off the omega ladder's profile is the one that
+        attraction_diagnostic gives on the same seeds against its points."""
+        ladders = []
+        omega_ladder = ges.cli._omega_ladder
+        monkeypatch.setattr(ges.cli, "_omega_ladder",
+                            lambda *a: ladders.append(omega_ladder(*a)) or ladders[-1])
+        code, out = run(tmp_path, "attract", "--target", "omega", *argv)
+        [om] = ladders
+        assert om.points
+        cfg = ExperimentConfig.build(build_parser().parse_args(["attract", *argv]))
+        fam = make_system(cfg.system)
+        want = attraction_diagnostic(fam, cfg.schedule(), om.points,
+                                     n_seeds=cfg.n_seeds, metric=cfg.metric,
+                                     tol=cfg.tol, rng=cfg.rng(),
+                                     branches=cfg.branches, workers=cfg.threads)
+        stem = f"attract_{cfg.system}_{cfg.metric}"
+        assert (out / f"{stem}.json").read_text() == want.to_json()
+        assert (out / f"{stem}.csv").read_text() == want.profile_csv()
+        assert code == _attract_exit(want, bool(fam.expectations["weak_attractor"]))
 
     def test_witness_flag_is_heat_only(self, tmp_path):
         code, _ = run(tmp_path, "attract", "--system", "bump", "--witness")

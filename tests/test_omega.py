@@ -31,6 +31,7 @@ from ges.omega import (
     pac_check,
     tracking_check,
 )
+from ges import kernels
 from ges.space import DualMetricSpace, hausdorff_dist, pack_states, set_semidist
 from ges.symbols import SymbolFamily, uniform_omega
 from ges.systems import (
@@ -44,6 +45,7 @@ from ges.systems import (
     band_witness,
     bump_state,
     high_band_seed,
+    make_system,
 )
 
 
@@ -426,6 +428,100 @@ def test_net_and_survive_matches_per_tier_rule(metric, seed):
             assert got == per_tier_survivors(packed, tier_rows, eps, metric)
             found += len(got)
     assert found > 0
+
+
+def full_tier_survivors(packed, tier_rows, eps_net, metric):
+    """The net-and-survive rule with whole rows and tiers per kernel call:
+    each kept row against every later row, each candidate against whole tiers."""
+    order = np.concatenate(tier_rows[::-1])
+    nearest = np.full(order.size, np.inf)
+    net, k = [], 0
+    while k < order.size:
+        net.append(int(order[k]))
+        if k + 1 == order.size:
+            break
+        rest = nearest[k + 1:]
+        np.minimum(rest, packed.cross(order[k:k + 1], order[k + 1:], metric)[0], out=rest)
+        far = np.flatnonzero(rest > eps_net)
+        if far.size == 0:
+            break
+        k += 1 + int(far[0])
+    tier_of = {int(r): j for j, rows in enumerate(tier_rows) for r in rows}
+    n_tiers = len(tier_rows)
+    survivors = []
+    for row in net:
+        src = tier_of[row]
+        ok = all(packed.cross([row], tier_rows[j], metric).min() <= eps_net + 1e-12
+                 for j in range(src + 1, n_tiers))
+        if ok and src == n_tiers - 1:
+            ok = any(packed.cross([row], tier_rows[j], metric).min() <= eps_net + 1e-12
+                     for j in range(n_tiers - 1))
+        if ok:
+            survivors.append(row)
+    return survivors
+
+
+def system_tier_block(system_id, n_seeds, n=8, seed=0):
+    """The packed tier images of a pullback ladder, as omega_pullback builds them."""
+    fam = make_system(system_id)
+    sched = PullbackSchedule.geometric(0.0, n=n)
+    lists = ges.omega._tier_seeds(fam, None, None, n_seeds, np.random.default_rng(seed),
+                                  sched.t, sched.starts)
+    tiers = [ges.omega._image_tier(fam, lst, s, sched.t)
+             for s, lst in zip(sched.starts, lists)]
+    packed, tier_rows, _ = ges.omega._tier_block(fam.space, tiers, None)
+    return packed, tier_rows
+
+
+@pytest.mark.parametrize("metric", ["strong", "weak"])
+@pytest.mark.parametrize("system_id", ["heat", "bump", "branch2", "forced-scalar"])
+def test_pruned_survival_matches_full_tier_rule(system_id, metric):
+    packed, tier_rows = system_tier_block(system_id, 12)
+    found = 0
+    for eps in (0.02, 0.05, 0.2):
+        got = _net_and_survive(packed, tier_rows, eps, metric)
+        assert got == full_tier_survivors(packed, tier_rows, eps, metric)
+        found += len(got)
+    assert found > 0
+
+
+def test_tier_row_at_exactly_the_survival_cap_counts():
+    """A deeper tier row at exactly eps_net + 1e-12 keeps the candidate."""
+    eps = 0.5 - 1e-12
+    while eps + 1e-12 < 0.5:
+        eps = np.nextafter(eps, 1.0)
+    while eps + 1e-12 > 0.5:
+        eps = np.nextafter(eps, 0.0)
+    assert eps + 1e-12 == 0.5 and eps < 0.5
+    space = DualMetricSpace(tag="plane", truncation_radius=8)
+    pt = lambda x, y: space.state([0, 1], [x, y])
+    tiers = [[pt(0.0, 5.0)],                       # shallow: far from all
+             [pt(0.5, 0.0)],                       # candidate b at the cap from c
+             [pt(0.0, 0.0), pt(-0.25, 0.0),        # c and a row it absorbs
+              pt(3.0, 0.0), pt(3.0, 0.1)]]         # a far pivot and a row it absorbs
+    packed = pack_states(space, [st for tier in tiers[::-1] for st in tier])
+    tier_rows = [np.array([5]), np.array([4]), np.arange(4)]
+    assert packed.cross([4], [0], "strong")[0, 0] == eps + 1e-12
+    got = _net_and_survive(packed, tier_rows, eps, "strong")
+    assert got == full_tier_survivors(packed, tier_rows, eps, "strong") == [0, 4]
+
+
+def test_pruning_computes_under_half_the_pairs(monkeypatch):
+    """128-seed heat ladder at the CLI's schedule, eps_net and metric."""
+    packed, tier_rows = system_tier_block("heat", 128, n=16)
+    pairs = [0]
+    weak_cross = kernels.weak_cross
+
+    def spy(av, bv, w):
+        pairs[0] += av.shape[0] * bv.shape[0]
+        return weak_cross(av, bv, w)
+
+    monkeypatch.setattr(kernels, "weak_cross", spy)
+    got = _net_and_survive(packed, tier_rows, 0.05, "weak")
+    pruned, pairs[0] = pairs[0], 0
+    want = full_tier_survivors(packed, tier_rows, 0.05, "weak")
+    assert got == want and want
+    assert pruned < pairs[0] / 2
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ges.space import (
     _decode_keys,
     _encode_rows,
     epsilon_net,
+    NetPivots,
     hausdorff_dist,
     net_rows,
     pack_groups,
@@ -296,6 +297,84 @@ class TestNetRows:
         assert net_rows(p, np.array([], dtype=np.int64), 0.1, "weak") == []
 
 
+def running_min_net(p, order, eps, metric):
+    """The net with each kept row compared with every row after it."""
+    order = np.asarray(order, dtype=np.int64)
+    nearest = np.full(order.size, np.inf)
+    kept, k = [], 0
+    while k < order.size:
+        kept.append(int(order[k]))
+        if k + 1 == order.size:
+            break
+        rest = nearest[k + 1:]
+        np.minimum(rest, p.cross(order[k:k + 1], order[k + 1:], metric)[0], out=rest)
+        far = np.flatnonzero(rest > eps)
+        if far.size == 0:
+            break
+        k += 1 + int(far[0])
+    return kept
+
+
+def random_packed(rng, n, u, c, real, grid=None):
+    """n rows over u slots; on a grid of step 1/4 every distance sum is exact."""
+    if grid:
+        vals = rng.integers(-grid, grid + 1, size=(n, u, c)) / 4.0
+        w = np.ones(u)
+    else:
+        vals = rng.normal(scale=0.3, size=(n, u, c))
+        w = rng.uniform(0.1, 1.0, size=u)
+    if not real:
+        vals = vals + 1j * (rng.integers(-grid, grid + 1, size=(n, u, c)) / 4.0 if grid
+                            else rng.normal(scale=0.3, size=(n, u, c)))
+    return PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+
+
+class TestLiveListNet:
+    @pytest.mark.parametrize("metric", ["strong", "weak"])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_running_minimum_net(self, metric, real, seed):
+        rng = np.random.default_rng(seed)
+        p = random_packed(rng, 120, 7, 2, real)
+        d = p.cross(np.arange(120), np.arange(120), metric)
+        for order in (np.arange(120), rng.permutation(120)):
+            for eps in np.quantile(d, [0.01, 0.05, 0.2, 0.5]):
+                assert net_rows(p, order, eps, metric) == running_min_net(p, order, eps, metric)
+
+    @pytest.mark.parametrize("metric", ["strong", "weak"])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_distances_at_exactly_eps_are_absorbed(self, metric, real):
+        # step-1/4 values on unit weights: every squared sum is exact, so each
+        # eps below is a distance the net computes bit for bit
+        rng = np.random.default_rng(7)
+        p = random_packed(rng, 90, 3, 1, real, grid=3)
+        order = rng.permutation(90)
+        d = p.cross(np.arange(90), np.arange(90), metric)
+        ties = 0
+        for eps in np.unique(d)[1:12]:
+            kept = net_rows(p, order, eps, metric)
+            assert kept == running_min_net(p, order, eps, metric)
+            ties += int(np.any(d[np.ix_(kept, order)] == eps))
+        assert ties > 0
+
+    @pytest.mark.parametrize("metric", ["strong", "weak"])
+    def test_pivots_are_the_first_kept_row_within_eps(self, metric):
+        rng = np.random.default_rng(3)
+        p = random_packed(rng, 150, 5, 1, True)
+        order = rng.permutation(150)
+        d = p.cross(np.arange(150), np.arange(150), metric)
+        eps = float(np.quantile(d, 0.1))
+        piv = NetPivots()
+        kept = net_rows(p, order, eps, metric, piv)
+        assert kept == running_min_net(p, order, eps, metric)
+        for i, row in enumerate(order):
+            first = next(a for a, k in enumerate(kept) if d[k, row] <= eps)
+            assert piv.pivot[i] == first
+            assert piv.dist[i] == pytest.approx(d[kept[first], row], rel=1e-12, abs=0.0)
+        assert np.allclose(piv.kept, d[np.ix_(kept, kept)], rtol=1e-12, atol=0.0)
+        assert np.array_equal(piv.kept, piv.kept.T)
+
+
 # ---------------------------------------------------------------------------
 # packing
 
@@ -430,6 +509,48 @@ class TestPackStates:
         for metric in ("strong", "weak"):
             assert (real.cross(rows[:3], rows, metric).tobytes()
                     == cplx.cross(rows[:3], rows, metric).tobytes())
+
+    # n = 4k .. 4k+4 around block edges: 8 rows per block at c = 1, 4 at c = 3
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12, 16, 17, 18, 19, 20])
+    def test_scattered_rows_equal_one_call_on_their_copy(self, monkeypatch, real, c, n):
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 96)
+        u = 11
+        rng = np.random.default_rng(10 * n + c)
+        vals = rng.normal(size=(3 * n, u, c))
+        if not real:
+            vals = vals + 1j * rng.normal(size=vals.shape)
+        w = rng.uniform(0.0, 1.0, size=u)
+        p = PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+        rows_a = rng.choice(3 * n, size=3, replace=False)
+        rows_b = np.sort(rng.choice(3 * n, size=n, replace=False))
+        rows_b[0] = rows_b[1] - 2  # never a run
+        for rows in (rows_b, rng.permutation(rows_b)):
+            assert p.cross(rows_a, rows, "strong").tobytes() == kernels.strong_cross(
+                vals[rows_a], vals[rows], w).tobytes()
+            assert p.cross(rows_a, rows, "weak").tobytes() == kernels.weak_cross(
+                vals[rows_a], vals[rows], w).tobytes()
+
+    def test_scattered_rows_are_gathered_one_block_at_a_time(self):
+        rng = np.random.default_rng(5)
+        n, u = 800, 1986
+        vals = rng.normal(size=(n, u, 1))
+        w = rng.uniform(0.0, 1.0, size=u)
+        p = PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+        rows = np.arange(0, n, 2)
+        block = (kernels._block_rows(u, 1) + 3) * u * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            d = p.cross([1], rows, "weak")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert d.tobytes() == kernels.weak_cross(vals[1:2], vals[rows], w).tobytes()
+        # the gathered block and the kernel's buffers for one block, not the
+        # 400 gathered rows (6.4 MB)
+        assert peak <= 4 * block < vals[rows].nbytes / 4
 
     def test_block_is_real_unless_some_value_is_complex(self):
         real = [e(0, 0.5), e(2, -0.25), SEQ.state([1], [complex(0.75, -0.0)]), ZERO]
