@@ -3,8 +3,9 @@
 Runs each kernel on inputs shaped like the real workloads: packed
 coefficient blocks for the cross-distance kernels (a mid-size complex
 tier comparison, and the survival-filter shape of `ges omega --system heat
---n-seeds 512`: one real state against a 512-state real tier over 2,049
-grid slots, since heat values are real and pack into a float64 block),
+--n-seeds 512`: one real state against a 512-state real tier over the
+1,986 grid slots that run packs onto, since heat values are real and pack
+into a float64 block),
 the truncated spectral basis for the advection term, at the
 default cutoff kmax=4 and at kmax=6, `pack_states` on 1,024 heat tier
 images (64 seeds at 16 times, so each seed's images share one index
@@ -53,7 +54,7 @@ def make_cases(rng):
     ww = 2.0 ** (-np.abs(np.arange(slots) - slots // 2) / 40.0)
 
     # heat survival filter: one netted state against one 512-state tier
-    grid = 2049
+    grid = 1986
     hv = rng.standard_normal((513, grid, 1))
     hw = 2.0 ** (-np.abs(np.arange(grid) - grid // 2) / 64.0) / 64.0
 

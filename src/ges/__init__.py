@@ -9,7 +9,7 @@ model, nonautonomous symbol families, and a deterministic CLI (`ges`).
 
 from .errors import BlowUpError, ForcingFormatError, UnsupportedError, UsageError
 from .space import (CoeffState, DualMetricSpace, epsilon_net, hausdorff_dist,
-                    pack_states, set_semidist, state_from_json, state_to_json)
+                    pack_states, set_semidist, state_to_json)
 from .evolution import (EnergyCheckReport, EnsembleEntry, PullbackEnsemble,
                         TrajectoryFamily, TrajectorySample, compose_check,
                         energy_inequality_check, pullback_image,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "ForcingFormatError", "UnsupportedError", "UsageError",
     "CoeffState", "DualMetricSpace", "epsilon_net", "hausdorff_dist",
-    "pack_states", "set_semidist", "state_from_json", "state_to_json",
+    "pack_states", "set_semidist", "state_to_json",
     "EnergyCheckReport", "EnsembleEntry", "PullbackEnsemble",
     "TrajectoryFamily", "TrajectorySample", "compose_check",
     "energy_inequality_check", "pullback_image", "weak_c_convergence_check",

@@ -81,7 +81,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, want):
                 raise UsageError(f"config field {f.name!r} must be {f.type}, "
                                  f"not {type(value).__name__}")
-            if isinstance(value, float) and not np.isfinite(value):
+            # an int past the float range is no float either
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise UsageError(f"config field {f.name!r} must be finite")
         if self.eps_net <= 0 or self.tol <= 0 or self.delta <= 0:
             raise UsageError("tolerances and schedule spacing must be positive")

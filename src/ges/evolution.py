@@ -30,7 +30,6 @@ Checks in this module:
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -40,8 +39,8 @@ import numpy as np
 
 from .errors import BlowUpError, UsageError
 from .space import (CoeffState, DualMetricSpace, PackedSet, pack_groups,
-                    set_semidist, state_from_json, state_to_json)
-from .util import parallel_map, strict_json
+                    set_semidist)
+from .util import parallel_map
 
 
 class TrajectoryFamily(ABC):
@@ -126,7 +125,6 @@ class TrajectoryFamily(ABC):
 class EnsembleEntry:
     seed_index: int
     branch: int
-    seed: CoeffState
     state: CoeffState
 
 
@@ -141,25 +139,6 @@ class PullbackEnsemble:
 
     def states(self) -> list[CoeffState]:
         return [e.state for e in self.entries]
-
-    def to_jsonl(self) -> str:
-        lines = [strict_json({
-            "t": self.t, "s": self.s, "branch": e.branch,
-            "seed": state_to_json(e.seed), "state": state_to_json(e.state),
-        }) for e in self.entries]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str, system_id: str = "") -> "PullbackEnsemble":
-        entries = []
-        t = s = 0.0
-        for i, line in enumerate(line for line in text.splitlines() if line.strip()):
-            obj = json.loads(line)
-            t, s = float(obj["t"]), float(obj["s"])
-            entries.append(EnsembleEntry(i, int(obj["branch"]),
-                                         state_from_json(obj["seed"]),
-                                         state_from_json(obj["state"])))
-        return cls(system_id, t, s, entries)
 
 
 def _trajectories(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
@@ -262,7 +241,7 @@ def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
             if nrm > 10.0 * cap:
                 raise _blow_up(i, b, t, nrm, cap)
     return PullbackEnsemble(fam.system_id, t, s, [
-        EnsembleEntry(i, b, x, st) for (i, b, x), st in zip(jobs, states)])
+        EnsembleEntry(i, b, st) for (i, b, _), st in zip(jobs, states)])
 
 
 def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
@@ -329,13 +308,12 @@ class EnergyCheckReport:
 def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
                             window: tuple[float, float] | None = None,
                             eps: float = 1e-9, delta: float = 0.5,
-                            majority: float = 0.9,
                             integral_tol: float = 1e-6) -> EnergyCheckReport:
     """Check the windowed norm inequality and, if data allows, the
     integral energy inequality.
 
     Majority part: for each grid time t, the bound |u(t)| <= |u(t0)| + eps
-    must hold for at least the `majority` fraction of grid points t0 in
+    must hold for at least 90% of the grid points t0 in
     the open window (t - delta, t).  Failing times contribute a violation
     row with their worst t0.
 
@@ -376,7 +354,7 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
         resid = norms[i] - (norms[cand] + eps)
         max_resid = max(max_resid, float(resid.max()))
         ok = resid <= 0.0
-        if ok.mean() < majority:
+        if ok.mean() < 0.9:
             j = cand[int(np.argmax(resid))]
             violations.append((float(times[j]), float(t), float(norms[i]),
                                float(norms[j] + eps), float(resid.max())))
@@ -420,15 +398,14 @@ class WeakConvergenceReport:
 
 
 def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
-                             s: float, horizon: float, grid_n: int = 33,
-                             branch: int = 0,
-                             strong_atol: float = 1e-9) -> WeakConvergenceReport:
-    """Evolve a seed sequence x_1, ..., x_m, x_limit from time s.
+                             s: float, horizon: float,
+                             grid_n: int = 33) -> WeakConvergenceReport:
+    """Evolve a seed sequence x_1, ..., x_m, x_limit from time s on branch 0.
 
     The last seed is the limit.  Reports, per non-limit seed, the sup of
     weak_dist(u_n(tau), u(tau)) over the grid on [s, s+horizon], and the
     fraction of grid times where the strong distance also converged
-    (final distance at most half the initial one, or negligible).
+    (final distance at most half the initial one, or at most 1e-9).
     """
     seeds = list(seeds)
     if len(seeds) < 2:
@@ -436,7 +413,7 @@ def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     if grid_n < 2:
         raise UsageError("the evolution grid needs at least two times")
     grid = np.linspace(s, s + horizon, grid_n)
-    tiers = [[(fam, i, branch, x, s, tau) for i, x in enumerate(seeds)]
+    tiers = [[(fam, i, 0, x, s, tau) for i, x in enumerate(seeds)]
              for tau in grid]
     packed, tier_rows, _ = _tier_block(fam.space, tiers, None)
     # d[metric][k, n]: distance at grid time k from seed n's image to the limit's
@@ -445,6 +422,6 @@ def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
          for metric in ("weak", "strong")}
     weak_sups = [float(v) for v in d["weak"].max(axis=0)]
     strong_first, strong_last = d["strong"][:, 0], d["strong"][:, -1]
-    converged = strong_last <= np.maximum(strong_atol, 0.5 * strong_first)
+    converged = strong_last <= np.maximum(1e-9, 0.5 * strong_first)
     return WeakConvergenceReport(weak_sups, weak_sups[-1],
                                  float(converged.mean()), grid)

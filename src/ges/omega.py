@@ -52,7 +52,6 @@ Diagnostics built on the same ensembles:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -62,7 +61,7 @@ import numpy as np
 from .errors import UnsupportedError, UsageError
 from .evolution import TrajectoryFamily, _image_tier, _tier_block, _trajectories
 from .space import (CoeffState, NetPivots, PackedSet, net_rows, pack_states,
-                    state_from_json, state_to_json)
+                    state_to_json)
 from .util import artifact_json, csv_text, fmt_float
 
 
@@ -81,6 +80,8 @@ class PullbackSchedule:
         if len(self.starts) < 3:
             raise UsageError("schedule needs at least three start times")
         arr = np.asarray(self.starts, dtype=np.float64)
+        if not (math.isfinite(self.t) and np.all(np.isfinite(arr))):
+            raise UsageError("the evaluation and start times must be finite")
         if np.any(np.diff(arr) >= 0):
             raise UsageError("start times must decrease strictly")
         if arr[0] > self.t:
@@ -93,10 +94,22 @@ class PullbackSchedule:
         if delta <= 0 or rho <= 1:
             raise UsageError("need delta > 0 and rho > 1")
         return cls(float(t),
-                   tuple(float(t) - delta * rho ** i for i in range(1, n + 1)))
+                   tuple(float(t) - d for d in _geometric_steps(delta, rho, n)))
 
     def depths(self) -> np.ndarray:
         return self.t - np.asarray(self.starts)
+
+
+def _geometric_steps(delta: float, rho: float, n: int) -> list[float]:
+    """delta * rho**i for i = 1..n, or a UsageError when one overflows."""
+    overflow = UsageError(f"delta * rho**i overflows for i <= {n}")
+    try:
+        steps = [delta * rho ** i for i in range(1, n + 1)]
+    except OverflowError:
+        raise overflow from None
+    if not all(math.isfinite(d) for d in steps):
+        raise overflow
+    return steps
 
 
 def _tier_seeds(fam: TrajectoryFamily, seeds, labels, n_seeds: int,
@@ -158,17 +171,6 @@ class OmegaApprox:
             "points": [state_to_json(p) for p in self.points],
             "profile": [[s, d] for s, d in self.profile],
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "OmegaApprox":
-        obj = json.loads(text)
-        if obj.get("kind") != "omega":
-            raise UsageError("not an omega approximation record")
-        return cls(obj["system"], float(obj["t"]), obj["metric"],
-                   float(obj["eps_net"]), float(obj["tol"]),
-                   [state_from_json(p) for p in obj["points"]],
-                   [(float(s), float(d)) for s, d in obj["profile"]],
-                   bool(obj["converged"]), obj.get("note", ""))
 
     def profile_csv(self) -> str:
         return _profile_csv(self.profile, self.metric, self.system_id,
@@ -340,7 +342,9 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     seeds = list(seeds)
     if not seeds:
         raise UsageError("empty seed collection")
-    horizons = [t0 + delta * rho ** i for i in range(1, n + 1)]
+    horizons = [t0 + d for d in _geometric_steps(delta, rho, n)]
+    if not math.isfinite(horizons[-1]):
+        raise UsageError("the forward horizons must be finite")
     trajs = [(fam, i, b, x) for fam in systems
              for i, b, x in _trajectories(fam, seeds, t0, branches)]
     tiers = [[(fam, i, b, x, t0, h) for fam, i, b, x in trajs] for h in horizons]
@@ -516,7 +520,6 @@ def _cluster_stats(packed: PackedSet, rows, tol: float) -> tuple[int, float]:
 
 def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
               tol: float = 0.4, sample_size: int = 10,
-              cluster_frac: float = 1.0 / 3.0,
               rng: np.random.Generator | None = None,
               include_adversarial: bool = True,
               workers: int | None = None) -> PACReport:
@@ -525,8 +528,9 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
     Each sampled sequence takes one anchored seed label and collects
     u_i = P(t, s_i) x_i across the schedule; the system's registered
     adversarial sequence joins when present.  A sequence passes when
-    some anchor point has at least cluster_min later points within tol
-    of it (a Cauchy cluster at that resolution).  The verdict is
+    some anchor point has at least cluster_min = max(3, ceil(n / 3)) later
+    points within tol of it, n being the schedule length (a Cauchy
+    cluster at that resolution).  The verdict is
     PAC-consistent only if every sequence passes.  The minimum pairwise
     separation over the deep indices is reported per sequence, with a
     flag for full 2-tol separation (the clean violation certificate).
@@ -535,7 +539,7 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
         raise UsageError("need at least 10 sampled sequences")
     t, starts = schedule.t, schedule.starts
     n = len(starts)
-    cluster_min = max(3, math.ceil(n * cluster_frac))
+    cluster_min = max(3, math.ceil(n * (1.0 / 3.0)))
     rng = rng if rng is not None else np.random.default_rng(0)
     labels = fam.seed_labels(sample_size, rng)
     tier_seeds = [[fam.seed_for(lab, s, t) for lab in labels] for s in starts]

@@ -7,11 +7,12 @@ DualMetricSpace fixes how those coefficients are measured:
 * the strong metric is the quadrature-weighted l2 distance,
 * the weak metric is the bounded-difference series
       sum_k  w(k) * t_k / (1 + t_k),   t_k = |a_k - b_k|,
-  with geometric weights w(k) = pref * base^(-scale*|k|) evaluated up to
-  the truncation radius.  The discarded part of the series is bounded by
-  weak_tail_bound, so the truncated value is exact for states supported
-  inside the truncation window and otherwise a lower value within that
-  bound of the full series.
+  with the base-2 geometric weights w(k) = pref * 2^(-scale*|k|) of
+  Cheskidov & Foias, evaluated up to the truncation radius.  The
+  discarded part of the series is bounded by weak_tail_bound, so the
+  truncated value is exact for states supported inside the truncation
+  window and otherwise a lower value within that bound of the full
+  series.
 
 Grid-sampled continuum spaces (the diffusion example) set grid_spacing;
 the quadrature is then the trapezoid rule on the frequency grid and the
@@ -149,7 +150,6 @@ class DualMetricSpace:
     tag: str
     index_dim: int = 1
     component_dim: int = 1
-    weight_base: float = 2.0
     truncation_radius: int = 32
     ball_radius: float | None = None
     grid_spacing: float | None = None
@@ -157,8 +157,6 @@ class DualMetricSpace:
     weak_kind: str = "series"  # "series" | "strong"
 
     def __post_init__(self):
-        if self.weight_base <= 1.0:
-            raise UsageError("weight_base must exceed 1")
         if self.index_dim not in (1, 3):
             raise UsageError("index_dim must be 1 or 3")
         if self.weak_kind not in ("series", "strong"):
@@ -231,7 +229,7 @@ class DualMetricSpace:
             inside = np.abs(idx).max(axis=1) <= self.truncation_radius
         scale = self.grid_spacing if self.grid_spacing is not None else 1.0
         pref = self.grid_spacing if self.grid_spacing is not None else 1.0
-        w = pref * self.weight_base ** (-scale * mag)
+        w = pref * 2.0 ** (-scale * mag)
         w[~inside] = 0.0
         return w
 
@@ -246,16 +244,15 @@ class DualMetricSpace:
         if self.weak_kind == "strong":
             return 0.0
         k = self.truncation_radius if radius is None else radius
-        b = self.weight_base
         if self.index_dim == 1:
             scale = self.grid_spacing if self.grid_spacing is not None else 1.0
             pref = self.grid_spacing if self.grid_spacing is not None else 1.0
-            r = b ** (-scale)
+            r = 2.0 ** (-scale)
             return pref * 2.0 * r ** (k + 1) / (1.0 - r)
         total = 0.0
         m = k + 1
         while True:
-            term = (24.0 * m * m + 2.0) * b ** (-m)
+            term = (24.0 * m * m + 2.0) * 2.0 ** (-m)
             total += term
             if term < 1e-300 or m > 100000:
                 break
@@ -443,8 +440,7 @@ def pack_groups(space: DualMetricSpace, n_states: int, runs,
     return packed
 
 
-def pack_states(space: DualMetricSpace, states: Sequence[CoeffState],
-                check_ball: bool = True) -> PackedSet:
+def pack_states(space: DualMetricSpace, states: Sequence[CoeffState]) -> PackedSet:
     """Densify states onto their sorted index union: pack_groups with one
     state per group.  States that share one idx array object (the images of
     one seed, or every state of a fixed spectral basis) share its encoding.
@@ -455,8 +451,7 @@ def pack_states(space: DualMetricSpace, states: Sequence[CoeffState],
     for s in states:
         space.check_member(s)
     return pack_groups(space, len(states),
-                       [((i,), [(s.idx, s.val[None])]) for i, s in enumerate(states)],
-                       check_ball)
+                       [((i,), [(s.idx, s.val[None])]) for i, s in enumerate(states)])
 
 
 def set_semidist(space: DualMetricSpace, a_set: Iterable[CoeffState],
@@ -583,31 +578,3 @@ def state_to_json(st: CoeffState) -> dict:
                 flat.extend((float(z.real), float(z.imag)))
             vals.append(flat)
     return {"space": st.space_tag, "idx": st.idx.tolist(), "val": vals}
-
-
-def state_from_json(obj: dict, space: DualMetricSpace | None = None) -> CoeffState:
-    try:
-        tag = obj["space"]
-        idx = np.asarray(obj["idx"], dtype=np.int64)
-        raw = obj["val"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed state object: {exc}") from exc
-    if idx.size == 0:
-        idx = idx.reshape(0, space.index_dim if space is not None else 1)
-    rows = []
-    for item in raw:
-        if isinstance(item, (int, float)):
-            rows.append([complex(item)])
-        elif len(item) == 2:
-            rows.append([complex(item[0], item[1])])
-        elif len(item) % 2 == 0:
-            rows.append([complex(item[2 * i], item[2 * i + 1]) for i in range(len(item) // 2)])
-        else:
-            raise UsageError("value rows must be scalars or even-length lists")
-    c = len(rows[0]) if rows else (space.component_dim if space is not None else 1)
-    val = np.asarray(rows, dtype=np.complex128).reshape(len(rows), c)
-    if space is not None:
-        if tag != space.tag:
-            raise UsageError(f"state tagged {tag!r} does not live on space {space.tag!r}")
-        return space.state(idx, val)
-    return CoeffState(tag, idx, val)

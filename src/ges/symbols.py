@@ -27,7 +27,7 @@ Families here are finite symbol samples:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,23 +64,21 @@ class SymbolFamily:
     def system(self, sigma: float) -> TrajectoryFamily:
         return self.factory(self.wrap(sigma))
 
-    def shifted(self, ds: float) -> "SymbolFamily":
-        return replace(self, symbols=tuple(self.shift(ds, s) for s in self.symbols))
-
-    def closed_under(self, ds: float, tol: float = 1e-9) -> bool:
-        """Is the sampled symbol set invariant under the shift by ds?"""
+    def closed_under(self, ds: float) -> bool:
+        """Is the sampled symbol set invariant, to within 1e-9, under the
+        shift by ds?"""
         have = np.array([self.wrap(s) for s in self.symbols])
         for s in self.symbols:
             target = self.shift(ds, s)
             gap = np.abs(have - target)
             if self.period > 0:
                 gap = np.minimum(gap, self.period - gap)
-            if gap.min() > tol:
+            if gap.min() > 1e-9:
                 return False
         return True
 
     @classmethod
-    def phase_family(cls, base_id: str, count: int = 32, **kw) -> "SymbolFamily":
+    def phase_family(cls, base_id: str, count: int = 32) -> "SymbolFamily":
         if count < 1:
             raise UsageError("need at least one phase sample")
         offsets = tuple(TWO_PI * j / count for j in range(count))
@@ -89,7 +87,7 @@ class SymbolFamily:
             space = make_scalar_space()
 
             def factory(sigma: float) -> TrajectoryFamily:
-                return ForcedScalarSystem(space, sigma=sigma, **kw)
+                return ForcedScalarSystem(space, sigma=sigma)
         elif base_id == "nse":
             from .systems.nse import ForcingMode, ForcingProfile, NSESystem
             amp = complex(1.0 / math.sqrt(2.0))
@@ -101,12 +99,12 @@ class SymbolFamily:
                     ForcingMode(k=(-1, 0, 0), amp=amp, kind="sin",
                                 omega=1.0, phase=sigma),
                 ])
-                return NSESystem(forcing=prof, **kw)
+                return NSESystem(forcing=prof)
         elif base_id == "branch2":
             from .systems.branch import BranchSystem
 
             def factory(sigma: float) -> TrajectoryFamily:
-                return BranchSystem(**kw)  # autonomous: symbols collapse
+                return BranchSystem()  # autonomous: symbols collapse
         else:
             raise UsageError(f"no phase family for base system {base_id!r}")
         return cls("phase", TWO_PI, offsets, factory, base_id)

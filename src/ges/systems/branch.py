@@ -19,8 +19,8 @@ from ..space import DualMetricSpace
 RATES = (1.0, 2.0)
 
 
-def make_branch_space(tag: str = "branch2") -> DualMetricSpace:
-    return DualMetricSpace(tag=tag, index_dim=1, truncation_radius=32, ball_radius=1.0)
+def make_branch_space() -> DualMetricSpace:
+    return DualMetricSpace(tag="branch2", index_dim=1, truncation_radius=32, ball_radius=1.0)
 
 
 class BranchSystem(TrajectoryFamily):

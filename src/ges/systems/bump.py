@@ -18,7 +18,6 @@ compactness diagnostics detect through far-apart profile pairs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
 
 import numpy as np
 

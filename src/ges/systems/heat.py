@@ -11,7 +11,7 @@ strong pullback attraction is possible: for any depth one can place a
 unit bump of spectral mass low enough that it still carries norm 1/2
 at the evaluation time.  band_witness constructs exactly those seeds.
 
-The weak metric uses grid-scaled series weights h * base^(-|xi_j|), the
+The weak metric uses grid-scaled series weights h * 2^(-|xi_j|), the
 grid counterpart of coefficient weighting on a countable dense system.
 """
 
@@ -30,8 +30,8 @@ GRID_SPACING = 1.0 / 64.0
 GRID_EXTENT = 1024  # covers |xi| <= 16
 
 
-def make_heat_space(tag: str = "heat") -> DualMetricSpace:
-    return DualMetricSpace(tag=tag, index_dim=1, truncation_radius=GRID_EXTENT,
+def make_heat_space() -> DualMetricSpace:
+    return DualMetricSpace(tag="heat", index_dim=1, truncation_radius=GRID_EXTENT,
                            ball_radius=1.0, grid_spacing=GRID_SPACING,
                            grid_extent=GRID_EXTENT)
 

@@ -19,8 +19,8 @@ from ..evolution import TrajectoryFamily
 from ..space import DualMetricSpace
 
 
-def make_line_space(tag: str = "line") -> DualMetricSpace:
-    return DualMetricSpace(tag=tag, index_dim=1, weak_kind="strong",
+def make_line_space() -> DualMetricSpace:
+    return DualMetricSpace(tag="line", index_dim=1, weak_kind="strong",
                            truncation_radius=1, ball_radius=None)
 
 

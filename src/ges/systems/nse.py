@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -52,6 +52,9 @@ from ..evolution import TrajectoryFamily, TrajectorySample
 from ..space import CoeffState, DualMetricSpace
 
 LAMBDA_1 = 1.0
+# the window bounds of a forcing law sample t in [0, 4] on a 1e-3 grid
+WINDOW = (0.0, 4.0)
+WINDOW_DT = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,9 @@ class ForcingProfile:
         self.entries = list(entries)
         seen = set()
         for e in self.entries:
+            if len(e.k) != 3 or not all(isinstance(c, (int, np.integer))
+                                        and not isinstance(c, bool) for c in e.k):
+                raise ForcingFormatError(f"mode k must be three integers, not {e.k}")
             if e.k == (0, 0, 0):
                 raise ForcingFormatError("forcing on the mean mode is not allowed")
             if e.k in seen:
@@ -161,6 +167,9 @@ class ForcingProfile:
                        *(part for v in e.values for part in (v.real, v.imag))]
             if not np.all(np.isfinite(numbers)):
                 raise ForcingFormatError(f"non-finite number in the forcing of mode {e.k}")
+            if e.kind == "sampled" and np.any(np.diff(e.times) <= 0):
+                raise ForcingFormatError(f"sampled times of mode {e.k} must increase "
+                                         f"strictly")
 
     def vprime_norm_sq(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -193,12 +202,9 @@ class ForcingProfile:
 
     # -- window bounds -------------------------------------------------------
 
-    def translational_bound(self, window: tuple[float, float] = (0.0, 4.0),
-                            dt: float = 1e-3) -> float:
-        """sup over t in the window of int_t^{t+1} ||g||_{V'}^2, trapezoid."""
-        lo, hi = window
-        if hi <= lo:
-            raise UsageError("empty window")
+    def translational_bound(self) -> float:
+        """sup over t in WINDOW of int_t^{t+1} ||g||_{V'}^2, trapezoid."""
+        (lo, hi), dt = WINDOW, WINDOW_DT
         if self.is_static():
             return float(self.vprime_norm_sq(lo))
         m = int(round(1.0 / dt))
@@ -208,10 +214,9 @@ class ForcingProfile:
         sums = cum[m:] - cum[:-m]
         return float(sums.max())
 
-    def window_integral_sup(self, delta: float, window=(0.0, 4.0),
-                            dt: float = 1e-3) -> float:
-        """sup over t of int_t^{t+delta} ||g||_{V'}^2."""
-        lo, hi = window
+    def window_integral_sup(self, delta: float) -> float:
+        """sup over t in WINDOW of int_t^{t+delta} ||g||_{V'}^2."""
+        (lo, hi), dt = WINDOW, WINDOW_DT
         if self.is_static():
             return float(self.vprime_norm_sq(lo)) * delta
         grid = np.arange(lo, hi + 1.0 + dt, dt)
@@ -221,23 +226,21 @@ class ForcingProfile:
         vals = np.interp(starts + delta, grid, cum) - np.interp(starts, grid, cum)
         return float(vals.max())
 
-    def normality_check(self, eps_list: Sequence[float], window=(0.0, 4.0),
-                        dt: float = 1e-3, delta_cap: float = 1.0,
-                        iters: int = 40) -> list[tuple[float, float]]:
-        """Largest delta <= delta_cap with sup_t int_t^{t+delta} <= eps,
-        found by bisection for each eps.  All finite-mode profiles here
+    def normality_check(self, eps_list: Sequence[float]) -> list[tuple[float, float]]:
+        """Largest delta <= 1 with sup_t int_t^{t+delta} <= eps, found by
+        40 bisection steps for each eps.  All finite-mode profiles here
         are normal, so every eps receives a positive delta."""
         out = []
         for eps in eps_list:
             if eps <= 0:
                 raise UsageError("eps must be positive")
-            if self.window_integral_sup(delta_cap, window, dt) <= eps:
-                out.append((float(eps), float(delta_cap)))
+            if self.window_integral_sup(1.0) <= eps:
+                out.append((float(eps), 1.0))
                 continue
-            lo_d, hi_d = 0.0, delta_cap
-            for _ in range(iters):
+            lo_d, hi_d = 0.0, 1.0
+            for _ in range(40):
                 mid = 0.5 * (lo_d + hi_d)
-                if self.window_integral_sup(mid, window, dt) <= eps:
+                if self.window_integral_sup(mid) <= eps:
                     lo_d = mid
                 else:
                     hi_d = mid
@@ -255,23 +258,19 @@ class ForcingProfile:
         entries = []
         for raw in obj["modes"]:
             try:
-                k = tuple(int(c) for c in raw["k"])
-                if len(k) != 3:
-                    raise ForcingFormatError("mode k must have three components")
                 amp_raw = raw["amp"]
-                amp = complex(amp_raw[0], amp_raw[1])
                 tspec = raw.get("time", {"kind": "const"})
-                kind = tspec["kind"]
                 entries.append(ForcingMode(
-                    k=k, amp=amp, kind=kind,
-                    omega=float(tspec.get("omega", 0.0)),
-                    phase=float(tspec.get("phase", 0.0)),
-                    times=tuple(float(x) for x in tspec.get("times", ())),
-                    values=tuple(complex(v[0], v[1]) for v in tspec.get("values", ())),
+                    k=tuple(raw["k"]),
+                    amp=complex(_number(amp_raw[0]), _number(amp_raw[1])),
+                    kind=tspec["kind"],
+                    omega=_number(tspec.get("omega", 0.0)),
+                    phase=_number(tspec.get("phase", 0.0)),
+                    times=tuple(_number(x) for x in tspec.get("times", ())),
+                    values=tuple(complex(_number(v[0]), _number(v[1]))
+                                 for v in tspec.get("values", ())),
                 ))
-            except ForcingFormatError:
-                raise
-            except (KeyError, TypeError, ValueError, IndexError) as exc:
+            except (KeyError, TypeError, IndexError, OverflowError) as exc:
                 raise ForcingFormatError(f"malformed forcing mode: {exc}") from exc
         return cls(entries)
 
@@ -298,6 +297,13 @@ class ForcingProfile:
         return {"modes": modes}
 
 
+def _number(x) -> float:
+    """A JSON number of a forcing file as a float; a bool is no number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ForcingFormatError(f"expected a number, not {x!r}")
+    return float(x)
+
+
 def default_forcing() -> ForcingProfile:
     """Constant real forcing on the lowest mode pair, scaled so the
     translational bound sup_t int_t^{t+1} ||g||_{V'}^2 is exactly 1."""
@@ -306,29 +312,29 @@ def default_forcing() -> ForcingProfile:
                            ForcingMode(k=(-1, 0, 0), amp=amp)])
 
 
-def absorbing_radius(l2b_bound: float, nu: float, lam1: float = LAMBDA_1) -> float:
-    """R = 2 ||g||_{Lb}^2 / (nu (1 - exp(-nu lam1))); inf where the
+def absorbing_radius(l2b_bound: float, nu: float) -> float:
+    """R = 2 ||g||_{Lb}^2 / (nu (1 - exp(-nu lambda_1))); inf where the
     denominator underflows to zero."""
-    if nu <= 0 or lam1 <= 0:
-        raise UsageError("nu and lambda_1 must be positive")
-    den = nu * (1.0 - math.exp(-nu * lam1))
+    if nu <= 0:
+        raise UsageError("nu must be positive")
+    den = nu * (1.0 - math.exp(-nu * LAMBDA_1))
     return 2.0 * l2b_bound / den if den > 0 else math.inf
 
 
-def absorbing_entry_time(radius: float, nu: float, lam1: float = LAMBDA_1) -> float:
+def absorbing_entry_time(radius: float, nu: float) -> float:
     """Upper bound on the time for |u(s)| <= 2R sweeps to enter {|u| <= R}."""
     r = radius
     if r * r <= r / 2.0:
         raise UsageError("absorbing set is empty under this convention")
-    return math.log(4.0 * r * r / (r * r - r / 2.0)) / (nu * lam1)
+    return math.log(4.0 * r * r / (r * r - r / 2.0)) / (nu * LAMBDA_1)
 
 
 # ---------------------------------------------------------------------------
 # the system
 
 
-def make_nse_space(ball_radius: float, kmax: int, tag: str = "nse") -> DualMetricSpace:
-    return DualMetricSpace(tag=tag, index_dim=3, component_dim=3,
+def make_nse_space(ball_radius: float, kmax: int) -> DualMetricSpace:
+    return DualMetricSpace(tag="nse", index_dim=3, component_dim=3,
                            truncation_radius=2 * kmax, ball_radius=ball_radius)
 
 
@@ -340,16 +346,15 @@ class NSESystem(TrajectoryFamily):
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
     def __init__(self, nu: float = 1.0, forcing: ForcingProfile | None = None,
-                 kmax: int = 4, rtol: float = 1e-8, atol: float = 1e-11,
-                 ball_convention: str = "radius"):
+                 kmax: int = 4, ball_convention: str = "radius"):
         if ball_convention not in ("radius", "norm-squared"):
             raise UsageError("ball_convention must be 'radius' or 'norm-squared'")
         self.nu = float(nu)
         self.forcing = forcing if forcing is not None else default_forcing()
         self.basis = get_basis(kmax)
+        for e in self.forcing.entries:
+            self.basis.row(e.k)  # forcing must live inside the cutoff
         self._visc = -self.nu * self.basis.ksq[:, None]
-        self.rtol = float(rtol)
-        self.atol = float(atol)
         self.ball_convention = ball_convention
         with np.errstate(over="ignore"):  # an overflow is refused just below
             self.l2b_bound = self.forcing.translational_bound()
@@ -359,8 +364,6 @@ class NSESystem(TrajectoryFamily):
         self.radius = absorbing_radius(self.l2b_bound, self.nu)
         if not math.isfinite(self.radius) or (self.radius <= 0 < self.l2b_bound):
             raise UsageError(f"nu={self.nu:g} gives no finite positive absorbing radius")
-        for e in self.forcing.entries:
-            self.basis.row(e.k)  # forcing must live inside the cutoff
         ball = max(2.0 * self.absorbing_set_radius(), 1.0)
         super().__init__(make_nse_space(ball, kmax))
         self.autonomous = self.forcing.is_static()
@@ -425,7 +428,7 @@ class NSESystem(TrajectoryFamily):
             return self.rhs_dense(t, y.reshape(m, 3)).ravel()
 
         sol = solve_ivp(fun, (s, t_end), v0.ravel(), method="RK45",
-                        rtol=self.rtol, atol=self.atol, t_eval=t_eval)
+                        rtol=1e-8, atol=1e-11, t_eval=t_eval)
         if not sol.success:
             raise BlowUpError(f"integration failed: {sol.message}")
         if not np.all(np.isfinite(sol.y)):

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import UsageError
 from ..evolution import TrajectoryFamily
 from ..space import DualMetricSpace
 
 
-def make_scalar_space(tag: str = "forced-scalar") -> DualMetricSpace:
-    return DualMetricSpace(tag=tag, index_dim=1, truncation_radius=4, ball_radius=2.0)
+def make_scalar_space() -> DualMetricSpace:
+    return DualMetricSpace(tag="forced-scalar", index_dim=1, truncation_radius=4, ball_radius=2.0)
 
 
 class ForcedScalarSystem(TrajectoryFamily):
@@ -69,7 +67,3 @@ class ForcedScalarSystem(TrajectoryFamily):
 
     def complete_trajectories(self, count, rng):
         return [lambda tau: self.scalar(self.particular(float(tau)))]
-
-    def shifted(self, ds: float) -> "ForcedScalarSystem":
-        """The system driven by the time-shifted symbol."""
-        return ForcedScalarSystem(self.space, self.sigma + ds)

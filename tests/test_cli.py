@@ -13,14 +13,18 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ges
 import ges.cli
 import ges.systems.nse
 import ges.verify
 from ges.cli import ExperimentConfig, _attract_exit, _omega_exit, build_parser, main
+from ges.errors import ForcingFormatError, UsageError
 from ges.omega import OmegaApprox, attraction_diagnostic
 from ges.systems import make_system
+from ges.systems.nse import ForcingProfile
 
 
 def run(tmp_path, *argv):
@@ -273,6 +277,7 @@ class TestNseCommand:
         (("info", "--nu", "nan"), None, 64),
         (("info",), HUGE, 65),
         (("energy",), HUGE, 65),
+        (("info",), {"modes": [{"k": [1e400, 0, 0], "amp": [1, 0]}]}, 65),
     ])
     def test_set_up_overflow(self, tmp_path, capsys, argv, forcing, code):
         flags = ()
@@ -369,6 +374,7 @@ class TestUsageErrors:
         code, _ = run(tmp_path, "omega", "--system", "heat", "--threads", "0")
         assert code == 64
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags", [
         ("--tol", "-1"),
         ("--tol", "0"),
@@ -376,10 +382,16 @@ class TestUsageErrors:
         ("--n", "2"),
         ("--delta", "0"),
         ("--eps-net", "0"),
+        ("--n", "2000"),                   # rho**i overflows
+        ("--rho", "1e200"),
+        ("--delta", "1e308", "--rho", "10"),  # delta * rho**i overflows
     ])
-    def test_bad_numeric_parameters(self, tmp_path, flags):
-        code, _ = run(tmp_path, "omega", "--system", "single", *flags)
+    def test_bad_numeric_parameters(self, tmp_path, capsys, flags):
+        code, out = run(tmp_path, "omega", "--system", "single", *flags)
         assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file_missing(self, tmp_path):
         code, _ = run(tmp_path, "omega", "--config",
@@ -400,6 +412,7 @@ class TestUsageErrors:
         {"seed": -1},
         {"n_seeds": -3},
         {"threads": 0},
+        {"t0": 10 ** 400},  # an integer past the float range
     ])
     def test_config_file_values_are_checked(self, tmp_path, capsys, values):
         cfg = tmp_path / "cfg.json"
@@ -468,6 +481,66 @@ class TestConfigPrecedence:
         assert cfg.tol == 0.25  # CLI wins
         assert cfg.n == 8  # config file fills the gap
         assert cfg.rho == 1.6  # defaults fill the rest
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the two JSON inputs: a value or the input's own error, nothing else
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+_NUMBERS = st.integers(-3, 3) | st.floats(-1e3, 1e3)
+_NEAR_NUMBERS = _NUMBERS | _SCALARS
+_TIME = st.fixed_dictionaries({"kind": st.sampled_from(["const", "sin", "sampled"])
+                                       | _JSON}, optional={
+    "omega": _NEAR_NUMBERS,
+    "phase": _NEAR_NUMBERS,
+    "times": st.lists(_NEAR_NUMBERS, min_size=2, max_size=4) | _JSON,
+    "values": (st.lists(st.lists(_NEAR_NUMBERS, min_size=2, max_size=3),
+                        min_size=2, max_size=4) | _JSON),
+})
+_MODE = st.fixed_dictionaries({
+    "k": st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+         | st.lists(_NEAR_NUMBERS, max_size=4) | _JSON,
+    "amp": st.lists(_NEAR_NUMBERS, min_size=2, max_size=3) | _JSON,
+}, optional={"time": _TIME | _JSON})
+_FORCING = (st.fixed_dictionaries({"modes": st.lists(_MODE | _JSON, max_size=3)})
+            | _JSON)
+# field names with values near and far from their types; threads is only
+# validated here, never used to start workers
+_CONFIG = st.dictionaries(
+    st.sampled_from([f.name for f in ExperimentConfig.__dataclass_fields__.values()])
+    | st.text(max_size=6),
+    _NUMBERS | st.sampled_from(["heat", "weak", "all", "first", "."]) | _JSON,
+    max_size=6)
+
+
+class TestJsonInputFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_FORCING)
+    def test_forcing_dict_gives_a_profile_or_a_forcing_error(self, obj):
+        try:
+            prof = ForcingProfile.from_dict(obj)
+        except ForcingFormatError:
+            return
+        assert isinstance(prof, ForcingProfile)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIG)
+    def test_config_file_gives_a_config_or_a_usage_error(self, tmp_path_factory,
+                                                         values):
+        path = tmp_path_factory.getbasetemp() / "fuzz_cfg.json"
+        path.write_text(json.dumps(values))
+        args = argparse.Namespace(config=str(path))
+        try:
+            cfg = ExperimentConfig.build(args)
+        except UsageError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
 
 # ---------------------------------------------------------------------------

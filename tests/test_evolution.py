@@ -14,7 +14,6 @@ import pytest
 
 from ges.errors import BlowUpError, UsageError
 from ges.evolution import (
-    PullbackEnsemble,
     TrajectoryFamily,
     TrajectorySample,
     compose_check,
@@ -155,25 +154,6 @@ def test_evolve_at_start_time_is_identity():
         for x in seeds:
             y = fam.evolve(-1.0, x, [-1.0])[0]
             assert fam.space.strong_dist(x, y) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# ensemble serialization
-
-
-def test_ensemble_jsonl_roundtrip():
-    fam = BranchSystem()
-    seeds = fam.sample_states(2, np.random.default_rng(11))
-    ens = pullback_image(fam, seeds, 1.0, -1.0)
-    text = ens.to_jsonl()
-    back = PullbackEnsemble.from_jsonl(text, fam.system_id)
-    assert back.t == ens.t and back.s == ens.s
-    assert [e.branch for e in back.entries] == [e.branch for e in ens.entries]
-    for a, b in zip(ens.entries, back.entries):
-        assert fam.space.strong_dist(a.state, b.state) == 0.0
-        assert fam.space.strong_dist(a.seed, b.seed) == 0.0
-    # serialization is stable under a round trip
-    assert PullbackEnsemble.from_jsonl(text).to_jsonl() == text
 
 
 # ---------------------------------------------------------------------------

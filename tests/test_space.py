@@ -30,7 +30,6 @@ from ges.space import (
     pack_groups,
     pack_states,
     set_semidist,
-    state_from_json,
     state_to_json,
 )
 from ges.systems.heat import HeatSystem
@@ -657,8 +656,6 @@ class TestStateValidation:
             LAT3.state([row], np.ones((1, 3)))
         with pytest.raises(UsageError, match="outside"):
             CoeffState("lat3", np.array([row]), np.ones((1, 3)))
-        with pytest.raises(UsageError, match="outside"):
-            state_from_json({"space": "lat3", "idx": [row], "val": [[1.0] * 6]})
         edge = [[-(1 << 20), (1 << 20) - 1, 0]]
         assert LAT3.state(edge, np.ones((1, 3))).n_coeffs == 1
 
@@ -684,8 +681,6 @@ class TestStateValidation:
 
     def test_space_constructor_validation(self):
         with pytest.raises(UsageError):
-            DualMetricSpace(tag="bad", weight_base=1.0)
-        with pytest.raises(UsageError):
             DualMetricSpace(tag="bad", index_dim=2)
         with pytest.raises(UsageError):
             DualMetricSpace(tag="bad", weak_kind="medium")
@@ -702,37 +697,16 @@ class TestSerialization:
         st0 = SEQ.state([2, -3], [1.5, -0.25])
         obj = state_to_json(st0)
         assert obj["val"] == [1.5, -0.25]
-        back = state_from_json(obj, SEQ)
-        assert SEQ.strong_dist(st0, back) == 0.0
 
     def test_complex_scalar_roundtrip(self):
         st0 = SEQ.state([1], [1.0 + 2.0j])
         obj = state_to_json(st0)
         assert obj["val"] == [[1.0, 2.0]]
-        back = state_from_json(obj, SEQ)
-        assert SEQ.strong_dist(st0, back) == 0.0
 
     def test_three_component_roundtrip(self):
         st0 = LAT3.state([[1, 0, 0]], [[1.0 + 1.0j, 2.0, -1.0j]])
         obj = state_to_json(st0)
         assert obj["val"] == [[1.0, 1.0, 2.0, 0.0, 0.0, -1.0]]
-        back = state_from_json(obj, LAT3)
-        assert LAT3.strong_dist(st0, back) == 0.0
 
     def test_empty_state_roundtrip(self):
-        back = state_from_json(state_to_json(ZERO), SEQ)
-        assert back.n_coeffs == 0
-
-    def test_malformed_object_rejected(self):
-        with pytest.raises(UsageError, match="malformed"):
-            state_from_json({"idx": [[0]]}, SEQ)
-
-    def test_tag_mismatch_rejected(self):
-        obj = state_to_json(e(0))
-        with pytest.raises(UsageError):
-            state_from_json(obj, GRID)
-
-    def test_odd_value_row_rejected(self):
-        obj = {"space": "seq", "idx": [[0]], "val": [[1.0, 2.0, 3.0]]}
-        with pytest.raises(UsageError):
-            state_from_json(obj, SEQ)
+        assert state_to_json(ZERO) == {"space": "seq", "idx": [], "val": []}

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import ges
 import ges.systems.nse as nse_module
 from ges import kernels
 from ges.errors import ForcingFormatError, UsageError
@@ -57,6 +58,12 @@ def test_registry_lists_all_seven_systems():
     assert isinstance(make_system("heat"), HeatSystem)
     with pytest.raises(UsageError, match="unknown system"):
         make_system("vortex")
+
+
+@pytest.mark.parametrize("module", [ges, ges.systems], ids=["ges", "ges.systems"])
+def test_public_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_attractor_expectations_registry():
@@ -324,12 +331,6 @@ class TestForcedScalar:
             out = fam.evolve(s, fam.scalar(fam.particular(s)), [t])[0]
             assert float(out.val[0, 0].real) == pytest.approx(
                 fam.particular(t), abs=1e-12)
-
-    def test_shift_moves_the_phase(self):
-        fam = ForcedScalarSystem(sigma=0.3)
-        moved = fam.shifted(1.0)
-        assert moved.sigma == pytest.approx(1.3)
-        assert moved.particular(0.5) == pytest.approx(fam.particular(1.5))
 
     def test_scalar_states_live_on_slot_zero(self):
         fam = ForcedScalarSystem()
@@ -670,6 +671,14 @@ class TestForcing:
                     "time": {"kind": "sampled", "times": [0.0],
                              "values": [[0.0, 0.0]]}}]},      # short sample
         {"modes": [{"k": [1, 0, 0], "amp": 1.0}]},            # amp not a pair
+        {"modes": [{"k": [1.7, 0, 0], "amp": [1, 0]}]},       # fractional k
+        {"modes": [{"k": [True, 0, 0], "amp": [1, 0]}]},      # bool in k
+        {"modes": [{"k": [1e400, 0, 0], "amp": [1, 0]}]},     # k overflows
+        {"modes": [{"k": [1, 0, 0], "amp": [1, 0],
+                    "time": {"kind": "sin", "omega": True}}]},  # bool number
+        {"modes": [{"k": [1, 0, 0], "amp": [1, 0],
+                    "time": {"kind": "sampled", "times": [1, 0],
+                             "values": [[0, 0], [1, 0]]}}]},  # times decrease
     ])
     def test_malformed_forcing_rejected(self, obj):
         with pytest.raises(ForcingFormatError):
