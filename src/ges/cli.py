@@ -36,7 +36,6 @@ from .omega import (AttractionReport, OmegaApprox, PullbackSchedule,
 from .symbols import SymbolFamily, union_inclusion_check
 from .systems import SYSTEM_IDS, make_system
 from .systems.heat import band_witness
-from .systems.nse import LAMBDA_1, ForcingProfile, absorbing_entry_time
 from .util import artifact_json, csv_text, fmt_float
 from .verify import (SUITES, invariance_plan, nse_energy_check, report_lines,
                      run_suite)
@@ -253,6 +252,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nse(args) -> int:
+    from .systems.nse import LAMBDA_1, ForcingProfile, absorbing_entry_time
+
     cfg = ExperimentConfig.build(args)
     forcing = (ForcingProfile.load(args.forcing) if args.forcing else None)
     fam = make_system("nse", nu=args.nu, kmax=args.kmax, forcing=forcing,

@@ -32,6 +32,12 @@ bounds the squared norm; ball_convention="norm-squared" switches to the
 dimensionally consistent {|u|^2 <= R}.  The space's hard ball cap sits
 at 2R (at least 1 for vanishing forcing) so absorbing-entry sweeps from
 |u(s)| <= 2R stay admissible.
+
+This is the only module that imports scipy at its top, and ges.systems
+imports it only when an NSE system or name is asked for.  Keep
+scipy.fft and solve_ivp at module top: building an NSE system then loads
+them during set-up, not inside the first solve, and e2ebench/tracer.py
+rebinds the module-level name ges.systems.nse.solve_ivp.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ bytes, regardless of worker count).
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,6 +281,10 @@ class TestNseCommand:
         (("info",), HUGE, 65),
         (("energy",), HUGE, 65),
         (("info",), {"modes": [{"k": [1e400, 0, 0], "amp": [1, 0]}]}, 65),
+        (("info",), {"modes": [{"k": [1.5, 0, 0], "amp": [1, 0]}]}, 65),
+        (("info",), {"modes": [{"k": [1, 0, 0], "amp": [1, 0],
+                                "time": {"kind": "sampled", "times": [0, 1, 1],
+                                         "values": [[0, 0], [1, 0], [2, 0]]}}]}, 65),
     ])
     def test_set_up_overflow(self, tmp_path, capsys, argv, forcing, code):
         flags = ()
@@ -365,6 +372,14 @@ class TestInvarianceCommand:
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert main([]) == 64
+
+    def test_unknown_subcommand(self, tmp_path, capsys):
+        code, out = run(tmp_path, "bogus")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_system(self, tmp_path):
         code, _ = run(tmp_path, "omega", "--system", "wavelets")
@@ -588,6 +603,30 @@ class TestDeterminism:
         code2, out2 = run(tmp_path / "b", *argv, "--threads", "2")
         assert code1 == code2
         assert self.artifacts(out1) == self.artifacts(out2)
+
+
+# ---------------------------------------------------------------------------
+# start-up: only an NSE system loads ges.systems.nse and scipy
+
+_LAZY_NSE = """
+import sys
+import ges, ges.cli
+out = sys.argv[1]
+assert ges.cli.main(["omega", "--system", "heat", "--n-seeds", "8", "--out", out]) == 0
+assert ges.cli.main(["attract", "--system", "bump", "--out", out]) == 3
+loaded = [m for m in sys.modules if m.startswith("scipy") or m == "ges.systems.nse"]
+assert not loaded, loaded[-3:]
+from ges.systems import NSESystem, ForcingProfile, get_basis, make_system
+assert isinstance(make_system("nse"), NSESystem)
+"""
+
+
+def test_closed_form_commands_load_neither_nse_nor_scipy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-c", _LAZY_NSE, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 # ---------------------------------------------------------------------------
