@@ -7,7 +7,10 @@ tier comparison, and the survival-filter shape of `ges omega --system heat
 1,986 grid slots that run packs onto, since heat values are real and pack
 into a float64 block),
 the truncated spectral basis for the advection term, at the
-default cutoff kmax=4 and at kmax=6, `pack_states` on 1,024 heat tier
+default cutoff kmax=4 and at kmax=6, one RK45 solve of the default NSE
+system over one model-time unit (kmax=4; 356 right-hand-side calls at
+--seed 0, so its time less 356 x nse_bilinear/k4 is the stepper's and
+the right-hand side's own cost), `pack_states` on 1,024 heat tier
 images (64 seeds at 16 times, so each seed's images share one index
 array), and the omega net and survival filter on the tier block of a
 128-seed heat ladder at the CLI's default schedule, eps_net and metric
@@ -28,7 +31,7 @@ from ges.evolution import _image_tier, _tier_block
 from ges.omega import PullbackSchedule, _net_and_survive, _tier_seeds
 from ges.space import pack_states
 from ges.systems.heat import HeatSystem
-from ges.systems.nse import SpectralBasis
+from ges.systems.nse import NSESystem, SpectralBasis
 
 
 def time_call(fn, repeat):
@@ -83,6 +86,11 @@ def make_cases(rng):
         cases.append((f"nse_bilinear/k{kmax}",
                       lambda b=basis, v=vals: kernels.nse_bilinear(
                           v, b.kvec, b.grid_index, b.grid_n)))
+
+    # one solve as `ges nse omega` makes them: the default system, one seed
+    nse = NSESystem()
+    v0 = nse.dense_values(nse.sample_states(1, rng)[0])
+    cases.append(("rk45/nse", lambda: nse._integrate(0.0, v0, 1.0, [1.0])))
     return cases
 
 

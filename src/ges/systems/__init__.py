@@ -1,10 +1,10 @@
 """Model systems: each exposes a TrajectoryFamily over a dual-metric space.
 
-The NSE module (and with it scipy.fft and scipy.integrate) loads only when
-something asks for it: make_system("nse") imports NSESystem on demand, and
-the re-exported NSE names below resolve through the module __getattr__
-(PEP 562), so `from ges.systems import NSESystem` still works.  A command
-on the closed-form systems imports numpy only.
+The NSE module (and with it scipy.fft, the only scipy module the package
+uses) loads only when something asks for it: make_system("nse") imports
+NSESystem on demand, and the re-exported NSE names below resolve through
+the module __getattr__ (PEP 562), so `from ges.systems import NSESystem`
+still works.  A command on the closed-form systems imports numpy only.
 """
 
 from __future__ import annotations

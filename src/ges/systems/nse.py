@@ -33,11 +33,18 @@ dimensionally consistent {|u|^2 <= R}.  The space's hard ball cap sits
 at 2R (at least 1 for vanishing forcing) so absorbing-entry sweeps from
 |u(s)| <= 2R stay admissible.
 
-This is the only module that imports scipy at its top, and ges.systems
-imports it only when an NSE system or name is asked for.  Keep
-scipy.fft and solve_ivp at module top: building an NSE system then loads
-them during set-up, not inside the first solve, and e2ebench/tracer.py
-rebinds the module-level name ges.systems.nse.solve_ivp.
+Solutions are integrated by this module's solve_ivp, the Dormand-Prince
+5(4) pair with step control and quartic dense output (Dormand & Prince
+1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).  It follows
+scipy.integrate.solve_ivp(method="RK45") operation for operation, so it
+gives the same bits and the same nfev, and it keeps that function's name
+and call shape: e2ebench/tracer.py rebinds ges.systems.nse.solve_ivp by
+name and reads sol.nfev, t_span and the t_eval keyword.
+
+This is the only module that imports scipy at its top, and only scipy.fft;
+ges.systems imports it only when an NSE system or name is asked for.
+Keep scipy.fft at module top: building an NSE system then loads it during
+set-up, not inside the first solve.
 """
 
 from __future__ import annotations
@@ -46,11 +53,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.integrate import solve_ivp
 
 from .. import kernels
 from ..errors import BlowUpError, ForcingFormatError, UsageError
@@ -336,6 +343,129 @@ def absorbing_entry_time(radius: float, nu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the ODE solver
+
+# Dormand-Prince 5(4): nodes, stages, 5th-order weights, error weights
+# (5th minus 4th order, last entry on the FSAL stage) and the quartic
+# dense-output coefficients of Shampine's optimal c6 (Math. Comp. 1986)
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
+    """Integrate y' = fun(t, y) forward over t_span with adaptive
+    Dormand-Prince 5(4) steps; sample the dense output at the increasing
+    times t_eval, which lie in t_span.
+
+    Returns an object with y (columns are the samples; writable), nfev,
+    success and message.  A step that would have to shrink below ten ulps
+    of t, as a non-finite right-hand side forces it to, ends the solve
+    with success False."""
+    t, t_bound = map(float, t_span)
+    if not t < t_bound:
+        raise ValueError("solve_ivp integrates forward over a nonempty span")
+    t_eval = np.asarray(t_eval)
+    y = np.asarray(y0)
+    f = fun(t, y)
+
+    # the initial step (Hairer, Norsett & Wanner II.4), clipped to the span
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_bound - t)
+    nfev = 2
+
+    K = np.empty((7, y.size), dtype=y.dtype)
+    samples = []
+    done = 0  # t_eval[:done] are sampled
+    success, message = True, ("The solver successfully reached the end of the "
+                              "integration interval.")
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                success = False
+                message = "Required step size is less than spacing between numbers."
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = fun(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            # max(MIN_FACTOR, nan) is MIN_FACTOR: a NaN error shrinks the step
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+            rejected = True
+        if not success:
+            break
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+
+        end = np.searchsorted(t_eval, t, side="right")
+        if end > done:
+            h = t - t_old
+            x = (t_eval[done:end] - t_old) / h
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            out = h * np.dot(K.T.dot(_P), p)
+            out += y_old[:, None]
+            samples.append(out)
+            done = end
+    y_out = np.hstack(samples) if samples else np.empty((y.size, 0), y.dtype)
+    return SimpleNamespace(y=y_out, nfev=nfev, success=success, message=message)
+
+
+# ---------------------------------------------------------------------------
 # the system
 
 
@@ -433,8 +563,8 @@ class NSESystem(TrajectoryFamily):
         def fun(t, y):
             return self.rhs_dense(t, y.reshape(m, 3)).ravel()
 
-        sol = solve_ivp(fun, (s, t_end), v0.ravel(), method="RK45",
-                        rtol=1e-8, atol=1e-11, t_eval=t_eval)
+        sol = solve_ivp(fun, (s, t_end), v0.ravel(), rtol=1e-8, atol=1e-11,
+                        t_eval=t_eval)
         if not sol.success:
             raise BlowUpError(f"integration failed: {sol.message}")
         if not np.all(np.isfinite(sol.y)):

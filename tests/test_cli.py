@@ -319,6 +319,27 @@ class TestNseCommand:
         assert err.startswith("blow-up: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_failed_solve_is_a_blow_up(self, tmp_path, capsys, monkeypatch):
+        """A right-hand side that turns NaN shrinks the step below ten ulps
+        of t; the solve reports failure after 218 calls, not a hang."""
+        real = ges.kernels.nse_bilinear
+        calls = []
+
+        def nan_after_100(*args):
+            calls.append(1)
+            out = real(*args)
+            return out * math.nan if len(calls) > 100 else out
+
+        monkeypatch.setattr(ges.kernels, "nse_bilinear", nan_after_100)
+        code, out = run(tmp_path, "nse", "omega", "--n", "3", "--n-seeds", "1",
+                        "--delta", "2")
+        assert code == 70
+        assert len(calls) == 218
+        err = capsys.readouterr().err
+        assert err.startswith("blow-up: integration failed: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestUniformCommand:
     def test_default_phase_family_union_equals_uniform(self, tmp_path):
@@ -625,6 +646,27 @@ def test_closed_form_commands_load_neither_nse_nor_scipy(tmp_path):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     res = subprocess.run([sys.executable, "-c", _LAZY_NSE, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+_NSE_WITHOUT_INTEGRATE = """
+import sys
+import ges.cli
+from ges.systems import make_system
+make_system("nse")
+assert ges.cli.main(["nse", "omega", "--n", "3", "--n-seeds", "1", "--delta", "2",
+                     "--out", sys.argv[1]]) == 0
+assert "scipy.fft" in sys.modules
+assert "scipy.integrate" not in sys.modules
+"""
+
+
+def test_nse_commands_solve_without_scipy_integrate(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-c", _NSE_WITHOUT_INTEGRATE,
+                          str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import ges
 import ges.systems.nse as nse_module
@@ -531,6 +532,12 @@ def _counting_solves(monkeypatch):
     return calls
 
 
+def _sin_forced_nse():
+    modes = [ForcingMode(k=k, amp=complex(0.5), kind="sin", omega=2.0)
+             for k in ((1, 0, 0), (-1, 0, 0))]
+    return NSESystem(forcing=ForcingProfile(modes))
+
+
 class TestNSEBlock:
     def test_static_force_makes_one_solve_for_every_depth(self, nse, monkeypatch):
         assert nse.autonomous
@@ -547,9 +554,7 @@ class TestNSEBlock:
                 1e-7 * nse.space.strong_norm(want)
 
     def test_time_dependent_force_solves_once_per_start(self, monkeypatch):
-        modes = [ForcingMode(k=k, amp=complex(0.5), kind="sin", omega=2.0)
-                 for k in ((1, 0, 0), (-1, 0, 0))]
-        fam = NSESystem(forcing=ForcingProfile(modes))
+        fam = _sin_forced_nse()
         assert not fam.autonomous
         x = fam.sample_states(1, np.random.default_rng(13))[0]
         starts, ts = [-0.5, -0.5, -0.8], [0.0, 0.2, 0.0]
@@ -566,6 +571,38 @@ class TestNSEBlock:
         x = nse.sample_states(1, np.random.default_rng(14))[0]
         with pytest.raises(UsageError, match="precede"):
             nse.evolve_block(x, [-1.0, 0.0], [0.0, -0.5])
+
+
+class TestNSESolver:
+    """The in-package Dormand-Prince stepper reproduces scipy's RK45."""
+
+    @pytest.mark.parametrize("force", ["static", "sin"])
+    @pytest.mark.parametrize("t_span, t_eval", [
+        ((0.0, 1.5), [0.25, 0.9, 1.5]),      # interior samples plus the end
+        ((-0.5, 0.5), np.linspace(-0.5, 0.5, 2001)),  # energy_sample's grid
+        ((0.0, 1e-9), [5e-10, 1e-9]),         # shorter than the first step guess
+    ], ids=["interior-and-end", "dense", "short-span"])
+    def test_bitwise_equal_to_scipy_rk45(self, nse, force, t_span, t_eval):
+        fam = nse if force == "static" else _sin_forced_nse()
+        m = fam.basis.m
+        y0 = fam.dense_values(fam.sample_states(1, np.random.default_rng(15))[0]).ravel()
+
+        def recording(times):
+            def fun(t, y):
+                times.append(t)
+                return fam.rhs_dense(t, y.reshape(m, 3)).ravel()
+            return fun
+
+        got_times, want_times = [], []
+        got = nse_module.solve_ivp(recording(got_times), t_span, y0, rtol=1e-8,
+                                   atol=1e-11, t_eval=t_eval)
+        want = scipy_solve_ivp(recording(want_times), t_span, y0, method="RK45",
+                               rtol=1e-8, atol=1e-11, t_eval=t_eval)
+        assert got.success and want.success
+        assert np.array_equal(got.y, want.y)
+        assert got.nfev == want.nfev == len(got_times)
+        # the same right-hand-side times: the initial-step probe stays in the span
+        assert got_times == want_times
 
 
 class TestAbsorbing:
