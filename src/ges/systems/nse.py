@@ -39,7 +39,10 @@ Solutions are integrated by this module's solve_ivp, the Dormand-Prince
 scipy.integrate.solve_ivp(method="RK45") operation for operation, so it
 gives the same bits and the same nfev, and it keeps that function's name
 and call shape: e2ebench/tracer.py rebinds ges.systems.nse.solve_ivp by
-name and reads sol.nfev, t_span and the t_eval keyword.
+name and reads sol.nfev, t_span and the t_eval keyword.  Each accepted
+step writes its dense-output columns into one array allocated up front,
+so a dense solve (energy_sample's 8,001 samples) peaks at about its
+output's size.
 
 This is the only module that imports scipy at its top, and only scipy.fft;
 ges.systems imports it only when an NSE system or name is asked for.
@@ -191,12 +194,6 @@ class ForcingProfile:
             ksq = float(e.k[0] ** 2 + e.k[1] ** 2 + e.k[2] ** 2)
             total += np.abs(e.envelope(t)) ** 2 / ksq
         return total
-
-    def dense(self, t: float, basis: SpectralBasis) -> np.ndarray:
-        g = np.zeros((basis.m, 3), dtype=np.complex128)
-        for e in self.entries:
-            g[basis.row(e.k)] += complex(e.envelope(t)) * basis.transverse_unit(e.k)
-        return g
 
     def is_hermitian(self) -> bool:
         """Whether the listed modes pair off so the force field is real."""
@@ -408,7 +405,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
     nfev = 2
 
     K = np.empty((7, y.size), dtype=y.dtype)
-    samples = []
+    y_out = np.empty((y.size, t_eval.size), dtype=y.dtype)
     done = 0  # t_eval[:done] are sampled
     success, message = True, ("The solver successfully reached the end of the "
                               "integration interval.")
@@ -457,12 +454,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
             h = t - t_old
             x = (t_eval[done:end] - t_old) / h
             p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            out = h * np.dot(K.T.dot(_P), p)
-            out += y_old[:, None]
-            samples.append(out)
+            y_out[:, done:end] = h * np.dot(K.T.dot(_P), p)
+            y_out[:, done:end] += y_old[:, None]
             done = end
-    y_out = np.hstack(samples) if samples else np.empty((y.size, 0), y.dtype)
-    return SimpleNamespace(y=y_out, nfev=nfev, success=success, message=message)
+    return SimpleNamespace(y=y_out[:, :done], nfev=nfev, success=success,
+                           message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +484,10 @@ class NSESystem(TrajectoryFamily):
         self.nu = float(nu)
         self.forcing = forcing if forcing is not None else default_forcing()
         self.basis = get_basis(kmax)
-        for e in self.forcing.entries:
-            self.basis.row(e.k)  # forcing must live inside the cutoff
+        # each listed mode's row (which must lie inside the cutoff) and
+        # transverse direction, looked up once for every force evaluation
+        self._forced = [(e, self.basis.row(e.k), self.basis.transverse_unit(e.k))
+                        for e in self.forcing.entries]
         self._visc = -self.nu * self.basis.ksq[:, None]
         self.ball_convention = ball_convention
         with np.errstate(over="ignore"):  # an overflow is refused just below
@@ -503,8 +501,9 @@ class NSESystem(TrajectoryFamily):
         ball = max(2.0 * self.absorbing_set_radius(), 1.0)
         super().__init__(make_nse_space(ball, kmax))
         self.autonomous = self.forcing.is_static()
-        self._g_static = (self.forcing.dense(0.0, self.basis)
-                          if self.forcing.is_static() else None)
+        self._g_static = None  # g_dense evaluates the force until this is set
+        if self.autonomous:
+            self._g_static = self.g_dense(0.0)
 
     # -- conventions ------------------------------------------------------------
 
@@ -539,7 +538,10 @@ class NSESystem(TrajectoryFamily):
     def g_dense(self, t: float) -> np.ndarray:
         if self._g_static is not None:
             return self._g_static
-        return self.forcing.dense(t, self.basis)
+        g = np.zeros((self.basis.m, 3), dtype=np.complex128)
+        for e, row, d in self._forced:
+            g[row] += complex(e.envelope(t)) * d
+        return g
 
     def rhs_dense(self, t: float, v: np.ndarray) -> np.ndarray:
         adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
@@ -601,29 +603,21 @@ class NSESystem(TrajectoryFamily):
 
     # -- energy functionals ----------------------------------------------------------
 
-    def energy_norms(self, v: np.ndarray, t: float) -> tuple[float, float, float]:
-        """(|u|^2, ||u||^2, <g, u>) of a dense field at time t."""
-        esq = float((np.abs(v) ** 2).sum())
-        vsq = float((self.basis.ksq[:, None] * np.abs(v) ** 2).sum())
-        pair = float(np.real(np.conj(self.g_dense(t)) * v).sum())
-        return esq, vsq, pair
-
     def energy_sample(self, s: float, x: CoeffState, t_hi: float,
                       n: int = 2001) -> TrajectorySample:
-        """Integrate once and sample the three energy functionals densely."""
+        """Integrate once and sample the three energy functionals densely:
+        |u|^2, ||u||^2 and <g, u>, each reduced over all samples at once."""
         grid = np.linspace(s, t_hi, n)
-        m = self.basis.m
         y = self._integrate(s, self.dense_values(x), t_hi, grid)
-        norms = np.empty(n)
-        vsq = np.empty(n)
-        pair = np.empty(n)
-        for i, t in enumerate(grid):
-            v = y[:, i].reshape(m, 3)
-            esq, vs, pr = self.energy_norms(v, t)
-            norms[i] = math.sqrt(esq)
-            vsq[i] = vs
-            pair[i] = pr
-        return TrajectorySample(grid, norms, vnorm_sq=vsq, force_pair=pair)
+        re, im = y.real, y.imag  # views: nothing of y's size is allocated
+        esq = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+        ksq = np.repeat(self.basis.ksq, 3)  # y's rows are (mode, component)
+        vsq = (np.einsum("i,ij,ij->j", ksq, re, re)
+               + np.einsum("i,ij,ij->j", ksq, im, im))
+        pair = np.zeros(n)
+        for e, row, d in self._forced:  # g vanishes off the listed modes
+            pair += np.real(np.conj(e.envelope(grid)) * (d @ y[3 * row:3 * row + 3]))
+        return TrajectorySample(grid, np.sqrt(esq), vnorm_sq=vsq, force_pair=pair)
 
     # -- sampling -----------------------------------------------------------------
 

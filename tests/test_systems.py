@@ -11,6 +11,7 @@ Frozen oracle values:
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,6 +604,84 @@ class TestNSESolver:
         assert got.nfev == want.nfev == len(got_times)
         # the same right-hand-side times: the initial-step probe stays in the span
         assert got_times == want_times
+
+
+
+def _energy_loop(fam, grid, y):
+    """The per-sample reference for energy_sample: (|u|, ||u||^2, <g, u>)."""
+    m = fam.basis.m
+    norms, vsq, pair = [], [], []
+    for i, t in enumerate(grid):
+        v = y[:, i].reshape(m, 3)
+        norms.append(math.sqrt(float((np.abs(v) ** 2).sum())))
+        vsq.append(float((fam.basis.ksq[:, None] * np.abs(v) ** 2).sum()))
+        pair.append(float(np.real(np.conj(fam.g_dense(t)) * v).sum()))
+    return np.array(norms), np.array(vsq), np.array(pair)
+
+
+def _force_rebuilt(fam, t):
+    """The dense force at t, rebuilt mode by mode from the basis."""
+    basis = fam.basis
+    g = np.zeros((basis.m, 3), dtype=np.complex128)
+    for e in fam.forcing.entries:
+        g[basis.row(e.k)] += complex(e.envelope(t)) * basis.transverse_unit(e.k)
+    return g
+
+
+class TestNSEDenseSolve:
+    """A dense solve stores its samples once; the energy functionals and
+    the force come from arrays built once."""
+
+    def test_peak_memory_is_about_the_output(self, nse):
+        x = nse.sample_states(1, np.random.default_rng(16))[0]
+        v0 = nse.dense_values(x)
+        n = 8001  # verify's energy trajectory
+        grid = np.linspace(0.0, 1.0, n)
+        out_bytes = v0.size * n * v0.itemsize
+        for solve in (lambda: nse._integrate(0.0, v0, 1.0, grid),
+                      lambda: nse.energy_sample(0.0, x, 1.0, n=n)):
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * out_bytes
+
+    @pytest.mark.parametrize("force", ["static", "sin"])
+    def test_energy_sample_matches_the_per_sample_loop(self, nse, force):
+        fam = nse if force == "static" else _sin_forced_nse()
+        x = fam.sample_states(1, np.random.default_rng(17))[0]
+        grid = np.linspace(-0.5, 0.5, 401)
+        traj = fam.energy_sample(-0.5, x, 0.5, n=grid.size)
+        y = fam._integrate(-0.5, fam.dense_values(x), 0.5, grid)
+        norms, vsq, pair = _energy_loop(fam, grid, y)
+        assert np.array_equal(traj.times, grid)
+        np.testing.assert_allclose(traj.norms, norms, rtol=1e-13)
+        np.testing.assert_allclose(traj.vnorm_sq, vsq, rtol=1e-13)
+        np.testing.assert_allclose(traj.force_pair, pair, rtol=1e-13)
+
+    @pytest.mark.parametrize("force", ["static", "sin"])
+    def test_force_equals_a_mode_by_mode_rebuild_bit_for_bit(self, nse, force):
+        fam = nse if force == "static" else _sin_forced_nse()
+        for t in (0.0, 0.3, -1.7, 2.25):
+            assert np.array_equal(fam.g_dense(t).view(np.int64),
+                                  _force_rebuilt(fam, t).view(np.int64))
+
+    def test_time_dependent_solve_looks_up_no_mode(self, monkeypatch):
+        fam = _sin_forced_nse()
+        v0 = fam.dense_values(fam.sample_states(1, np.random.default_rng(18))[0])
+        lookups = []
+        for name in ("row", "transverse_unit"):
+            real = getattr(nse_module.SpectralBasis, name)
+
+            def counting(self, k, real=real, name=name):
+                lookups.append(name)
+                return real(self, k)
+
+            monkeypatch.setattr(nse_module.SpectralBasis, name, counting)
+        fam._integrate(0.0, v0, 0.5, [0.25, 0.5])
+        assert lookups == []
 
 
 class TestAbsorbing:
