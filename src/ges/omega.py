@@ -64,6 +64,10 @@ from .space import (CoeffState, NetPivots, PackedSet, net_rows, pack_states,
                     state_to_json)
 from .util import artifact_json, csv_text, fmt_float
 
+# the longest start-time or horizon ladder a schedule may ask for; refused
+# before its list is built, as rho near 1 keeps rho**n finite at any n
+MAX_TIERS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # schedules
@@ -101,15 +105,17 @@ class PullbackSchedule:
 
 
 def _geometric_steps(delta: float, rho: float, n: int) -> list[float]:
-    """delta * rho**i for i = 1..n, or a UsageError when one overflows."""
-    overflow = UsageError(f"delta * rho**i overflows for i <= {n}")
+    """delta * rho**i for i = 1..n, growing with i as rho > 1; a UsageError
+    when the last one overflows or n exceeds MAX_TIERS."""
     try:
-        steps = [delta * rho ** i for i in range(1, n + 1)]
+        last = delta * rho ** n
     except OverflowError:
-        raise overflow from None
-    if not all(math.isfinite(d) for d in steps):
-        raise overflow
-    return steps
+        last = math.inf
+    if not math.isfinite(last):
+        raise UsageError(f"delta * rho**i overflows for i <= {n}")
+    if n > MAX_TIERS:
+        raise UsageError(f"a schedule has at most {MAX_TIERS} tiers, not {n}")
+    return [delta * rho ** i for i in range(1, n + 1)]
 
 
 def _tier_seeds(fam: TrajectoryFamily, seeds, labels, n_seeds: int,

@@ -21,7 +21,10 @@ roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
 listed modes are driven, so a real (Hermitian) force must list both k
-and -k explicitly.  All forcing norms run over the listed modes only.
+and -k explicitly.  Under such a force the advection term is symmetrised
+at every right-hand side, so a real field stays exactly real; any other
+force integrates the complexified system.  All forcing norms run over the
+listed modes only.
 The sliding-window bound sup_t int_t^{t+1} ||g||_{V'}^2 defines the
 absorbing radius
 
@@ -431,7 +434,9 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
             K[-1] = f_new
             nfev += 6
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            # a non-finite stage makes the norm NaN, which rejects the step
+            with np.errstate(invalid="ignore"):
+                error_norm = _rms(np.dot(K.T, _E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -501,6 +506,9 @@ class NSESystem(TrajectoryFamily):
         ball = max(2.0 * self.absorbing_set_radius(), 1.0)
         super().__init__(make_nse_space(ball, kmax))
         self.autonomous = self.forcing.is_static()
+        # a real force keeps real fields exactly real; any other force
+        # leaves the complexified system as it is
+        self._hermitian = self.forcing.is_hermitian()
         self._g_static = None  # g_dense evaluates the force until this is set
         if self.autonomous:
             self._g_static = self.g_dense(0.0)
@@ -530,7 +538,10 @@ class NSESystem(TrajectoryFamily):
     def project(self, v: np.ndarray) -> np.ndarray:
         """Leray projection plus Hermitian symmetrisation of a dense field."""
         kd = (v * self.basis.kvec).sum(axis=1) / self.basis.ksq
-        v = v - kd[:, None] * self.basis.kvec
+        return self._hermitian_part(v - kd[:, None] * self.basis.kvec)
+
+    def _hermitian_part(self, v: np.ndarray) -> np.ndarray:
+        """(v + conj(v[-k])) / 2, Hermitian bit for bit."""
         return 0.5 * (v + np.conj(v[self.basis.mirror]))
 
     # -- dynamics -----------------------------------------------------------------
@@ -546,6 +557,10 @@ class NSESystem(TrajectoryFamily):
     def rhs_dense(self, t: float, v: np.ndarray) -> np.ndarray:
         adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
                                    self.basis.grid_n)
+        if self._hermitian:
+            # the complex transforms leave adv Hermitian only to roundoff,
+            # and the complexified flow amplifies that at low viscosity
+            adv = self._hermitian_part(adv)
         return self._visc * v + adv + self.g_dense(t)
 
     def bilinear(self, x: CoeffState) -> CoeffState:

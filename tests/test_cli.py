@@ -319,26 +319,37 @@ class TestNseCommand:
         assert err.startswith("blow-up: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_failed_solve_is_a_blow_up(self, tmp_path, capsys, monkeypatch):
+    def test_failed_solve_is_a_blow_up(self, tmp_path):
         """A right-hand side that turns NaN shrinks the step below ten ulps
-        of t; the solve reports failure after 218 calls, not a hang."""
-        real = ges.kernels.nse_bilinear
-        calls = []
-
-        def nan_after_100(*args):
-            calls.append(1)
-            out = real(*args)
-            return out * math.nan if len(calls) > 100 else out
-
-        monkeypatch.setattr(ges.kernels, "nse_bilinear", nan_after_100)
-        code, out = run(tmp_path, "nse", "omega", "--n", "3", "--n-seeds", "1",
-                        "--delta", "2")
-        assert code == 70
-        assert len(calls) == 218
-        err = capsys.readouterr().err
-        assert err.startswith("blow-up: integration failed: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        of t; the solve reports failure after 218 calls, not a hang.  A
+        fresh process shows the whole stderr: one line, no warning."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = tmp_path / "out"
+        res = subprocess.run([sys.executable, "-c", _NAN_AFTER_100, str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.stdout == "70 218\n"
+        assert res.stderr.startswith("blow-up: integration failed: ")
+        assert res.stderr.count("\n") == 1
         assert not out.exists()
+
+
+_NAN_AFTER_100 = """
+import math
+import sys
+import ges.cli
+import ges.kernels
+real = ges.kernels.nse_bilinear
+calls = []
+def nan_after_100(*args):
+    calls.append(1)
+    out = real(*args)
+    return out * math.nan if len(calls) > 100 else out
+ges.kernels.nse_bilinear = nan_after_100
+code = ges.cli.main(["nse", "omega", "--n", "3", "--n-seeds", "1", "--delta", "2",
+                     "--out", sys.argv[1]])
+print(code, len(calls))
+"""
 
 
 class TestUniformCommand:
@@ -421,6 +432,7 @@ class TestUsageErrors:
         ("--n", "2000"),                   # rho**i overflows
         ("--rho", "1e200"),
         ("--delta", "1e308", "--rho", "10"),  # delta * rho**i overflows
+        ("--n", "100000000", "--rho", "1.0000001"),  # past MAX_TIERS
     ])
     def test_bad_numeric_parameters(self, tmp_path, capsys, flags):
         code, out = run(tmp_path, "omega", "--system", "single", *flags)

@@ -19,6 +19,7 @@ import ges.omega
 from ges.errors import BlowUpError, UnsupportedError, UsageError
 from ges.evolution import TrajectoryFamily, pullback_image
 from ges.omega import (
+    MAX_TIERS,
     AttractionReport,
     OmegaApprox,
     PullbackSchedule,
@@ -74,6 +75,8 @@ class TestSchedule:
             PullbackSchedule(0.0, (-1.0, -2.0, -math.inf))
         with pytest.raises(UsageError, match="overflows"):
             PullbackSchedule.geometric(0.0, n=2000)
+        with pytest.raises(UsageError, match=f"at most {MAX_TIERS} tiers"):
+            PullbackSchedule.geometric(0.0, rho=1.0001, n=MAX_TIERS + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -510,9 +510,18 @@ class TestNSEFlow:
         assert nse.incompressibility_defect(out) <= 1e-8
 
     def test_reality_condition_preserved(self, nse):
-        x = nse.sample_states(1, np.random.default_rng(10))[0]
-        v = nse.dense_values(nse.evolve(0.0, x, [0.5])[0])
-        assert np.abs(v[nse.basis.mirror] - np.conj(v)).max() <= 1e-9
+        # exactly: the symmetrised advection term keeps every RK stage Hermitian
+        x = nse.sample_states(1, np.random.default_rng(0))[0]
+        v = nse.dense_values(nse.evolve(0.0, x, [2.0])[0])
+        assert np.array_equal(v[nse.basis.mirror], np.conj(v))
+
+    def test_non_hermitian_force_keeps_the_complexified_system(self):
+        fam = NSESystem(forcing=ForcingProfile([ForcingMode(k=(1, 0, 0), amp=1.0)]))
+        basis = fam.basis
+        v = fam.dense_values(fam.sample_states(1, np.random.default_rng(19))[0])
+        adv = kernels.nse_bilinear(v, basis.kvec, basis.grid_index, basis.grid_n)
+        want = -fam.nu * basis.ksq[:, None] * v + adv + fam.g_dense(0.0)
+        assert np.array_equal(fam.rhs_dense(0.0, v), want)
 
     def test_backward_time_rejected(self, nse):
         x = nse.sample_states(1, np.random.default_rng(11))[0]
