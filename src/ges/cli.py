@@ -402,28 +402,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with ExperimentConfig fields")
-    p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, help="convergence tolerance")
-    p.add_argument("--threads", type=int, help="worker count (default 1)")
+# every flag that sets an ExperimentConfig field; each subcommand declares
+# only those its command reads, so any other one is a usage error
+_FLAGS = {
+    "config": dict(help="JSON file with ExperimentConfig fields"),
+    "out": dict(help="output directory (default: current)"),
+    "seed": dict(type=int, help="RNG seed (default 0)"),
+    "threads": dict(type=int, help="worker count (default 1)"),
+    "system": dict(choices=SYSTEM_IDS, help="model system id"),
+    "tol": dict(type=float, help="convergence tolerance"),
+    "metric": dict(choices=("strong", "weak")),
+    "t0": dict(type=float, help="evaluation time"),
+    "delta": dict(type=float, help="schedule base spacing"),
+    "rho": dict(type=float, help="schedule geometric ratio"),
+    "n": dict(type=int, help="schedule tier count"),
+    "eps-net": dict(type=float, help="net resolution"),
+    "n-seeds": dict(type=int, help="ensemble seed count"),
+    "branches": dict(choices=("all", "first")),
+}
+_COMMON = ("config", "out", "seed", "threads")
+_LADDER = ("tol", "metric", "t0", "delta", "rho", "n", "eps-net", "n-seeds")
 
 
-def _add_experiment(p: argparse.ArgumentParser, with_system=True) -> None:
-    _add_common(p)
-    if with_system:
-        p.add_argument("--system", choices=SYSTEM_IDS, help="model system id")
-    p.add_argument("--metric", choices=("strong", "weak"))
-    p.add_argument("--t0", type=float, help="evaluation time")
-    p.add_argument("--delta", type=float, help="schedule base spacing")
-    p.add_argument("--rho", type=float, help="schedule geometric ratio")
-    p.add_argument("--n", type=int, help="schedule tier count")
-    p.add_argument("--eps-net", dest="eps_net", type=float,
-                   help="net resolution")
-    p.add_argument("--n-seeds", dest="n_seeds", type=int,
-                   help="ensemble seed count")
-    p.add_argument("--branches", choices=("all", "first"))
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        p.add_argument("--" + name, **_FLAGS[name])
 
 
 def build_parser() -> _Parser:
@@ -434,11 +437,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("omega", help="pullback omega approximation",
                        description="Approximate the pullback omega-limit of "
                                    "a seed ensemble and write JSON + CSV.")
-    _add_experiment(p)
+    _add_flags(p, _COMMON + ("system",) + _LADDER + ("branches",))
     p.set_defaults(fn=cmd_omega)
 
     p = sub.add_parser("attract", help="attraction diagnostic")
-    _add_experiment(p)
+    _add_flags(p, _COMMON + ("system",) + _LADDER + ("branches",))
     p.add_argument("--target", choices=("zero", "omega"), default="zero")
     p.add_argument("--witness", action="store_true",
                    help="use depth-dependent band witnesses (heat only)")
@@ -448,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--system", choices=SYSTEM_IDS,
                    help="restrict the suite to one system")
-    _add_common(p)
+    _add_flags(p, _COMMON)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("nse", help="spectral-flow analysis actions")
@@ -458,18 +461,18 @@ def build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, default=4, help="Galerkin cutoff")
     p.add_argument("--ball-convention", choices=("radius", "norm-squared"),
                    default="radius", dest="ball_convention")
-    _add_experiment(p, with_system=False)
+    _add_flags(p, _COMMON + _LADDER + ("branches",))
     p.set_defaults(fn=cmd_nse, system="nse")
 
     p = sub.add_parser("uniform", help="symbol-family uniform omega runs")
-    _add_experiment(p)
+    _add_flags(p, _COMMON + ("system",) + _LADDER)
     p.add_argument("--family", help="symbol family config JSON file")
     p.add_argument("--count", type=int, default=32,
                    help="phase sample count when --family is not given")
     p.set_defaults(fn=cmd_uniform)
 
     p = sub.add_parser("invariance", help="invariance of the canonical family")
-    _add_experiment(p)
+    _add_flags(p, _COMMON + ("system", "tol"))
     p.add_argument("--kind", choices=("semi", "quasi", "full"))
     p.set_defaults(fn=cmd_invariance)
     return top

@@ -219,8 +219,7 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int | None,
 
 
 def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
-                   t: float, s: float, branches: str = "all",
-                   workers: int | None = None) -> PullbackEnsemble:
+                   t: float, s: float, branches: str = "all") -> PullbackEnsemble:
     """Evolve every seed from s to t through the requested branches.
 
     branches is "all" or "first".  Entries are ordered by (seed index,
@@ -232,8 +231,7 @@ def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     if s > t:
         raise UsageError(f"pullback start s={s} must not exceed t={t}")
     jobs = _trajectories(fam, seeds, s, branches)
-    states = parallel_map(lambda job: fam.evolve(s, job[2], [t], branch=job[1])[0],
-                          jobs, workers=workers)
+    states = [fam.evolve(s, x, [t], branch=b)[0] for _, b, x in jobs]
     cap = fam.space.ball_radius
     if cap is not None:
         for (i, b, _), st in zip(jobs, states):

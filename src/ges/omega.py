@@ -441,29 +441,28 @@ class MinimalityReport:
 
 
 def minimality_check(fam: TrajectoryFamily, candidate: Sequence[CoeffState],
-                     omega: OmegaApprox, metric: str | None = None,
-                     tol: float | None = None) -> MinimalityReport:
-    """Check a candidate attractor against the computed omega points.
+                     omega: OmegaApprox) -> MinimalityReport:
+    """Check a candidate attractor against the computed omega points, in
+    the omega's own metric.
 
-    Containment: every omega point lies within tol of the candidate (the
-    omega set is the minimal attracting family, so anything attracting
-    must contain it).  Excess: candidate points farther than 2 eps_net
-    from the omega points are flagged as non-minimal surplus.
+    Containment: every omega point lies within omega.tol + omega.eps_net
+    of the candidate (the omega set is the minimal attracting family, so
+    anything attracting must contain it).  Excess: candidate points
+    farther than 2 eps_net from the omega points are flagged as
+    non-minimal surplus.
     """
     candidate = list(candidate)
     if not candidate:
         raise UsageError("empty candidate set")
     if not omega.points:
         raise UsageError("minimality against an empty omega approximation")
-    metric = metric if metric is not None else omega.metric
-    cap = tol if tol is not None else omega.tol + omega.eps_net
     packed = pack_states(fam.space, candidate + omega.points)
     cand_rows = np.arange(len(candidate))
     point_rows = np.arange(len(candidate), packed.n_states)
-    gap = packed.semidist(point_rows, cand_rows, metric)
-    per_point = packed.cross(cand_rows, point_rows, metric).min(axis=1)
+    gap = packed.semidist(point_rows, cand_rows, omega.metric)
+    per_point = packed.cross(cand_rows, point_rows, omega.metric).min(axis=1)
     excess = [int(i) for i in np.nonzero(per_point > 2.0 * omega.eps_net)[0]]
-    contained = gap <= cap
+    contained = gap <= omega.tol + omega.eps_net
     if contained and not excess:
         verdict = "minimal"
     elif not contained:
@@ -546,9 +545,7 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
     t, starts = schedule.t, schedule.starts
     n = len(starts)
     cluster_min = max(3, math.ceil(n * (1.0 / 3.0)))
-    rng = rng if rng is not None else np.random.default_rng(0)
-    labels = fam.seed_labels(sample_size, rng)
-    tier_seeds = [[fam.seed_for(lab, s, t) for lab in labels] for s in starts]
+    tier_seeds = _tier_seeds(fam, None, None, sample_size, rng, t, starts)
     adv = list((fam.adversarial_sequence(t, starts) if include_adversarial
                 else None) or [])
     for tier_seed, x in zip(tier_seeds, adv):
@@ -558,7 +555,7 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
     packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
     # branch "first": seed k of every tier is row k of that tier
     sequences = [("sampled", [rows[k] for rows in tier_rows])
-                 for k in range(len(labels))]
+                 for k in range(sample_size)]
     if adv:
         sequences.append(("adversarial", [rows[-1] for rows in tier_rows[:len(adv)]]))
 
@@ -606,7 +603,6 @@ def invariance_check(fam: TrajectoryFamily,
                      pull_depth: float = 40.0, budget: int = 24,
                      labels: Sequence | None = None,
                      rng: np.random.Generator | None = None,
-                     branches: str = "all",
                      workers: int | None = None) -> InvarianceReport:
     """Invariance of a family of sets B(t) over a sampled window.
 
@@ -640,13 +636,13 @@ def invariance_check(fam: TrajectoryFamily,
     # ensemble at each grid time.  The sets B(t_k) are the fixed rows.
     tiers = []
     if semi:
-        tiers += [_image_tier(fam, sets[k], times[k], times[k + 1], branches)
+        tiers += [_image_tier(fam, sets[k], times[k], times[k + 1])
                   for k in range(grid_n - 1)]
     if quasi:
         s_deep = lo - pull_depth
         seeds = _tier_seeds(fam, None, labels, budget, rng, times[-1],
                             [s_deep])[0]
-        tiers += [_image_tier(fam, seeds, s_deep, tau, branches) for tau in times]
+        tiers += [_image_tier(fam, seeds, s_deep, tau) for tau in times]
     packed, tier_rows, fixed_rows = _tier_block(
         fam.space, tiers, workers, [st for b_set in sets for st in b_set])
     set_rows = np.split(fixed_rows, np.cumsum([len(b_set) for b_set in sets])[:-1])

@@ -42,10 +42,8 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SymbolFamily:
-    """A finite sample of a symbol space with its shift action."""
+    """A finite sample of the phase wheel [0, 2 pi) with its shift action."""
 
-    kind: str                       # "phase"
-    period: float                   # shift period (0 means no wrapping)
     symbols: tuple[float, ...]
     factory: Callable[[float], TrajectoryFamily] = field(repr=False)
     base_id: str = ""
@@ -55,7 +53,7 @@ class SymbolFamily:
             raise UsageError("a symbol family needs at least one symbol")
 
     def wrap(self, sigma: float) -> float:
-        return sigma % self.period if self.period > 0 else sigma
+        return sigma % TWO_PI
 
     def shift(self, s: float, sigma: float) -> float:
         """The time shift acting on a symbol."""
@@ -71,8 +69,7 @@ class SymbolFamily:
         for s in self.symbols:
             target = self.shift(ds, s)
             gap = np.abs(have - target)
-            if self.period > 0:
-                gap = np.minimum(gap, self.period - gap)
+            gap = np.minimum(gap, TWO_PI - gap)
             if gap.min() > 1e-9:
                 return False
         return True
@@ -107,7 +104,7 @@ class SymbolFamily:
                 return BranchSystem()  # autonomous: symbols collapse
         else:
             raise UsageError(f"no phase family for base system {base_id!r}")
-        return cls("phase", TWO_PI, offsets, factory, base_id)
+        return cls(offsets, factory, base_id)
 
     @classmethod
     def from_config(cls, obj: dict) -> "SymbolFamily":
@@ -139,35 +136,32 @@ def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
 
 
 def uniform_omega(symfam: SymbolFamily, seeds: Sequence[CoeffState],
-                  t0: float = 0.0, delta: float = 1.0, rho: float = 1.6,
-                  n: int = 10, metric: str = "weak", eps_net: float = 0.05,
-                  tol: float = 1e-3, branches: str = "all",
+                  t0: float = 0.0, n: int = 10, metric: str = "weak",
+                  eps_net: float = 0.05, tol: float = 1e-3,
                   workers: int | None = None) -> OmegaApprox:
     """Forward omega-limit of the symbol-union operator.
 
-    Tier i is the union over sampled symbols of R_sigma(t0 + delta
-    rho**i, t0) A; the net, survival and convergence rules are shared
-    with the single-system approximations, with 'deeper' meaning the
-    farther horizon.
+    Tier i is the union over sampled symbols of R_sigma(t0 + 1.6**i, t0) A
+    through every branch; the net, survival and convergence rules are
+    shared with the single-system approximations, with 'deeper' meaning
+    the farther horizon.
     """
     systems = [symfam.system(s) for s in symfam.symbols]
     sys_id = f"{symfam.base_id or systems[0].system_id}-family"
-    return _forward_omega(systems, sys_id, t0, seeds, delta, rho, n, metric,
-                          eps_net, tol, branches, workers)
+    return _forward_omega(systems, sys_id, t0, seeds, 1.0, 1.6, n, metric,
+                          eps_net, tol, "all", workers)
 
 
 def per_symbol_pullback(symfam: SymbolFamily, sigma: float,
-                        seeds: Sequence[CoeffState] | None,
+                        seeds: Sequence[CoeffState],
                         schedule: PullbackSchedule, metric: str = "weak",
                         eps_net: float = 0.05, tol: float = 1e-3,
-                        branches: str = "all", labels: Sequence | None = None,
-                        rng: np.random.Generator | None = None,
                         workers: int | None = None) -> OmegaApprox:
-    """Pullback omega approximation for one symbol of the family."""
+    """Pullback omega approximation of a fixed seed set for one symbol of
+    the family."""
     return omega_pullback(symfam.system(sigma), schedule, seeds=seeds,
-                          labels=labels, metric=metric, eps_net=eps_net,
-                          tol=tol, rng=rng, branches=branches, workers=workers,
-                          note=f"symbol={sigma!r}")
+                          metric=metric, eps_net=eps_net, tol=tol,
+                          workers=workers, note=f"symbol={sigma!r}")
 
 
 @dataclass
@@ -192,7 +186,6 @@ def union_inclusion_check(symfam: SymbolFamily,
                           schedule: PullbackSchedule | None = None,
                           metric: str = "weak", eps_net: float = 0.05,
                           tol: float = 1e-3, n_forward: int = 10,
-                          branches: str = "all",
                           workers: int | None = None) -> UnionInclusionReport:
     """Union of per-symbol pullback omega sets at t0 versus the uniform set.
 
@@ -210,13 +203,12 @@ def union_inclusion_check(symfam: SymbolFamily,
         schedule = PullbackSchedule.geometric(t0, n=10)
     uni = uniform_omega(symfam, seeds, t0=t0, metric=metric, eps_net=eps_net,
                         tol=max(tol, 2.0 * eps_net), n=n_forward,
-                        branches=branches, workers=workers)
+                        workers=workers)
     union_points: list[CoeffState] = []
     all_conv = uni.converged
     for sigma in symfam.symbols:
         rep = per_symbol_pullback(symfam, sigma, seeds, schedule, metric=metric,
-                                  eps_net=eps_net, tol=tol, branches=branches,
-                                  workers=workers)
+                                  eps_net=eps_net, tol=tol, workers=workers)
         all_conv = all_conv and rep.converged
         union_points.extend(rep.points)
 
@@ -227,8 +219,7 @@ def union_inclusion_check(symfam: SymbolFamily,
         rev = set_semidist(space, uni.points, union_points, metric)
     else:
         fwd = rev = math.inf
-    closed = (symfam.period > 0
-              and symfam.closed_under(symfam.period / len(symfam.symbols)))
+    closed = symfam.closed_under(TWO_PI / len(symfam.symbols))
     equal = fwd <= thresh and rev <= thresh
     if not all_conv:
         verdict = "inconclusive"

@@ -60,6 +60,14 @@ def heat_evolve(space: DualMetricSpace, x: CoeffState, s: float, t: float) -> Co
     return x.with_values(heat_block(space, x, [s], [t])[0])
 
 
+def _unit_band(space: DualMetricSpace, slots: np.ndarray,
+               amps: np.ndarray) -> CoeffState:
+    """Unit-norm even profile carrying amps[i] at the grid slots +-slots[i]."""
+    idx = np.concatenate([-slots[::-1], slots])
+    vals = np.concatenate([amps[::-1], amps])
+    return space.state(idx, vals / space.strong_norm(space.state(idx, vals)))
+
+
 def band_witness(space: DualMetricSpace, t: float, s0: float,
                  disjoint: bool = False) -> tuple[int, CoeffState]:
     """Unit-norm seed at time s0 whose solution keeps norm >= 1/2 at t.
@@ -91,11 +99,7 @@ def band_witness(space: DualMetricSpace, t: float, s0: float,
         raise UsageError(
             f"band {j} is below the grid resolution h={h}; refine the grid")
     slots = np.arange(lo, hi + 1, dtype=np.int64)
-    idx = np.concatenate([-slots[::-1], slots])
-    vals = np.ones(idx.size)
-    st = space.state(idx, vals)
-    nrm = space.strong_norm(st)
-    return j, space.state(idx, vals / nrm)
+    return j, _unit_band(space, slots, np.ones(slots.size))
 
 
 def band_profile(space: DualMetricSpace, j: int, rng: np.random.Generator) -> CoeffState:
@@ -108,11 +112,7 @@ def band_profile(space: DualMetricSpace, j: int, rng: np.random.Generator) -> Co
     if lo > hi or lo < 1:
         raise UsageError(f"band {j} is outside the grid")
     slots = np.arange(lo, hi + 1, dtype=np.int64)
-    idx = np.concatenate([-slots[::-1], slots])
-    amps = rng.uniform(0.1, 1.0, size=slots.size)
-    vals = np.concatenate([amps[::-1], amps])
-    st = space.state(idx, vals)
-    return space.state(idx, vals / space.strong_norm(st))
+    return _unit_band(space, slots, rng.uniform(0.1, 1.0, size=slots.size))
 
 
 def high_band_seed(space: DualMetricSpace, rng: np.random.Generator,
@@ -122,11 +122,7 @@ def high_band_seed(space: DualMetricSpace, rng: np.random.Generator,
     solution weakly from the start."""
     h = space.grid_spacing
     slots = np.arange(math.ceil(xi_min / h), math.floor(xi_max / h) + 1, dtype=np.int64)
-    idx = np.concatenate([-slots[::-1], slots])
-    amps = rng.uniform(0.1, 1.0, size=slots.size)
-    vals = np.concatenate([amps[::-1], amps])
-    st = space.state(idx, vals)
-    return space.state(idx, vals / space.strong_norm(st))
+    return _unit_band(space, slots, rng.uniform(0.1, 1.0, size=slots.size))
 
 
 class HeatSystem(TrajectoryFamily):
@@ -180,8 +176,6 @@ class HeatSystem(TrajectoryFamily):
             if slot < 1:
                 raise UsageError("schedule too deep for the grid resolution")
             used.add(slot)
-            idx = np.array([-slot, slot], dtype=np.int64)
-            vals = np.ones(2)
-            st = self.space.state(idx, vals)
-            out.append(self.space.state(idx, vals / self.space.strong_norm(st)))
+            out.append(_unit_band(self.space, np.array([slot], dtype=np.int64),
+                                  np.ones(1)))
         return out

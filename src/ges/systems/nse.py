@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Sequence
@@ -199,14 +199,16 @@ class ForcingProfile:
         return total
 
     def is_hermitian(self) -> bool:
-        """Whether the listed modes pair off so the force field is real."""
+        """Whether the force field is real: each -k is listed with k's time
+        law, the conjugate amplitude and the conjugate samples.  A real
+        force written in another equivalent form reads False, and so keeps
+        the complexified system."""
         by_k = {e.k: e for e in self.entries}
-        probe = np.linspace(0.0, 3.0, 7)
         for e in self.entries:
-            m = by_k.get((-e.k[0], -e.k[1], -e.k[2]))
-            if m is None:
-                return False
-            if np.abs(m.envelope(probe) - np.conj(e.envelope(probe))).max() > 1e-12:
+            mirror = (-e.k[0], -e.k[1], -e.k[2])
+            want = replace(e, k=mirror, amp=e.amp.conjugate(),
+                           values=tuple(v.conjugate() for v in e.values))
+            if by_k.get(mirror) != want:
                 return False
         return True
 
@@ -216,28 +218,25 @@ class ForcingProfile:
     # -- window bounds -------------------------------------------------------
 
     def translational_bound(self) -> float:
-        """sup over t in WINDOW of int_t^{t+1} ||g||_{V'}^2, trapezoid."""
-        (lo, hi), dt = WINDOW, WINDOW_DT
-        if self.is_static():
-            return float(self.vprime_norm_sq(lo))
-        m = int(round(1.0 / dt))
-        grid = lo + dt * np.arange(int(math.ceil((hi - lo) / dt)) + m + 1)
-        f = self.vprime_norm_sq(grid)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))])
-        sums = cum[m:] - cum[:-m]
-        return float(sums.max())
+        """||g||_{L2b}^2: sup over t in WINDOW of int_t^{t+1} ||g||_{V'}^2."""
+        return self.window_integral_sup(1.0)
 
     def window_integral_sup(self, delta: float) -> float:
-        """sup over t in WINDOW of int_t^{t+delta} ||g||_{V'}^2."""
+        """sup over t in WINDOW of int_t^{t+delta} ||g||_{V'}^2.
+
+        Trapezoid rule on the grid lo + WINDOW_DT * i, with window starts
+        on that grid from lo to hi inclusive.  The far end is interpolated
+        in grid-index space, so a delta of whole steps lands on nodes."""
         (lo, hi), dt = WINDOW, WINDOW_DT
         if self.is_static():
             return float(self.vprime_norm_sq(lo)) * delta
-        grid = np.arange(lo, hi + 1.0 + dt, dt)
+        n_starts = int(math.ceil((hi - lo) / dt)) + 1
+        steps = delta / dt
+        grid = lo + dt * np.arange(n_starts + int(math.ceil(steps)))
         f = self.vprime_norm_sq(grid)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(grid) * (f[1:] + f[:-1]))])
-        starts = np.arange(lo, hi, dt)
-        vals = np.interp(starts + delta, grid, cum) - np.interp(starts, grid, cum)
-        return float(vals.max())
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))])
+        ends = np.interp(np.arange(n_starts) + steps, np.arange(grid.size), cum)
+        return float((ends - cum[:n_starts]).max())
 
     def normality_check(self, eps_list: Sequence[float]) -> list[tuple[float, float]]:
         """Largest delta <= 1 with sup_t int_t^{t+delta} <= eps, found by

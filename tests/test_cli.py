@@ -441,6 +441,25 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("invariance", "--system", "heat", "--metric", "strong"),
+        ("invariance", "--system", "heat", "--t0", "1"),
+        ("invariance", "--system", "heat", "--delta", "2"),
+        ("invariance", "--system", "heat", "--rho", "2"),
+        ("invariance", "--system", "heat", "--n", "4"),
+        ("invariance", "--system", "heat", "--eps-net", "0.1"),
+        ("invariance", "--system", "heat", "--n-seeds", "4"),
+        ("invariance", "--system", "heat", "--branches", "first"),
+        ("verify", "metrics", "--tol", "0.5"),
+        ("uniform", "--count", "4", "--branches", "first"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flags_a_command_does_not_read_are_refused(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_missing(self, tmp_path):
         code, _ = run(tmp_path, "omega", "--config",
                       str(tmp_path / "nope.json"))

@@ -46,7 +46,7 @@ def scalar_seeds(symfam, count=8):
 class TestFamilyStructure:
     def test_phase_wheel_layout(self, scalar_family):
         assert len(scalar_family.symbols) == 32
-        assert scalar_family.period == pytest.approx(TWO_PI)
+        assert scalar_family.wrap(-0.3) == pytest.approx(TWO_PI - 0.3)
         assert scalar_family.symbols[0] == 0.0
         assert scalar_family.wrap(TWO_PI + 0.3) == pytest.approx(0.3)
         assert scalar_family.shift(0.5, 0.2) == pytest.approx(0.7)

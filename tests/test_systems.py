@@ -22,6 +22,7 @@ import ges.systems.nse as nse_module
 from ges import kernels
 from ges.errors import ForcingFormatError, UsageError
 from ges.evolution import pullback_image
+from ges.symbols import TWO_PI, SymbolFamily
 from ges.systems import (
     BranchSystem,
     BumpSystem,
@@ -764,6 +765,37 @@ class TestForcing:
         bad = ForcingProfile([ForcingMode(k=(1, 2, 0), amp=a),
                               ForcingMode(k=(-1, -2, 0), amp=a)])
         assert not bad.is_hermitian()
+        wheel = SymbolFamily.phase_family("nse", 4).system(TWO_PI / 4)
+        assert wheel.forcing.is_hermitian()
+
+    @pytest.mark.parametrize("plus,minus", [
+        # the two laws agree on [0, 3] and part after it
+        (dict(kind="sampled", times=(0.0, 3.0, 6.0), values=(1.0, 1.0, 1.0)),
+         dict(kind="sampled", times=(0.0, 3.0, 6.0), values=(1.0, 1.0, 1 + 2j))),
+        # sin(t) and sin((1 + 4 pi) t) agree at every half-integer t
+        (dict(kind="sin", omega=1.0), dict(kind="sin", omega=1.0 + 4.0 * math.pi)),
+    ], ids=["sampled", "sin"])
+    def test_laws_that_differ_only_off_a_probe_are_not_hermitian(self, plus, minus):
+        prof = ForcingProfile([ForcingMode(k=(1, 0, 0), amp=1.0, **plus),
+                               ForcingMode(k=(-1, 0, 0), amp=1.0, **minus)])
+        assert not prof.is_hermitian()
+
+    @pytest.mark.parametrize("mode,sup", [
+        (ForcingMode(k=(2, 0, 0), amp=2.0), 1.0),
+        # int_t^{t+1} sin^2 peaks at 1/2 + |sin w| / (2 w)
+        (ForcingMode(k=(1, 0, 0), amp=1.0, kind="sin", omega=7.3, phase=0.4),
+         0.5 + abs(math.sin(7.3)) / 14.6),
+        # grows up to t = 5, so the window starting at t = 4 is the largest:
+        # a linear law from a to b over a length L integrates its square to
+        # L (a^2 + ab + b^2) / 3
+        (ForcingMode(k=(0, 1, 0), amp=1.0, kind="sampled",
+                     times=(0.0, 4.0, 4.5, 5.0), values=(0.0, 0.0, 3.0, 10.0)),
+         74.0 / 3.0),
+    ], ids=["static", "sin", "sampled"])
+    def test_translational_bound_is_the_unit_window_sup(self, mode, sup):
+        prof = ForcingProfile([mode])
+        assert prof.translational_bound() == prof.window_integral_sup(1.0)
+        assert prof.translational_bound() == pytest.approx(sup, rel=1e-5)
 
     def test_roundtrip_through_dict(self):
         prof = ForcingProfile([
