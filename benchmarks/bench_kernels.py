@@ -70,7 +70,7 @@ def make_cases(rng):
     sched = PullbackSchedule.geometric(0.0)
     ladder = [_image_tier(heat, seeds, s, sched.t) for s, seeds in zip(
         sched.starts, _tier_seeds(heat, None, None, 128, rng, sched.t, sched.starts))]
-    block, tier_rows, _ = _tier_block(heat.space, ladder, None)
+    block, tier_rows, _ = _tier_block(heat.space, ladder, 1)
 
     cases = [
         ("strong_cross", lambda: kernels.strong_cross(av, bv, qw)),

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -51,8 +50,7 @@ EXIT_BLOWUP = 70
 
 # accepted Python types per annotated config field type; a JSON integer
 # is a valid float
-_FIELD_KINDS = {"str": str, "float": (int, float), "int": int,
-                "int | None": (int, type(None))}
+_FIELD_KINDS = {"str": str, "float": (int, float), "int": int}
 
 
 @dataclass
@@ -71,7 +69,7 @@ class ExperimentConfig:
     branches: str = "all"
     seed: int = 0
     out: str = "."
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -95,12 +93,16 @@ class ExperimentConfig:
             raise UsageError("the seed must be non-negative")
         if self.n_seeds < 1:
             raise UsageError("need at least one ensemble seed")
-        if self.threads is not None and self.threads < 1:
+        if self.threads < 1:
             raise UsageError("threads must be at least 1")
 
     @classmethod
     def build(cls, args: argparse.Namespace) -> "ExperimentConfig":
-        """CLI flags override config-file values override defaults."""
+        """CLI flags override config-file values override defaults.
+
+        Only the fields the subcommand declares are read, so one file may
+        also hold keys for other commands; a key that is no field at all
+        is a usage error."""
         file_vals = {}
         if getattr(args, "config", None):
             try:
@@ -109,9 +111,15 @@ class ExperimentConfig:
                 raise UsageError(f"cannot read config file: {exc}") from exc
             if not isinstance(file_vals, dict):
                 raise UsageError("config file must hold a JSON object")
+        unknown = file_vals.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise UsageError("unknown config key "
+                             + ", ".join(map(repr, sorted(unknown))))
         kw = {}
         for f in fields(cls):
-            cli_val = getattr(args, f.name, None)
+            if not hasattr(args, f.name):
+                continue
+            cli_val = getattr(args, f.name)
             if cli_val is not None:
                 kw[f.name] = cli_val
             elif f.name in file_vals:
@@ -142,10 +150,6 @@ def _emit(out_dir: str, files: dict[str, str], lines: list[str]) -> None:
     for line in lines:
         print(line)
     print("wrote " + " and ".join(str(out / name) for name in files))
-
-
-def _finite_or_null(x: float) -> float | None:
-    return x if math.isfinite(x) else None  # strict JSON has no infinity
 
 
 def _omega_exit(om: OmegaApprox, expected_attractor: bool, tol: float) -> int:
@@ -269,7 +273,6 @@ def cmd_nse(args) -> int:
             "nu": fam.nu, "kmax": fam.basis.kmax,
             "retained_modes": int(fam.basis.m),
             "forcing": fam.forcing.to_dict(),
-            "hermitian_forcing": fam.forcing.is_hermitian(),
             "l2b_bound": fam.l2b_bound, "absorbing_radius": fam.radius,
             "ball_convention": fam.ball_convention,
             "absorbing_norm_radius": radius,
@@ -302,7 +305,7 @@ def cmd_nse(args) -> int:
         horizon = (absorbing_entry_time(radius, fam.nu) + 1.0
                    if radius > 0.5 else 3.0)
         grid = np.linspace(0.0, horizon, 41)
-        seeds = fam.sample_states(cfg.n_seeds if cfg.n_seeds <= 8 else 5, rng,
+        seeds = fam.sample_states(cfg.n_seeds, rng,
                                   radius=2.0 * radius if radius > 0 else None)
         bound_const = fam.l2b_bound / (fam.nu * (1.0 - np.exp(-fam.nu * LAMBDA_1)))
         rows = []
@@ -329,17 +332,10 @@ def cmd_nse(args) -> int:
 
 def cmd_uniform(args) -> int:
     cfg = ExperimentConfig.build(args)
-    if args.family:
-        try:
-            family_obj = json.loads(Path(args.family).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read family config: {exc}") from exc
-        symfam = SymbolFamily.from_config(family_obj)
-    else:
-        base = cfg.system if cfg.system != "heat" else "forced-scalar"
-        symfam = SymbolFamily.phase_family(base, count=args.count)
+    base = cfg.system if cfg.system != "heat" else "forced-scalar"
+    symfam = SymbolFamily.phase_family(base, count=args.count)
     base_fam = symfam.system(symfam.symbols[0])
-    if symfam.base_id == "forced-scalar":
+    if base == "forced-scalar":
         seeds = [base_fam.space.state([0], [v])
                  for v in np.linspace(-1.5, 1.5, cfg.n_seeds)]
     else:
@@ -348,17 +344,8 @@ def cmd_uniform(args) -> int:
                                 schedule=cfg.schedule(), metric=cfg.metric,
                                 eps_net=cfg.eps_net, tol=cfg.tol,
                                 workers=cfg.threads)
-    obj = artifact_json("uniform-inclusion", {
-        "base": symfam.base_id, "symbols": len(symfam.symbols), "t0": rep.t0,
-        "metric": rep.metric, "eps_net": rep.eps_net,
-        "union_in_uniform": _finite_or_null(rep.union_in_uniform),
-        "uniform_in_union": _finite_or_null(rep.uniform_in_union),
-        "threshold": rep.threshold, "closed_sample": rep.closed_sample,
-        "all_converged": rep.all_converged, "equal": rep.equal,
-        "verdict": rep.verdict, "note": rep.note,
-    })
-    _emit(cfg.out, {f"uniform_{symfam.base_id}.json": obj},
-          [f"uniform {symfam.base_id} ({len(symfam.symbols)} symbols): "
+    _emit(cfg.out, {f"uniform_{rep.base}.json": rep.to_json()},
+          [f"uniform {rep.base} ({rep.symbols} symbols): "
            f"{rep.verdict} union_in_uniform={fmt_float(rep.union_in_uniform)} "
            f"reverse={fmt_float(rep.uniform_in_union)} equal={rep.equal}"])
     if rep.verdict == "included":
@@ -466,9 +453,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("uniform", help="symbol-family uniform omega runs")
     _add_flags(p, _COMMON + ("system",) + _LADDER)
-    p.add_argument("--family", help="symbol family config JSON file")
-    p.add_argument("--count", type=int, default=32,
-                   help="phase sample count when --family is not given")
+    p.add_argument("--count", type=int, default=32, help="phase sample count")
     p.set_defaults(fn=cmd_uniform)
 
     p = sub.add_parser("invariance", help="invariance of the canonical family")

@@ -171,7 +171,7 @@ def _image_tier(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
     return [(fam, i, b, x, s, t) for i, b, x in _trajectories(fam, seeds, s, branches)]
 
 
-def _tier_block(space: DualMetricSpace, tiers, workers: int | None,
+def _tier_block(space: DualMetricSpace, tiers, workers: int,
                 fixed: Sequence[CoeffState] = ()) -> tuple[PackedSet, list, np.ndarray]:
     """Pack every tier image straight from its seed, deepest tier first,
     then the fixed states in their own order.
@@ -413,7 +413,7 @@ def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     grid = np.linspace(s, s + horizon, grid_n)
     tiers = [[(fam, i, 0, x, s, tau) for i, x in enumerate(seeds)]
              for tau in grid]
-    packed, tier_rows, _ = _tier_block(fam.space, tiers, None)
+    packed, tier_rows, _ = _tier_block(fam.space, tiers, 1)
     # d[metric][k, n]: distance at grid time k from seed n's image to the limit's
     d = {metric: np.stack([packed.cross(rows[:-1], rows[-1:], metric)[:, 0]
                            for rows in tier_rows])

@@ -53,7 +53,7 @@ Diagnostics built on the same ensembles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ from .errors import UnsupportedError, UsageError
 from .evolution import TrajectoryFamily, _image_tier, _tier_block, _trajectories
 from .space import (CoeffState, NetPivots, PackedSet, net_rows, pack_states,
                     state_to_json)
-from .util import artifact_json, csv_text, fmt_float
+from .util import csv_text, fmt_float, report_json
 
 # the longest start-time or horizon ladder a schedule may ask for; refused
 # before its list is built, as rho near 1 keeps rho**n finite at any n
@@ -152,7 +152,7 @@ def _tier_seeds(fam: TrajectoryFamily, seeds, labels, n_seeds: int,
 class OmegaApprox:
     """Finite approximation of a pullback omega-limit set at one time."""
 
-    system_id: str
+    system: str
     t: float
     metric: str
     eps_net: float
@@ -166,20 +166,11 @@ class OmegaApprox:
         return np.array([d for _, d in self.profile])
 
     def to_json(self) -> str:
-        return artifact_json("omega", {
-            "system": self.system_id,
-            "t": self.t,
-            "metric": self.metric,
-            "eps_net": self.eps_net,
-            "tol": self.tol,
-            "converged": self.converged,
-            "note": self.note,
-            "points": [state_to_json(p) for p in self.points],
-            "profile": [[s, d] for s, d in self.profile],
-        })
+        return report_json("omega", self,
+                           points=[state_to_json(p) for p in self.points])
 
     def profile_csv(self) -> str:
-        return _profile_csv(self.profile, self.metric, self.system_id,
+        return _profile_csv(self.profile, self.metric, self.system,
                             fmt_float(self.t))
 
 
@@ -292,7 +283,7 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
                    n_seeds: int = 24, metric: str = "weak",
                    eps_net: float = 0.05, tol: float = 1e-3,
                    rng: np.random.Generator | None = None,
-                   branches: str = "all", workers: int | None = None,
+                   branches: str = "all", workers: int = 1,
                    note: str = "") -> OmegaApprox:
     """Approximate the pullback omega-limit of a seed family at time t.
 
@@ -317,7 +308,7 @@ def forward_omega(fam: TrajectoryFamily, t0: float,
                   seeds: Sequence[CoeffState], delta: float = 1.0,
                   rho: float = 1.6, n: int = 10, metric: str = "weak",
                   eps_net: float = 0.05, tol: float = 1e-3,
-                  branches: str = "all", workers: int | None = None) -> OmegaApprox:
+                  branches: str = "all", workers: int = 1) -> OmegaApprox:
     """Forward-time omega approximation for autonomous systems.
 
     Images are taken at horizons t0 + delta * rho**i for i = 1..n from a
@@ -334,7 +325,7 @@ def forward_omega(fam: TrajectoryFamily, t0: float,
 def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
                    t0: float, seeds: Sequence[CoeffState], delta: float,
                    rho: float, n: int, metric: str, eps_net: float, tol: float,
-                   branches: str, workers: int | None) -> OmegaApprox:
+                   branches: str, workers: int) -> OmegaApprox:
     """Forward omega over horizons t0 + delta * rho**i, i = 1..n.
 
     Tier i is the union of every system's image of the fixed seed set at
@@ -365,14 +356,14 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
 
 @dataclass
 class AttractionReport:
-    system_id: str
+    system: str
     metric: str
     tol: float
     profile: list[tuple[float, float]]
     verdict: str  # "attracts" | "fails" | "inconclusive"
 
     @classmethod
-    def from_profile(cls, system_id: str, metric: str, tol: float,
+    def from_profile(cls, system: str, metric: str, tol: float,
                      profile: list[tuple[float, float]]) -> "AttractionReport":
         """The report with the verdict rule of attraction_diagnostic applied."""
         vals = np.array([d for _, d in profile])
@@ -385,17 +376,13 @@ class AttractionReport:
             verdict = "fails"
         else:
             verdict = "inconclusive"
-        return cls(system_id, metric, float(tol), profile, verdict)
+        return cls(system, metric, float(tol), profile, verdict)
 
     def to_json(self) -> str:
-        return artifact_json("attraction", {
-            "system": self.system_id, "metric": self.metric, "tol": self.tol,
-            "profile": [[s, d] for s, d in self.profile],
-            "verdict": self.verdict,
-        })
+        return report_json("attraction", self)
 
     def profile_csv(self) -> str:
-        return _profile_csv(self.profile, self.metric, self.system_id, "")
+        return _profile_csv(self.profile, self.metric, self.system, "")
 
 
 def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
@@ -405,7 +392,7 @@ def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
                           metric: str = "weak", tol: float = 1e-3,
                           rng: np.random.Generator | None = None,
                           branches: str = "all",
-                          workers: int | None = None) -> AttractionReport:
+                          workers: int = 1) -> AttractionReport:
     """Measure whether P(t, s_i) A approaches a given target set.
 
     seeds may be a fixed state collection, a callable s -> list of seeds
@@ -489,21 +476,14 @@ class PACSequenceReport:
 
 @dataclass
 class PACReport:
-    system_id: str
+    system: str
     tol: float
     sequences: list[PACSequenceReport]
     verdict: str  # "PAC-consistent" | "PAC-violated"
 
     def to_json(self) -> str:
-        return artifact_json("pac", {
-            "system": self.system_id, "tol": self.tol, "verdict": self.verdict,
-            "sequences": [{
-                "kind": r.kind, "best_cluster": r.best_cluster,
-                "cluster_min": r.cluster_min,
-                "min_tail_separation": r.min_tail_separation,
-                "separated_2tol": r.separated_2tol, "cauchy": r.cauchy,
-            } for r in self.sequences],
-        })
+        return report_json("pac", self,
+                           sequences=[asdict(r) for r in self.sequences])
 
 
 def _cluster_stats(packed: PackedSet, rows, tol: float) -> tuple[int, float]:
@@ -527,7 +507,7 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
               tol: float = 0.4, sample_size: int = 10,
               rng: np.random.Generator | None = None,
               include_adversarial: bool = True,
-              workers: int | None = None) -> PACReport:
+              workers: int = 1) -> PACReport:
     """Pullback asymptotic compactness vote in the strong metric.
 
     Each sampled sequence takes one anchored seed label and collects
@@ -576,8 +556,8 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
 
 @dataclass
 class InvarianceReport:
-    system_id: str
-    kind: str
+    system: str
+    check: str  # "semi" | "quasi" | "full"
     metric: str
     times: list[float]
     semi_dev: list[float]
@@ -587,12 +567,7 @@ class InvarianceReport:
     #             # | "fails" | "inconclusive"
 
     def to_json(self) -> str:
-        return artifact_json("invariance", {
-            "system": self.system_id, "check": self.kind, "metric": self.metric,
-            "times": self.times, "semi_dev": self.semi_dev,
-            "quasi_unmatched": self.quasi_unmatched,
-            "tol": self.tol, "verdict": self.verdict,
-        })
+        return report_json("invariance", self)
 
 
 def invariance_check(fam: TrajectoryFamily,
@@ -603,7 +578,7 @@ def invariance_check(fam: TrajectoryFamily,
                      pull_depth: float = 40.0, budget: int = 24,
                      labels: Sequence | None = None,
                      rng: np.random.Generator | None = None,
-                     workers: int | None = None) -> InvarianceReport:
+                     workers: int = 1) -> InvarianceReport:
     """Invariance of a family of sets B(t) over a sampled window.
 
     semi: for consecutive grid times s < t, the forward image of B(s)
@@ -685,7 +660,7 @@ def invariance_check(fam: TrajectoryFamily,
 
 @dataclass
 class TrackingReport:
-    system_id: str
+    system: str
     eps: float
     horizon: float
     deep_starts: list[float]
@@ -694,11 +669,7 @@ class TrackingReport:
     verdict: str  # "holds" | "fails"
 
     def to_json(self) -> str:
-        return artifact_json("tracking", {
-            "system": self.system_id, "eps": self.eps, "horizon": self.horizon,
-            "deep_starts": self.deep_starts, "weak_sups": self.weak_sups,
-            "strong_sups": self.strong_sups, "verdict": self.verdict,
-        })
+        return report_json("tracking", self)
 
 
 def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
@@ -706,7 +677,7 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
                    seeds=None, count: int = 3, grid_n: int = 9,
                    n_complete: int = 8, strong: bool = False,
                    rng: np.random.Generator | None = None,
-                   workers: int | None = None,
+                   workers: int = 1,
                    deep_tiers: int = 2) -> TrackingReport:
     """Trajectories started deep in the past are eps-tracked by some
     registered complete trajectory.

@@ -36,6 +36,7 @@ from .errors import UsageError
 from .evolution import TrajectoryFamily
 from .omega import OmegaApprox, PullbackSchedule, _forward_omega, omega_pullback
 from .space import CoeffState, set_semidist
+from .util import report_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,17 +107,6 @@ class SymbolFamily:
             raise UsageError(f"no phase family for base system {base_id!r}")
         return cls(offsets, factory, base_id)
 
-    @classmethod
-    def from_config(cls, obj: dict) -> "SymbolFamily":
-        if not isinstance(obj, dict) or obj.get("kind") != "phase":
-            raise UsageError("symbol family config needs kind 'phase'")
-        base_id, count = obj.get("system", "forced-scalar"), obj.get("count", 32)
-        if not isinstance(base_id, str):
-            raise UsageError("symbol family 'system' must be a string")
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise UsageError("symbol family 'count' must be an integer")
-        return cls.phase_family(base_id, count)
-
 
 def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
                           r: float, t: float, x: CoeffState) -> float:
@@ -138,7 +128,7 @@ def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
 def uniform_omega(symfam: SymbolFamily, seeds: Sequence[CoeffState],
                   t0: float = 0.0, n: int = 10, metric: str = "weak",
                   eps_net: float = 0.05, tol: float = 1e-3,
-                  workers: int | None = None) -> OmegaApprox:
+                  workers: int = 1) -> OmegaApprox:
     """Forward omega-limit of the symbol-union operator.
 
     Tier i is the union over sampled symbols of R_sigma(t0 + 1.6**i, t0) A
@@ -156,7 +146,7 @@ def per_symbol_pullback(symfam: SymbolFamily, sigma: float,
                         seeds: Sequence[CoeffState],
                         schedule: PullbackSchedule, metric: str = "weak",
                         eps_net: float = 0.05, tol: float = 1e-3,
-                        workers: int | None = None) -> OmegaApprox:
+                        workers: int = 1) -> OmegaApprox:
     """Pullback omega approximation of a fixed seed set for one symbol of
     the family."""
     return omega_pullback(symfam.system(sigma), schedule, seeds=seeds,
@@ -166,7 +156,8 @@ def per_symbol_pullback(symfam: SymbolFamily, sigma: float,
 
 @dataclass
 class UnionInclusionReport:
-    base_id: str
+    base: str
+    symbols: int                # sampled symbol count
     t0: float
     metric: str
     eps_net: float
@@ -179,6 +170,12 @@ class UnionInclusionReport:
     equal: bool
     note: str
 
+    def to_json(self) -> str:
+        # strict JSON has no infinity: a semidistance with an empty side is null
+        return report_json("uniform-inclusion", self, **{
+            name: None for name in ("union_in_uniform", "uniform_in_union")
+            if not math.isfinite(getattr(self, name))})
+
 
 def union_inclusion_check(symfam: SymbolFamily,
                           seeds: Sequence[CoeffState],
@@ -186,7 +183,7 @@ def union_inclusion_check(symfam: SymbolFamily,
                           schedule: PullbackSchedule | None = None,
                           metric: str = "weak", eps_net: float = 0.05,
                           tol: float = 1e-3, n_forward: int = 10,
-                          workers: int | None = None) -> UnionInclusionReport:
+                          workers: int = 1) -> UnionInclusionReport:
     """Union of per-symbol pullback omega sets at t0 versus the uniform set.
 
     The union is always expected inside the uniform omega approximation
@@ -229,6 +226,6 @@ def union_inclusion_check(symfam: SymbolFamily,
         verdict = "fails"
     note = ("equality is conditional on shift-closure of the sampled symbols; "
             f"this sample {'is' if closed else 'is not'} closed")
-    return UnionInclusionReport(symfam.base_id, float(t0), metric,
-                                float(eps_net), float(fwd), float(rev), thresh,
-                                closed, all_conv, verdict, equal, note)
+    return UnionInclusionReport(symfam.base_id, len(symfam.symbols), float(t0),
+                                metric, float(eps_net), float(fwd), float(rev),
+                                thresh, closed, all_conv, verdict, equal, note)

@@ -20,11 +20,11 @@ roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
 
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
-listed modes are driven, so a real (Hermitian) force must list both k
-and -k explicitly.  Under such a force the advection term is symmetrised
-at every right-hand side, so a real field stays exactly real; any other
-force integrates the complexified system.  All forcing norms run over the
-listed modes only.
+listed modes are driven, and the force must be real (Hermitian): each k
+is listed together with -k, the same time law, the conjugate amplitude
+and the conjugate samples; NSESystem refuses any other force.  The
+advection term is symmetrised at every right-hand side, so a real field
+stays exactly real.  All forcing norms run over the listed modes only.
 The sliding-window bound sup_t int_t^{t+1} ||g||_{V'}^2 defines the
 absorbing radius
 
@@ -201,8 +201,7 @@ class ForcingProfile:
     def is_hermitian(self) -> bool:
         """Whether the force field is real: each -k is listed with k's time
         law, the conjugate amplitude and the conjugate samples.  A real
-        force written in another equivalent form reads False, and so keeps
-        the complexified system."""
+        force written in another equivalent form reads False."""
         by_k = {e.k: e for e in self.entries}
         for e in self.entries:
             mirror = (-e.k[0], -e.k[1], -e.k[2])
@@ -492,6 +491,10 @@ class NSESystem(TrajectoryFamily):
         # transverse direction, looked up once for every force evaluation
         self._forced = [(e, self.basis.row(e.k), self.basis.transverse_unit(e.k))
                         for e in self.forcing.entries]
+        if not self.forcing.is_hermitian():
+            raise ForcingFormatError(
+                "the force must be real: list each mode's -k with the same time "
+                "law, the conjugate amplitude and the conjugate sampled values")
         self._visc = -self.nu * self.basis.ksq[:, None]
         self.ball_convention = ball_convention
         with np.errstate(over="ignore"):  # an overflow is refused just below
@@ -505,9 +508,6 @@ class NSESystem(TrajectoryFamily):
         ball = max(2.0 * self.absorbing_set_radius(), 1.0)
         super().__init__(make_nse_space(ball, kmax))
         self.autonomous = self.forcing.is_static()
-        # a real force keeps real fields exactly real; any other force
-        # leaves the complexified system as it is
-        self._hermitian = self.forcing.is_hermitian()
         self._g_static = None  # g_dense evaluates the force until this is set
         if self.autonomous:
             self._g_static = self.g_dense(0.0)
@@ -556,10 +556,9 @@ class NSESystem(TrajectoryFamily):
     def rhs_dense(self, t: float, v: np.ndarray) -> np.ndarray:
         adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
                                    self.basis.grid_n)
-        if self._hermitian:
-            # the complex transforms leave adv Hermitian only to roundoff,
-            # and the complexified flow amplifies that at low viscosity
-            adv = self._hermitian_part(adv)
+        # the complex transforms leave adv Hermitian only to roundoff, and
+        # the flow would amplify that at low viscosity
+        adv = self._hermitian_part(adv)
         return self._visc * v + adv + self.g_dense(t)
 
     def bilinear(self, x: CoeffState) -> CoeffState:

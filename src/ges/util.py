@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -11,20 +12,14 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Effective worker count: the requested count, at least 1; None means 1."""
-    return 1 if requested is None else max(1, int(requested))
-
-
 def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 workers: int | None = None) -> list[R]:
+                 workers: int = 1) -> list[R]:
     """Order-preserving map; results are assembled by input index so the
     output is identical for any worker count."""
-    n = worker_count(workers)
     items = list(items)
-    if n <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -41,6 +36,14 @@ def strict_json(obj) -> str:
 def artifact_json(kind: str, fields: dict) -> str:
     """One JSON artifact: the fields plus `schema: 1` and its kind."""
     return strict_json({"schema": 1, "kind": kind, **fields})
+
+
+def report_json(kind: str, report, **as_json) -> str:
+    """The artifact of a report dataclass: every field under its own name,
+    with `as_json` giving the JSON form of each field that is not JSON
+    already."""
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return artifact_json(kind, {**fields, **as_json})
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -9,7 +9,7 @@ while these runs are the quick reproducible health checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .symbols import SymbolFamily, union_inclusion_check
 from .systems import make_system
 from .systems.bump import bump_state
 from .systems.heat import high_band_seed
-from .util import artifact_json, fmt_float
+from .util import fmt_float, report_json
 
 SUITES = ("metrics", "inclusion", "energy", "invariance", "tracking",
           "uniform", "all")
@@ -42,13 +42,8 @@ class SuiteReport:
     verdict: str  # "pass" | "fail"
 
     def to_json(self) -> str:
-        return artifact_json("verify", {
-            "suite": self.suite,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "results": [{"name": r.name, "ok": r.ok, "info": r.info}
-                        for r in self.results],
-        })
+        return report_json("verify", self,
+                           results=[asdict(r) for r in self.results])
 
 
 def _lattice_space() -> DualMetricSpace:
@@ -65,7 +60,7 @@ def _sparse_states(space: DualMetricSpace, rng: np.random.Generator, count: int)
     return out
 
 
-def suite_metrics(seed: int, workers: int | None = None,
+def suite_metrics(seed: int, workers: int = 1,
                   system: str | None = None) -> list[CheckResult]:
     """Metric axioms on a fixed lattice space, one pair per call (the
     identity and symmetry checks are exact); system is unused."""
@@ -120,7 +115,7 @@ def suite_metrics(seed: int, workers: int | None = None,
     return res
 
 
-def suite_inclusion(seed: int, workers: int | None = None,
+def suite_inclusion(seed: int, workers: int = 1,
                     system: str | None = None) -> list[CheckResult]:
     plans = [("single", 25, 1e-6), ("bump", 25, 1e-6), ("heat", 25, 1e-6),
              ("branch2", 25, 1e-6), ("forced-scalar", 25, 1e-6),
@@ -162,7 +157,7 @@ def nse_energy_check(fam, rng: np.random.Generator):
                                          integral_tol=NSE_INTEGRAL_TOL)
 
 
-def suite_energy(seed: int, workers: int | None = None,
+def suite_energy(seed: int, workers: int = 1,
                  system: str | None = None) -> list[CheckResult]:
     res = []
     if system in (None, "heat"):
@@ -243,7 +238,7 @@ def invariance_plan(fam, rng: np.random.Generator) -> list[tuple]:
     raise UsageError(f"no canonical invariant family for system {sys_id!r}")
 
 
-def suite_invariance(seed: int, workers: int | None = None,
+def suite_invariance(seed: int, workers: int = 1,
                      system: str | None = None) -> list[CheckResult]:
     plans = ["heat", "forced-scalar", "bump"] if system is None else [system]
     res = []
@@ -272,7 +267,7 @@ def suite_invariance(seed: int, workers: int | None = None,
     return res
 
 
-def suite_tracking(seed: int, workers: int | None = None,
+def suite_tracking(seed: int, workers: int = 1,
                    system: str | None = None) -> list[CheckResult]:
     plans = ["heat", "single", "bump", "forced-scalar"] if system is None else [system]
     res = []
@@ -302,7 +297,7 @@ def suite_tracking(seed: int, workers: int | None = None,
     return res
 
 
-def suite_uniform(seed: int, workers: int | None = None,
+def suite_uniform(seed: int, workers: int = 1,
                   system: str | None = None) -> list[CheckResult]:
     base = system if system is not None else "forced-scalar"
     if base != "forced-scalar":
@@ -332,7 +327,7 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(suite: str, seed: int = 0, workers: int | None = None,
+def run_suite(suite: str, seed: int = 0, workers: int = 1,
               system: str | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")

@@ -477,7 +477,7 @@ def system_tier_block(system_id, n_seeds, n=8, seed=0):
                                   sched.t, sched.starts)
     tiers = [ges.omega._image_tier(fam, lst, s, sched.t)
              for s, lst in zip(sched.starts, lists)]
-    packed, tier_rows, _ = ges.omega._tier_block(fam.space, tiers, None)
+    packed, tier_rows, _ = ges.omega._tier_block(fam.space, tiers, 1)
     return packed, tier_rows
 
 

@@ -71,14 +71,7 @@ class TestFamilyStructure:
         assert not sys1.autonomous
         assert not sys1.forcing.is_static()
 
-    def test_from_config(self):
-        symfam = SymbolFamily.from_config(
-            {"kind": "phase", "system": "forced-scalar", "count": 8})
-        assert len(symfam.symbols) == 8
-        with pytest.raises(UsageError, match="phase"):
-            SymbolFamily.from_config({"kind": "orbit"})
-        with pytest.raises(UsageError, match="phase"):
-            SymbolFamily.from_config([1, 2, 3])
+    def test_phase_family_arguments_are_checked(self):
         with pytest.raises(UsageError):
             SymbolFamily.phase_family("forced-scalar", 0)
         with pytest.raises(UsageError, match="no phase family"):

@@ -10,6 +10,7 @@ Frozen oracle values:
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -20,6 +21,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 import ges
 import ges.systems.nse as nse_module
 from ges import kernels
+from ges.cli import main
 from ges.errors import ForcingFormatError, UsageError
 from ges.evolution import pullback_image
 from ges.symbols import TWO_PI, SymbolFamily
@@ -516,13 +518,26 @@ class TestNSEFlow:
         v = nse.dense_values(nse.evolve(0.0, x, [2.0])[0])
         assert np.array_equal(v[nse.basis.mirror], np.conj(v))
 
-    def test_non_hermitian_force_keeps_the_complexified_system(self):
-        fam = NSESystem(forcing=ForcingProfile([ForcingMode(k=(1, 0, 0), amp=1.0)]))
-        basis = fam.basis
-        v = fam.dense_values(fam.sample_states(1, np.random.default_rng(19))[0])
-        adv = kernels.nse_bilinear(v, basis.kvec, basis.grid_index, basis.grid_n)
-        want = -fam.nu * basis.ksq[:, None] * v + adv + fam.g_dense(0.0)
-        assert np.array_equal(fam.rhs_dense(0.0, v), want)
+    # neither mode lists its mirror -k, so the force field is complex
+    UNPAIRED = {"modes": [{"k": [1, 0, 0], "amp": [1, 0]},
+                          {"k": [0, 1, 0], "amp": [0, 1]}]}
+
+    def test_non_hermitian_force_is_refused(self, tmp_path, capsys):
+        a = complex(0.2, 0.7)
+        for prof in (ForcingProfile.from_dict(self.UNPAIRED),
+                     ForcingProfile([ForcingMode(k=(1, 2, 0), amp=a),
+                                     ForcingMode(k=(-1, -2, 0), amp=a)])):
+            with pytest.raises(ForcingFormatError, match="conjugate amplitude"):
+                NSESystem(forcing=prof)
+        path = tmp_path / "force.json"
+        path.write_text(json.dumps(self.UNPAIRED))
+        for action in ("info", "energy", "omega"):
+            out = tmp_path / action
+            code = main(["nse", action, "--forcing", str(path), "--out", str(out)])
+            assert code == 65
+            err = capsys.readouterr().err
+            assert err.startswith("forcing error: ") and err.count("\n") == 1
+            assert not out.exists()
 
     def test_backward_time_rejected(self, nse):
         x = nse.sample_states(1, np.random.default_rng(11))[0]
