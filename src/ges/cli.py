@@ -52,6 +52,11 @@ EXIT_BLOWUP = 70
 # is a valid float
 _FIELD_KINDS = {"str": str, "float": (int, float), "int": int}
 
+# one command's defaults, below its flags and the config file: invariance
+# compares sets at a coarser tolerance than a ladder converges to
+_COMMAND_DEFAULTS = {"invariance": {"tol": 0.05},
+                     "uniform": {"system": "forced-scalar"}}
+
 
 @dataclass
 class ExperimentConfig:
@@ -97,8 +102,8 @@ class ExperimentConfig:
             raise UsageError("threads must be at least 1")
 
     @classmethod
-    def build(cls, args: argparse.Namespace) -> "ExperimentConfig":
-        """CLI flags override config-file values override defaults.
+    def _given(cls, args: argparse.Namespace) -> dict:
+        """The fields the user set: CLI flags override config-file values.
 
         Only the fields the subcommand declares are read, so one file may
         also hold keys for other commands; a key that is no field at all
@@ -124,14 +129,20 @@ class ExperimentConfig:
                 kw[f.name] = cli_val
             elif f.name in file_vals:
                 kw[f.name] = file_vals[f.name]
+        return kw
+
+    @classmethod
+    def build(cls, args: argparse.Namespace) -> "ExperimentConfig":
+        """The user's fields over the command's defaults over the class's."""
+        kw = {**_COMMAND_DEFAULTS.get(getattr(args, "command", None), {}),
+              **cls._given(args)}
         # system-aware schedule defaults: the spectral flow is integrated
         # numerically, so an unasked-for 16-tier geometric schedule would
         # run for hours; everything else is closed-form and stays deep
         if kw.get("system") == "nse":
             kw.setdefault("n", 6)
             kw.setdefault("n_seeds", 6)
-        cfg = cls(**kw)
-        return cfg
+        return cls(**kw)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -248,9 +259,11 @@ def cmd_attract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = ExperimentConfig.build(args)
+    given = ExperimentConfig._given(args)
+    cfg = ExperimentConfig(**given)  # verify has no command defaults
+    # the flag, else the config file's key, else every system
     rep = run_suite(args.suite, seed=cfg.seed, workers=cfg.threads,
-                    system=getattr(args, "system", None))
+                    system=given.get("system"))
     _emit(cfg.out, {f"verify_{args.suite}.json": rep.to_json()}, report_lines(rep))
     return EXIT_OK if rep.verdict == "pass" else EXIT_VIOLATION
 
@@ -332,12 +345,10 @@ def cmd_nse(args) -> int:
 
 def cmd_uniform(args) -> int:
     cfg = ExperimentConfig.build(args)
-    base = cfg.system if cfg.system != "heat" else "forced-scalar"
-    symfam = SymbolFamily.phase_family(base, count=args.count)
-    base_fam = symfam.system(symfam.symbols[0])
-    if base == "forced-scalar":
-        seeds = [base_fam.space.state([0], [v])
-                 for v in np.linspace(-1.5, 1.5, cfg.n_seeds)]
+    symfam = SymbolFamily(cfg.system, count=args.count)
+    base_fam = symfam.system(0.0)
+    if cfg.system == "forced-scalar":
+        seeds = [base_fam.scalar(v) for v in np.linspace(-1.5, 1.5, cfg.n_seeds)]
     else:
         seeds = base_fam.sample_states(min(cfg.n_seeds, 6), cfg.rng())
     rep = union_inclusion_check(symfam, seeds, t0=cfg.t0,
@@ -369,7 +380,7 @@ def cmd_invariance(args) -> int:
             # quasi needs the threading labels from the canonical plan
             name, family, _, _, quasi = rows[-1]
     rep = invariance_check(fam, family, kind=kind, window=(0.0, 2.0),
-                           tol=max(cfg.tol, 0.05), rng=cfg.rng(),
+                           tol=cfg.tol, rng=cfg.rng(),
                            workers=cfg.threads, **quasi)
     _emit(cfg.out, {f"invariance_{cfg.system}_{kind}.json": rep.to_json()},
           [f"invariance {cfg.system} {kind}: {rep.verdict}"])

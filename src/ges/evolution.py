@@ -304,7 +304,6 @@ class EnergyCheckReport:
 
 
 def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
-                            window: tuple[float, float] | None = None,
                             eps: float = 1e-9, delta: float = 0.5,
                             integral_tol: float = 1e-6) -> EnergyCheckReport:
     """Check the windowed norm inequality and, if data allows, the
@@ -325,15 +324,7 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
     pairs is reported; pairs above integral_tol become violations.
     """
     times, norms = traj.times, traj.norms
-    if window is not None:
-        keep = (times >= window[0]) & (times <= window[1])
-        if keep.sum() < 2:
-            raise UsageError("window contains fewer than two samples")
-        times, norms = times[keep], norms[keep]
-        vn = traj.vnorm_sq[keep] if traj.vnorm_sq is not None else None
-        fp = traj.force_pair[keep] if traj.force_pair is not None else None
-    else:
-        vn, fp = traj.vnorm_sq, traj.force_pair
+    vn, fp = traj.vnorm_sq, traj.force_pair
 
     h = float(np.max(np.diff(times)))
     if not h < delta / 4.0:
@@ -341,14 +332,12 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
 
     violations: list[tuple] = []
     max_resid = -np.inf
-    n_major = 0
+    # h < delta/4, so the window (t - delta, t) always holds times[i-1]
+    n_major = times.size - 1
     for i in range(1, times.size):
         t = times[i]
         lo = np.searchsorted(times, t - delta, side="right")
         cand = np.arange(lo, i)
-        if cand.size == 0:
-            continue
-        n_major += 1
         resid = norms[i] - (norms[cand] + eps)
         max_resid = max(max_resid, float(resid.max()))
         ok = resid <= 0.0

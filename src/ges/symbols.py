@@ -11,26 +11,24 @@ family the union operator
 drives the uniform (symbol-independent) omega-limit, computed forward
 in time by the same net-and-survive machinery as the single-system
 approximations.  The union of the per-symbol pullback omega sets at a
-fixed time is contained in the uniform set; equality is conditional on
-the sampled symbol collection being closed under the shift.
+fixed time is contained in the uniform set; equality needs the wheel
+dense at 2 eps_net, so that no uniform point lies between the sets of
+neighbouring sampled phases.
 
-Families here are finite symbol samples:
+A family is the wheel of count phases 2 pi j / count over one base:
 
-* phase_family("forced-scalar", count) -- scalar relaxation driven at
-  phase offsets 2 pi j / count
-* phase_family("nse", count)           -- the spectral flow under
-  sinusoidally modulated forcing at the same offsets
-* phase_family("branch2", count)       -- an autonomous base system,
+* SymbolFamily("forced-scalar", count) -- scalar relaxation
+* SymbolFamily("nse", count)           -- the spectral flow under
+  sinusoidally modulated forcing
+* SymbolFamily("branch2", count)       -- an autonomous base system,
   so every symbol yields the same flow (the collapse case)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import UsageError
 from .evolution import TrajectoryFamily
@@ -43,69 +41,39 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SymbolFamily:
-    """A finite sample of the phase wheel [0, 2 pi) with its shift action."""
+    """The phase wheel: count evenly spaced phases in [0, 2 pi) over one
+    base system, with the shift action sigma -> sigma + s (mod 2 pi)."""
 
-    symbols: tuple[float, ...]
-    factory: Callable[[float], TrajectoryFamily] = field(repr=False)
-    base_id: str = ""
+    base_id: str
+    count: int = 32
 
     def __post_init__(self):
-        if not self.symbols:
-            raise UsageError("a symbol family needs at least one symbol")
+        if self.count < 1:
+            raise UsageError("need at least one phase sample")
+        if self.base_id not in ("forced-scalar", "nse", "branch2"):
+            raise UsageError(f"no phase family for base system {self.base_id!r}")
 
-    def wrap(self, sigma: float) -> float:
-        return sigma % TWO_PI
+    @property
+    def symbols(self) -> tuple[float, ...]:
+        return tuple(TWO_PI * j / self.count for j in range(self.count))
 
     def shift(self, s: float, sigma: float) -> float:
         """The time shift acting on a symbol."""
-        return self.wrap(sigma + s)
+        return (sigma + s) % TWO_PI
 
     def system(self, sigma: float) -> TrajectoryFamily:
-        return self.factory(self.wrap(sigma))
-
-    def closed_under(self, ds: float) -> bool:
-        """Is the sampled symbol set invariant, to within 1e-9, under the
-        shift by ds?"""
-        have = np.array([self.wrap(s) for s in self.symbols])
-        for s in self.symbols:
-            target = self.shift(ds, s)
-            gap = np.abs(have - target)
-            gap = np.minimum(gap, TWO_PI - gap)
-            if gap.min() > 1e-9:
-                return False
-        return True
-
-    @classmethod
-    def phase_family(cls, base_id: str, count: int = 32) -> "SymbolFamily":
-        if count < 1:
-            raise UsageError("need at least one phase sample")
-        offsets = tuple(TWO_PI * j / count for j in range(count))
-        if base_id == "forced-scalar":
-            from .systems.scalar import ForcedScalarSystem, make_scalar_space
-            space = make_scalar_space()
-
-            def factory(sigma: float) -> TrajectoryFamily:
-                return ForcedScalarSystem(space, sigma=sigma)
-        elif base_id == "nse":
+        sigma = sigma % TWO_PI
+        if self.base_id == "forced-scalar":
+            from .systems.scalar import ForcedScalarSystem
+            return ForcedScalarSystem(sigma=sigma)
+        if self.base_id == "nse":
             from .systems.nse import ForcingMode, ForcingProfile, NSESystem
             amp = complex(1.0 / math.sqrt(2.0))
-
-            def factory(sigma: float) -> TrajectoryFamily:
-                prof = ForcingProfile([
-                    ForcingMode(k=(1, 0, 0), amp=amp, kind="sin",
-                                omega=1.0, phase=sigma),
-                    ForcingMode(k=(-1, 0, 0), amp=amp, kind="sin",
-                                omega=1.0, phase=sigma),
-                ])
-                return NSESystem(forcing=prof)
-        elif base_id == "branch2":
-            from .systems.branch import BranchSystem
-
-            def factory(sigma: float) -> TrajectoryFamily:
-                return BranchSystem()  # autonomous: symbols collapse
-        else:
-            raise UsageError(f"no phase family for base system {base_id!r}")
-        return cls(offsets, factory, base_id)
+            return NSESystem(forcing=ForcingProfile([
+                ForcingMode(k=(k, 0, 0), amp=amp, kind="sin", omega=1.0,
+                            phase=sigma) for k in (1, -1)]))
+        from .systems.branch import BranchSystem
+        return BranchSystem()  # autonomous: symbols collapse
 
 
 def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
@@ -115,10 +83,10 @@ def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
     represents one nonautonomous system."""
     if t < r:
         raise UsageError("need r <= t")
-    a = symfam.system(sigma).evolve(r + s, x, [t + s])[0]
+    fam = symfam.system(sigma)
+    a = fam.evolve(r + s, x, [t + s])[0]
     b = symfam.system(symfam.shift(s, sigma)).evolve(r, x, [t])[0]
-    space = symfam.system(sigma).space
-    return space.strong_dist(a, b)
+    return fam.space.strong_dist(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +105,8 @@ def uniform_omega(symfam: SymbolFamily, seeds: Sequence[CoeffState],
     the farther horizon.
     """
     systems = [symfam.system(s) for s in symfam.symbols]
-    sys_id = f"{symfam.base_id or systems[0].system_id}-family"
-    return _forward_omega(systems, sys_id, t0, seeds, 1.0, 1.6, n, metric,
-                          eps_net, tol, "all", workers)
+    return _forward_omega(systems, f"{symfam.base_id}-family", t0, seeds, 1.0,
+                          1.6, n, metric, eps_net, tol, "all", workers)
 
 
 def per_symbol_pullback(symfam: SymbolFamily, sigma: float,
@@ -164,11 +131,9 @@ class UnionInclusionReport:
     union_in_uniform: float     # semidist(union of per-symbol omegas, uniform)
     uniform_in_union: float     # reverse direction
     threshold: float            # 2 eps_net
-    closed_sample: bool
     all_converged: bool
     verdict: str                # "included" | "fails" | "inconclusive"
     equal: bool
-    note: str
 
     def to_json(self) -> str:
         # strict JSON has no infinity: a semidistance with an empty side is null
@@ -179,8 +144,7 @@ class UnionInclusionReport:
 
 def union_inclusion_check(symfam: SymbolFamily,
                           seeds: Sequence[CoeffState],
-                          t0: float = 0.0,
-                          schedule: PullbackSchedule | None = None,
+                          schedule: PullbackSchedule, t0: float = 0.0,
                           metric: str = "weak", eps_net: float = 0.05,
                           tol: float = 1e-3, n_forward: int = 10,
                           workers: int = 1) -> UnionInclusionReport:
@@ -188,16 +152,14 @@ def union_inclusion_check(symfam: SymbolFamily,
 
     The union is always expected inside the uniform omega approximation
     (within the 2 eps_net net resolution).  The reverse inclusion --
-    equality -- is reported but only meaningful when the sampled symbol
-    collection is closed under the time shift, and the verdict degrades
-    to 'inconclusive' whenever any participating approximation failed
-    to converge.  The uniform side is declared converged at the net
-    resolution (tolerance 2 eps_net): its limit set is typically a
-    continuum, which a finite net cannot certify more finely, while the
-    per-symbol sides keep the sharp tolerance.
+    equality -- is reported too; it needs the wheel dense at 2 eps_net,
+    so that every uniform point lies near some sampled symbol's set.  The
+    verdict degrades to 'inconclusive' whenever any participating
+    approximation failed to converge.  The uniform side is declared
+    converged at the net resolution (tolerance 2 eps_net): its limit set
+    is typically a continuum, which a finite net cannot certify more
+    finely, while the per-symbol sides keep the sharp tolerance.
     """
-    if schedule is None:
-        schedule = PullbackSchedule.geometric(t0, n=10)
     uni = uniform_omega(symfam, seeds, t0=t0, metric=metric, eps_net=eps_net,
                         tol=max(tol, 2.0 * eps_net), n=n_forward,
                         workers=workers)
@@ -209,23 +171,16 @@ def union_inclusion_check(symfam: SymbolFamily,
         all_conv = all_conv and rep.converged
         union_points.extend(rep.points)
 
-    space = symfam.system(symfam.symbols[0]).space
+    space = symfam.system(0.0).space
     thresh = 2.0 * eps_net
     if union_points and uni.points:
         fwd = set_semidist(space, union_points, uni.points, metric)
         rev = set_semidist(space, uni.points, union_points, metric)
     else:
         fwd = rev = math.inf
-    closed = symfam.closed_under(TWO_PI / len(symfam.symbols))
     equal = fwd <= thresh and rev <= thresh
-    if not all_conv:
-        verdict = "inconclusive"
-    elif fwd <= thresh:
-        verdict = "included"
-    else:
-        verdict = "fails"
-    note = ("equality is conditional on shift-closure of the sampled symbols; "
-            f"this sample {'is' if closed else 'is not'} closed")
-    return UnionInclusionReport(symfam.base_id, len(symfam.symbols), float(t0),
+    verdict = ("inconclusive" if not all_conv
+               else "included" if fwd <= thresh else "fails")
+    return UnionInclusionReport(symfam.base_id, symfam.count, float(t0),
                                 metric, float(eps_net), float(fwd), float(rev),
-                                thresh, closed, all_conv, verdict, equal, note)
+                                thresh, all_conv, verdict, equal)

@@ -28,8 +28,8 @@ class BranchSystem(TrajectoryFamily):
     autonomous = True
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
-    def __init__(self, space: DualMetricSpace | None = None):
-        super().__init__(space or make_branch_space())
+    def __init__(self):
+        super().__init__(make_branch_space())
 
     def branch_count(self, s, x):
         return len(RATES)

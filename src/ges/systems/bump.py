@@ -69,8 +69,8 @@ class BumpSystem(TrajectoryFamily):
     autonomous = True
     expectations = {"weak_attractor": True, "strong_attractor": False}
 
-    def __init__(self, space: DualMetricSpace | None = None):
-        super().__init__(space or make_bump_space())
+    def __init__(self):
+        super().__init__(make_bump_space())
 
     def evolve(self, s, x, ts, branch=0):
         if branch != 0:
@@ -122,8 +122,8 @@ class SingleTrajectorySystem(TrajectoryFamily):
     autonomous = False
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
-    def __init__(self, space: DualMetricSpace | None = None):
-        super().__init__(space or make_bump_space("single"))
+    def __init__(self):
+        super().__init__(make_bump_space("single"))
 
     def trajectory(self, tau: float) -> CoeffState:
         return bump_state(self.space, 0.0, float(tau))

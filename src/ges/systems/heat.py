@@ -68,8 +68,8 @@ def _unit_band(space: DualMetricSpace, slots: np.ndarray,
     return space.state(idx, vals / space.strong_norm(space.state(idx, vals)))
 
 
-def band_witness(space: DualMetricSpace, t: float, s0: float,
-                 disjoint: bool = False) -> tuple[int, CoeffState]:
+def band_witness(space: DualMetricSpace, t: float,
+                 s0: float) -> tuple[int, CoeffState]:
     """Unit-norm seed at time s0 whose solution keeps norm >= 1/2 at t.
 
     The band index is the largest integer j with
@@ -78,8 +78,7 @@ def band_witness(space: DualMetricSpace, t: float, s0: float,
     The seed spreads uniform mass over the grid cells of
     [2^(j-1), min(2^(j+1), sqrt(ln2/(t-s0)))], all of which decay by a
     factor of at most 1/2 in norm, so the evolved norm stays >= 1/2 up
-    to rounding.  With disjoint=True the support is additionally kept
-    below 2^j so witnesses of distinct bands never overlap.
+    to rounding.
     """
     delta = t - s0
     if delta <= 0:
@@ -89,12 +88,9 @@ def band_witness(space: DualMetricSpace, t: float, s0: float,
     j = math.floor(bound)
     lo_edge = 2.0 ** (j - 1)
     hi_edge = min(2.0 ** (j + 1), math.sqrt(math.log(2.0) / delta))
-    if disjoint:
-        hi_edge = min(hi_edge, 2.0 ** j - h)
     lo = math.ceil(lo_edge / h - 1e-12)
     hi = math.floor(hi_edge / h + 1e-12)
-    if hi > space.grid_extent:
-        hi = space.grid_extent
+    hi = min(hi, space.grid_extent)
     if lo > hi or lo < 1:
         raise UsageError(
             f"band {j} is below the grid resolution h={h}; refine the grid")
@@ -130,8 +126,8 @@ class HeatSystem(TrajectoryFamily):
     autonomous = True
     expectations = {"weak_attractor": True, "strong_attractor": False}
 
-    def __init__(self, space: DualMetricSpace | None = None):
-        super().__init__(space or make_heat_space())
+    def __init__(self):
+        super().__init__(make_heat_space())
 
     def evolve(self, s, x, ts, branch=0):
         if branch != 0:

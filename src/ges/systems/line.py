@@ -29,8 +29,8 @@ class LineSystem(TrajectoryFamily):
     autonomous = True
     expectations = {"weak_attractor": False, "strong_attractor": False}
 
-    def __init__(self, space: DualMetricSpace | None = None):
-        super().__init__(space or make_line_space())
+    def __init__(self):
+        super().__init__(make_line_space())
 
     def scalar(self, v: float):
         return self.space.state([0], [float(v)])

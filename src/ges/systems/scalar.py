@@ -32,8 +32,8 @@ class ForcedScalarSystem(TrajectoryFamily):
     autonomous = False
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
-    def __init__(self, space: DualMetricSpace | None = None, sigma: float = 0.0):
-        super().__init__(space or make_scalar_space())
+    def __init__(self, sigma: float = 0.0):
+        super().__init__(make_scalar_space())
         self.sigma = float(sigma)
 
     def particular(self, t: float) -> float:

@@ -227,6 +227,36 @@ class TestVerifyCommand:
         [res] = ges.verify.suite_tracking(0, system=system)
         assert res.ok and res.info["max_strong_sup"] <= 1e-13
 
+    def test_all_suites_run_the_checks_that_cover_the_system(self, tmp_path,
+                                                              capsys):
+        code, out = run(tmp_path, "verify", "all", "--system", "heat")
+        assert code == 0
+        names = [r["name"] for r in read_json(out, "verify_all.json")["results"]]
+        metrics = [r.name for r in ges.verify.suite_metrics(0)]
+        assert names == metrics + ["compose heat", "heat norm decay",
+                                   "heat zero family full", "tracking heat"]
+        # no suite has a contract for the line system
+        capsys.readouterr()
+        code, out = run(tmp_path / "line", "verify", "all", "--system", "line")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_file_system_restricts_the_suite(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "nse"}))
+        code, _ = run(tmp_path / "a", "verify", "uniform", "--config", str(cfg))
+        assert code == 64  # as with --system nse
+        cfg.write_text(json.dumps({"system": "wavelets"}))
+        code, _ = run(tmp_path / "c", "verify", "metrics", "--config", str(cfg))
+        assert code == 64  # an unknown system, as the flag refuses it
+        cfg.write_text(json.dumps({"system": "heat"}))
+        code, out = run(tmp_path / "b", "verify", "energy", "--config", str(cfg))
+        assert code == 0
+        results = read_json(out, "verify_energy.json")["results"]
+        assert [r["name"] for r in results] == ["heat norm decay"]
+
 
 class TestNseCommand:
     def test_info_reports_frozen_constants(self, tmp_path):
@@ -380,6 +410,12 @@ class TestUniformCommand:
         assert obj["uniform_in_union"] is None
         assert "union_in_uniform=inf reverse=inf" in capsys.readouterr().out
 
+    def test_a_system_without_a_phase_wheel_is_refused(self, tmp_path, capsys):
+        code, out = run(tmp_path, "uniform", "--system", "heat", "--count", "4")
+        assert code == 64
+        assert capsys.readouterr().err == \
+            "error: no phase family for base system 'heat'\n"
+        assert not out.exists()
 
 
 class TestInvarianceCommand:
@@ -390,6 +426,13 @@ class TestInvarianceCommand:
         obj = read_json(out, "invariance_heat_full.json")
         assert obj["kind"] == "invariance"
         assert obj["verdict"] == "invariant"
+
+    def test_the_given_tolerance_is_used(self, tmp_path):
+        _, out = run(tmp_path / "a", "invariance", "--system", "heat")
+        assert read_json(out, "invariance_heat_full.json")["tol"] == 0.05
+        _, out = run(tmp_path / "b", "invariance", "--system", "heat",
+                     "--tol", "0.01")
+        assert read_json(out, "invariance_heat_full.json")["tol"] == 0.01
 
 
 # ---------------------------------------------------------------------------

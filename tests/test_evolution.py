@@ -216,13 +216,6 @@ class TestEnergyCheck:
         assert rep.verdict == "violated"
         assert rep.max_residual == pytest.approx(3.0)  # 2^2 - 1^2
 
-    def test_window_restriction(self):
-        traj = heat_sample()
-        rep = energy_inequality_check(traj, window=(0.5, 1.5))
-        assert rep.verdict == "holds"
-        with pytest.raises(UsageError, match="window"):
-            energy_inequality_check(traj, window=(10.0, 11.0))
-
     def test_sample_validation(self):
         with pytest.raises(UsageError):
             TrajectorySample(np.array([0.0]), np.array([1.0]))

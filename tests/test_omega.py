@@ -276,7 +276,7 @@ class TestForwardLadders:
         assert_same_block(packed, tier_rows, want)
 
     def test_scalar_phase_family(self, monkeypatch):
-        symfam = SymbolFamily.phase_family("forced-scalar", count=6)
+        symfam = SymbolFamily("forced-scalar", count=6)
         space = symfam.system(0.0).space
         seeds = [space.state([0], [v]) for v in np.linspace(-1.5, 1.5, 4)]
         packed, tier_rows = self.block_of(

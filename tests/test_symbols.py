@@ -9,8 +9,6 @@ single value 1/2; the union over a full phase wheel sweeps the interval
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -31,7 +29,7 @@ TWO_PI = 2.0 * math.pi
 
 @pytest.fixture(scope="module")
 def scalar_family():
-    return SymbolFamily.phase_family("forced-scalar", 32)
+    return SymbolFamily("forced-scalar", 32)
 
 
 def scalar_seeds(symfam, count=8):
@@ -46,18 +44,10 @@ def scalar_seeds(symfam, count=8):
 class TestFamilyStructure:
     def test_phase_wheel_layout(self, scalar_family):
         assert len(scalar_family.symbols) == 32
-        assert scalar_family.wrap(-0.3) == pytest.approx(TWO_PI - 0.3)
+        assert scalar_family.shift(-0.3, 0.0) == pytest.approx(TWO_PI - 0.3)
         assert scalar_family.symbols[0] == 0.0
-        assert scalar_family.wrap(TWO_PI + 0.3) == pytest.approx(0.3)
+        assert scalar_family.shift(TWO_PI, 0.3) == pytest.approx(0.3)
         assert scalar_family.shift(0.5, 0.2) == pytest.approx(0.7)
-
-    def test_full_wheel_is_shift_closed(self, scalar_family):
-        assert scalar_family.closed_under(TWO_PI / 32)
-        assert scalar_family.closed_under(-TWO_PI / 32)
-
-    def test_partial_sample_is_not_closed(self, scalar_family):
-        partial = replace(scalar_family, symbols=(0.0, 0.1))
-        assert not partial.closed_under(math.pi)
 
     def test_system_factory_applies_the_phase(self, scalar_family):
         sys1 = scalar_family.system(scalar_family.symbols[3])
@@ -65,7 +55,7 @@ class TestFamilyStructure:
         assert sys1.sigma == pytest.approx(scalar_family.symbols[3])
 
     def test_nse_family_uses_modulated_forcing(self):
-        symfam = SymbolFamily.phase_family("nse", 2)
+        symfam = SymbolFamily("nse", 2)
         sys1 = symfam.system(symfam.symbols[1])
         assert isinstance(sys1, NSESystem)
         assert not sys1.autonomous
@@ -73,9 +63,9 @@ class TestFamilyStructure:
 
     def test_phase_family_arguments_are_checked(self):
         with pytest.raises(UsageError):
-            SymbolFamily.phase_family("forced-scalar", 0)
+            SymbolFamily("forced-scalar", 0)
         with pytest.raises(UsageError, match="no phase family"):
-            SymbolFamily.phase_family("heat")
+            SymbolFamily("heat")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +83,7 @@ class TestShiftIdentity:
                 assert defect <= 1e-12
 
     def test_autonomous_family_shift_is_trivial(self):
-        symfam = SymbolFamily.phase_family("branch2", 4)
+        symfam = SymbolFamily("branch2", 4)
         fam = symfam.system(0.0)
         x = fam.space.state([0], [0.5])
         assert shift_identity_defect(symfam, 0.0, 1.3, -1.0, 1.0, x) <= 1e-12
@@ -160,11 +150,9 @@ class TestUniform:
         assert rep.union_in_uniform <= rep.threshold
         assert rep.uniform_in_union <= rep.threshold
         assert rep.equal
-        assert rep.closed_sample
-        assert "is closed" in rep.note
 
     def test_autonomous_wheel_collapses_to_one_system(self):
-        symfam = SymbolFamily.phase_family("branch2", 4)
+        symfam = SymbolFamily("branch2", 4)
         fam = symfam.system(0.0)
         seeds = fam.sample_states(6, np.random.default_rng(0))
         om = uniform_omega(symfam, seeds, n=10)

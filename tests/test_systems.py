@@ -107,10 +107,10 @@ class TestHeat:
         with pytest.raises(UsageError, match="forward"):
             heat_evolve(self.space, x, 0.0, -1.0)
         with pytest.raises(UsageError, match="forward"):
-            HeatSystem(self.space).evolve_block(x, [0.0, 1.0], [0.5, 0.5])
+            HeatSystem().evolve_block(x, [0.0, 1.0], [0.5, 0.5])
 
     def test_broadcast_images_are_bitwise_per_image_products(self):
-        fam = HeatSystem(self.space)
+        fam = HeatSystem()
         seeds = fam.sample_states(4, np.random.default_rng(4))
         seeds.append(self.space.state(seeds[0].idx, seeds[0].val * (0.6 - 0.3j)))
         depths = [0.05, 0.4, 1.6, 6.5536]
@@ -141,11 +141,6 @@ class TestHeat:
         xi = np.abs(seed.idx[:, 0]) * self.space.grid_spacing
         assert xi.min() >= 2.0 ** (j - 1) - self.space.grid_spacing
         assert xi.max() <= math.sqrt(math.log(2.0)) + 1e-12
-
-    def test_disjoint_witnesses_do_not_overlap(self):
-        _, a = band_witness(self.space, 0.0, -1.0, disjoint=True)
-        _, b = band_witness(self.space, 0.0, -math.log(2.0) / 2.0, disjoint=True)
-        assert not (set(a.idx[:, 0].tolist()) & set(b.idx[:, 0].tolist()))
 
     def test_witness_below_grid_resolution_rejected(self):
         with pytest.raises(UsageError, match="grid"):
@@ -780,7 +775,7 @@ class TestForcing:
         bad = ForcingProfile([ForcingMode(k=(1, 2, 0), amp=a),
                               ForcingMode(k=(-1, -2, 0), amp=a)])
         assert not bad.is_hermitian()
-        wheel = SymbolFamily.phase_family("nse", 4).system(TWO_PI / 4)
+        wheel = SymbolFamily("nse", 4).system(TWO_PI / 4)
         assert wheel.forcing.is_hermitian()
 
     @pytest.mark.parametrize("plus,minus", [
