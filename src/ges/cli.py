@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlowUpError, ForcingFormatError, UnsupportedError, UsageError
-from .omega import (AttractionReport, OmegaApprox, PullbackSchedule,
-                    attraction_diagnostic, invariance_check, omega_pullback)
+from .omega import (INVARIANT_VERDICTS, AttractionReport, OmegaApprox,
+                    PullbackSchedule, attraction_diagnostic, invariance_check,
+                    omega_pullback)
 from .symbols import SymbolFamily, union_inclusion_check
 from .systems import SYSTEM_IDS, make_system
 from .systems.heat import band_witness
@@ -134,13 +135,16 @@ class ExperimentConfig:
     @classmethod
     def build(cls, args: argparse.Namespace) -> "ExperimentConfig":
         """The user's fields over the command's defaults over the class's."""
-        kw = {**_COMMAND_DEFAULTS.get(getattr(args, "command", None), {}),
-              **cls._given(args)}
+        command = getattr(args, "command", None)
+        kw = {**_COMMAND_DEFAULTS.get(command, {}), **cls._given(args)}
         # system-aware schedule defaults: the spectral flow is integrated
         # numerically, so an unasked-for 16-tier geometric schedule would
         # run for hours; everything else is closed-form and stays deep
         if kw.get("system") == "nse":
             kw.setdefault("n", 6)
+            kw.setdefault("n_seeds", 6)
+        # a sampled uniform base takes six seeds unless asked; the scalar grid 24
+        if command == "uniform" and kw["system"] != "forced-scalar":
             kw.setdefault("n_seeds", 6)
         return cls(**kw)
 
@@ -350,7 +354,7 @@ def cmd_uniform(args) -> int:
     if cfg.system == "forced-scalar":
         seeds = [base_fam.scalar(v) for v in np.linspace(-1.5, 1.5, cfg.n_seeds)]
     else:
-        seeds = base_fam.sample_states(min(cfg.n_seeds, 6), cfg.rng())
+        seeds = base_fam.sample_states(cfg.n_seeds, cfg.rng())
     rep = union_inclusion_check(symfam, seeds, t0=cfg.t0,
                                 schedule=cfg.schedule(), metric=cfg.metric,
                                 eps_net=cfg.eps_net, tol=cfg.tol,
@@ -371,20 +375,18 @@ def cmd_invariance(args) -> int:
     fam = make_system(cfg.system)
     rng = cfg.rng()
     rows = invariance_plan(fam, rng)
-    want_for = {"semi": "semi-invariant", "quasi": "quasi-invariant",
-                "full": "invariant"}
-    name, family, kind, want, quasi = rows[0]
+    _, family, kind, quasi = rows[0]
     if args.kind:
-        kind, want = args.kind, want_for[args.kind]
+        kind = args.kind
         if cfg.system == "bump" and kind != "semi":
             # quasi needs the threading labels from the canonical plan
-            name, family, _, _, quasi = rows[-1]
+            _, family, _, quasi = rows[-1]
     rep = invariance_check(fam, family, kind=kind, window=(0.0, 2.0),
                            tol=cfg.tol, rng=cfg.rng(),
                            workers=cfg.threads, **quasi)
     _emit(cfg.out, {f"invariance_{cfg.system}_{kind}.json": rep.to_json()},
           [f"invariance {cfg.system} {kind}: {rep.verdict}"])
-    if rep.verdict == want:
+    if rep.verdict == INVARIANT_VERDICTS[kind]:
         return EXIT_OK
     if rep.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE

@@ -2,16 +2,19 @@
 
 A TrajectoryFamily hands out solution samples per start time, possibly
 several per seed (branch_count > 1 for genuinely multivalued systems).
-The pullback image operator
+evolve and evolve_block refuse, with a UsageError, a seed from another
+space, a branch the seed lacks and a sample time before its start; a
+system implements only _evolve.  The pullback image operator
 
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
 is approximated by evolving a finite seed ensemble through every branch.
 Whatever reads distances from images packs them with _tier_block: one
 evolve_block call per seed and branch gives all of that seed's images as
-values ready for packing (one broadcast for a closed-form multiplier; one
-solve for autonomous NSE, where the default solves per start time),
-fixed states follow them, and the blow-up guard reads the block's norms.
+values ready for packing: one evolve from time 0 sampled at every
+duration t - s when the family is autonomous, P(t, s) = S(t - s), else
+one per run of equal start times (heat broadcasts one multiplier).
+Fixed states follow them, and the blow-up guard reads the block's norms.
 pullback_image keeps images as states, for compose_check and callers
 that want them.  Families also expose phase-space seed sampling keyed by
 labels: a label fixes one trajectory relative to the evaluation time, so
@@ -61,10 +64,11 @@ class TrajectoryFamily(ABC):
     def branch_count(self, s: float, x: CoeffState) -> int:
         return 1
 
-    @abstractmethod
     def evolve(self, s: float, x: CoeffState, ts: Sequence[float],
                branch: int = 0) -> list[CoeffState]:
         """Sample the branch's trajectory through (s, x) at times ts >= s."""
+        self._check_run(x, [s], ts, branch)
+        return self._evolve(s, x, ts, branch)
 
     def evolve_block(self, x: CoeffState, starts: Sequence[float],
                      ts: Sequence[float], branch: int = 0) -> list[tuple]:
@@ -72,17 +76,33 @@ class TrajectoryFamily(ABC):
 
         Returns (idx, vals) groups in image order; vals[j] holds the next
         image's values on the index rows idx, or vals is a callable giving
-        them (see space.pack_groups).  The default evolves once per run of
-        equal start times and makes one group per image; a family whose
-        images stay on the seed's own index rows may return one group, and
-        an autonomous family may sample one solve at every duration t - s
-        (NSE under a static force does).
+        them (see space.pack_groups).
         """
-        groups = []
-        for s, run in groupby(zip(starts, ts), key=lambda pair: pair[0]):
-            for st in self.evolve(s, x, [t for _, t in run], branch=branch):
-                groups.append((st.idx, st.val[None]))
-        return groups
+        self._check_run(x, starts, ts, branch)
+        return self._evolve_block(x, starts, ts, branch)
+
+    def _check_run(self, x, starts, ts, branch) -> None:
+        """Refuse a seed from another space, a branch the seed lacks and a
+        sample time before its start (one start may serve every sample)."""
+        self.space.check_member(x)
+        if any(not 0 <= branch < self.branch_count(s, x) for s in set(starts)):
+            raise UsageError(f"branch {branch} out of range for {self.system_id!r}")
+        if np.any(np.asarray(ts, dtype=np.float64) < np.asarray(starts, dtype=np.float64)):
+            raise UsageError("evolution runs forward: no sample may precede its start")
+
+    @abstractmethod
+    def _evolve(self, s, x, ts, branch) -> list[CoeffState]:
+        """evolve's samples, for a run _check_run accepted."""
+
+    def _evolve_block(self, x, starts, ts, branch) -> list[tuple]:
+        """One group per image, by the autonomy rule (see the module doc)."""
+        if self.autonomous:
+            runs = [(0.0, [float(t) - float(s) for s, t in zip(starts, ts)])]
+        else:
+            pairs = groupby(zip(starts, ts), key=lambda pair: pair[0])
+            runs = [(s, [t for _, t in run]) for s, run in pairs]
+        return [(st.idx, st.val[None])
+                for s, run_ts in runs for st in self.evolve(s, x, run_ts, branch)]
 
     # -- phase-space sampling ---------------------------------------------------
 
@@ -301,6 +321,7 @@ class EnergyCheckReport:
     verdict: str  # "holds" | "violated"
     eps_used: float = 1e-9
     delta_used: float = 0.5
+    integral_tol_used: float = 1e-6
 
 
 def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
@@ -369,7 +390,7 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
     if not np.isfinite(max_resid):
         max_resid = 0.0
     return EnergyCheckReport(h, n_major, n_int, violations, float(max_resid),
-                             verdict, float(eps), float(delta))
+                             verdict, float(eps), float(delta), float(integral_tol))
 
 
 # ---------------------------------------------------------------------------

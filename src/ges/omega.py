@@ -570,6 +570,11 @@ class InvarianceReport:
         return report_json("invariance", self)
 
 
+#: the verdict of an invariance check of each kind that succeeds
+INVARIANT_VERDICTS = {"semi": "semi-invariant", "quasi": "quasi-invariant",
+                      "full": "invariant"}
+
+
 def invariance_check(fam: TrajectoryFamily,
                      set_family: Callable[[float], Sequence[CoeffState]],
                      kind: str = "full",
@@ -637,17 +642,8 @@ def invariance_check(fam: TrajectoryFamily,
             stayed &= near.any(axis=1)
         quasi_ok = quasi_unmatched == 0
 
-    if kind == "semi":
-        verdict = "semi-invariant" if semi_ok else "fails"
-    elif kind == "quasi":
-        verdict = "quasi-invariant" if quasi_ok else "inconclusive"
-    else:
-        if not semi_ok:
-            verdict = "fails"
-        elif quasi_ok:
-            verdict = "invariant"
-        else:
-            verdict = "inconclusive"
+    verdict = ("fails" if not semi_ok
+               else INVARIANT_VERDICTS[kind] if quasi_ok else "inconclusive")
     return InvarianceReport(fam.system_id, kind, metric,
                             [float(x) for x in times],
                             [float(x) for x in semi_dev],

@@ -81,8 +81,6 @@ def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
     """Strong distance between evolving under sigma on [r+s, t+s] and
     under the shifted symbol on [r, t]; solver noise when the family
     represents one nonautonomous system."""
-    if t < r:
-        raise UsageError("need r <= t")
     fam = symfam.system(sigma)
     a = fam.evolve(r + s, x, [t + s])[0]
     b = symfam.system(symfam.shift(s, sigma)).evolve(r, x, [t])[0]

@@ -12,8 +12,8 @@ from __future__ import annotations
 from ..errors import UsageError
 from .branch import BranchSystem
 from .bump import BumpSystem, SingleTrajectorySystem, bump_state, make_bump_space
-from .heat import (HeatSystem, band_profile, band_witness, heat_evolve,
-                   high_band_seed, make_heat_space)
+from .heat import (HeatSystem, band_profile, band_witness, high_band_seed,
+                   make_heat_space)
 from .line import LineSystem
 from .scalar import ForcedScalarSystem
 
@@ -54,6 +54,6 @@ __all__ = [
     "ForcingProfile", "HeatSystem", "LineSystem", "NSESystem",
     "SingleTrajectorySystem", "SYSTEM_IDS", "absorbing_entry_time",
     "absorbing_radius", "band_profile", "band_witness", "bump_state",
-    "default_forcing", "get_basis", "heat_evolve", "high_band_seed",
+    "default_forcing", "get_basis", "high_band_seed",
     "make_bump_space", "make_heat_space", "make_system",
 ]

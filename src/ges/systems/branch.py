@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from ..errors import UsageError
 from ..evolution import TrajectoryFamily
 from ..space import DualMetricSpace
 
@@ -34,12 +33,8 @@ class BranchSystem(TrajectoryFamily):
     def branch_count(self, s, x):
         return len(RATES)
 
-    def evolve(self, s, x, ts, branch=0):
-        if not 0 <= branch < len(RATES):
-            raise UsageError(f"branch {branch} out of range")
-        self.space.check_member(x)
-        rate = RATES[branch]
-        return [self.space.state(x.idx, x.val * math.exp(-rate * (float(t) - s)))
+    def _evolve(self, s, x, ts, branch):
+        return [self.space.state(x.idx, x.val * math.exp(-RATES[branch] * (float(t) - s)))
                 for t in ts]
 
     def sample_states(self, count, rng):

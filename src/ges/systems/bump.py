@@ -72,12 +72,8 @@ class BumpSystem(TrajectoryFamily):
     def __init__(self):
         super().__init__(make_bump_space())
 
-    def evolve(self, s, x, ts, branch=0):
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
-        self.space.check_member(x)
-        tau0 = _profile_position(x)
-        r = s - tau0
+    def _evolve(self, s, x, ts, branch):
+        r = s - _profile_position(x)
         return [bump_state(self.space, r, float(t)) for t in ts]
 
     # labels are positions at the evaluation time, so a label tracks one
@@ -128,9 +124,7 @@ class SingleTrajectorySystem(TrajectoryFamily):
     def trajectory(self, tau: float) -> CoeffState:
         return bump_state(self.space, 0.0, float(tau))
 
-    def evolve(self, s, x, ts, branch=0):
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
+    def _evolve(self, s, x, ts, branch):
         return [self.trajectory(t) for t in ts]
 
     def sample_states(self, count, rng):

@@ -36,28 +36,17 @@ def make_heat_space() -> DualMetricSpace:
                            grid_extent=GRID_EXTENT)
 
 
-def _lags(starts, ts) -> np.ndarray:
-    lag = np.asarray(starts, dtype=np.float64) - np.asarray(ts, dtype=np.float64)
-    if np.any(lag > 0.0):
-        raise UsageError("diffusion runs forward only")
-    return lag
-
-
 def heat_block(space: DualMetricSpace, x: CoeffState, starts, ts) -> np.ndarray:
     """Values of the images P(ts[k], starts[k]) x on x's own index rows.
 
     One broadcast of exp(xi^2 (s - t)) over all images, (k, rows, c); real
     when x is.  Each entry is bitwise the single-image product.
     """
-    lag = _lags(starts, ts)
+    lag = np.asarray(starts, dtype=np.float64) - np.asarray(ts, dtype=np.float64)
     xi = x.idx[:, 0].astype(np.float64) * space.grid_spacing
     factor = np.exp(xi * xi * lag[:, None])
     val = x.val if np.any(x.val.imag) else x.val.real
     return val[None] * factor[:, :, None]
-
-
-def heat_evolve(space: DualMetricSpace, x: CoeffState, s: float, t: float) -> CoeffState:
-    return x.with_values(heat_block(space, x, [s], [t])[0])
 
 
 def _unit_band(space: DualMetricSpace, slots: np.ndarray,
@@ -129,18 +118,11 @@ class HeatSystem(TrajectoryFamily):
     def __init__(self):
         super().__init__(make_heat_space())
 
-    def evolve(self, s, x, ts, branch=0):
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
-        self.space.check_member(x)
+    def _evolve(self, s, x, ts, branch):
         return [x.with_values(v) for v in heat_block(self.space, x, [s] * len(ts), ts)]
 
-    def evolve_block(self, x, starts, ts, branch=0):
+    def _evolve_block(self, x, starts, ts, branch):
         """One group on the seed's rows, its values deferred to the packer."""
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
-        self.space.check_member(x)
-        _lags(starts, ts)
         return [(x.idx, partial(heat_block, self.space, x, starts, ts))]
 
     def sample_states(self, count, rng):

@@ -14,7 +14,6 @@ to it.  It exists purely to witness how the diagnostics report failure.
 
 from __future__ import annotations
 
-from ..errors import UsageError
 from ..evolution import TrajectoryFamily
 from ..space import DualMetricSpace
 
@@ -35,9 +34,7 @@ class LineSystem(TrajectoryFamily):
     def scalar(self, v: float):
         return self.space.state([0], [float(v)])
 
-    def evolve(self, s, x, ts, branch=0):
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
+    def _evolve(self, s, x, ts, branch):
         return [self.scalar(float(t) - s) for t in ts]
 
     def sample_states(self, count, rng):

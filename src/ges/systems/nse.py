@@ -71,9 +71,6 @@ from ..evolution import TrajectoryFamily, TrajectorySample
 from ..space import CoeffState, DualMetricSpace
 
 LAMBDA_1 = 1.0
-# the window bounds of a forcing law sample t in [0, 4] on a 1e-3 grid
-WINDOW = (0.0, 4.0)
-WINDOW_DT = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +152,42 @@ class ForcingMode:
         im = np.interp(t, self.times, [v.imag for v in self.values])
         return self.amp * (re + 1j * im)
 
+    def window_sup(self, delta: float) -> float:
+        """sup over all t of F(t) = int_t^{t+delta} |c|^2, in closed form.  A
+        sampled law is constant outside its knots, so F is constant outside
+        [times[0] - delta, times[-1]] and cubic between breakpoints, where t
+        or t + delta is a knot: it peaks at one of them or at a root of the
+        quadratic F' = |c(t + delta)|^2 - |c(t)|^2."""
+        if self.kind == "sin" and self.omega != 0.0:
+            w = abs(self.omega)
+            return np.abs(self.amp) ** 2 * (delta / 2.0 + abs(math.sin(w * delta)) / (2.0 * w))
+        if self.kind != "sampled":
+            return np.abs(self.envelope(0.0)) ** 2 * delta  # a constant law
+        knots = np.array(self.times)
+
+        def f(t):
+            return np.abs(self.envelope(t)) ** 2
+
+        def simpson(a, b):  # int_a^b f, exact where f is one quadratic
+            return (b - a) * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b)) / 6.0
+
+        def prim(t):  # int_{knots[0]}^t f
+            j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 1)
+            return cum[j] + simpson(knots[j], t)
+
+        cum = np.concatenate([[0.0], np.cumsum(simpson(knots[:-1], knots[1:]))])
+        p = np.unique(np.concatenate([knots, knots - delta]))
+        p = p[(p >= knots[0] - delta) & (p <= knots[-1])]
+        mid, half = 0.5 * (p[1:] + p[:-1]), 0.5 * (p[1:] - p[:-1])
+        # F'(mid + half u) = a u^2 + b u + c on a piece: both roots, NaN if complex
+        dp, dm, dq = (f(t + delta) - f(t) for t in (p[:-1], mid, p[1:]))
+        a, b, c = 0.5 * (dp + dq) - dm, 0.5 * (dq - dp), dm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            u = np.concatenate([r / a, c / r])
+        t = np.concatenate([p, (np.tile(mid, 2) + np.tile(half, 2) * u)[np.abs(u) < 1.0]])
+        return float((prim(t + delta) - prim(t)).max())
+
 
 class ForcingProfile:
     """Finite-mode forcing; exactly the listed modes are driven.
@@ -217,25 +250,16 @@ class ForcingProfile:
     # -- window bounds -------------------------------------------------------
 
     def translational_bound(self) -> float:
-        """||g||_{L2b}^2: sup over t in WINDOW of int_t^{t+1} ||g||_{V'}^2."""
+        """||g||_{L2b}^2: sup over t of int_t^{t+1} ||g||_{V'}^2."""
         return self.window_integral_sup(1.0)
 
     def window_integral_sup(self, delta: float) -> float:
-        """sup over t in WINDOW of int_t^{t+delta} ||g||_{V'}^2.
-
-        Trapezoid rule on the grid lo + WINDOW_DT * i, with window starts
-        on that grid from lo to hi inclusive.  The far end is interpolated
-        in grid-index space, so a delta of whole steps lands on nodes."""
-        (lo, hi), dt = WINDOW, WINDOW_DT
+        """sup over t of int_t^{t+delta} ||g||_{V'}^2, bounded by the sum of the
+        modes' own sups over |k|^2: exact when they share one time law."""
         if self.is_static():
-            return float(self.vprime_norm_sq(lo)) * delta
-        n_starts = int(math.ceil((hi - lo) / dt)) + 1
-        steps = delta / dt
-        grid = lo + dt * np.arange(n_starts + int(math.ceil(steps)))
-        f = self.vprime_norm_sq(grid)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))])
-        ends = np.interp(np.arange(n_starts) + steps, np.arange(grid.size), cum)
-        return float((ends - cum[:n_starts]).max())
+            return float(self.vprime_norm_sq(0.0)) * delta
+        return float(sum(e.window_sup(delta) / (e.k[0] ** 2 + e.k[1] ** 2 + e.k[2] ** 2)
+                         for e in self.entries))
 
     def normality_check(self, eps_list: Sequence[float]) -> list[tuple[float, float]]:
         """Largest delta <= 1 with sup_t int_t^{t+delta} <= eps, found by
@@ -475,8 +499,7 @@ def make_nse_space(ball_radius: float, kmax: int) -> DualMetricSpace:
 
 class NSESystem(TrajectoryFamily):
     system_id = "nse"
-    # set per instance: true only for a static force, and then evolve_block
-    # makes one solve per seed instead of one per run of equal start times
+    # set per instance: true only for a static force
     autonomous = False
     expectations = {"weak_attractor": True, "strong_attractor": True}
 
@@ -497,7 +520,7 @@ class NSESystem(TrajectoryFamily):
                 "law, the conjugate amplitude and the conjugate sampled values")
         self._visc = -self.nu * self.basis.ksq[:, None]
         self.ball_convention = ball_convention
-        with np.errstate(over="ignore"):  # an overflow is refused just below
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             self.l2b_bound = self.forcing.translational_bound()
         if not math.isfinite(self.l2b_bound):
             raise ForcingFormatError("forcing too large: its translational bound "
@@ -587,32 +610,16 @@ class NSESystem(TrajectoryFamily):
                               f"non-finite coefficient")
         return sol.y
 
-    def evolve(self, s, x, ts, branch=0):
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
+    def _evolve(self, s, x, ts, branch):
         ts = [float(t) for t in ts]
-        if any(t < s for t in ts):
-            raise UsageError("sample times must not precede the start time")
         v0 = self.dense_values(x)
         if max(ts) == s:
             return [self.state_from_dense(v0) for _ in ts]
-
-        m = self.basis.m
         t_eval = sorted(set(ts))
         y = self._integrate(s, v0, max(ts), t_eval)
-        by_time = {tv: self.state_from_dense(y[:, i].reshape(m, 3))
+        by_time = {tv: self.state_from_dense(y[:, i].reshape(-1, 3))
                    for i, tv in enumerate(t_eval)}
         return [by_time[t] for t in ts]
-
-    def evolve_block(self, x, starts, ts, branch=0):
-        """Under a static force P(t, s) x = S(t - s) x, so one solve from
-        time 0, sampled at every duration t - s, gives all of the seed's
-        images; a time-dependent force keeps the per-start default."""
-        if not self.autonomous:
-            return super().evolve_block(x, starts, ts, branch=branch)
-        durations = [float(t) - float(s) for s, t in zip(starts, ts)]
-        return [(st.idx, st.val[None])
-                for st in self.evolve(0.0, x, durations, branch=branch)]
 
     # -- energy functionals ----------------------------------------------------------
 

@@ -44,23 +44,16 @@ class ForcedScalarSystem(TrajectoryFamily):
         return self.space.state([0], [float(v)])
 
     def value_of(self, x) -> float:
-        self.space.check_member(x)
         if x.idx.shape[0] == 0:
             return 0.0
         if x.idx.shape[0] != 1 or x.idx[0, 0] != 0:
             raise UsageError("scalar states live on index 0 only")
         return float(x.val[0, 0].real)
 
-    def evolve(self, s, x, ts, branch=0):
-        if branch != 0:
-            raise UsageError("single-valued system has only branch 0")
-        u0 = self.value_of(x)
-        out = []
-        for t in ts:
-            t = float(t)
-            v = math.exp(-(t - s)) * (u0 - self.particular(s)) + self.particular(t)
-            out.append(self.scalar(v))
-        return out
+    def _evolve(self, s, x, ts, branch):
+        gap = self.value_of(x) - self.particular(s)
+        return [self.scalar(math.exp(-(t - s)) * gap + self.particular(t))
+                for t in map(float, ts)]
 
     def sample_states(self, count, rng):
         return [self.scalar(v) for v in rng.uniform(-1.5, 1.5, size=count)]

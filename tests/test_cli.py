@@ -277,6 +277,18 @@ class TestNseCommand:
         assert code == 0
         assert read_json(out, "nse_absorbing.json")["seeds"] == 9
 
+    def test_energy_tolerance_scales_with_the_energy(self, tmp_path, capsys):
+        """Under this four-mode force |u|^2 reaches about 69 and the integral
+        residual 2.5e-6: integration error, above the absolute 1e-6."""
+        path = tmp_path / "force.json"
+        path.write_text(json.dumps({"modes": [
+            {"k": [1, 0, 0], "amp": [1, 0]}, {"k": [-1, 0, 0], "amp": [1, 0]},
+            {"k": [0, 1, 0], "amp": [0, 1]}, {"k": [0, -1, 0], "amp": [0, -1]}]}))
+        code, out = run(tmp_path, "nse", "energy", "--forcing", str(path))
+        assert code == 0
+        assert read_json(out, "nse_energy.json")["verdict"] == "holds"
+        assert "max_residual=2.499" in capsys.readouterr().out
+
     def test_forcing_file_that_is_not_json(self, tmp_path):
         bad = tmp_path / "force.json"
         bad.write_text("this is not json {")
@@ -409,6 +421,27 @@ class TestUniformCommand:
         assert obj["union_in_uniform"] is None
         assert obj["uniform_in_union"] is None
         assert "union_in_uniform=inf reverse=inf" in capsys.readouterr().out
+
+    def test_the_asked_seed_count_is_used(self, tmp_path, monkeypatch):
+        """A flag or config-file n_seeds is honoured for every base; unset,
+        the scalar grid takes 24 seeds and a sampled base 6."""
+        seen = []
+
+        def spy(symfam, seeds, **kwargs):
+            seen.append(len(seeds))
+            raise UsageError("stop after the seeds")
+
+        monkeypatch.setattr(ges.cli, "union_inclusion_check", spy)
+        for system, given, want in (("branch2", 12, 12), ("branch2", None, 6),
+                                    ("forced-scalar", None, 24),
+                                    ("forced-scalar", 5, 5)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({} if given is None else {"n_seeds": given}))
+            flag = () if given is None else ("--n-seeds", str(given))
+            seen.clear()
+            for argv in (flag, ("--config", str(cfg))):
+                run(tmp_path, "uniform", "--system", system, "--count", "4", *argv)
+            assert seen == [want, want], system
 
     def test_a_system_without_a_phase_wheel_is_refused(self, tmp_path, capsys):
         code, out = run(tmp_path, "uniform", "--system", "heat", "--count", "4")

@@ -100,7 +100,7 @@ class ExplodingSystem(TrajectoryFamily):
     def __init__(self):
         super().__init__(DualMetricSpace(tag="exploding", ball_radius=1.0))
 
-    def evolve(self, s, x, ts, branch=0):
+    def _evolve(self, s, x, ts, branch):
         return [self.space.state(x.idx, x.val * math.exp(float(t) - s))
                 for t in ts]
 

@@ -1027,7 +1027,7 @@ class SpikeSystem(TrajectoryFamily):
     def __init__(self):
         super().__init__(DualMetricSpace(tag="spike", ball_radius=1.0))
 
-    def evolve(self, s, x, ts, branch=0):
+    def _evolve(self, s, x, ts, branch):
         mid = len(ts) // 2
         return [self.space.state([0], [20.0 if k == mid else 0.5])
                 for k in range(len(ts))]

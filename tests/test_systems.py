@@ -43,7 +43,6 @@ from ges.systems import (
     bump_state,
     default_forcing,
     get_basis,
-    heat_evolve,
     high_band_seed,
     make_bump_space,
     make_heat_space,
@@ -87,6 +86,23 @@ def test_attractor_expectations_registry():
         assert cls.expectations["strong_attractor"] is strong, sid
 
 
+@pytest.mark.parametrize("sid", SYSTEM_IDS)
+def test_every_system_refuses_a_run_outside_its_contract(sid):
+    fam = make_system(sid)
+    x = fam.sample_states(1, np.random.default_rng(3))[0]
+    other = make_system("line" if sid == "branch2" else "branch2")
+    foreign = other.sample_states(1, np.random.default_rng(3))[0]
+    bad_branch = fam.branch_count(0.0, x)
+    for msg, (s, seed, ts, branch) in {
+            "precede": (0.0, x, [-1.0], 0),
+            "handed to space": (0.0, foreign, [1.0], 0),
+            "out of range": (0.0, x, [1.0], bad_branch)}.items():
+        with pytest.raises(UsageError, match=msg):
+            fam.evolve(s, seed, ts, branch=branch)
+        with pytest.raises(UsageError, match=msg):
+            fam.evolve_block(seed, [s, s], [1.0, ts[0]], branch=branch)
+
+
 # ---------------------------------------------------------------------------
 # diffusion on the line
 
@@ -98,14 +114,14 @@ class TestHeat:
         # slot 32 sits at xi = 1/2; one unit of elapsed time scales the
         # coefficient by e^(-1/4)
         x = self.space.state([32], [1.0])
-        y = heat_evolve(self.space, x, 0.0, 1.0)
+        y = HeatSystem().evolve(0.0, x, [1.0])[0]
         assert float(y.val[0, 0].real) == pytest.approx(
             0.7788007830714049, abs=1e-15)
 
     def test_backward_evolution_rejected(self):
         x = self.space.state([32], [1.0])
         with pytest.raises(UsageError, match="forward"):
-            heat_evolve(self.space, x, 0.0, -1.0)
+            HeatSystem().evolve(0.0, x, [-1.0])
         with pytest.raises(UsageError, match="forward"):
             HeatSystem().evolve_block(x, [0.0, 1.0], [0.5, 0.5])
 
@@ -133,7 +149,7 @@ class TestHeat:
         j, seed = band_witness(self.space, 0.0, -elapsed)
         assert j == band
         assert self.space.strong_norm(seed) == pytest.approx(1.0, abs=1e-12)
-        evolved = heat_evolve(self.space, seed, -elapsed, 0.0)
+        evolved = HeatSystem().evolve(-elapsed, seed, [0.0])[0]
         assert self.space.strong_norm(evolved) >= 0.5 - 1e-6
 
     def test_witness_support_sits_in_the_band(self):
@@ -795,17 +811,36 @@ class TestForcing:
         # int_t^{t+1} sin^2 peaks at 1/2 + |sin w| / (2 w)
         (ForcingMode(k=(1, 0, 0), amp=1.0, kind="sin", omega=7.3, phase=0.4),
          0.5 + abs(math.sin(7.3)) / 14.6),
-        # grows up to t = 5, so the window starting at t = 4 is the largest:
-        # a linear law from a to b over a length L integrates its square to
-        # L (a^2 + ab + b^2) / 3
+        # the peak windows start at t = 5 + 2 pi n
+        (ForcingMode(k=(1, 0, 0), amp=1.0, kind="sin", omega=0.5,
+                     phase=math.pi / 2.0 - 2.75), 0.5 + abs(math.sin(0.5))),
+        # the law holds 10 after its last knot t = 5
         (ForcingMode(k=(0, 1, 0), amp=1.0, kind="sampled",
                      times=(0.0, 4.0, 4.5, 5.0), values=(0.0, 0.0, 3.0, 10.0)),
-         74.0 / 3.0),
-    ], ids=["static", "sin", "sampled"])
+         100.0),
+        # rises to 3 over [9, 10] and holds it: the windows past t = 9 see it
+        (ForcingMode(k=(1, 0, 0), amp=1.0, kind="sampled",
+                     times=(0.0, 9.0, 10.0), values=(0.0, 0.0, 3.0)), 9.0),
+        # a tent over [5, 7] peaks inside a piece, on the window [5.5, 6.5]:
+        # 2 (1 - 1/8) / 3
+        (ForcingMode(k=(1, 0, 0), amp=1.0, kind="sampled",
+                     times=(5.0, 6.0, 7.0), values=(0.0, 1.0, 0.0)), 7.0 / 12.0),
+    ], ids=["static", "sin", "sin-late-peak", "sampled", "sampled-tail",
+            "sampled-tent"])
     def test_translational_bound_is_the_unit_window_sup(self, mode, sup):
         prof = ForcingProfile([mode])
         assert prof.translational_bound() == prof.window_integral_sup(1.0)
         assert prof.translational_bound() == pytest.approx(sup, rel=1e-5)
+
+    def test_modes_with_different_laws_sum_their_own_sups(self):
+        # a zero frequency leaves the constant law 2 sin(0.3); the sampled
+        # mode holds 3 after t = 10 and sits at |k|^2 = 4
+        prof = ForcingProfile([
+            ForcingMode(k=(1, 0, 0), amp=2.0, kind="sin", omega=0.0, phase=0.3),
+            ForcingMode(k=(0, 2, 0), amp=1.0, kind="sampled", times=(0.0, 9.0, 10.0),
+                        values=(0.0, 0.0, 3.0))])
+        assert prof.window_integral_sup(0.5) == pytest.approx(
+            4.0 * math.sin(0.3) ** 2 * 0.5 + 9.0 * 0.5 / 4.0, rel=1e-12)
 
     def test_roundtrip_through_dict(self):
         prof = ForcingProfile([
