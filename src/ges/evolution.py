@@ -3,8 +3,9 @@
 A TrajectoryFamily hands out solution samples per start time, possibly
 several per seed (branch_count > 1 for genuinely multivalued systems).
 evolve and evolve_block refuse, with a UsageError, a seed from another
-space, a branch the seed lacks and a sample time before its start; a
-system implements only _evolve.  The pullback image operator
+space, unequal start and sample lists, a branch the seed lacks and a
+sample time before its start; a system implements only _evolve.  The
+pullback image operator
 
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
@@ -67,7 +68,7 @@ class TrajectoryFamily(ABC):
     def evolve(self, s: float, x: CoeffState, ts: Sequence[float],
                branch: int = 0) -> list[CoeffState]:
         """Sample the branch's trajectory through (s, x) at times ts >= s."""
-        self._check_run(x, [s], ts, branch)
+        self._check_run(x, [s] * len(ts), ts, branch)
         return self._evolve(s, x, ts, branch)
 
     def evolve_block(self, x: CoeffState, starts: Sequence[float],
@@ -82,9 +83,11 @@ class TrajectoryFamily(ABC):
         return self._evolve_block(x, starts, ts, branch)
 
     def _check_run(self, x, starts, ts, branch) -> None:
-        """Refuse a seed from another space, a branch the seed lacks and a
-        sample time before its start (one start may serve every sample)."""
+        """Refuse a seed from another space, other than one start per sample
+        time, a branch the seed lacks and a sample time before its start."""
         self.space.check_member(x)
+        if len(starts) != len(ts):
+            raise UsageError(f"{len(starts)} start times for {len(ts)} sample times")
         if any(not 0 <= branch < self.branch_count(s, x) for s in set(starts)):
             raise UsageError(f"branch {branch} out of range for {self.system_id!r}")
         if np.any(np.asarray(ts, dtype=np.float64) < np.asarray(starts, dtype=np.float64)):

@@ -10,11 +10,11 @@ inner loops stay free of Python objects:
 
 Each kernel has one numpy implementation.  The two cross kernels walk
 bv in fixed blocks of rows through preallocated buffers, so their
-temporaries stay cache-sized whatever the set size.  Blocking changes no
-summation order: every distance is bitwise what one unblocked pass
-gives, and repeated runs stay byte-identical.  The cross kernels take
-real (float64) or complex blocks; a real pair gives bitwise the distances
-of its complex copy.
+temporaries stay cache-sized whatever the set size.  Every product runs
+on whole groups of four rows, so a distance depends only on its two rows:
+no blocking, split, order or gather of bv moves a bit.  The cross kernels
+take real (float64) or complex blocks; a real pair gives bitwise the
+distances of its complex copy.
 
 The module imports numpy only.  nse_bilinear imports scipy.fft inside its
 body, so a command that builds no NSE system never loads scipy; after the
@@ -35,12 +35,10 @@ import numpy as np
 # both blocks are real, diff^2 is that squared term directly: im^2 would be
 # +0.0 and x + 0.0 == x, so the bits match the complex pass.  A block's
 # buffers take at most about 32 bytes per (row, index, component) cell, so
-# _BLOCK_CELLS cells stay inside a core's L2 cache.  Blocks are a multiple
-# of 4 rows long and the last one also takes the leftover tail of under 4
-# rows: BLAS matrix-vector products take rows in groups of four plus such a
-# tail, so each row falls in the same group as in one unblocked product and
-# gets the same bits.  A block of one row would not: numpy hands a one-row
-# product to a dot kernel, which sums in another order.
+# _BLOCK_CELLS cells stay inside a core's L2 cache.  BLAS matrix-vector
+# products sum rows in groups of four and a tail of under four (numpy a
+# lone row) in another order, so a short block is padded with zero rows to
+# whole groups: a distance then depends only on its two rows.
 
 _BLOCK_CELLS = 1 << 15
 
@@ -50,28 +48,28 @@ def _block_rows(u: int, c: int) -> int:
     return max(4, _BLOCK_CELLS // max(u * c, 1) // 4 * 4)
 
 
-def _block_edges(n: int, rows: int) -> list[int]:
-    """Edges of blocks of `rows` rows over n; the last also takes a tail of < 4."""
-    return [*range(0, max(n - 3, 1), rows), n]
+def _round4(n: int) -> int:
+    return -(-n // 4) * 4
 
 
 def _cross(av, bv, w, weak):
     na, u, c = av.shape
     nb = bv.shape[0]
-    out = np.empty((na, nb), dtype=np.float64)
+    out = np.empty((na, _round4(nb)), dtype=np.float64)
     rows = _block_rows(u, c)
-    edges = _block_edges(nb, rows)
-    n = min(rows + 3, nb)
+    n = min(rows, _round4(nb))
     real = not (np.iscomplexobj(av) or np.iscomplexobj(bv))
     diff = np.empty((n, u, c), dtype=np.float64 if real else np.complex128)
     parts = None if real else diff.view(np.float64)  # (n, u, 2c): re and im parts
     sq = diff if real else np.empty((n, u, c), dtype=np.float64)
     t = sq[:, :, 0] if c == 1 else np.empty((n, u), dtype=np.float64)
     den = np.empty((n, u), dtype=np.float64) if weak else None
-    for s, e in zip(edges[:-1], edges[1:]):
-        m = e - s
+    for s in range(0, nb, rows):
+        m = min(rows, nb - s)
+        m4 = _round4(m)
+        t[m:m4] = 0.0  # padding: nothing below writes these rows
         for i in range(na):
-            np.subtract(av[i], bv[s:e], out=diff[:m])
+            np.subtract(av[i], bv[s:s + m], out=diff[:m])
             if real:
                 np.multiply(diff[:m], diff[:m], out=sq[:m])
             else:
@@ -84,10 +82,10 @@ def _cross(av, bv, w, weak):
                 np.sqrt(tm, out=tm)
                 np.add(tm, 1.0, out=den[:m])
                 np.divide(tm, den[:m], out=tm)
-            np.matmul(tm, w, out=out[i, s:e])
+            np.matmul(t[:m4], w, out=out[i, s:s + m4])
     if not weak:
         np.sqrt(out, out=out)
-    return out
+    return out[:, :nb]
 
 
 def strong_cross(av: np.ndarray, bv: np.ndarray, qw: np.ndarray) -> np.ndarray:

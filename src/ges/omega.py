@@ -22,9 +22,9 @@ records each other row's pivot: the first kept row within eps_net of it.
 The survival filter then bounds a candidate's distance to each tier row
 through that row's pivot (the triangle inequality, as in LAESA) and
 measures only the rows whose bound, widened by a margin far above
-rounding, reaches the survival cap; see _net_and_survive.  These pruned
-rows are scattered, and PackedSet.cross gathers them one kernel block at
-a time.  Rules, ties and verdicts are those of the full comparison.
+rounding, reaches the survival cap; see _net_and_survive.  A distance
+depends only on its two rows, however scattered, so rules, ties and
+verdicts are those of the full comparison, bit for bit.
 
 Every image is packed straight from its seed by evolution._tier_block,
 so no state object is made per image; only surviving omega points become
@@ -446,8 +446,8 @@ def minimality_check(fam: TrajectoryFamily, candidate: Sequence[CoeffState],
     packed = pack_states(fam.space, candidate + omega.points)
     cand_rows = np.arange(len(candidate))
     point_rows = np.arange(len(candidate), packed.n_states)
-    gap = packed.semidist(point_rows, cand_rows, omega.metric)
-    per_point = packed.cross(cand_rows, point_rows, omega.metric).min(axis=1)
+    d = packed.cross(cand_rows, point_rows, omega.metric)
+    gap, per_point = d.min(axis=0).max(), d.min(axis=1)
     excess = [int(i) for i in np.nonzero(per_point > 2.0 * omega.eps_net)[0]]
     contained = gap <= omega.tol + omega.eps_net
     if contained and not excess:

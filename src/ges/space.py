@@ -22,12 +22,12 @@ scalar counterexample whose two metrics coincide.
 
 Set operations (semidistance, Hausdorff, greedy epsilon nets) run on
 packed dense blocks so the pairwise work happens inside the kernels
-module; pair distances go through the same path.  A run of
-consecutive packed rows reaches the kernels as a view, not a copy, which
-is why the omega layer packs its tier images deepest tier first: the net
-then visits rows in storage order and every tier is one such run.
-Scattered rows (the net's live list, a pruned tier) are gathered one
-kernel block at a time, so no copy of them all is ever made.
+module; pair distances go through the same path.  Every product runs on
+whole groups of four rows, so a distance depends only on its two rows
+(and the index union they are packed on).  A run of consecutive packed
+rows reaches the kernels as a view, not a copy, which is why the omega
+layer packs its tier images deepest tier first: the net then visits rows
+in storage order and every tier is one such run.
 
 One scatter packer, pack_groups, builds every block; pack_states is its
 case of one state per group, and the omega ladders hand it each seed's
@@ -296,14 +296,19 @@ class PackedSet:
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Blocked like the cross kernels, so each row's norm has the bits of
-        # one unblocked product while the temporaries stay block-sized.
+        # Blocked like the cross kernels and padded to whole groups of four
+        # rows, so a row's norm depends only on the row.
         n, u, c = self.vals.shape
-        sq = np.empty(n, dtype=np.float64)
-        edges = kernels._block_edges(n, kernels._block_rows(u, c))
-        for s, e in zip(edges[:-1], edges[1:]):
-            sq[s:e] = (np.abs(self.vals[s:e]) ** 2).sum(axis=2) @ self.qw
-        self.norms = np.sqrt(np.maximum(sq, 0.0))
+        rows = kernels._block_rows(u, c)
+        sq = np.empty(kernels._round4(n), dtype=np.float64)
+        t = np.empty((min(rows, len(sq)), u), dtype=np.float64)
+        for s in range(0, n, rows):
+            m = min(rows, n - s)
+            m4 = kernels._round4(m)
+            np.sum(np.abs(self.vals[s:s + m]) ** 2, axis=2, out=t[:m])
+            t[m:m4] = 0.0
+            np.matmul(t[:m4], self.qw, out=sq[s:s + m4])
+        self.norms = np.sqrt(np.maximum(sq[:n], 0.0))
 
     @property
     def n_states(self) -> int:
@@ -336,31 +341,25 @@ class PackedSet:
         """(len(rows_a), len(rows_b)) distances in the chosen metric.
 
         Runs of consecutive rows reach the kernel as views.  Scattered rows_a
-        are gathered whole: the kernel takes each av row on its own.
-        Scattered rows_b are gathered one kernel block at a time, along the
-        block edges the kernel itself would use on vals[rows_b], with one
-        kernel call per block.  The same blocks give bitwise the same
-        distances as one call on the full copy, and the gathered rows never
-        exceed one block beside the packed set.
+        are gathered whole; scattered rows_b one kernel block at a time, so
+        the gathered rows never exceed one block beside the packed set.  A
+        distance depends only on its two rows, so it has the same bits
+        gathered or not.
         """
-        if metric == "strong":
-            kernel, w = kernels.strong_cross, self.qw
-        elif metric == "weak":
-            kernel = (kernels.strong_cross if self.space.weak_kind == "strong"
-                      else kernels.weak_cross)
-            w = self.ww
-        else:
+        if metric not in ("strong", "weak"):
             raise UsageError(f"unknown metric {metric!r}")
+        strong = metric == "strong" or self.space.weak_kind == "strong"
+        kernel = kernels.strong_cross if strong else kernels.weak_cross
+        w = self.qw if metric == "strong" else self.ww
         av = self._rows(rows_a)
         rows_b = np.asarray(rows_b)
         bv = self._run(rows_b)
         if bv is not None:
             return kernel(av, bv, w)
-        _, u, c = self.vals.shape
-        edges = kernels._block_edges(rows_b.size, kernels._block_rows(u, c))
+        step = kernels._block_rows(*self.vals.shape[1:])
         out = np.empty((av.shape[0], rows_b.size), dtype=np.float64)
-        for s, e in zip(edges[:-1], edges[1:]):
-            out[:, s:e] = kernel(av, self.vals[rows_b[s:e]], w)
+        for s in range(0, rows_b.size, step):
+            out[:, s:s + step] = kernel(av, self.vals[rows_b[s:s + step]], w)
         return out
 
     def semidist(self, rows_a, rows_b, metric: str) -> float:
@@ -454,20 +453,27 @@ def pack_states(space: DualMetricSpace, states: Sequence[CoeffState]) -> PackedS
                        [((i,), [(s.idx, s.val[None])]) for i, s in enumerate(states)])
 
 
-def set_semidist(space: DualMetricSpace, a_set: Iterable[CoeffState],
-                 b_set: Iterable[CoeffState], metric: str) -> float:
-    """sup_{a in A} inf_{b in B} dist(a, b) in the chosen metric."""
+def set_semidists(space: DualMetricSpace, a_set: Iterable[CoeffState],
+                  b_set: Iterable[CoeffState], metric: str) -> tuple[float, float]:
+    """Both semidistances, A to B and B to A, from one pack and one cross
+    matrix (d(a, b) and d(b, a) have the same bits)."""
     a_set, b_set = list(a_set), list(b_set)
     if not a_set or not b_set:
         raise UsageError("semidistance needs non-empty sets")
     p = pack_states(space, a_set + b_set)
     na = len(a_set)
-    return p.semidist(np.arange(na), np.arange(na, p.n_states), metric)
+    d = p.cross(np.arange(na), np.arange(na, p.n_states), metric)
+    return float(d.min(axis=1).max()), float(d.min(axis=0).max())
+
+
+def set_semidist(space: DualMetricSpace, a_set: Iterable[CoeffState],
+                 b_set: Iterable[CoeffState], metric: str) -> float:
+    """sup_{a in A} inf_{b in B} dist(a, b) in the chosen metric."""
+    return set_semidists(space, a_set, b_set, metric)[0]
 
 
 def hausdorff_dist(space: DualMetricSpace, a_set, b_set, metric: str) -> float:
-    return max(set_semidist(space, a_set, b_set, metric),
-               set_semidist(space, b_set, a_set, metric))
+    return max(set_semidists(space, a_set, b_set, metric))
 
 
 def epsilon_net(space: DualMetricSpace, states: Sequence[CoeffState],
@@ -492,8 +498,7 @@ class NetPivots:
     For each place i of the visiting order, pivot[i] is the place in the
     kept list of the first kept row within eps of order[i], and dist[i]
     their distance; a kept row is its own pivot at distance 0.  kept[a, b]
-    is the distance between kept rows a and b (filled both ways from the
-    one computed with the earlier row first; the diagonal is 0).
+    is the distance between kept rows a and b (symmetric, zero diagonal).
     """
 
     pivot: np.ndarray | None = None

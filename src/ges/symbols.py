@@ -33,7 +33,7 @@ from typing import Sequence
 from .errors import UsageError
 from .evolution import TrajectoryFamily
 from .omega import OmegaApprox, PullbackSchedule, _forward_omega, omega_pullback
-from .space import CoeffState, set_semidist
+from .space import CoeffState, set_semidists
 from .util import report_json
 
 TWO_PI = 2.0 * math.pi
@@ -171,11 +171,9 @@ def union_inclusion_check(symfam: SymbolFamily,
 
     space = symfam.system(0.0).space
     thresh = 2.0 * eps_net
+    fwd = rev = math.inf
     if union_points and uni.points:
-        fwd = set_semidist(space, union_points, uni.points, metric)
-        rev = set_semidist(space, uni.points, union_points, metric)
-    else:
-        fwd = rev = math.inf
+        fwd, rev = set_semidists(space, union_points, uni.points, metric)
     equal = fwd <= thresh and rev <= thresh
     verdict = ("inconclusive" if not all_conv
                else "included" if fwd <= thresh else "fails")

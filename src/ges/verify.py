@@ -9,7 +9,7 @@ while these runs are the quick reproducible health checks.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import UsageError
 from .evolution import TrajectorySample, compose_check, energy_inequality_check
 from .omega import (INVARIANT_VERDICTS, PullbackSchedule, invariance_check,
                     tracking_check)
-from .space import DualMetricSpace, epsilon_net
+from .space import DualMetricSpace, epsilon_net, pack_states
 from .symbols import SymbolFamily, union_inclusion_check
 from .systems import SYSTEM_IDS, make_system
 from .systems.bump import bump_state
@@ -77,8 +77,8 @@ def _sparse_states(space: DualMetricSpace, rng: np.random.Generator, count: int)
 
 def suite_metrics(seed: int, workers: int = 1,
                   system: str | None = None) -> list[CheckResult]:
-    """Metric axioms on a fixed lattice space, one pair per call (the
-    identity and symmetry checks are exact); system is unused."""
+    """Metric axioms on a fixed lattice space, read from one pack of 24
+    random states (identity and symmetry are exact); system is unused."""
     space = _lattice_space()
     rng = np.random.default_rng(seed)
     res = []
@@ -98,18 +98,14 @@ def suite_metrics(seed: int, workers: int = 1,
         res.append(CheckResult(name, abs(got - want) <= 1e-12,
                                {"got": got, "want": want}))
 
-    states = _sparse_states(space, rng, 24)
-    sym = tri = ident = ctrl = 0.0
-    for i, a in enumerate(states):
-        ident = max(ident, space.weak_dist(a, a), space.strong_dist(a, a))
-        for b in states[i + 1:]:
-            dw, dwr = space.weak_dist(a, b), space.weak_dist(b, a)
-            sym = max(sym, abs(dw - dwr))
-            ctrl = max(ctrl, dw - 3.0 * space.strong_dist(a, b))
-    for a, b, c in zip(states[:8], states[8:16], states[16:24]):
-        for m in ("strong", "weak"):
-            tri = max(tri, space.dist(a, c, m)
-                      - space.dist(a, b, m) - space.dist(b, c, m))
+    packed = pack_states(space, _sparse_states(space, rng, 24))
+    rows = np.arange(packed.n_states)
+    weak, strong = (packed.cross(rows, rows, m) for m in ("weak", "strong"))
+    a, b, c = rows[:8], rows[8:16], rows[16:24]
+    ident = float(max(np.diag(weak).max(), np.diag(strong).max()))
+    sym = float(np.abs(weak - weak.T).max())
+    tri = float(max(0.0, np.max([x[a, c] - x[a, b] - x[b, c] for x in (weak, strong)])))
+    ctrl = float(max(0.0, (weak - 3.0 * strong).max()))
     res.append(CheckResult("identity", ident == 0.0, {"max": ident}))
     res.append(CheckResult("symmetry", sym == 0.0, {"max": sym}))
     res.append(CheckResult("triangle", tri <= 1e-12, {"max_violation": tri}))
@@ -118,9 +114,8 @@ def suite_metrics(seed: int, workers: int = 1,
 
     small = space.with_truncation(8)
     tail = small.weak_tail_bound()
-    worst = 0.0
-    for a, b in zip(states[:8], states[8:16]):
-        worst = max(worst, abs(small.weak_dist(a, b) - space.weak_dist(a, b)))
+    cut = replace(packed, space=small, ww=small.weak_weights(packed.idx))
+    worst = float(np.abs(np.diag(cut.cross(a, b, "weak")) - weak[a, b]).max())
     res.append(CheckResult("truncation honesty", worst <= tail,
                            {"max_gap": worst, "tail_bound": tail}))
 

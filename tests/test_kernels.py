@@ -1,7 +1,9 @@
 """Cross kernels.
 
-The blocked cross kernels must give bitwise the numbers of the plain
-row-at-a-time numpy form kept below as the reference.  The advection
+Every product runs on whole groups of four rows, so a distance depends
+only on its two rows: each entry of a cross matrix must have the bits of
+the kernel on its pair alone, whatever else shares the call.  The plain
+row-at-a-time numpy form kept below checks the values.  The advection
 kernel is checked against the convolution pair sum in
 tests/test_systems.py."""
 
@@ -18,7 +20,7 @@ from ges import backend, kernels
 
 
 # ---------------------------------------------------------------------------
-# blocked kernels against the row-at-a-time form
+# a distance depends only on its two rows
 
 
 def random_block(rng, n, u, c):
@@ -43,10 +45,21 @@ def weak_rows(av, bv, ww):
     return out
 
 
-# A small block budget gives many blocks on inputs small enough that BLAS
-# runs every matrix-vector product on one thread.  On large inputs a
-# threaded BLAS splits the reference's long products between threads,
-# which can move their last bits.
+def pairs_alone(kernel, av, bv, w):
+    """The kernel on each pair of rows in a call of its own."""
+    out = np.empty((av.shape[0], bv.shape[0]))
+    for i in range(av.shape[0]):
+        for j in range(bv.shape[0]):
+            out[i, j] = kernel(av[i:i + 1], bv[j:j + 1], w)[0, 0]
+    return out
+
+
+KERNELS = {"strong": (kernels.strong_cross, strong_rows),
+           "weak": (kernels.weak_cross, weak_rows)}
+
+
+# A small block budget gives many blocks, 8 rows each at c = 1 and 4 at
+# c = 3, and last blocks of every length modulo 4.
 @pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("na,blocks,extra", [(1, 0, 3), (4, 0, 1), (1, 3, 1),
                                              (3, 2, 1), (2, 2, 0), (5, 1, 3),
@@ -62,11 +75,50 @@ def test_blocked_kernels_equal_row_at_a_time(monkeypatch, c, na, blocks, extra):
     bv = random_block(rng, nb, u, c)
     bv[0] = av[0]  # an exact zero distance
     w = rng.uniform(0.0, 1.0, size=u)
-    strong = kernels.strong_cross(av, bv, w)
-    weak = kernels.weak_cross(av, bv, w)
-    assert strong.shape == weak.shape == (na, nb)
-    assert np.array_equal(strong, strong_rows(av, bv, w))
-    assert np.array_equal(weak, weak_rows(av, bv, w))
+    for kernel, reference in KERNELS.values():
+        got = kernel(av, bv, w)
+        assert got.shape == (na, nb) and got[0, 0] == 0.0
+        assert got.tobytes() == pairs_alone(kernel, av, bv, w).tobytes()
+        assert np.allclose(got, reference(av, bv, w), rtol=1e-14, atol=0.0)
+
+
+# Full block budget: 2976 rows per block at (u, c) = (11, 1), 12 at
+# (2049, 1), 4 at (2049, 3), 40 at (256, 3) and 16 at (1986, 1), so bv
+# spans blocks and ends in a short one.
+SHAPES = [(11, 1, 5955), (2049, 1, 41), (2049, 3, 9), (256, 3, 125), (1986, 1, 23)]
+
+
+@pytest.mark.parametrize("metric", sorted(KERNELS))
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("u,c,nb", SHAPES)
+def test_splitting_or_permuting_bv_moves_no_bit(metric, real, u, c, nb):
+    kernel = KERNELS[metric][0]
+    rng = np.random.default_rng(u + nb + c + real)
+    block = rng.normal(size=(nb + 2, u, c)) if real else random_block(rng, nb + 2, u, c)
+    av, bv = block[:2], block[2:]
+    w = rng.uniform(0.0, 1.0, size=u)
+    full = kernel(av, bv, w)
+    perm = rng.permutation(nb)
+    assert kernel(av, bv[perm], w).tobytes() == full[:, perm].tobytes()
+    cuts = [0, *np.sort(rng.choice(np.arange(1, nb), size=4, replace=False)), nb]
+    cuts.insert(2, cuts[1] + 1)  # a piece of one row
+    pieces = [kernel(av, bv[s:e], w) for s, e in zip(cuts[:-1], cuts[1:]) if e > s]
+    assert np.hstack(pieces).tobytes() == full.tobytes()
+    rows = rng.choice(nb, size=7, replace=False)
+    assert (pairs_alone(kernel, av, bv[rows], w).tobytes()
+            == full[:, rows].tobytes())
+
+
+@pytest.mark.parametrize("metric", sorted(KERNELS))
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("u,c,nb", SHAPES[1:4])
+def test_self_cross_is_exactly_symmetric(metric, real, u, c, nb):
+    kernel = KERNELS[metric][0]
+    rng = np.random.default_rng(u + nb + c)
+    bv = rng.normal(size=(nb, u, c)) if real else random_block(rng, nb, u, c)
+    d = kernel(bv, bv, rng.uniform(0.0, 1.0, size=u))
+    assert np.array_equal(d, d.T)
+    assert not np.diagonal(d).any()
 
 
 def with_zero_imag(rng, block):

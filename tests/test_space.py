@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ges import kernels
+from ges import space as space_mod
 from ges.errors import UsageError
 from ges.space import (
     CoeffState,
@@ -30,6 +31,7 @@ from ges.space import (
     pack_groups,
     pack_states,
     set_semidist,
+    set_semidists,
     state_to_json,
 )
 from ges.systems.heat import HeatSystem
@@ -196,6 +198,21 @@ class TestSetOps:
         a_set = [ZERO, e(0)]
         b_set = [ZERO]
         assert hausdorff_dist(SEQ, a_set, b_set, "strong") == pytest.approx(1.0)
+
+    def test_both_semidists_come_from_one_pack(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        states = random_states(rng, SEQ3, shared=False)
+        a_set, b_set = states[:7], states[7:]
+        # each direction packed on its own, in its own order
+        want = tuple(pack_states(SEQ3, x + y).semidist(
+            np.arange(len(x)), np.arange(len(x), len(x) + len(y)), "weak")
+            for x, y in ((a_set, b_set), (b_set, a_set)))
+        packs = []
+        monkeypatch.setattr(space_mod, "pack_states",
+                            lambda *args: packs.append(1) or pack_states(*args))
+        assert set_semidists(SEQ3, a_set, b_set, "weak") == want
+        assert hausdorff_dist(SEQ3, a_set, b_set, "weak") == max(want)
+        assert len(packs) == 2  # one per call
 
     def test_semidist_empty_raises(self):
         with pytest.raises(UsageError):
@@ -474,7 +491,7 @@ class TestPackStates:
                               np.lexsort(corners.T[::-1]))
 
     # n < 4 is one block; otherwise n = 4k, 4k+1, 4k+2, 4k+3 around one or
-    # three block boundaries
+    # three block boundaries.  Each norm is the product on its row alone.
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("blocks,extra", [(0, 1), (0, 2), (0, 3), (1, 0), (1, 1),
                                               (1, 2), (1, 3), (3, 1), (3, 2), (3, 3),
@@ -486,9 +503,12 @@ class TestPackStates:
         rng = np.random.default_rng(10 * n + c)
         vals = rng.normal(size=(n, u, c)) + 1j * rng.normal(size=(n, u, c))
         qw = rng.uniform(0.0, 1.0, size=u)
-        p = PackedSet(SEQ, np.arange(u)[:, None], vals, qw, qw)
-        want = np.sqrt(np.maximum((np.abs(vals) ** 2).sum(axis=2) @ qw, 0.0))
-        assert p.norms.tobytes() == want.tobytes()
+        idx = np.arange(u)[:, None]
+        p = PackedSet(SEQ, idx, vals, qw, qw)
+        alone = [PackedSet(SEQ, idx, vals[i:i + 1], qw, qw).norms[0] for i in range(n)]
+        assert p.norms.tobytes() == np.array(alone).tobytes()
+        want = np.sqrt((np.abs(vals) ** 2).sum(axis=2) @ qw)
+        assert np.allclose(p.norms, want, rtol=1e-15, atol=0.0)
 
     # n = 4k .. 4k+4 around a block edge: 8 rows per block at c = 1, 4 at c = 3
     @pytest.mark.parametrize("c", [1, 3])
@@ -530,6 +550,23 @@ class TestPackStates:
                 vals[rows_a], vals[rows], w).tobytes()
             assert p.cross(rows_a, rows, "weak").tobytes() == kernels.weak_cross(
                 vals[rows_a], vals[rows], w).tobytes()
+
+    # the heat shape at the full block budget: 12 rows per block
+    @pytest.mark.parametrize("real", [True, False])
+    def test_scattered_rows_equal_consecutive_rows(self, real):
+        rng = np.random.default_rng(6)
+        n, u = 60, 2049
+        vals = rng.normal(size=(n, u, 1))
+        if not real:
+            vals = vals + 1j * rng.normal(size=vals.shape)
+        w = rng.uniform(0.0, 1.0, size=u)
+        p = PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+        rows_a = np.array([3, 40])
+        run = p.cross(rows_a, np.arange(n), "weak")
+        for rows in (np.arange(1, n, 2), rng.permutation(n)[:29], np.array([5, 7, 2])):
+            assert p.cross(rows_a, rows, "weak").tobytes() == run[:, rows].tobytes()
+        # each norm is its row's alone
+        assert p.norms[17] == PackedSet(SEQ, p.idx, vals[17:18], w, w).norms[0]
 
     def test_scattered_rows_are_gathered_one_block_at_a_time(self):
         rng = np.random.default_rng(5)

@@ -103,6 +103,15 @@ def test_every_system_refuses_a_run_outside_its_contract(sid):
             fam.evolve_block(seed, [s, s], [1.0, ts[0]], branch=branch)
 
 
+@pytest.mark.parametrize("sid", SYSTEM_IDS)
+def test_every_system_refuses_starts_that_do_not_match_the_times(sid):
+    fam = make_system(sid)
+    x = fam.sample_states(1, np.random.default_rng(3))[0]
+    for starts in ([0.0, 0.0], [0.0], [0.0] * 4):
+        with pytest.raises(UsageError, match="start times for 3 sample times"):
+            fam.evolve_block(x, starts, [0.1, 0.2, 0.3])
+
+
 # ---------------------------------------------------------------------------
 # diffusion on the line
 
