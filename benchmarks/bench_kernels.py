@@ -83,6 +83,7 @@ def make_cases(rng):
         basis = SpectralBasis(kmax=kmax)
         vals = (rng.standard_normal((basis.m, 3))
                 + 1j * rng.standard_normal((basis.m, 3)))
+        vals += np.conj(vals[basis.mirror])  # the kernel takes real fields
         cases.append((f"nse_bilinear/k{kmax}",
                       lambda b=basis, v=vals: kernels.nse_bilinear(
                           v, b.kvec, b.grid_index, b.grid_n)))

@@ -36,6 +36,7 @@ from .omega import (INVARIANT_VERDICTS, AttractionReport, OmegaApprox,
 from .symbols import SymbolFamily, union_inclusion_check
 from .systems import SYSTEM_IDS, make_system
 from .systems.heat import band_witness
+from .systems.nse import LAMBDA_1, ForcingProfile, absorbing_entry_time
 from .util import artifact_json, csv_text, fmt_float
 from .verify import (SUITES, invariance_plan, nse_energy_check, report_lines,
                      run_suite)
@@ -228,6 +229,8 @@ def cmd_omega(args) -> int:
 
 def cmd_attract(args) -> int:
     cfg = ExperimentConfig.build(args)
+    if args.witness and cfg.system != "heat":
+        raise UsageError("--witness seeds exist for the heat system only")
     fam = make_system(cfg.system)
     sched = cfg.schedule()
     if args.target == "zero":
@@ -247,8 +250,6 @@ def cmd_attract(args) -> int:
     else:
         seeds = None
         if args.witness:
-            if cfg.system != "heat":
-                raise UsageError("--witness seeds exist for the heat system only")
             seeds = lambda s: [band_witness(fam.space, sched.t, s)[1]]
         rep = attraction_diagnostic(fam, sched, target, seeds=seeds,
                                     n_seeds=cfg.n_seeds, metric=cfg.metric,
@@ -273,8 +274,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nse(args) -> int:
-    from .systems.nse import LAMBDA_1, ForcingProfile, absorbing_entry_time
-
     cfg = ExperimentConfig.build(args)
     forcing = (ForcingProfile.load(args.forcing) if args.forcing else None)
     fam = make_system("nse", nu=args.nu, kmax=args.kmax, forcing=forcing,

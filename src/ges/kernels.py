@@ -6,7 +6,8 @@ inner loops stay free of Python objects:
 * strong_cross  -- pairwise quadrature-weighted l2 distances
 * weak_cross    -- pairwise weighted bounded-difference series
 * nse_bilinear  -- truncated convolution of the advection term with
-                   Leray projection, by 9 zero-padded FFTs (rotational form)
+                   Leray projection, by 9 zero-padded real FFTs
+                   (rotational form)
 
 Each kernel has one numpy implementation.  The two cross kernels walk
 bv in fixed blocks of rows through preallocated buffers, so their
@@ -14,15 +15,12 @@ temporaries stay cache-sized whatever the set size.  Every product runs
 on whole groups of four rows, so a distance depends only on its two rows:
 no blocking, split, order or gather of bv moves a bit.  The cross kernels
 take real (float64) or complex blocks; a real pair gives bitwise the
-distances of its complex copy.
-
-The module imports numpy only.  nse_bilinear imports scipy.fft inside its
-body, so a command that builds no NSE system never loads scipy; after the
-first call the import is a dictionary lookup (~0.6 us against ~430 us for
-one kernel call at kmax = 4).
+distances of its complex copy.  The module imports numpy only.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -109,33 +107,54 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
 # evaluated pseudo-spectrally (Orszag 1971) in rotational form: inverse-
 # transform v and w_k = i k x v_k on a zero-padded n^3 grid (6 FFTs), form
 # w x u, transform back (3 FFTs) and keep the retained modes.  As
-# (u . grad) u = grad(u . u / 2) + w x u takes no conjugate, it holds for any
-# complex input, and P_k removes the gradient.  Products of retained modes
-# reach 2 kmax per component, so n >= 3 kmax + 1 keeps every alias off the
-# retained set: the result is the truncated convolution up to roundoff.
+# (u . grad) u = grad(u . u / 2) + w x u, P_k removes the gradient.  Products
+# of retained modes reach 2 kmax per component, so n >= 3 kmax + 1 keeps
+# every alias off the retained set: the result is the truncated convolution
+# up to roundoff.
+#
+# The field is real (v_{-k} = conj(v_k)), so the transforms are real ones
+# on the half grid kx >= 0, stored in (kz, ky, kx) order.  The sorted mode
+# list is symmetric under k -> -k (row m - 1 - i holds -k of row i): its
+# rows with kx >= 0 are a tail, scattered with both halves of the kx = 0
+# plane, and rows m // 2 on hold one mode of each +-k pair, read and
+# mirrored by conjugation, so the output is Hermitian bit for bit.  Each
+# thread keeps its transform arrays across calls: --threads evolves seeds
+# in parallel, and arrays allocated per call made the heap top shrink and
+# refault.
+
+_THREAD = threading.local()
 
 
 def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
     """Projected advection term -P(v . grad v) on the truncated mode set.
 
-    vals: (m, 3) complex coefficients, kvec: (m, 3) wave vectors,
-    grid_index: (m,) flat index of each mode on the padded n^3 grid.
+    vals: (m, 3) complex coefficients of a real field, kvec: (m, 3) wave
+    vectors in sorted order, grid_index: (m,) flat index on the (n, n,
+    n // 2 + 1) half grid of the slot that holds each mode or its mirror.
     """
-    import scipy.fft as sfft
-
-    spec = np.zeros((2, 3, n ** 3), dtype=np.complex128)
-    spec[0][:, grid_index] = vals.T
-    spec[1][:, grid_index] = 1j * np.cross(kvec, vals).T
-    # both buffers are private to this call, so the transforms may reuse them
-    u, w = sfft.ifftn(spec.reshape(2, 3, n, n, n), axes=(2, 3, 4), norm="forward",
-                      overwrite_x=True)
-    rot = np.empty_like(u)
+    bufs = vars(_THREAD)
+    if n not in bufs:
+        bufs[n] = (np.empty((2, 3, n, n, n // 2 + 1), dtype=np.complex128),
+                   np.empty((2, 3, n, n, n)), np.empty((3, n, n, n)))
+    spec, uw, rot = bufs[n]
+    lo = int(np.searchsorted(kvec[:, 0], 0.0))  # first row with kx >= 0
+    spec.fill(0.0)
+    flat = spec.reshape(2, 3, -1)
+    flat[0][:, grid_index[lo:]] = vals[lo:].T
+    flat[1][:, grid_index[lo:]] = 1j * np.cross(kvec[lo:], vals[lo:]).T
+    np.fft.ifft(spec, axis=2, norm="forward", out=spec)
+    np.fft.ifft(spec, axis=3, norm="forward", out=spec)
+    np.fft.irfft(spec, n, axis=4, norm="forward", out=uw)
+    u, w = uw
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.subtract(w[b] * u[c], w[c] * u[b], out=rot[a])
-    out = sfft.fftn(rot, axes=(1, 2, 3), norm="forward",
-                    overwrite_x=True).reshape(3, n ** 3)
-    out = out[:, grid_index].T
-    ksq = (kvec * kvec).sum(axis=1)
-    kd = (out * kvec).sum(axis=1) / ksq
-    out -= kd[:, None] * kvec
-    return -out
+    half = spec[0]
+    np.fft.rfft(rot, axis=3, norm="forward", out=half)
+    np.fft.fft(half, axis=2, norm="forward", out=half)
+    np.fft.fft(half, axis=1, norm="forward", out=half)
+    h = len(vals) // 2
+    top = half.reshape(3, -1)[:, grid_index[h:]].T
+    k = kvec[h:]
+    kd = (top * k).sum(axis=1) / (k * k).sum(axis=1)
+    top = kd[:, None] * k - top  # -P_k of the product
+    return np.concatenate([np.conj(top[::-1]), top])

@@ -342,6 +342,8 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     horizons = [t0 + d for d in _geometric_steps(delta, rho, n)]
     if not math.isfinite(horizons[-1]):
         raise UsageError("the forward horizons must be finite")
+    if np.any(np.diff([t0, *horizons]) <= 0):
+        raise UsageError("the forward horizons must increase strictly past t0")
     trajs = [(fam, i, b, x) for fam in systems
              for i, b, x in _trajectories(fam, seeds, t0, branches)]
     tiers = [[(fam, i, b, x, t0, h) for fam, i, b, x in trajs] for h in horizons]

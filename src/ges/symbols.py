@@ -34,6 +34,8 @@ from .errors import UsageError
 from .evolution import TrajectoryFamily
 from .omega import OmegaApprox, PullbackSchedule, _forward_omega, omega_pullback
 from .space import CoeffState, set_semidists
+from .systems import (BranchSystem, ForcedScalarSystem, ForcingMode, ForcingProfile,
+                      NSESystem)
 from .util import report_json
 
 TWO_PI = 2.0 * math.pi
@@ -64,15 +66,12 @@ class SymbolFamily:
     def system(self, sigma: float) -> TrajectoryFamily:
         sigma = sigma % TWO_PI
         if self.base_id == "forced-scalar":
-            from .systems.scalar import ForcedScalarSystem
             return ForcedScalarSystem(sigma=sigma)
         if self.base_id == "nse":
-            from .systems.nse import ForcingMode, ForcingProfile, NSESystem
             amp = complex(1.0 / math.sqrt(2.0))
             return NSESystem(forcing=ForcingProfile([
                 ForcingMode(k=(k, 0, 0), amp=amp, kind="sin", omega=1.0,
                             phase=sigma) for k in (1, -1)]))
-        from .systems.branch import BranchSystem
         return BranchSystem()  # autonomous: symbols collapse
 
 

@@ -14,17 +14,19 @@ underlying field is real.  The advection term is the sharply truncated
 convolution with Leray projection, which conserves energy exactly:
 Re sum conj(u_hat_k) . B_k = 0 at machine precision.  It is evaluated
 pseudo-spectrally in rotational form, -P(curl u x u), on a zero-padded grid
-of n >= 3 kmax + 1 points per direction with 9 FFTs per right-hand side
-(see kernels.nse_bilinear).  That equals the convolution sum up to
-roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
+of n >= 3 kmax + 1 points per direction with 9 real FFTs per right-hand
+side (see kernels.nse_bilinear).  That equals the convolution sum up to
+roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes, and
+its output is Hermitian by construction.
 
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
 listed modes are driven, and the force must be real (Hermitian): each k
 is listed together with -k, the same time law, the conjugate amplitude
-and the conjugate samples; NSESystem refuses any other force.  The
-advection term is symmetrised at every right-hand side, so a real field
-stays exactly real.  All forcing norms run over the listed modes only.
+and the conjugate samples; NSESystem refuses any other force, and any
+seed that is not exactly Hermitian.  Every term of the right-hand side is
+then exactly Hermitian, so a real field stays exactly real.  All forcing
+norms run over the listed modes only.
 The sliding-window bound sup_t int_t^{t+1} ||g||_{V'}^2 defines the
 absorbing radius
 
@@ -46,11 +48,6 @@ name and reads sol.nfev, t_span and the t_eval keyword.  Each accepted
 step writes its dense-output columns into one array allocated up front,
 so a dense solve (energy_sample's 8,001 samples) peaks at about its
 output's size.
-
-This is the only module that imports scipy at its top, and only scipy.fft;
-ges.systems imports it only when an NSE system or name is asked for.
-Keep scipy.fft at module top: building an NSE system then loads it during
-set-up, not inside the first solve.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .. import kernels
 from ..errors import BlowUpError, ForcingFormatError, UsageError
@@ -78,9 +74,9 @@ LAMBDA_1 = 1.0
 
 
 class SpectralBasis:
-    """Mode bookkeeping for one Galerkin cutoff: lookup tables, mirror
-    indices, and each mode's flat index on the zero-padded FFT grid that
-    evaluates the advection term."""
+    """Mode bookkeeping for one Galerkin cutoff: the sorted mode list, its
+    mirror rows, and each mode's slot on the zero-padded half grid that
+    evaluates the advection term (see kernels.nse_bilinear)."""
 
     def __init__(self, kmax: int):
         self.kmax = int(kmax)
@@ -98,13 +94,15 @@ class SpectralBasis:
         self.kvec = self.modes.astype(np.float64)
         self.ksq = (self.kvec ** 2).sum(axis=1)
         self._row = {tuple(k): i for i, k in enumerate(modes)}
-        self.mirror = np.array([self._row[(-k[0], -k[1], -k[2])] for k in modes],
-                               dtype=np.int64)
+        # the sorted list is symmetric under k -> -k: row m - 1 - i is -k
+        self.mirror = np.arange(self.m)[::-1]
         # products of two retained modes reach 2 kmax per component, so
         # n >= 3 kmax + 1 keeps their aliases off the retained set
-        self.grid_n = sfft.next_fast_len(3 * self.kmax + 1)
-        self.grid_index = np.ravel_multi_index((self.modes % self.grid_n).T,
-                                               (self.grid_n,) * 3)
+        n = 3 * self.kmax + 1
+        self.grid_n = n = n + n % 2
+        # the half grid kx >= 0 in (kz, ky, kx) order holds k, or -k if kx < 0
+        half = np.where(self.modes[:, :1] < 0, -self.modes, self.modes) % n
+        self.grid_index = np.ravel_multi_index(half.T[::-1], (n, n, n // 2 + 1))
 
     def row(self, k) -> int:
         r = self._row.get((int(k[0]), int(k[1]), int(k[2])))
@@ -548,23 +546,25 @@ class NSESystem(TrajectoryFamily):
     # -- state packing ------------------------------------------------------------
 
     def dense_values(self, x: CoeffState) -> np.ndarray:
+        """The dense field of a state, which must be real: exactly Hermitian."""
         self.space.check_member(x)
         v = np.zeros((self.basis.m, 3), dtype=np.complex128)
         for row_idx, row_val in zip(x.idx, x.val):
             v[self.basis.row(row_idx)] = row_val
+        if not np.array_equal(v[self.basis.mirror], np.conj(v)):
+            raise UsageError("an NSE state must be a real field: each mode -k "
+                             "must hold the conjugate of mode k")
         return v
 
     def state_from_dense(self, v: np.ndarray) -> CoeffState:
         return self.space.state(self.basis.modes, v)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Leray projection plus Hermitian symmetrisation of a dense field."""
+        """Leray projection w of a dense field, then its Hermitian part
+        (w + conj(w[-k])) / 2, which is Hermitian bit for bit."""
         kd = (v * self.basis.kvec).sum(axis=1) / self.basis.ksq
-        return self._hermitian_part(v - kd[:, None] * self.basis.kvec)
-
-    def _hermitian_part(self, v: np.ndarray) -> np.ndarray:
-        """(v + conj(v[-k])) / 2, Hermitian bit for bit."""
-        return 0.5 * (v + np.conj(v[self.basis.mirror]))
+        w = v - kd[:, None] * self.basis.kvec
+        return 0.5 * (w + np.conj(w[self.basis.mirror]))
 
     # -- dynamics -----------------------------------------------------------------
 
@@ -579,9 +579,6 @@ class NSESystem(TrajectoryFamily):
     def rhs_dense(self, t: float, v: np.ndarray) -> np.ndarray:
         adv = kernels.nse_bilinear(v, self.basis.kvec, self.basis.grid_index,
                                    self.basis.grid_n)
-        # the complex transforms leave adv Hermitian only to roundoff, and
-        # the flow would amplify that at low viscosity
-        adv = self._hermitian_part(adv)
         return self._visc * v + adv + self.g_dense(t)
 
     def bilinear(self, x: CoeffState) -> CoeffState:
@@ -613,6 +610,8 @@ class NSESystem(TrajectoryFamily):
     def _evolve(self, s, x, ts, branch):
         ts = [float(t) for t in ts]
         v0 = self.dense_values(x)
+        if not ts:
+            return []
         if max(ts) == s:
             return [self.state_from_dense(v0) for _ in ts]
         t_eval = sorted(set(ts))

@@ -6,6 +6,11 @@ paths do the same arithmetic the images agree bit for bit.  bump's block
 evolves its autonomous shift t - s from time 0, which rounds otherwise
 than the closed form from s, and the NSE block makes one solve for every
 image, so those two agree within a relative tolerance.
+
+Sample independence: evolve(s, x, ts, b)[i] is evolve(s, x, [ts[i]], b)[0],
+bit for bit for the closed forms.  One NSE solve steps to the last sample
+and reads the others off its dense output, so its samples agree within a
+relative tolerance.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from ges.systems import SYSTEM_IDS, make_system
 
 # relative tolerance of a block image against its own evolve; 0 is bitwise
 TOLERANCE = {"bump": 1e-12, "nse": 1e-7}
+# relative tolerance of a sample against its own evolve; 0 is bitwise
+SAMPLE_TOLERANCE = {"nse": 1e-7}
 # longest sample span t - s; NSE solves stay short at kmax 2
 SPAN = {"nse": 0.5}
 EXAMPLES = {"nse": 20}
@@ -40,6 +47,22 @@ def runs(draw, span):
     return starts, ts
 
 
+def assert_close(v, w, tol):
+    if tol == 0.0:
+        assert np.array_equal(v, w)
+    else:
+        scale = np.abs(w).max(initial=0.0)
+        assert np.abs(v - w).max(initial=0.0) <= tol * scale
+
+
+def seed_and_branch(fam, seed, branch, starts):
+    """A sampled seed, and the branch if every start has it, else 0."""
+    x = fam.sample_states(1, np.random.default_rng(seed))[0]
+    if any(branch >= fam.branch_count(s, x) for s in starts):
+        branch = 0
+    return x, branch
+
+
 def block_images(groups):
     for idx, vals in groups:
         for v in (vals() if callable(vals) else vals):
@@ -56,18 +79,35 @@ def test_block_images_are_one_evolve_each(sid):
     @given(runs(SPAN.get(sid, 3.0)), st.integers(0, 2 ** 16), st.integers(0, 1))
     def check(run, seed, branch):
         starts, ts = run
-        x = fam.sample_states(1, np.random.default_rng(seed))[0]
-        if any(branch >= fam.branch_count(s, x) for s in starts):
-            branch = 0
+        x, branch = seed_and_branch(fam, seed, branch, starts)
         got = list(block_images(fam.evolve_block(x, starts, ts, branch)))
         want = [fam.evolve(s, x, [t], branch)[0] for s, t in zip(starts, ts)]
         assert len(got) == len(want)
         for (idx, v), w in zip(got, want):
             assert np.array_equal(idx, w.idx)
-            if tol == 0.0:
-                assert np.array_equal(v, w.val)
-            else:
-                scale = np.abs(w.val).max(initial=0.0)
-                assert np.abs(v - w.val).max(initial=0.0) <= tol * scale
+            assert_close(v, w.val, tol)
+
+    check()
+
+
+@pytest.mark.parametrize("sid", SYSTEM_IDS)
+def test_every_sample_is_its_own_evolve(sid):
+    fam = system(sid)
+    tol = SAMPLE_TOLERANCE.get(sid, 0.0)
+    span = SPAN.get(sid, 3.0)
+
+    @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
+              database=None)
+    @given(st.floats(-6.0, 2.0), st.lists(st.floats(0.0, span), min_size=1, max_size=4),
+           st.integers(0, 2 ** 16), st.integers(0, 1))
+    def check(s, offsets, seed, branch):
+        ts = [s + d for d in offsets]
+        x, branch = seed_and_branch(fam, seed, branch, [s])
+        got = fam.evolve(s, x, ts, branch)
+        assert len(got) == len(ts)
+        for g, t in zip(got, ts):
+            w = fam.evolve(s, x, [t], branch)[0]
+            assert np.array_equal(g.idx, w.idx)
+            assert_close(g.val, w.val, tol)
 
     check()

@@ -188,6 +188,20 @@ class TestAttractCommand:
         code, _ = run(tmp_path, "attract", "--system", "bump", "--witness")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ("--system", "bump"),
+        ("--system", "nse", "--n", "3", "--n-seeds", "2"),
+    ], ids=["bump", "nse"])
+    def test_witness_flag_is_refused_before_anything_is_built(self, tmp_path,
+                                                             monkeypatch, capsys,
+                                                             argv):
+        built = []
+        monkeypatch.setattr(ges.cli, "make_system", built.append)
+        code, out = run(tmp_path, "attract", "--target", "omega", "--witness", *argv)
+        assert code == 64
+        assert capsys.readouterr().err.startswith("error: --witness seeds exist")
+        assert built == [] and not out.exists()
+
 
 class TestVerifyCommand:
     def test_metrics_suite_passes(self, tmp_path, capsys):
@@ -752,48 +766,46 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# start-up: only an NSE system loads ges.systems.nse and scipy
+# start-up: numpy is the only runtime dependency
 
-_LAZY_NSE = """
+def _run_fresh(script, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+_CLOSED_FORM = """
 import sys
 import ges, ges.cli
 out = sys.argv[1]
 assert ges.cli.main(["omega", "--system", "heat", "--n-seeds", "8", "--out", out]) == 0
 assert ges.cli.main(["attract", "--system", "bump", "--out", out]) == 3
-loaded = [m for m in sys.modules if m.startswith("scipy") or m == "ges.systems.nse"]
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded[-3:]
-from ges.systems import NSESystem, ForcingProfile, get_basis, make_system
+from ges.systems import NSESystem, get_basis, make_system
+assert get_basis.cache_info().currsize == 0  # no NSE basis was built
 assert isinstance(make_system("nse"), NSESystem)
 """
 
 
 def test_closed_form_commands_load_neither_nse_nor_scipy(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    res = subprocess.run([sys.executable, "-c", _LAZY_NSE, str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
+    _run_fresh(_CLOSED_FORM, tmp_path)
 
 
-_NSE_WITHOUT_INTEGRATE = """
+_NSE_WITHOUT_SCIPY = """
 import sys
 import ges.cli
-from ges.systems import make_system
-make_system("nse")
 assert ges.cli.main(["nse", "omega", "--n", "3", "--n-seeds", "1", "--delta", "2",
                      "--out", sys.argv[1]]) == 0
-assert "scipy.fft" in sys.modules
-assert "scipy.integrate" not in sys.modules
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded[-3:]
 """
 
 
 def test_nse_commands_solve_without_scipy_integrate(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    res = subprocess.run([sys.executable, "-c", _NSE_WITHOUT_INTEGRATE,
-                          str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
+    _run_fresh(_NSE_WITHOUT_SCIPY, tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,21 @@ class TestForwardOmega:
         with pytest.raises(UsageError):
             forward_omega(fam, 0.0, seeds, n=4, **kw)
 
+    # at 1e300 every horizon rounds to t0; at 2**60 (ulp 256) the first ones do
+    @pytest.mark.parametrize("t0, n", [(1e300, 5), (2.0 ** 60, 14)])
+    def test_horizons_that_round_to_t0_are_refused(self, monkeypatch, t0, n):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before checking the horizons")
+
+        monkeypatch.setattr(ges.omega, "_tier_block", no_integration)
+        fam = BranchSystem()
+        seeds = fam.sample_states(3, np.random.default_rng(9))
+        with pytest.raises(UsageError, match="increase strictly past t0"):
+            forward_omega(fam, t0, seeds, n=n)
+        symfam = SymbolFamily("forced-scalar", 2)
+        with pytest.raises(UsageError, match="increase strictly past t0"):
+            uniform_omega(symfam, [symfam.system(0.0).scalar(0.5)], t0=t0, n=n)
+
 
 def assert_same_block(packed, tier_rows, want):
     """packed is bitwise pack_states of the tier states, deepest tier first."""

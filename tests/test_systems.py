@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,6 +112,14 @@ def test_every_system_refuses_starts_that_do_not_match_the_times(sid):
     for starts in ([0.0, 0.0], [0.0], [0.0] * 4):
         with pytest.raises(UsageError, match="start times for 3 sample times"):
             fam.evolve_block(x, starts, [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("sid", SYSTEM_IDS)
+def test_every_system_evolves_no_sample_times_to_no_states(sid):
+    fam = make_system(sid)
+    x = fam.sample_states(1, np.random.default_rng(3))[0]
+    assert fam.evolve(0.0, x, []) == []
+    assert fam.evolve(1.5, x, [], branch=fam.branch_count(1.5, x) - 1) == []
 
 
 # ---------------------------------------------------------------------------
@@ -458,12 +468,13 @@ class TestNSEAdvection:
             self.assert_matches_pair_sum(fam.basis, v)
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
-    def test_matches_pair_sum_on_arbitrary_complex_input(self, kmax):
+    def test_matches_pair_sum_on_random_real_fields(self, kmax):
+        # real, but neither solenoidal nor confined to the low modes
         basis = get_basis(kmax)
         rng = np.random.default_rng(10 + kmax)
         for _ in range(3):
             v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
-            self.assert_matches_pair_sum(basis, v)
+            self.assert_matches_pair_sum(basis, v + np.conj(v[basis.mirror]))
 
     @pytest.mark.parametrize("kmax", [2, 3])
     def test_curl_free_field_has_no_projected_advection(self, kmax):
@@ -498,13 +509,39 @@ class TestNSEAdvection:
             adv = fam.dense_values(fam.bilinear(x))
             assert abs(float(np.real(np.conj(v) * adv).sum())) <= 1e-10
 
+    def test_threads_share_no_transform_arrays(self):
+        # each thread keeps its own arrays: concurrent calls give the bits
+        # of one thread's calls
+        basis = get_basis(3)
+        rng = np.random.default_rng(30)
+        fields = []
+        for _ in range(8):
+            v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
+            fields.append(v + np.conj(v[basis.mirror]))
+
+        def run(v):
+            return kernels.nse_bilinear(v, basis.kvec, basis.grid_index, basis.grid_n)
+
+        want = [run(v) for v in fields]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(run, fields * 25, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, want[i % 8]) for i, g in enumerate(got))
+
     @pytest.mark.parametrize("kmax", [1, 4, 8])
     def test_basis_holds_only_per_mode_arrays(self, kmax):
         basis = get_basis(kmax)
-        assert basis.grid_n >= 3 * kmax + 1
+        assert basis.grid_n % 2 == 0 and 3 * kmax + 1 <= basis.grid_n <= 3 * kmax + 2
         arrays = [a for a in vars(basis).values() if isinstance(a, np.ndarray)]
         assert arrays and all(a.shape[0] == basis.m for a in arrays)
-        assert np.unique(basis.grid_index).size == basis.m
+        assert np.array_equal(basis.modes[basis.mirror], -basis.modes)
+        # the half grid holds the rows with kx >= 0, each in a slot of its own
+        half = basis.modes[:, 0] >= 0
+        assert np.unique(basis.grid_index[half]).size == half.sum()
 
 
 class TestNSEFlow:
@@ -532,8 +569,20 @@ class TestNSEFlow:
         out = nse.evolve(0.0, x, [1.0])[0]
         assert nse.incompressibility_defect(out) <= 1e-8
 
+    def test_non_real_seed_is_refused(self, nse):
+        x = nse.sample_states(1, np.random.default_rng(0))[0]
+        v = nse.dense_values(x)
+        row = nse.basis.row((1, 1, 0))
+        v[row] *= 1.0 + 1e-15j  # its mirror -k keeps the old conjugate
+        bad = nse.state_from_dense(v)
+        for run in (lambda: nse.evolve(0.0, bad, [0.5]),
+                    lambda: nse.evolve_block(bad, [0.0], [0.5]),
+                    lambda: nse.bilinear(bad)):
+            with pytest.raises(UsageError, match="real field"):
+                run()
+
     def test_reality_condition_preserved(self, nse):
-        # exactly: the symmetrised advection term keeps every RK stage Hermitian
+        # exactly: the Hermitian advection term keeps every RK stage Hermitian
         x = nse.sample_states(1, np.random.default_rng(0))[0]
         v = nse.dense_values(nse.evolve(0.0, x, [2.0])[0])
         assert np.array_equal(v[nse.basis.mirror], np.conj(v))
