@@ -10,9 +10,8 @@ model, nonautonomous symbol families, and a deterministic CLI (`ges`).
 from .errors import BlowUpError, ForcingFormatError, UnsupportedError, UsageError
 from .space import (CoeffState, DualMetricSpace, epsilon_net, hausdorff_dist,
                     pack_states, set_semidist, state_to_json)
-from .evolution import (EnergyCheckReport, EnsembleEntry, PullbackEnsemble,
-                        TrajectoryFamily, TrajectorySample, compose_check,
-                        energy_inequality_check, pullback_image,
+from .evolution import (EnergyCheckReport, TrajectoryFamily, TrajectorySample,
+                        compose_check, energy_inequality_check,
                         weak_c_convergence_check)
 from .omega import (AttractionReport, InvarianceReport, MinimalityReport,
                     OmegaApprox, PACReport, PullbackSchedule, TrackingReport,
@@ -31,9 +30,8 @@ __all__ = [
     "BlowUpError", "ForcingFormatError", "UnsupportedError", "UsageError",
     "CoeffState", "DualMetricSpace", "epsilon_net", "hausdorff_dist",
     "pack_states", "set_semidist", "state_to_json",
-    "EnergyCheckReport", "EnsembleEntry", "PullbackEnsemble",
-    "TrajectoryFamily", "TrajectorySample", "compose_check",
-    "energy_inequality_check", "pullback_image", "weak_c_convergence_check",
+    "EnergyCheckReport", "TrajectoryFamily", "TrajectorySample",
+    "compose_check", "energy_inequality_check", "weak_c_convergence_check",
     "AttractionReport", "InvarianceReport", "MinimalityReport", "OmegaApprox",
     "PACReport", "PullbackSchedule", "TrackingReport",
     "attraction_diagnostic", "forward_omega", "invariance_check",

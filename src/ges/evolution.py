@@ -16,11 +16,11 @@ values ready for packing: one evolve from time 0 sampled at every
 duration t - s when the family is autonomous, P(t, s) = S(t - s), else
 one per run of equal start times (heat broadcasts one multiplier).
 Fixed states follow them, and the blow-up guard reads the block's norms.
-pullback_image keeps images as states, for compose_check and callers
-that want them.  Families also expose phase-space seed sampling keyed by
-labels: a label fixes one trajectory relative to the evaluation time, so
-ensembles drawn at different pullback depths sample the same bundle of
-trajectories.
+It is the only image path: compose_check reads its middle images back
+from one block as states.  Families also expose phase-space seed
+sampling keyed by labels: a label fixes one trajectory relative to the
+evaluation time, so ensembles drawn at different pullback depths sample
+the same bundle of trajectories.
 
 Checks in this module:
 
@@ -35,15 +35,14 @@ Checks in this module:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError, UsageError
-from .space import (CoeffState, DualMetricSpace, PackedSet, pack_groups,
-                    set_semidist)
+from .space import CoeffState, DualMetricSpace, PackedSet, pack_groups
 from .util import parallel_map
 
 
@@ -144,26 +143,6 @@ class TrajectoryFamily(ABC):
 # pullback images
 
 
-@dataclass(frozen=True)
-class EnsembleEntry:
-    seed_index: int
-    branch: int
-    state: CoeffState
-
-
-@dataclass
-class PullbackEnsemble:
-    """Finite approximation of P(t, s) A, one entry per (seed, branch)."""
-
-    system_id: str
-    t: float
-    s: float
-    entries: list[EnsembleEntry] = field(default_factory=list)
-
-    def states(self) -> list[CoeffState]:
-        return [e.state for e in self.entries]
-
-
 def _trajectories(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
                   branches: str = "all") -> list[tuple]:
     """(seed index, branch, seed) per trajectory from time s, in that order.
@@ -181,11 +160,6 @@ def _trajectories(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
         nb = fam.branch_count(s, x) if branches == "all" else 1
         out.extend((i, b, x) for b in range(nb))
     return out
-
-
-def _blow_up(i: int, b: int, tau: float, nrm: float, cap: float) -> BlowUpError:
-    return BlowUpError(f"seed #{i} (branch {b}) blew up: |u({tau})| = {nrm:.3g} "
-                       f"exceeds 10x ball radius {cap:.3g}")
 
 
 def _image_tier(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
@@ -236,33 +210,11 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
             over = np.flatnonzero(packed.norms[rows] > 10.0 * cap)
             if over.size:
                 _, i, b, _, _, t = tier[over[0]]
-                raise _blow_up(i, b, t, packed.norms[rows[over[0]]], cap)
+                raise BlowUpError(f"seed #{i} (branch {b}) blew up: |u({t})| = "
+                                  f"{packed.norms[rows[over[0]]]:.3g} exceeds 10x "
+                                  f"ball radius {cap:.3g}")
     packed.check_ball()
     return packed, tier_rows, fixed_rows
-
-
-def pullback_image(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
-                   t: float, s: float, branches: str = "all") -> PullbackEnsemble:
-    """Evolve every seed from s to t through the requested branches.
-
-    branches is "all" or "first".  Entries are ordered by (seed index,
-    branch id), so the ensemble is a deterministic function of the seed
-    list; as a set it does not depend on the seed order.  An image whose
-    strong norm exceeds 10x the space's ball radius aborts the run with a
-    BlowUpError naming the offending seed.
-    """
-    if s > t:
-        raise UsageError(f"pullback start s={s} must not exceed t={t}")
-    jobs = _trajectories(fam, seeds, s, branches)
-    states = [fam.evolve(s, x, [t], branch=b)[0] for _, b, x in jobs]
-    cap = fam.space.ball_radius
-    if cap is not None:
-        for (i, b, _), st in zip(jobs, states):
-            nrm = fam.space.strong_norm(st)
-            if nrm > 10.0 * cap:
-                raise _blow_up(i, b, t, nrm, cap)
-    return PullbackEnsemble(fam.system_id, t, s, [
-        EnsembleEntry(i, b, st) for (i, b, _), st in zip(jobs, states)])
 
 
 def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
@@ -270,14 +222,17 @@ def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     """Strong semidistance of P(t,r)A from P(t,s)P(s,r)A.
 
     The two-parameter family satisfies P(t,r)A inside P(t,s)P(s,r)A, so
-    the value is solver noise for restriction-closed systems.
+    the value is solver noise for restriction-closed systems.  The middle
+    images P(s,r)A come back as states from their own _tier_block; a
+    second block holds P(t,r)A and P(t,s)P(s,r)A as two tiers.
     """
     if not (r <= s <= t):
         raise UsageError("compose_check needs r <= s <= t")
-    one = pullback_image(fam, seeds, t, r)
-    mid = pullback_image(fam, seeds, s, r)
-    two = pullback_image(fam, mid.states(), t, s)
-    return set_semidist(fam.space, one.states(), two.states(), "strong")
+    packed, (rows,), _ = _tier_block(fam.space, [_image_tier(fam, seeds, r, s)], 1)
+    mid = [packed.state(row) for row in rows]
+    packed, (one, two), _ = _tier_block(
+        fam.space, [_image_tier(fam, seeds, r, t), _image_tier(fam, mid, s, t)], 1)
+    return packed.semidist(one, two, "strong")
 
 
 # ---------------------------------------------------------------------------

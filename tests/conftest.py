@@ -1,4 +1,5 @@
-"""Shared fixtures: a plain sequence space and sparse-state helpers."""
+"""Shared fixtures: a plain sequence space, sparse-state helpers and a
+per-image evolution oracle."""
 
 from __future__ import annotations
 
@@ -25,3 +26,12 @@ def random_sparse_state(space: DualMetricSpace, rng: np.random.Generator,
     idx = rng.choice(np.arange(-radius, radius + 1), size=k, replace=False)
     val = rng.uniform(-amp, amp, size=k) + 1j * rng.uniform(-amp, amp, size=k)
     return space.state(idx, val)
+
+
+def image_states(fam, seeds, t: float, s: float, branches: str = "all"):
+    """The image P(t, s) seeds as states, one fam.evolve per (seed, branch)
+    in that order, through every branch or the first: an oracle that never
+    packs, for comparison with the packed image path."""
+    return [fam.evolve(s, x, [t], branch=b)[0]
+            for x in seeds
+            for b in range(fam.branch_count(s, x) if branches == "all" else 1)]

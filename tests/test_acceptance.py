@@ -24,8 +24,7 @@ import numpy as np
 import pytest
 
 from ges.cli import main
-from ges.evolution import (compose_check, energy_inequality_check,
-                           pullback_image)
+from ges.evolution import compose_check, energy_inequality_check
 from ges.omega import (PullbackSchedule, attraction_diagnostic, forward_omega,
                        omega_pullback)
 from ges.space import hausdorff_dist, set_semidist
@@ -33,6 +32,8 @@ from ges.symbols import SymbolFamily, union_inclusion_check
 from ges.systems import SYSTEM_IDS, make_system
 from ges.systems.heat import band_witness
 from ges.systems.nse import LAMBDA_1, absorbing_entry_time
+
+from conftest import image_states
 
 EPS_NET = 0.05  # default net resolution used throughout
 
@@ -85,8 +86,7 @@ def test_criterion_03_travelling_profile_weak_limit_set():
     # so the zero limit point belongs to the weak picture only
     for s in sched.starts:
         seeds = [fam.seed_for(lab, s, 0.0) for lab in labels]
-        img = pullback_image(fam, seeds, 0.0, s)
-        for u in img.states():
+        for u in image_states(fam, seeds, 0.0, s):
             assert abs(fam.space.strong_norm(u) - 1.0) <= 1e-9
 
 

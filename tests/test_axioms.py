@@ -11,6 +11,11 @@ Sample independence: evolve(s, x, ts, b)[i] is evolve(s, x, [ts[i]], b)[0],
 bit for bit for the closed forms.  One NSE solve steps to the last sample
 and reads the others off its dense output, so its samples agree within a
 relative tolerance.
+
+Concatenation: P(t, s) P(s, r) A holds P(t, r) A, so compose_check reads
+0 up to rounding for every restriction-closed system; line is not one.
+bump composes two shifts whose sum rounds otherwise than t - r, and NSE
+runs three solves, so those two get their own tolerances.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ges.evolution import compose_check
 from ges.systems import SYSTEM_IDS, make_system
 
 # relative tolerance of a block image against its own evolve; 0 is bitwise
@@ -31,6 +37,8 @@ SAMPLE_TOLERANCE = {"nse": 1e-7}
 # longest sample span t - s; NSE solves stay short at kmax 2
 SPAN = {"nse": 0.5}
 EXAMPLES = {"nse": 20}
+# largest compose_check value, an absolute strong distance
+COMPOSE_TOLERANCE = {"bump": 1e-12, "nse": 1e-7}
 
 
 @cache
@@ -109,5 +117,23 @@ def test_every_sample_is_its_own_evolve(sid):
             w = fam.evolve(s, x, [t], branch)[0]
             assert np.array_equal(g.idx, w.idx)
             assert_close(g.val, w.val, tol)
+
+    check()
+
+
+@pytest.mark.parametrize("sid", [sid for sid in SYSTEM_IDS if sid != "line"])
+def test_trajectories_concatenate(sid):
+    fam = system(sid)
+    tol = COMPOSE_TOLERANCE.get(sid, 1e-14)
+    gap = SPAN.get(sid, 3.0) / 2
+
+    @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
+              database=None)
+    @given(st.floats(-6.0, 2.0), st.floats(0.0, gap), st.floats(0.0, gap),
+           st.integers(1, 3), st.integers(0, 2 ** 16))
+    def check(r, first, second, count, seed):
+        seeds = fam.sample_states(count, np.random.default_rng(seed))
+        s = r + first
+        assert compose_check(fam, seeds, r, s, s + second) <= tol
 
     check()

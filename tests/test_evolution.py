@@ -1,4 +1,4 @@
-"""Pullback images, composition, energy checks, weak-seed continuity.
+"""Images, composition, energy checks, weak-seed continuity.
 
 The drifting-line family has closed-form images, so its composition
 defect is known exactly: the one-leg image at depth r is {t - r} while
@@ -12,13 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from ges.errors import BlowUpError, UsageError
+from ges.errors import UsageError
 from ges.evolution import (
     TrajectoryFamily,
     TrajectorySample,
+    _image_tier,
+    _tier_block,
     compose_check,
     energy_inequality_check,
-    pullback_image,
     weak_c_convergence_check,
 )
 from ges.space import DualMetricSpace, hausdorff_dist
@@ -35,64 +36,70 @@ from ges.systems import (
 
 
 # ---------------------------------------------------------------------------
-# pullback images
+# images
 
 
-class TestPullbackImage:
-    def test_line_image_is_elapsed_time(self):
-        fam = LineSystem()
-        ens = pullback_image(fam, [fam.scalar(0.3), fam.scalar(-2.0)], 0.0, -5.0)
-        for e in ens.entries:
-            assert float(e.state.val[0, 0].real) == pytest.approx(5.0)
+def test_line_image_is_elapsed_time():
+    fam = LineSystem()
+    for x in (fam.scalar(0.3), fam.scalar(-2.0)):
+        assert float(fam.evolve(-5.0, x, [0.0])[0].val[0, 0].real) == pytest.approx(5.0)
 
-    def test_entries_ordered_by_seed_then_branch(self):
+
+def test_branch_rates_are_exact_exponentials():
+    fam = BranchSystem()
+    x = fam.space.state([0], [1.0])
+    got = [float(fam.evolve(0.0, x, [1.0], branch=b)[0].val[0, 0].real)
+           for b in range(fam.branch_count(0.0, x))]
+    assert got == pytest.approx([math.exp(-1.0), math.exp(-2.0)], rel=1e-15)
+
+
+class TestImageTier:
+    def test_rows_ordered_by_seed_then_branch(self):
         fam = BranchSystem()
         seeds = fam.sample_states(3, np.random.default_rng(0))
-        ens = pullback_image(fam, seeds, 1.0, 0.0)
-        assert [(e.seed_index, e.branch) for e in ens.entries] == [
+        tier = _image_tier(fam, seeds, 0.0, 1.0)
+        assert [(i, b) for _, i, b, _, _, _ in tier] == [
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-
-    def test_branch_rates_are_exact_exponentials(self):
-        fam = BranchSystem()
-        x = fam.space.state([0], [1.0])
-        ens = pullback_image(fam, [x], 1.0, 0.0)
-        got = sorted(float(e.state.val[0, 0].real) for e in ens.entries)
-        assert got == pytest.approx(sorted([math.exp(-1.0), math.exp(-2.0)]),
-                                    rel=1e-15)
+        packed, (rows,), _ = _tier_block(fam.space, [tier], 1)
+        want = [fam.evolve(0.0, x, [1.0], branch=b)[0] for _, _, b, x, _, _ in tier]
+        for row, w in zip(rows, want):
+            assert np.array_equal(packed.state(row).val, w.val)
 
     def test_branches_first_takes_one_per_seed(self):
         fam = BranchSystem()
         seeds = fam.sample_states(3, np.random.default_rng(0))
-        ens = pullback_image(fam, seeds, 1.0, 0.0, branches="first")
-        assert [e.branch for e in ens.entries] == [0, 0, 0]
+        tier = _image_tier(fam, seeds, 0.0, 1.0, branches="first")
+        assert [(i, b) for _, i, b, _, _, _ in tier] == [(0, 0), (1, 0), (2, 0)]
+
+    def test_unknown_branches_rule_is_refused(self):
+        fam = LineSystem()
+        with pytest.raises(UsageError, match="branches"):
+            _image_tier(fam, [fam.scalar(0.0)], 0.0, 1.0, branches="some")
 
     def test_image_set_independent_of_seed_order(self):
         fam = HeatSystem()
         seeds = fam.sample_states(4, np.random.default_rng(1))
-        a = pullback_image(fam, seeds, 0.0, -2.0).states()
-        b = pullback_image(fam, seeds[::-1], 0.0, -2.0).states()
-        assert hausdorff_dist(fam.space, a, b, "strong") == 0.0
+        images = []
+        for order in (seeds, seeds[::-1]):
+            packed, (rows,), _ = _tier_block(
+                fam.space, [_image_tier(fam, order, -2.0, 0.0)], 1)
+            images.append([packed.state(row) for row in rows])
+        assert hausdorff_dist(fam.space, *images, "strong") == 0.0
 
-    def test_images_stay_inside_the_ball(self):
+    def test_heat_images_stay_inside_the_ball(self):
         fam = HeatSystem()
         seeds = fam.sample_states(4, np.random.default_rng(2))
-        for depth in (1.0, 4.0, 16.0):
-            ens = pullback_image(fam, seeds, 0.0, -depth)
-            for e in ens.entries:
-                assert fam.space.strong_norm(e.state) <= 1.0 + 1e-9
+        tiers = [_image_tier(fam, seeds, -depth, 0.0) for depth in (1.0, 4.0, 16.0)]
+        packed, _, _ = _tier_block(fam.space, tiers, 1)
+        assert packed.norms.max() <= 1.0 + 1e-9
 
-    def test_input_validation(self):
-        fam = LineSystem()
-        with pytest.raises(UsageError, match="must not exceed"):
-            pullback_image(fam, [fam.scalar(0.0)], -1.0, 0.0)
-        with pytest.raises(UsageError, match="empty"):
-            pullback_image(fam, [], 1.0, 0.0)
-        with pytest.raises(UsageError, match="branches"):
-            pullback_image(fam, [fam.scalar(0.0)], 1.0, 0.0, branches="some")
+
+# ---------------------------------------------------------------------------
+# composition
 
 
 class ExplodingSystem(TrajectoryFamily):
-    """Synthetic growth family used to exercise the blow-up guard."""
+    """Synthetic growth family used to exercise the ball check."""
 
     system_id = "exploding"
     autonomous = True
@@ -103,20 +110,6 @@ class ExplodingSystem(TrajectoryFamily):
     def _evolve(self, s, x, ts, branch):
         return [self.space.state(x.idx, x.val * math.exp(float(t) - s))
                 for t in ts]
-
-
-def test_blowup_guard_names_the_seed():
-    fam = ExplodingSystem()
-    x = fam.space.state([0], [1.0])
-    with pytest.raises(BlowUpError, match="seed #0"):
-        pullback_image(fam, [x], 3.0, 0.0)
-    # below the 10x cap the same flow passes
-    ens = pullback_image(fam, [x], 2.0, 0.0)
-    assert fam.space.strong_norm(ens.states()[0]) == pytest.approx(math.exp(2.0))
-
-
-# ---------------------------------------------------------------------------
-# composition
 
 
 class TestCompose:
@@ -146,6 +139,16 @@ class TestCompose:
         fam = LineSystem()
         with pytest.raises(UsageError):
             compose_check(fam, [fam.scalar(0.0)], 0.0, -1.0, 1.0)
+
+    def test_empty_seed_set_is_refused(self):
+        with pytest.raises(UsageError, match="empty"):
+            compose_check(LineSystem(), [], -1.0, 0.0, 1.0)
+
+    def test_images_past_the_ball_are_refused(self):
+        # e and e^2 lie past the unit ball but below the 10x blow-up cap
+        fam = ExplodingSystem()
+        with pytest.raises(UsageError, match="exceeds the ball radius"):
+            compose_check(fam, [fam.space.state([0], [1.0])], 0.0, 1.0, 2.0)
 
 
 def test_evolve_at_start_time_is_identity():

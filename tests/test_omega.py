@@ -17,7 +17,7 @@ import pytest
 
 import ges.omega
 from ges.errors import BlowUpError, UnsupportedError, UsageError
-from ges.evolution import TrajectoryFamily, pullback_image
+from ges.evolution import TrajectoryFamily, compose_check
 from ges.omega import (
     MAX_TIERS,
     AttractionReport,
@@ -48,6 +48,8 @@ from ges.systems import (
     high_band_seed,
     make_system,
 )
+
+from conftest import image_states
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ class TestForwardLadders:
     def reference(self, systems, seeds, t0, n):
         horizons = [t0 + 1.6 ** i for i in range(1, n + 1)]
         return [[st for fam in systems
-                 for st in pullback_image(fam, seeds, h, t0).states()]
+                 for st in image_states(fam, seeds, h, t0)]
                 for h in horizons]
 
     @pytest.mark.parametrize("make", [BranchSystem, BumpSystem])
@@ -314,10 +316,10 @@ def packed_tiers(fam, tier_states):
 
 
 def reference_pullback(fam, schedule, n_seeds, rng, seeds=None):
-    """omega_pullback from per-tier pullback_image states and pack_states."""
+    """omega_pullback from per-tier image_states and pack_states."""
     t, starts = schedule.t, schedule.starts
     lists = ges.omega._tier_seeds(fam, seeds, None, n_seeds, rng, t, starts)
-    tiers = [pullback_image(fam, lst, t, s).states() for s, lst in zip(starts, lists)]
+    tiers = [image_states(fam, lst, t, s) for s, lst in zip(starts, lists)]
     packed, rows = packed_tiers(fam, tiers)
     return ges.omega._omega_from_tiers(fam.system_id, packed, rows, starts, t,
                                        "weak", 0.05, 1e-3, "")
@@ -325,7 +327,7 @@ def reference_pullback(fam, schedule, n_seeds, rng, seeds=None):
 
 def reference_forward(fam, t0, seeds, n):
     horizons = [t0 + 1.6 ** i for i in range(1, n + 1)]
-    tiers = [pullback_image(fam, seeds, h, t0).states() for h in horizons]
+    tiers = [image_states(fam, seeds, h, t0) for h in horizons]
     packed, rows = packed_tiers(fam, tiers)
     return ges.omega._omega_from_tiers(fam.system_id, packed, rows, horizons,
                                        horizons[-1], "weak", 0.05, 1e-3, "")
@@ -753,7 +755,7 @@ def reference_pac(fam, schedule, rng, tol=0.4, sample_size=10):
     reports = []
 
     def run(kind, seeds_per_tier):
-        points = [pullback_image(fam, [x], t, s, branches="first").states()[0]
+        points = [image_states(fam, [x], t, s, branches="first")[0]
                   for s, x in zip(starts, seeds_per_tier)]
         best, min_sep = ges.omega._cluster_stats(pack_states(fam.space, points),
                                                  np.arange(len(points)), tol)
@@ -1069,6 +1071,13 @@ class TestBlowUpGuard:
         seeds = fam.sample_states(3, np.random.default_rng(0))
         with pytest.raises(BlowUpError, match="seed #0"):
             forward_omega(fam, 0.0, seeds, n=5)
+
+    def test_compose(self):
+        # every one-sample run spikes, so the middle images P(s, r)A do
+        fam = SpikeSystem()
+        seeds = fam.sample_states(2, np.random.default_rng(0))
+        with pytest.raises(BlowUpError, match=r"seed #0 \(branch 0\) blew up: \|u\(-1.0\)\|"):
+            compose_check(fam, seeds, -2.0, -1.0, 0.0)
 
     def test_tracking(self):
         fam = SpikeSystem()

@@ -25,7 +25,6 @@ import ges.systems.nse as nse_module
 from ges import kernels
 from ges.cli import main
 from ges.errors import ForcingFormatError, UsageError
-from ges.evolution import pullback_image
 from ges.symbols import TWO_PI, SymbolFamily
 from ges.systems import (
     BranchSystem,
@@ -52,6 +51,8 @@ from ges.systems import (
 )
 from ges.systems.branch import RATES
 from ges.systems.line import make_line_space
+
+from conftest import image_states
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ class TestHeat:
         fam = HeatSystem()
         seed = high_band_seed(fam.space, np.random.default_rng(1))
         for depth in (0.05, 0.1, 0.2):
-            out = pullback_image(fam, [seed], 0.0, -depth).states()[0]
+            out = image_states(fam, [seed], 0.0, -depth)[0]
             assert fam.space.strong_norm(out) <= math.exp(-64.0 * depth) + 1e-12
 
     def test_high_band_seed_is_weakly_negligible(self):
@@ -479,12 +480,15 @@ class TestNSEAdvection:
     @pytest.mark.parametrize("kmax", [2, 3])
     def test_curl_free_field_has_no_projected_advection(self, kmax):
         # for v_k = i k phi_k the advective term is the pure gradient
-        # grad(u . u / 2), which the projection removes
+        # grad(u . u / 2), which the projection removes; a Hermitian
+        # potential makes the field real, the kernel's domain
         basis = get_basis(kmax)
         rng = np.random.default_rng(20 + kmax)
         for _ in range(3):
             phi = rng.normal(size=basis.m) + 1j * rng.normal(size=basis.m)
+            phi = (phi + np.conj(phi[basis.mirror])) / 2
             v = 1j * basis.kvec * phi[:, None]
+            assert np.array_equal(v[basis.mirror], np.conj(v))
             bound = 1e-13 * float((np.abs(v) ** 2).sum()) * kmax
             got = kernels.nse_bilinear(v, basis.kvec, basis.grid_index,
                                        basis.grid_n)
