@@ -114,13 +114,12 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
 #
 # The field is real (v_{-k} = conj(v_k)), so the transforms are real ones
 # on the half grid kx >= 0, stored in (kz, ky, kx) order.  The sorted mode
-# list is symmetric under k -> -k (row m - 1 - i holds -k of row i): its
-# rows with kx >= 0 are a tail, scattered with both halves of the kx = 0
-# plane, and rows m // 2 on hold one mode of each +-k pair, read and
-# mirrored by conjugation, so the output is Hermitian bit for bit.  Each
-# thread keeps its transform arrays across calls: --threads evolves seeds
-# in parallel, and arrays allocated per call made the heap top shrink and
-# refault.
+# list is symmetric under k -> -k (row m - 1 - i holds -k of row i), so
+# rows m // 2 on hold one mode of each +-k pair: the kernel takes those
+# rows and returns them.  Every one of them has kx >= 0; the other half of
+# the kx = 0 plane is scattered as their conjugates.  Each thread keeps its
+# transform arrays across calls: --threads evolves seeds in parallel, and
+# arrays allocated per call made the heap top shrink and refault.
 
 _THREAD = threading.local()
 
@@ -128,20 +127,25 @@ _THREAD = threading.local()
 def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
     """Projected advection term -P(v . grad v) on the truncated mode set.
 
-    vals: (m, 3) complex coefficients of a real field, kvec: (m, 3) wave
-    vectors in sorted order, grid_index: (m,) flat index on the (n, n,
+    vals: (m // 2, 3) complex coefficients of a real field on rows m // 2
+    on of the sorted mode list (one mode of each +-k pair), kvec: (m, 3)
+    wave vectors in sorted order, grid_index: (m,) flat index on the (n, n,
     n // 2 + 1) half grid of the slot that holds each mode or its mirror.
+    Returns the term on the same m // 2 rows.
     """
     bufs = vars(_THREAD)
     if n not in bufs:
         bufs[n] = (np.empty((2, 3, n, n, n // 2 + 1), dtype=np.complex128),
                    np.empty((2, 3, n, n, n)), np.empty((3, n, n, n)))
     spec, uw, rot = bufs[n]
+    h = len(grid_index) // 2
     lo = int(np.searchsorted(kvec[:, 0], 0.0))  # first row with kx >= 0
+    # rows lo to h - 1 are the kx = 0 mirrors of rows h on, in reverse order
+    rows = np.concatenate([np.conj(vals[:h - lo][::-1]), vals])
     spec.fill(0.0)
     flat = spec.reshape(2, 3, -1)
-    flat[0][:, grid_index[lo:]] = vals[lo:].T
-    flat[1][:, grid_index[lo:]] = 1j * np.cross(kvec[lo:], vals[lo:]).T
+    flat[0][:, grid_index[lo:]] = rows.T
+    flat[1][:, grid_index[lo:]] = 1j * np.cross(kvec[lo:], rows).T
     np.fft.ifft(spec, axis=2, norm="forward", out=spec)
     np.fft.ifft(spec, axis=3, norm="forward", out=spec)
     np.fft.irfft(spec, n, axis=4, norm="forward", out=uw)
@@ -152,9 +156,7 @@ def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
     np.fft.rfft(rot, axis=3, norm="forward", out=half)
     np.fft.fft(half, axis=2, norm="forward", out=half)
     np.fft.fft(half, axis=1, norm="forward", out=half)
-    h = len(vals) // 2
     top = half.reshape(3, -1)[:, grid_index[h:]].T
     k = kvec[h:]
     kd = (top * k).sum(axis=1) / (k * k).sum(axis=1)
-    top = kd[:, None] * k - top  # -P_k of the product
-    return np.concatenate([np.conj(top[::-1]), top])
+    return kd[:, None] * k - top  # -P_k of the product

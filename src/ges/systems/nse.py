@@ -16,16 +16,18 @@ Re sum conj(u_hat_k) . B_k = 0 at machine precision.  It is evaluated
 pseudo-spectrally in rotational form, -P(curl u x u), on a zero-padded grid
 of n >= 3 kmax + 1 points per direction with 9 real FFTs per right-hand
 side (see kernels.nse_bilinear).  That equals the convolution sum up to
-roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes, and
-its output is Hermitian by construction.
+roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
 
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
 listed modes are driven, and the force must be real (Hermitian): each k
 is listed together with -k, the same time law, the conjugate amplitude
 and the conjugate samples; NSESystem refuses any other force, and any
-seed that is not exactly Hermitian.  Every term of the right-hand side is
-then exactly Hermitian, so a real field stays exactly real.  All forcing
+seed that is not exactly Hermitian.  The sorted mode list is symmetric
+under k -> -k, so its rows m // 2 on hold one mode of each +-k pair, and
+those rows are all the solver integrates.  state_from_dense rebuilds the
+full field from them by conjugation, so every evolved state is exactly
+real, whatever order the stepper's BLAS products sum in.  All forcing
 norms run over the listed modes only.
 The sliding-window bound sup_t int_t^{t+1} ||g||_{V'}^2 defines the
 absorbing radius
@@ -74,9 +76,10 @@ LAMBDA_1 = 1.0
 
 
 class SpectralBasis:
-    """Mode bookkeeping for one Galerkin cutoff: the sorted mode list, its
-    mirror rows, and each mode's slot on the zero-padded half grid that
-    evaluates the advection term (see kernels.nse_bilinear)."""
+    """Mode bookkeeping for one Galerkin cutoff: the sorted mode list, which
+    is symmetric under k -> -k (row m - 1 - i holds -k of row i), and each
+    mode's slot on the zero-padded half grid that evaluates the advection
+    term (see kernels.nse_bilinear)."""
 
     def __init__(self, kmax: int):
         self.kmax = int(kmax)
@@ -94,8 +97,6 @@ class SpectralBasis:
         self.kvec = self.modes.astype(np.float64)
         self.ksq = (self.kvec ** 2).sum(axis=1)
         self._row = {tuple(k): i for i, k in enumerate(modes)}
-        # the sorted list is symmetric under k -> -k: row m - 1 - i is -k
-        self.mirror = np.arange(self.m)[::-1]
         # products of two retained modes reach 2 kmax per component, so
         # n >= 3 kmax + 1 keeps their aliases off the retained set
         n = 3 * self.kmax + 1
@@ -508,15 +509,17 @@ class NSESystem(TrajectoryFamily):
         self.nu = float(nu)
         self.forcing = forcing if forcing is not None else default_forcing()
         self.basis = get_basis(kmax)
-        # each listed mode's row (which must lie inside the cutoff) and
-        # transverse direction, looked up once for every force evaluation
-        self._forced = [(e, self.basis.row(e.k), self.basis.transverse_unit(e.k))
-                        for e in self.forcing.entries]
+        # each listed mode's row among the integrated rows m // 2 on (every
+        # mode must lie inside the cutoff) and its transverse direction,
+        # looked up once for every force evaluation
+        h = self.basis.m // 2
+        rows = [(e, self.basis.row(e.k) - h) for e in self.forcing.entries]
+        self._forced = [(e, r, self.basis.transverse_unit(e.k)) for e, r in rows if r >= 0]
         if not self.forcing.is_hermitian():
             raise ForcingFormatError(
                 "the force must be real: list each mode's -k with the same time "
                 "law, the conjugate amplitude and the conjugate sampled values")
-        self._visc = -self.nu * self.basis.ksq[:, None]
+        self._visc = -self.nu * self.basis.ksq[h:, None]
         self.ball_convention = ball_convention
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             self.l2b_bound = self.forcing.translational_bound()
@@ -546,32 +549,34 @@ class NSESystem(TrajectoryFamily):
     # -- state packing ------------------------------------------------------------
 
     def dense_values(self, x: CoeffState) -> np.ndarray:
-        """The dense field of a state, which must be real: exactly Hermitian."""
+        """Rows m // 2 on of the dense field of a state, which must be real:
+        exactly Hermitian."""
         self.space.check_member(x)
         v = np.zeros((self.basis.m, 3), dtype=np.complex128)
         for row_idx, row_val in zip(x.idx, x.val):
             v[self.basis.row(row_idx)] = row_val
-        if not np.array_equal(v[self.basis.mirror], np.conj(v)):
+        if not np.array_equal(v[::-1], np.conj(v)):
             raise UsageError("an NSE state must be a real field: each mode -k "
                              "must hold the conjugate of mode k")
-        return v
+        return v[self.basis.m // 2:]
 
-    def state_from_dense(self, v: np.ndarray) -> CoeffState:
-        return self.space.state(self.basis.modes, v)
+    def state_from_dense(self, z: np.ndarray) -> CoeffState:
+        """The real state whose rows m // 2 on are z."""
+        return self.space.state(self.basis.modes, np.concatenate([np.conj(z[::-1]), z]))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Leray projection w of a dense field, then its Hermitian part
+        """Leray projection w of a full dense field, then its Hermitian part
         (w + conj(w[-k])) / 2, which is Hermitian bit for bit."""
         kd = (v * self.basis.kvec).sum(axis=1) / self.basis.ksq
         w = v - kd[:, None] * self.basis.kvec
-        return 0.5 * (w + np.conj(w[self.basis.mirror]))
+        return 0.5 * (w + np.conj(w[::-1]))
 
     # -- dynamics -----------------------------------------------------------------
 
     def g_dense(self, t: float) -> np.ndarray:
         if self._g_static is not None:
             return self._g_static
-        g = np.zeros((self.basis.m, 3), dtype=np.complex128)
+        g = np.zeros((self.basis.m // 2, 3), dtype=np.complex128)
         for e, row, d in self._forced:
             g[row] += complex(e.envelope(t)) * d
         return g
@@ -590,13 +595,12 @@ class NSESystem(TrajectoryFamily):
 
     def _integrate(self, s: float, v0: np.ndarray, t_end: float,
                    t_eval) -> np.ndarray:
-        """One RK45 solve from the dense field v0 at time s to t_end; the
-        columns of the result are the flat fields at t_eval.  A failed solve
-        or a non-finite sample raises BlowUpError."""
-        m = self.basis.m
+        """One RK45 solve from v0, rows m // 2 on of a dense field, at time s
+        to t_end; the columns of the result are those rows, flat, at t_eval.
+        A failed solve or a non-finite sample raises BlowUpError."""
 
         def fun(t, y):
-            return self.rhs_dense(t, y.reshape(m, 3)).ravel()
+            return self.rhs_dense(t, y.reshape(-1, 3)).ravel()
 
         sol = solve_ivp(fun, (s, t_end), v0.ravel(), rtol=1e-8, atol=1e-11,
                         t_eval=t_eval)
@@ -625,18 +629,22 @@ class NSESystem(TrajectoryFamily):
     def energy_sample(self, s: float, x: CoeffState, t_hi: float,
                       n: int = 2001) -> TrajectorySample:
         """Integrate once and sample the three energy functionals densely:
-        |u|^2, ||u||^2 and <g, u>, each reduced over all samples at once."""
+        |u|^2, ||u||^2 and <g, u>, each reduced over all samples at once.
+        The solve holds one mode of each +-k pair, and a mode and its
+        mirror add the same term, so each sum over it is doubled."""
         grid = np.linspace(s, t_hi, n)
         y = self._integrate(s, self.dense_values(x), t_hi, grid)
         re, im = y.real, y.imag  # views: nothing of y's size is allocated
         esq = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
-        ksq = np.repeat(self.basis.ksq, 3)  # y's rows are (mode, component)
+        # y's rows are (mode, component)
+        ksq = np.repeat(self.basis.ksq[self.basis.m // 2:], 3)
         vsq = (np.einsum("i,ij,ij->j", ksq, re, re)
                + np.einsum("i,ij,ij->j", ksq, im, im))
         pair = np.zeros(n)
         for e, row, d in self._forced:  # g vanishes off the listed modes
             pair += np.real(np.conj(e.envelope(grid)) * (d @ y[3 * row:3 * row + 3]))
-        return TrajectorySample(grid, np.sqrt(esq), vnorm_sq=vsq, force_pair=pair)
+        return TrajectorySample(grid, np.sqrt(2.0 * esq), vnorm_sq=2.0 * vsq,
+                                force_pair=2.0 * pair)
 
     # -- sampling -----------------------------------------------------------------
 
@@ -656,11 +664,11 @@ class NSESystem(TrajectoryFamily):
             v = self.project(v)
             nrm = math.sqrt((np.abs(v) ** 2).sum())
             v *= rng.uniform(0.2, 1.0) * cap / nrm
-            out.append(self.state_from_dense(v))
+            out.append(self.state_from_dense(v[self.basis.m // 2:]))
         return out
 
     def incompressibility_defect(self, x: CoeffState) -> float:
-        v = self.dense_values(x)
-        num = np.abs((v * self.basis.kvec).sum(axis=1))
-        den = np.sqrt(self.basis.ksq) * np.sqrt((np.abs(v) ** 2).sum(axis=1)) + 1e-300
+        v, h = self.dense_values(x), self.basis.m // 2
+        num = np.abs((v * self.basis.kvec[h:]).sum(axis=1))
+        den = np.sqrt(self.basis.ksq[h:]) * np.sqrt((np.abs(v) ** 2).sum(axis=1)) + 1e-300
         return float((num / den).max())

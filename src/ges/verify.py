@@ -22,6 +22,7 @@ from .symbols import SymbolFamily, union_inclusion_check
 from .systems import SYSTEM_IDS, make_system
 from .systems.bump import bump_state
 from .systems.heat import high_band_seed
+from .systems.nse import LAMBDA_1, absorbing_entry_time
 from .util import fmt_float, report_json
 
 # the systems each suite holds a contract for, in check order; metrics
@@ -160,6 +161,32 @@ def nse_energy_check(fam, rng: np.random.Generator):
     tol = NSE_INTEGRAL_TOL * max(1.0, float(traj.norms.max()) ** 2)
     return traj, energy_inequality_check(traj, nu=fam.nu, eps=eps, delta=delta,
                                          integral_tol=tol)
+
+
+NSE_ABSORBING_SLACK = 1e-6
+
+
+def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int):
+    """(grid, norms, max_violation, verdict) of the absorbing inequality
+
+        |u(t)|^2 <= |u(a)|^2 exp(-nu lambda_1 (t - a))
+                    + ||g||_{Lb}^2 / (nu (1 - exp(-nu lambda_1)))
+
+    along n_seeds fields sampled in |u| <= 2R, at 41 times from 0 to one past
+    the absorbing entry time (to 3 for a radius of at most 1/2).  norms holds
+    one row of |u| per seed, and max_violation is the largest excess of the
+    left side over the right over every pair of grid times a <= t."""
+    radius = fam.absorbing_set_radius()
+    horizon = absorbing_entry_time(radius, fam.nu) + 1.0 if radius > 0.5 else 3.0
+    seeds = fam.sample_states(n_seeds, rng, radius=2.0 * radius if radius > 0 else None)
+    norms = np.array([fam.energy_sample(0.0, x, horizon, n=41).norms for x in seeds])
+    grid = np.linspace(0.0, horizon, 41)
+    a, t = np.triu_indices(grid.size)
+    sq = norms ** 2
+    bound = fam.l2b_bound / (fam.nu * (1.0 - np.exp(-fam.nu * LAMBDA_1)))
+    excess = sq[:, t] - sq[:, a] * np.exp(-fam.nu * LAMBDA_1 * (grid[t] - grid[a])) - bound
+    worst = float(excess.max())
+    return grid, norms, worst, "holds" if worst <= NSE_ABSORBING_SLACK else "violated"
 
 
 def suite_energy(seed: int, workers: int = 1,

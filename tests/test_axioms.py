@@ -16,11 +16,20 @@ Concatenation: P(t, s) P(s, r) A holds P(t, r) A, so compose_check reads
 0 up to rounding for every restriction-closed system; line is not one.
 bump composes two shifts whose sum rounds otherwise than t - r, and NSE
 runs three solves, so those two get their own tolerances.
+
+Closure: every state evolve returns is a seed of the same system, so it
+evolves again.  An NSE state must be an exactly real field; the property
+draws the NSE cutoff too, and one test re-evolves NSE states under two BLAS
+threads, which sum the stepper's products in another order.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +51,8 @@ COMPOSE_TOLERANCE = {"bump": 1e-12, "nse": 1e-7}
 
 
 @cache
-def system(sid):
-    return make_system(sid, kmax=2) if sid == "nse" else make_system(sid)
+def system(sid, kmax=2):
+    return make_system(sid, kmax=kmax) if sid == "nse" else make_system(sid)
 
 
 @st.composite
@@ -137,3 +146,45 @@ def test_trajectories_concatenate(sid):
         assert compose_check(fam, seeds, r, s, s + second) <= tol
 
     check()
+
+
+@pytest.mark.parametrize("sid", SYSTEM_IDS)
+def test_evolved_states_evolve_again(sid):
+    span = SPAN.get(sid, 3.0)
+    # NSE rounds differently at every cutoff
+    kmax = st.integers(1, 5) if sid == "nse" else st.just(2)
+
+    @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
+              database=None)
+    @given(kmax, st.floats(-6.0, 2.0), st.lists(st.floats(0.0, span), min_size=1, max_size=3),
+           st.floats(0.0, span), st.integers(0, 2 ** 16), st.integers(0, 1))
+    def check(kmax, s, offsets, gap, seed, branch):
+        fam = system(sid, kmax)
+        ts = [s + d for d in offsets]
+        x, branch = seed_and_branch(fam, seed, branch, [s])
+        for y, t in zip(fam.evolve(s, x, ts, branch), ts):
+            assert len(fam.evolve(t, y, [t + gap])) == 1
+
+    check()
+
+
+_REEVOLVE_AT_KMAX_6 = """
+import numpy as np
+from ges.systems.nse import NSESystem
+fam = NSESystem(kmax=6)
+ts = np.linspace(0.05, 0.3, 6)
+for x in fam.sample_states(4, np.random.default_rng(0)):
+    for y, t in zip(fam.evolve(0.0, x, ts), ts):
+        fam.evolve(t, y, [t + 0.01])
+"""
+
+
+def test_nse_states_evolve_again_under_two_blas_threads():
+    # 24 states at kmax 6; two OpenBLAS threads split the stepper's
+    # products, and the states must stay exactly real whatever order they
+    # sum in
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "2"}
+    res = subprocess.run([sys.executable, "-c", _REEVOLVE_AT_KMAX_6], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr

@@ -449,13 +449,21 @@ def pair_sum_bilinear(vals, basis):
     return -out
 
 
+def full_field(z):
+    """The full dense field whose rows m // 2 on are z: row m - 1 - i holds
+    -k of row i, so the other rows are z's conjugates in reverse order."""
+    return np.concatenate([np.conj(z[::-1]), z])
+
+
 class TestNSEAdvection:
     """The padded-FFT advection kernel against the convolution pair sum."""
 
     @staticmethod
     def assert_matches_pair_sum(basis, v):
-        got = kernels.nse_bilinear(v, basis.kvec, basis.grid_index, basis.grid_n)
-        ref = pair_sum_bilinear(v, basis)
+        # the kernel takes and returns rows m // 2 on of the full field v
+        h = basis.m // 2
+        got = kernels.nse_bilinear(v[h:], basis.kvec, basis.grid_index, basis.grid_n)
+        ref = pair_sum_bilinear(v, basis)[h:]
         # at kmax = 1 no retained triad closes and ref is identically zero
         scale = max(float(np.abs(ref).max()), 1.0)
         assert np.abs(got - ref).max() <= 1e-13 * scale
@@ -464,9 +472,7 @@ class TestNSEAdvection:
     def test_matches_pair_sum_on_sampled_fields(self, kmax):
         fam = NSESystem(kmax=kmax)
         for x in fam.sample_states(3, np.random.default_rng(kmax), active_kmax=kmax):
-            v = fam.dense_values(x)
-            assert np.abs(v[fam.basis.mirror] - np.conj(v)).max() <= 1e-15
-            self.assert_matches_pair_sum(fam.basis, v)
+            self.assert_matches_pair_sum(fam.basis, full_field(fam.dense_values(x)))
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_matches_pair_sum_on_random_real_fields(self, kmax):
@@ -475,7 +481,7 @@ class TestNSEAdvection:
         rng = np.random.default_rng(10 + kmax)
         for _ in range(3):
             v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
-            self.assert_matches_pair_sum(basis, v + np.conj(v[basis.mirror]))
+            self.assert_matches_pair_sum(basis, v + np.conj(v[::-1]))
 
     @pytest.mark.parametrize("kmax", [2, 3])
     def test_curl_free_field_has_no_projected_advection(self, kmax):
@@ -486,11 +492,11 @@ class TestNSEAdvection:
         rng = np.random.default_rng(20 + kmax)
         for _ in range(3):
             phi = rng.normal(size=basis.m) + 1j * rng.normal(size=basis.m)
-            phi = (phi + np.conj(phi[basis.mirror])) / 2
+            phi = (phi + np.conj(phi[::-1])) / 2
             v = 1j * basis.kvec * phi[:, None]
-            assert np.array_equal(v[basis.mirror], np.conj(v))
+            assert np.array_equal(v[::-1], np.conj(v))
             bound = 1e-13 * float((np.abs(v) ** 2).sum()) * kmax
-            got = kernels.nse_bilinear(v, basis.kvec, basis.grid_index,
+            got = kernels.nse_bilinear(v[basis.m // 2:], basis.kvec, basis.grid_index,
                                        basis.grid_n)
             assert np.abs(got).max() <= bound
             assert np.abs(pair_sum_bilinear(v, basis)).max() <= bound
@@ -499,11 +505,14 @@ class TestNSEAdvection:
         fam = NSESystem(kmax=4)
         basis = fam.basis
         for x in fam.sample_states(3, np.random.default_rng(4), active_kmax=4):
-            out = kernels.nse_bilinear(fam.dense_values(x), basis.kvec,
-                                       basis.grid_index, basis.grid_n)
+            v = fam.dense_values(x)
+            out = full_field(kernels.nse_bilinear(v, basis.kvec, basis.grid_index,
+                                                  basis.grid_n))
             scale = float(np.abs(out).max())
             assert scale > 0
-            assert np.abs(out[basis.mirror] - np.conj(out)).max() <= 1e-14 * scale
+            # the mirror rows rebuilt by conjugation are the term's own
+            ref = pair_sum_bilinear(full_field(v), basis)
+            assert np.abs(out - ref).max() <= 1e-13 * scale
             assert np.abs((out * basis.kvec).sum(axis=1)).max() <= 1e-14 * scale
 
     def test_conserves_energy_at_kmax_6(self):
@@ -518,10 +527,8 @@ class TestNSEAdvection:
         # of one thread's calls
         basis = get_basis(3)
         rng = np.random.default_rng(30)
-        fields = []
-        for _ in range(8):
-            v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
-            fields.append(v + np.conj(v[basis.mirror]))
+        shape = (basis.m // 2, 3)  # any rows m // 2 on make a real field
+        fields = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(8)]
 
         def run(v):
             return kernels.nse_bilinear(v, basis.kvec, basis.grid_index, basis.grid_n)
@@ -542,7 +549,8 @@ class TestNSEAdvection:
         assert basis.grid_n % 2 == 0 and 3 * kmax + 1 <= basis.grid_n <= 3 * kmax + 2
         arrays = [a for a in vars(basis).values() if isinstance(a, np.ndarray)]
         assert arrays and all(a.shape[0] == basis.m for a in arrays)
-        assert np.array_equal(basis.modes[basis.mirror], -basis.modes)
+        assert np.array_equal(basis.modes[::-1], -basis.modes)
+        assert np.all(basis.modes[basis.m // 2:, 0] >= 0)  # the kernel's rows
         # the half grid holds the rows with kx >= 0, each in a slot of its own
         half = basis.modes[:, 0] >= 0
         assert np.unique(basis.grid_index[half]).size == half.sum()
@@ -555,7 +563,7 @@ class TestNSEFlow:
         v = np.zeros((basis.m, 3), dtype=np.complex128)
         v[basis.row((1, 0, 0))] = 0.3 * e1
         v[basis.row((-1, 0, 0))] = 0.3 * e1
-        x = nse_free.state_from_dense(v)
+        x = nse_free.state_from_dense(v[basis.m // 2:])
         t = 0.7
         out = nse_free.evolve(0.0, x, [t])[0]
         want = math.sqrt(2.0) * 0.3 * math.exp(-nse_free.nu * 1.0 * t)
@@ -575,10 +583,10 @@ class TestNSEFlow:
 
     def test_non_real_seed_is_refused(self, nse):
         x = nse.sample_states(1, np.random.default_rng(0))[0]
-        v = nse.dense_values(x)
-        row = nse.basis.row((1, 1, 0))
-        v[row] *= 1.0 + 1e-15j  # its mirror -k keeps the old conjugate
-        bad = nse.state_from_dense(v)
+        v = x.val.copy()  # the full field, rows in the basis order
+        # its mirror -k keeps the old conjugate
+        v[nse.basis.row((1, 1, 0))] *= 1.0 + 1e-15j
+        bad = nse.space.state(x.idx, v)
         for run in (lambda: nse.evolve(0.0, bad, [0.5]),
                     lambda: nse.evolve_block(bad, [0.0], [0.5]),
                     lambda: nse.bilinear(bad)):
@@ -586,10 +594,11 @@ class TestNSEFlow:
                 run()
 
     def test_reality_condition_preserved(self, nse):
-        # exactly: the Hermitian advection term keeps every RK stage Hermitian
+        # exactly: the solver integrates one mode of each +-k pair, and the
+        # state is rebuilt from them by conjugation
         x = nse.sample_states(1, np.random.default_rng(0))[0]
-        v = nse.dense_values(nse.evolve(0.0, x, [2.0])[0])
-        assert np.array_equal(v[nse.basis.mirror], np.conj(v))
+        v = nse.evolve(0.0, x, [2.0])[0].val  # the full field, rows in the basis order
+        assert np.array_equal(v[::-1], np.conj(v))
 
     # neither mode lists its mirror -k, so the force field is complex
     UNPAIRED = {"modes": [{"k": [1, 0, 0], "amp": [1, 0]},
@@ -683,13 +692,12 @@ class TestNSESolver:
     ], ids=["interior-and-end", "dense", "short-span"])
     def test_bitwise_equal_to_scipy_rk45(self, nse, force, t_span, t_eval):
         fam = nse if force == "static" else _sin_forced_nse()
-        m = fam.basis.m
         y0 = fam.dense_values(fam.sample_states(1, np.random.default_rng(15))[0]).ravel()
 
         def recording(times):
             def fun(t, y):
                 times.append(t)
-                return fam.rhs_dense(t, y.reshape(m, 3)).ravel()
+                return fam.rhs_dense(t, y.reshape(-1, 3)).ravel()
             return fun
 
         got_times, want_times = [], []
@@ -706,14 +714,14 @@ class TestNSESolver:
 
 
 def _energy_loop(fam, grid, y):
-    """The per-sample reference for energy_sample: (|u|, ||u||^2, <g, u>)."""
-    m = fam.basis.m
+    """The per-sample reference for energy_sample: (|u|, ||u||^2, <g, u>),
+    each summed over the full fields."""
     norms, vsq, pair = [], [], []
     for i, t in enumerate(grid):
-        v = y[:, i].reshape(m, 3)
+        v = full_field(y[:, i].reshape(-1, 3))
         norms.append(math.sqrt(float((np.abs(v) ** 2).sum())))
         vsq.append(float((fam.basis.ksq[:, None] * np.abs(v) ** 2).sum()))
-        pair.append(float(np.real(np.conj(fam.g_dense(t)) * v).sum()))
+        pair.append(float(np.real(np.conj(full_field(fam.g_dense(t))) * v).sum()))
     return np.array(norms), np.array(vsq), np.array(pair)
 
 
@@ -763,8 +771,8 @@ class TestNSEDenseSolve:
     def test_force_equals_a_mode_by_mode_rebuild_bit_for_bit(self, nse, force):
         fam = nse if force == "static" else _sin_forced_nse()
         for t in (0.0, 0.3, -1.7, 2.25):
-            assert np.array_equal(fam.g_dense(t).view(np.int64),
-                                  _force_rebuilt(fam, t).view(np.int64))
+            rebuilt = _force_rebuilt(fam, t)[fam.basis.m // 2:]
+            assert np.array_equal(fam.g_dense(t).view(np.int64), rebuilt.view(np.int64))
 
     def test_time_dependent_solve_looks_up_no_mode(self, monkeypatch):
         fam = _sin_forced_nse()
