@@ -7,15 +7,16 @@ tier comparison, and the survival-filter shape of `ges omega --system heat
 1,986 grid slots that run packs onto, since heat values are real and pack
 into a float64 block),
 the truncated spectral basis for the advection term, at the
-default cutoff kmax=4 and at kmax=6, one RK45 solve of the default NSE
-system over one model-time unit (kmax=4; 494 right-hand-side calls at
---seed 0, so its time less 494 x nse_bilinear/k4 is the stepper's and
+default cutoff kmax=4 and at kmax=6, one DOP853 solve of the default NSE
+system over one model-time unit (kmax=4; 245 right-hand-side calls at
+--seed 0, so its time less 245 x nse_bilinear/k4 is the stepper's and
 the right-hand side's own cost), `pack_states` on 1,024 heat tier
 images (64 seeds at 16 times, so each seed's images share one index
 array), and the omega net and survival filter on the tier block of a
 128-seed heat ladder at the CLI's default schedule, eps_net and metric
-(a quarter of the `--n-seeds 512` block).  Each case runs once untimed
-before the timed repetitions, and the table reports the best time.
+(a quarter of the `--n-seeds 512` block).  Each case draws its inputs
+from its own generator and runs once untimed before the timed
+repetitions; the table reports the best time.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -44,55 +45,85 @@ def time_call(fn, repeat):
     return best
 
 
-def make_cases(rng):
-    """(name, callable-factory) pairs sized like real ensembles."""
-    # cross-distance blocks: 48 x 64 states over a 400-slot index union,
-    # about what a deep pullback tier comparison packs together
+def _cross_blocks(rng):
+    """48 x 64 states over a 400-slot index union, about what a deep
+    pullback tier comparison packs together."""
     na, nb, slots = 48, 64, 400
     av = (rng.standard_normal((na, slots, 1))
           + 1j * rng.standard_normal((na, slots, 1)))
     bv = (rng.standard_normal((nb, slots, 1))
           + 1j * rng.standard_normal((nb, slots, 1)))
-    qw = rng.uniform(0.5, 1.0, size=slots)
-    ww = 2.0 ** (-np.abs(np.arange(slots) - slots // 2) / 40.0)
+    return av, bv, slots
 
-    # heat survival filter: one netted state against one 512-state tier
+
+def strong_cross(rng):
+    av, bv, slots = _cross_blocks(rng)
+    qw = rng.uniform(0.5, 1.0, size=slots)
+    return lambda: kernels.strong_cross(av, bv, qw)
+
+
+def weak_cross(rng):
+    av, bv, slots = _cross_blocks(rng)
+    ww = 2.0 ** (-np.abs(np.arange(slots) - slots // 2) / 40.0)
+    return lambda: kernels.weak_cross(av, bv, ww)
+
+
+def weak_cross_heat(rng):
+    """The heat survival filter: one netted state against one 512-state tier."""
     grid = 1986
     hv = rng.standard_normal((513, grid, 1))
     hw = 2.0 ** (-np.abs(np.arange(grid) - grid // 2) / 64.0) / 64.0
+    return lambda: kernels.weak_cross(hv[:1], hv[1:], hw)
 
-    # heat tier images: what `ges omega --system heat` packs, at 1/8 the size
+
+def pack_states_heat(rng):
+    """What `ges omega --system heat` packs, at 1/8 the size."""
     heat = HeatSystem()
     tiers = [y for x in heat.sample_states(64, rng)
              for y in heat.evolve(0.0, x, np.linspace(0.05, 0.8, 16))]
+    return lambda: pack_states(heat.space, tiers)
 
-    # heat omega ladder: `ges omega --system heat --n-seeds 128`'s tier block
+
+def net_survive_heat(rng):
+    """`ges omega --system heat --n-seeds 128`'s tier block."""
+    heat = HeatSystem()
     sched = PullbackSchedule.geometric(0.0)
     ladder = [_image_tier(heat, seeds, s, sched.t) for s, seeds in zip(
         sched.starts, _tier_seeds(heat, None, None, 128, rng, sched.t, sched.starts))]
     block, tier_rows, _ = _tier_block(heat.space, ladder, 1)
+    return lambda: _net_and_survive(block, tier_rows, 0.05, "weak")
 
-    cases = [
-        ("strong_cross", lambda: kernels.strong_cross(av, bv, qw)),
-        ("weak_cross", lambda: kernels.weak_cross(av, bv, ww)),
-        ("weak_cross/heat", lambda: kernels.weak_cross(hv[:1], hv[1:], hw)),
-        ("pack_states/heat", lambda: pack_states(heat.space, tiers)),
-        ("net_survive/heat", lambda: _net_and_survive(block, tier_rows, 0.05, "weak")),
-    ]
-    for kmax in (4, 6):
-        basis = SpectralBasis(kmax=kmax)
+
+def nse_bilinear(kmax):
+    def build(rng):
+        b = SpectralBasis(kmax=kmax)
         # rows m // 2 on, one mode of each +-k pair, are a real field's
-        vals = (rng.standard_normal((basis.m // 2, 3))
-                + 1j * rng.standard_normal((basis.m // 2, 3)))
-        cases.append((f"nse_bilinear/k{kmax}",
-                      lambda b=basis, v=vals: kernels.nse_bilinear(
-                          v, b.kvec, b.grid_index, b.grid_n)))
+        v = (rng.standard_normal((b.m // 2, 3))
+             + 1j * rng.standard_normal((b.m // 2, 3)))
+        return lambda: kernels.nse_bilinear(v, b.kvec, b.grid_index, b.grid_n)
+    return build
 
-    # one solve as `ges nse omega` makes them: the default system, one seed
+
+def dop853_nse(rng):
+    """One solve as `ges nse omega` makes them: the default system, one seed."""
     nse = NSESystem()
     v0 = nse.dense_values(nse.sample_states(1, rng)[0])
-    cases.append(("rk45/nse", lambda: nse._integrate(0.0, v0, 1.0, [1.0])))
-    return cases
+    return lambda: nse._integrate(0.0, v0, 1.0, [1.0])
+
+
+CASES = [("strong_cross", strong_cross), ("weak_cross", weak_cross),
+         ("weak_cross/heat", weak_cross_heat), ("pack_states/heat", pack_states_heat),
+         ("net_survive/heat", net_survive_heat),
+         ("nse_bilinear/k4", nse_bilinear(4)), ("nse_bilinear/k6", nse_bilinear(6)),
+         ("dop853/nse", dop853_nse)]
+
+
+def make_cases(seed):
+    """(name, callable) pairs sized like real ensembles.  Case i draws its
+    inputs from its own generator, default_rng([seed, i]), so resizing one
+    case moves no other case's inputs."""
+    return [(name, build(np.random.default_rng([seed, i])))
+            for i, (name, build) in enumerate(CASES)]
 
 
 def main():
@@ -102,7 +133,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cases = make_cases(np.random.default_rng(args.seed))
+    cases = make_cases(args.seed)
     print(f"{'kernel':<16}{'time (ms)':>14}")
     for case, fn in cases:
         print(f"{case:<16}{time_call(fn, args.repeat) * 1e3:>14.3f}")

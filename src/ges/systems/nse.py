@@ -41,15 +41,17 @@ at 2R (at least 1 for vanishing forcing) so absorbing-entry sweeps from
 |u(s)| <= 2R stay admissible.
 
 Solutions are integrated by this module's solve_ivp, the Dormand-Prince
-5(4) pair with step control and quartic dense output (Dormand & Prince
-1980; Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).  It follows
-scipy.integrate.solve_ivp(method="RK45") operation for operation, so it
-gives the same bits and the same nfev, and it keeps that function's name
-and call shape: e2ebench/tracer.py rebinds ges.systems.nse.solve_ivp by
-name and reads sol.nfev, t_span and the t_eval keyword.  Each accepted
-step writes its dense-output columns into one array allocated up front,
-so a dense solve (energy_sample's 8,001 samples) peaks at about its
-output's size.
+8(5,3) pair (DOP853) with step control and 7th-order dense output
+(Prince & Dormand 1981; Hairer, Norsett & Wanner, Solving ODEs I, II.10).
+It follows scipy.integrate.solve_ivp(method="DOP853") operation for
+operation, so it gives the same bits and the same nfev, and it keeps that
+function's name and call shape: e2ebench/tracer.py rebinds
+ges.systems.nse.solve_ivp by name and reads sol.nfev, t_span and the
+t_eval keyword.  nfev counts every right-hand side, the three extra stages
+of each step that holds a sample included.  Each such step evaluates its
+dense output in place in one array allocated up front, one contiguous row
+per sample, so a dense solve (energy_sample's 8,001 samples) peaks at
+about its output's size.
 """
 
 from __future__ import annotations
@@ -366,48 +368,115 @@ def absorbing_entry_time(radius: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 # the ODE solver
 
-# Dormand-Prince 5(4): nodes, stages, 5th-order weights, error weights
-# (5th minus 4th order, last entry on the FSAL stage) and the quartic
-# dense-output coefficients of Shampine's optimal c6 (Math. Comp. 1986)
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608,
-     -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933,
-     87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304,
-     -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# Dormand-Prince 8(5,3), DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10).  Stages 0-11 take a step, stage 12 is the FSAL derivative at its
+# end, and stages 13-15 serve only the dense output.  _A[s] combines the
+# stages before s; _B (= _A[12, :12]) gives the 8th-order step; _E5 and _E3
+# give the 5th- and 3rd-order error estimates over stages 0-12; _D holds the
+# upper four rows of the 7th-order dense output over all 16 stages.
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
+_A = np.zeros((16, 16))
+_A[1, :1] = [0.05260015195876773]
+_A[2, :2] = [0.0197250569845379, 0.0591751709536137]
+_A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
+_A[4, [0, 2, 3]] = [0.2413651341592667, -0.8845494793282861, 0.924834003261792]
+_A[5, [0, 3, 4]] = [0.037037037037037035, 0.17082860872947386, 0.12546768756682242]
+_A[6, [0, 3, 4, 5]] = [0.037109375, 0.17025221101954405, 0.06021653898045596,
+                       -0.017578125]
+_A[7, [0, 3, 4, 5, 6]] = [0.03709200011850479, 0.17038392571223998,
+                          0.10726203044637328, -0.015319437748624402,
+                          0.008273789163814023]
+_A[8, [0, 3, 4, 5, 6, 7]] = [0.6241109587160757, -3.3608926294469414,
+                             -0.868219346841726, 27.59209969944671,
+                             20.154067550477894, -43.48988418106996]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [0.47766253643826434, -2.4881146199716677,
+                                -0.590290826836843, 21.230051448181193,
+                                15.279233632882423, -33.28821096898486,
+                                -0.020331201708508627]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [-0.9371424300859873, 5.186372428844064,
+                                    1.0914373489967295, -8.149787010746927,
+                                    -18.52006565999696, 22.739487099350505,
+                                    2.4936055526796523, -3.0467644718982196]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [2.273310147516538, -10.53449546673725,
+                                        -2.0008720582248625, -17.9589318631188,
+                                        27.94888452941996, -2.8589982771350235,
+                                        -8.87285693353063, 12.360567175794303,
+                                        0.6433927460157636]
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [0.054293734116568765, 4.450312892752409,
+                                      1.8915178993145003, -5.801203960010585,
+                                      0.3111643669578199, -0.1521609496625161,
+                                      0.20136540080403034, 0.04471061572777259]
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [0.056167502283047954, 0.25350021021662483,
+                                       -0.2462390374708025, -0.12419142326381637,
+                                       0.15329179827876568, 0.00820105229563469,
+                                       0.007567897660545699, -0.008298]
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [0.03183464816350214, 0.028300909672366776,
+                                        0.053541988307438566, -0.05492374857139099,
+                                        -0.00010834732869724932,
+                                        0.0003825710908356584,
+                                        -0.00034046500868740456,
+                                        0.1413124436746325]
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-0.42889630158379194, -4.697621415361164,
+                                       7.683421196062599, 4.06898981839711,
+                                       0.3567271874552811, -0.0013990241651590145,
+                                       2.9475147891527724, -9.15095847217987]
+_B = _A[12, :12]
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.01312004499419488, -1.2251564463762044,
+                                   -0.4957589496572502, 1.6643771824549864,
+                                   -0.35032884874997366, 0.3341791187130175,
+                                   0.08192320648511571, -0.022355307863886294]
+_D = np.zeros((4, 16))
+_D[:, [0, *range(5, 16)]] = [
+    [-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178,
+     -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564]]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
 
 def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
+def _error_norm(K: np.ndarray, h: float, scale: np.ndarray):
+    """The step's error: the 5th-order estimate, damped where the 3rd-order
+    one is small against it, as an RMS over scale."""
+    err5_sq = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+    err3_sq = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+    if err5_sq == 0 and err3_sq == 0:
+        return 0.0
+    return np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
+
+
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
     """Integrate y' = fun(t, y) forward over t_span with adaptive
-    Dormand-Prince 5(4) steps; sample the dense output at the increasing
-    times t_eval, which lie in t_span.
+    Dormand-Prince 8(5,3) steps; sample the 7th-order dense output at the
+    increasing times t_eval, which lie in t_span.
 
-    Returns an object with y (columns are the samples; writable), nfev,
-    success and message.  A step that would have to shrink below ten ulps
-    of t, as a non-finite right-hand side forces it to, ends the solve
-    with success False."""
+    Returns an object with y (columns are the samples; a writable view), nfev
+    (every call of fun, the dense output's three per sampled step
+    included), success and message.  A step that would have to shrink
+    below ten ulps of t, as a non-finite right-hand side forces it to,
+    ends the solve with success False."""
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError("solve_ivp integrates forward over a nonempty span")
@@ -424,12 +493,14 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_bound - t)
     nfev = 2
 
-    K = np.empty((7, y.size), dtype=y.dtype)
-    y_out = np.empty((y.size, t_eval.size), dtype=y.dtype)
+    K = np.empty((16, y.size), dtype=y.dtype)
+    F = np.empty((7, y.size), dtype=y.dtype)  # the dense output's coefficients
+    # one row per sample, so each step's samples are one contiguous block
+    y_out = np.empty((t_eval.size, y.size), dtype=y.dtype)
     done = 0  # t_eval[:done] are sampled
     success, message = True, ("The solver successfully reached the end of the "
                               "integration interval.")
@@ -447,17 +518,17 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
-            for s in range(1, 6):
+            for s in range(1, 12):
                 dy = np.dot(K[:s].T, _A[s, :s]) * h
                 K[s] = fun(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+            y_new = y + h * np.dot(K[:12].T, _B)
             f_new = fun(t + h, y_new)
-            K[-1] = f_new
-            nfev += 6
+            K[12] = f_new
+            nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             # a non-finite stage makes the norm NaN, which rejects the step
             with np.errstate(invalid="ignore"):
-                error_norm = _rms(np.dot(K.T, _E) * h / scale)
+                error_norm = _error_norm(K[:13], h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -472,18 +543,30 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
             rejected = True
         if not success:
             break
-        t_old, y_old = t, y
+        t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
 
         end = np.searchsorted(t_eval, t, side="right")
         if end > done:
-            h = t - t_old
-            x = (t_eval[done:end] - t_old) / h
-            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            y_out[:, done:end] = h * np.dot(K.T.dot(_P), p)
-            y_out[:, done:end] += y_old[:, None]
+            for s in range(13, 16):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = fun(t_old + _C[s] * h, y_old + dy)
+            nfev += 3
+            delta_y = y - y_old
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (f + f_old)
+            F[3:] = h * np.dot(_D, K)
+            # Horner's rule in x and 1 - x, in place in the samples' rows
+            x = (t_eval[done:end, None] - t_old) / h
+            out = y_out[done:end]
+            out[...] = 0
+            for i, row in enumerate(F[::-1]):
+                out += row
+                out *= x if i % 2 == 0 else 1 - x
+            out += y_old
             done = end
-    return SimpleNamespace(y=y_out[:, :done], nfev=nfev, success=success,
+    return SimpleNamespace(y=y_out[:done].T, nfev=nfev, success=success,
                            message=message)
 
 
@@ -595,7 +678,7 @@ class NSESystem(TrajectoryFamily):
 
     def _integrate(self, s: float, v0: np.ndarray, t_end: float,
                    t_eval) -> np.ndarray:
-        """One RK45 solve from v0, rows m // 2 on of a dense field, at time s
+        """One DOP853 solve from v0, rows m // 2 on of a dense field, at time s
         to t_end; the columns of the result are those rows, flat, at t_eval.
         A failed solve or a non-finite sample raises BlowUpError."""
 

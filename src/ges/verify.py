@@ -153,8 +153,12 @@ def nse_energy_check(fam, rng: np.random.Generator):
     field over [0, 1].  The windowed-norm tolerance comes from the
     forcing's normality relation: over a window of length delta the force
     can raise the norm by at most eps, so (eps, delta(eps)) is the valid
-    windowed inequality for a forced system.  The integral tolerance grows
-    with the largest energy |u|^2, as the integration error does."""
+    windowed inequality for a forced system.  The Galerkin system satisfies
+    the energy equality (its advection term conserves energy), so the
+    integral residual is the trapezoid rule's O(dt^2) error on the sampled
+    integrals, not the solver's: it falls 4x each time the grid spacing
+    halves.  It grows with the energy, so the integral tolerance grows
+    with the largest |u|^2."""
     x = fam.sample_states(1, rng)[0]
     traj = fam.energy_sample(0.0, x, 1.0, n=8001)
     eps, delta = fam.forcing.normality_check([0.25])[0]

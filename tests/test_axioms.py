@@ -21,6 +21,16 @@ Closure: every state evolve returns is a seed of the same system, so it
 evolves again.  An NSE state must be an exactly real field; the property
 draws the NSE cutoff too, and one test re-evolves NSE states under two BLAS
 threads, which sum the stepper's products in another order.
+
+Translation: an autonomous family evolves from s + h to t + h as from s
+to t.  Times lie on a 2^-20 grid, where s + h, t + h and their difference
+are exact, so the property checks the systems and not the rounding of the
+shift; the tolerances are block consistency's.
+
+The shift identity: every symbol family evolves under sigma from r + h to
+t + h as under the shifted symbol sigma + h from r to t.  The shifted
+phase is reduced mod 2 pi, which rounds, so every base gets a tolerance
+on the strong distance, as concatenation does.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ges.evolution import compose_check
+from ges.symbols import SymbolFamily, shift_identity_defect
 from ges.systems import SYSTEM_IDS, make_system
 
 # relative tolerance of a block image against its own evolve; 0 is bitwise
@@ -48,6 +59,8 @@ SPAN = {"nse": 0.5}
 EXAMPLES = {"nse": 20}
 # largest compose_check value, an absolute strong distance
 COMPOSE_TOLERANCE = {"bump": 1e-12, "nse": 1e-7}
+# the translation property's time grid
+GRID = 2.0 ** -20
 
 
 @cache
@@ -164,6 +177,48 @@ def test_evolved_states_evolve_again(sid):
         x, branch = seed_and_branch(fam, seed, branch, [s])
         for y, t in zip(fam.evolve(s, x, ts, branch), ts):
             assert len(fam.evolve(t, y, [t + gap])) == 1
+
+    check()
+
+
+def grid_times(lo, hi):
+    return st.integers(round(lo / GRID), round(hi / GRID)).map(lambda k: k * GRID)
+
+
+@pytest.mark.parametrize("sid", [sid for sid in SYSTEM_IDS if system(sid).autonomous])
+def test_autonomous_evolution_commutes_with_translation(sid):
+    fam = system(sid)
+    tol = TOLERANCE.get(sid, 0.0)
+
+    @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
+              database=None)
+    @given(grid_times(-6.0, 2.0), grid_times(0.0, SPAN.get(sid, 3.0)),
+           grid_times(-4.0, 4.0), st.integers(0, 2 ** 16), st.integers(0, 1))
+    def check(s, duration, h, seed, branch):
+        t = s + duration
+        x, branch = seed_and_branch(fam, seed, branch, [s, s + h])
+        got = fam.evolve(s + h, x, [t + h], branch)[0]
+        want = fam.evolve(s, x, [t], branch)[0]
+        assert np.array_equal(got.idx, want.idx)
+        assert_close(got.val, want.val, tol)
+
+    check()
+
+
+@pytest.mark.parametrize("base", ["forced-scalar", "nse", "branch2"])
+def test_symbol_shift_is_a_time_shift(base):
+    symfam = SymbolFamily(base, 4)
+    fam = symfam.system(0.0)
+    tol = COMPOSE_TOLERANCE.get(base, 1e-14)
+
+    @settings(max_examples=EXAMPLES.get(base, 40), derandomize=True, deadline=None,
+              database=None)
+    @given(st.sampled_from(symfam.symbols) | st.floats(0.0, 2.0 * np.pi),
+           st.floats(-4.0, 4.0), st.floats(-6.0, 2.0),
+           st.floats(0.0, SPAN.get(base, 3.0)), st.integers(0, 2 ** 16))
+    def check(sigma, h, r, duration, seed):
+        x = fam.sample_states(1, np.random.default_rng(seed))[0]
+        assert shift_identity_defect(symfam, sigma, h, r, r + duration, x) <= tol
 
     check()
 

@@ -682,7 +682,8 @@ class TestNSEBlock:
 
 
 class TestNSESolver:
-    """The in-package Dormand-Prince stepper reproduces scipy's RK45."""
+    """The in-package Dormand-Prince 8(5,3) stepper reproduces scipy's
+    DOP853, dense-output stages included."""
 
     @pytest.mark.parametrize("force", ["static", "sin"])
     @pytest.mark.parametrize("t_span, t_eval", [
@@ -690,7 +691,7 @@ class TestNSESolver:
         ((-0.5, 0.5), np.linspace(-0.5, 0.5, 2001)),  # energy_sample's grid
         ((0.0, 1e-9), [5e-10, 1e-9]),         # shorter than the first step guess
     ], ids=["interior-and-end", "dense", "short-span"])
-    def test_bitwise_equal_to_scipy_rk45(self, nse, force, t_span, t_eval):
+    def test_bitwise_equal_to_scipy_dop853(self, nse, force, t_span, t_eval):
         fam = nse if force == "static" else _sin_forced_nse()
         y0 = fam.dense_values(fam.sample_states(1, np.random.default_rng(15))[0]).ravel()
 
@@ -703,7 +704,7 @@ class TestNSESolver:
         got_times, want_times = [], []
         got = nse_module.solve_ivp(recording(got_times), t_span, y0, rtol=1e-8,
                                    atol=1e-11, t_eval=t_eval)
-        want = scipy_solve_ivp(recording(want_times), t_span, y0, method="RK45",
+        want = scipy_solve_ivp(recording(want_times), t_span, y0, method="DOP853",
                                rtol=1e-8, atol=1e-11, t_eval=t_eval)
         assert got.success and want.success
         assert np.array_equal(got.y, want.y)
