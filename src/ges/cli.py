@@ -184,12 +184,14 @@ def _omega_exit(om: OmegaApprox, expected_attractor: bool, tol: float) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _attract_exit(rep: AttractionReport, expected_attractor: bool) -> int:
-    if rep.verdict == "attracts":
+def _verdict_exit(verdict: str, ok: str, expected: bool = True) -> int:
+    """0 for the ok verdict, 2 for an inconclusive one; any other fails
+    (3) where the registry expected success, else 0."""
+    if verdict == ok:
         return EXIT_OK
-    if rep.verdict == "inconclusive":
+    if verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
-    return EXIT_FAILS_EXPECTED if expected_attractor else EXIT_OK
+    return EXIT_FAILS_EXPECTED if expected else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ def cmd_attract(args) -> int:
           [f"attract {cfg.system} {cfg.metric} -> {args.target}: {rep.verdict} "
            f"final={fmt_float(rep.profile[-1][1])}"])
     expected = bool(fam.expectations.get(f"{cfg.metric}_attractor", False))
-    return _attract_exit(rep, expected)
+    return _verdict_exit(rep.verdict, "attracts", expected)
 
 
 def cmd_verify(args) -> int:
@@ -346,11 +348,7 @@ def cmd_uniform(args) -> int:
           [f"uniform {rep.base} ({rep.symbols} symbols): "
            f"{rep.verdict} union_in_uniform={fmt_float(rep.union_in_uniform)} "
            f"reverse={fmt_float(rep.uniform_in_union)} equal={rep.equal}"])
-    if rep.verdict == "included":
-        return EXIT_OK
-    if rep.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAILS_EXPECTED
+    return _verdict_exit(rep.verdict, "included")
 
 
 def cmd_invariance(args) -> int:
@@ -369,11 +367,7 @@ def cmd_invariance(args) -> int:
                            workers=cfg.threads, **quasi)
     _emit(cfg.out, {f"invariance_{cfg.system}_{kind}.json": rep.to_json()},
           [f"invariance {cfg.system} {kind}: {rep.verdict}"])
-    if rep.verdict == INVARIANT_VERDICTS[kind]:
-        return EXIT_OK
-    if rep.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_FAILS_EXPECTED
+    return _verdict_exit(rep.verdict, INVARIANT_VERDICTS[kind])
 
 
 # ---------------------------------------------------------------------------

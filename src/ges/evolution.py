@@ -97,14 +97,15 @@ class TrajectoryFamily(ABC):
         """evolve's samples, for a run _check_run accepted."""
 
     def _evolve_block(self, x, starts, ts, branch) -> list[tuple]:
-        """One group per image, by the autonomy rule (see the module doc)."""
+        """One group per image, by the autonomy rule (see the module doc).
+        evolve_block checked the whole run, so each run goes to _evolve."""
         if self.autonomous:
             runs = [(0.0, [float(t) - float(s) for s, t in zip(starts, ts)])]
         else:
             pairs = groupby(zip(starts, ts), key=lambda pair: pair[0])
             runs = [(s, [t for _, t in run]) for s, run in pairs]
         return [(st.idx, st.val[None])
-                for s, run_ts in runs for st in self.evolve(s, x, run_ts, branch)]
+                for s, run_ts in runs for st in self._evolve(s, x, run_ts, branch)]
 
     # -- phase-space sampling ---------------------------------------------------
 
@@ -203,7 +204,7 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
     groups = parallel_map(evolve, jobs, workers=workers)
     runs = [([row for _, _, row in job[3]], g) for job, g in zip(jobs, groups)]
     runs.append((fixed_rows, [(st.idx, st.val[None]) for st in fixed]))
-    packed = pack_groups(space, n_images + len(fixed), runs, check_ball=False)
+    packed = pack_groups(space, n_images + len(fixed), runs)
     cap = space.ball_radius
     if cap is not None:
         for rows, tier in zip(tier_rows, tiers):
@@ -313,17 +314,15 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
     max_resid = -np.inf
     # h < delta/4, so the window (t - delta, t) always holds times[i-1]
     n_major = times.size - 1
+    lo = np.searchsorted(times, times - delta, side="right")
     for i in range(1, times.size):
-        t = times[i]
-        lo = np.searchsorted(times, t - delta, side="right")
-        cand = np.arange(lo, i)
-        resid = norms[i] - (norms[cand] + eps)
-        max_resid = max(max_resid, float(resid.max()))
-        ok = resid <= 0.0
-        if ok.mean() < 0.9:
-            j = cand[int(np.argmax(resid))]
-            violations.append((float(times[j]), float(t), float(norms[i]),
-                               float(norms[j] + eps), float(resid.max())))
+        resid = norms[i] - (norms[lo[i]:i] + eps)
+        worst = float(resid.max())
+        max_resid = max(max_resid, worst)
+        if (resid <= 0.0).mean() < 0.9:
+            j = lo[i] + int(np.argmax(resid))
+            violations.append((float(times[j]), float(times[i]), float(norms[i]),
+                               float(norms[j] + eps), worst))
 
     n_int = 0
     if nu is not None and vn is not None and fp is not None:

@@ -715,18 +715,14 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
     packed, tier_rows, fixed_rows = _tier_block(fam.space, tiers, workers, complete)
     nc = len(trajs)
     sups = {}
-    for metric in ("weak", "strong"):
+    for metric in ("weak", "strong") if strong else ("weak",):
         # d[q][r, j]: distance in tier q from started trajectory r to complete
         # trajectory j; each run of grid_n tiers is one deep start's grid
         d = [packed.cross(rows, fixed_rows[q * nc:(q + 1) * nc], metric)
              for q, rows in enumerate(tier_rows)]
         sups[metric] = [float(v) for q0 in range(0, len(d), grid_n)
                         for v in np.max(d[q0:q0 + grid_n], axis=0).min(axis=1)]
-    weak_sups, strong_sups = sups["weak"], sups["strong"]
-    ok = max(weak_sups) <= eps
-    if strong:
-        ok = ok and max(strong_sups) <= eps
+    ok = all(max(v) <= eps for v in sups.values())
     return TrackingReport(fam.system_id, float(eps), float(horizon),
-                          [float(s) for s in deep_starts], weak_sups,
-                          strong_sups if strong else None,
-                          "holds" if ok else "fails")
+                          [float(s) for s in deep_starts], sups["weak"],
+                          sups.get("strong"), "holds" if ok else "fails")

@@ -34,11 +34,11 @@ case of one state per group, and the omega ladders hand it each seed's
 images as one group whose values may be computed only once the block
 exists.  Packing holds little beyond the block itself: index rows are
 encoded once per distinct index array (groups that share one array object
-share the work), no stacked copy of all rows is made, and norms are taken
-over blocks of rows.  While the block is built, the memory held beside it
-is one 4-byte slot array per distinct index array and one deferred group.
-The block is float64 when every value is real, complex128 otherwise; the
-two give bitwise the same norms and distances.
+share the work), no stacked copy of all rows is made, and a norm is the
+kernel's strong distance to the zero row.  While the block is built, the
+memory held beside it is one 4-byte slot array per distinct index array
+and one deferred group.  The block is float64 when every value is real,
+complex128 otherwise; the two give bitwise the same norms and distances.
 """
 
 from __future__ import annotations
@@ -296,19 +296,9 @@ class PackedSet:
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # Blocked like the cross kernels and padded to whole groups of four
-        # rows, so a row's norm depends only on the row.
-        n, u, c = self.vals.shape
-        rows = kernels._block_rows(u, c)
-        sq = np.empty(kernels._round4(n), dtype=np.float64)
-        t = np.empty((min(rows, len(sq)), u), dtype=np.float64)
-        for s in range(0, n, rows):
-            m = min(rows, n - s)
-            m4 = kernels._round4(m)
-            np.sum(np.abs(self.vals[s:s + m]) ** 2, axis=2, out=t[:m])
-            t[m:m4] = 0.0
-            np.matmul(t[:m4], self.qw, out=sq[s:s + m4])
-        self.norms = np.sqrt(np.maximum(sq[:n], 0.0))
+        # a norm is the strong distance to the zero row
+        zero = np.zeros((1, *self.vals.shape[1:]))
+        self.norms = kernels.strong_cross(zero, self.vals, self.qw)[0]
 
     @property
     def n_states(self) -> int:
@@ -376,8 +366,7 @@ class PackedSet:
         return self.space.state(self.idx[keep], self.vals[row][keep])
 
 
-def pack_groups(space: DualMetricSpace, n_states: int, runs,
-                check_ball: bool = True) -> PackedSet:
+def pack_groups(space: DualMetricSpace, n_states: int, runs) -> PackedSet:
     """Scatter groups of states onto their sorted index union.
 
     runs holds (rows, groups) pairs.  Each group is an (idx, vals) pair
@@ -393,8 +382,10 @@ def pack_groups(space: DualMetricSpace, n_states: int, runs,
     beyond the block, the memory held while it is built is one slot array
     per distinct index array and one deferred group at a time.  The block
     is float64 when every value has a zero imaginary part, which changes no
-    distance or norm: x + 0.0 == x and hypot(x, 0) == |x|.  A deferred
-    group with a nonzero imaginary part turns the block complex.
+    distance or norm: x + 0.0 == x.  A deferred group with a nonzero
+    imaginary part turns the block complex.  The block is not checked
+    against the ball: pack_states checks its own, and evolution._tier_block
+    checks its own after the blow-up guard.
     """
     runs = list(runs)
     which: dict[int, int] = {}  # id of an idx array -> its place in arrays
@@ -432,25 +423,25 @@ def pack_groups(space: DualMetricSpace, n_states: int, runs,
             k += len(vals)
         if k != len(rows):
             raise UsageError(f"{k} packed states for {len(rows)} rows")
-    packed = PackedSet(space, uniq_idx, block,
-                       space.quad_weights(uniq_idx), space.weak_weights(uniq_idx))
-    if check_ball:
-        packed.check_ball()
-    return packed
+    return PackedSet(space, uniq_idx, block,
+                     space.quad_weights(uniq_idx), space.weak_weights(uniq_idx))
 
 
 def pack_states(space: DualMetricSpace, states: Sequence[CoeffState]) -> PackedSet:
     """Densify states onto their sorted index union: pack_groups with one
-    state per group.  States that share one idx array object (the images of
-    one seed, or every state of a fixed spectral basis) share its encoding.
+    state per group, then the ball check.  States that share one idx array
+    object (the images of one seed, or every state of a fixed spectral
+    basis) share its encoding.
     """
     states = list(states)
     if not states:
         raise UsageError("cannot pack an empty state list")
     for s in states:
         space.check_member(s)
-    return pack_groups(space, len(states),
-                       [((i,), [(s.idx, s.val[None])]) for i, s in enumerate(states)])
+    packed = pack_groups(space, len(states),
+                         [((i,), [(s.idx, s.val[None])]) for i, s in enumerate(states)])
+    packed.check_ball()
+    return packed
 
 
 def set_semidists(space: DualMetricSpace, a_set: Iterable[CoeffState],

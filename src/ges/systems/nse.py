@@ -224,14 +224,6 @@ class ForcingProfile:
                 raise ForcingFormatError(f"sampled times of mode {e.k} must increase "
                                          f"strictly")
 
-    def vprime_norm_sq(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        total = np.zeros(t.shape)
-        for e in self.entries:
-            ksq = float(e.k[0] ** 2 + e.k[1] ** 2 + e.k[2] ** 2)
-            total += np.abs(e.envelope(t)) ** 2 / ksq
-        return total
-
     def is_hermitian(self) -> bool:
         """Whether the force field is real: each -k is listed with k's time
         law, the conjugate amplitude and the conjugate samples.  A real
@@ -257,8 +249,6 @@ class ForcingProfile:
     def window_integral_sup(self, delta: float) -> float:
         """sup over t of int_t^{t+delta} ||g||_{V'}^2, bounded by the sum of the
         modes' own sups over |k|^2: exact when they share one time law."""
-        if self.is_static():
-            return float(self.vprime_norm_sq(0.0)) * delta
         return float(sum(e.window_sup(delta) / (e.k[0] ** 2 + e.k[1] ** 2 + e.k[2] ** 2)
                          for e in self.entries))
 

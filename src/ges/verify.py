@@ -187,7 +187,7 @@ def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int):
     grid = np.linspace(0.0, horizon, 41)
     a, t = np.triu_indices(grid.size)
     sq = norms ** 2
-    bound = fam.l2b_bound / (fam.nu * (1.0 - np.exp(-fam.nu * LAMBDA_1)))
+    bound = fam.radius / 2.0  # the last term above is half the absorbing radius R
     excess = sq[:, t] - sq[:, a] * np.exp(-fam.nu * LAMBDA_1 * (grid[t] - grid[a])) - bound
     worst = float(excess.max())
     return grid, norms, worst, "holds" if worst <= NSE_ABSORBING_SLACK else "violated"

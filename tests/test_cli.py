@@ -23,7 +23,7 @@ import ges
 import ges.cli
 import ges.systems.nse
 import ges.verify
-from ges.cli import ExperimentConfig, _attract_exit, _omega_exit, build_parser, main
+from ges.cli import ExperimentConfig, _omega_exit, _verdict_exit, build_parser, main
 from ges.errors import ForcingFormatError, UsageError
 from ges.omega import OmegaApprox, attraction_diagnostic
 from ges.systems import make_system
@@ -182,7 +182,8 @@ class TestAttractCommand:
         stem = f"attract_{cfg.system}_{cfg.metric}"
         assert (out / f"{stem}.json").read_text() == want.to_json()
         assert (out / f"{stem}.csv").read_text() == want.profile_csv()
-        assert code == _attract_exit(want, bool(fam.expectations["weak_attractor"]))
+        assert code == _verdict_exit(want.verdict, "attracts",
+                                     bool(fam.expectations["weak_attractor"]))
 
     def test_witness_flag_is_heat_only(self, tmp_path):
         code, _ = run(tmp_path, "attract", "--system", "bump", "--witness")

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ges.errors import UsageError
 from ges.evolution import (
@@ -163,6 +165,23 @@ def test_evolve_at_start_time_is_identity():
 # energy checks
 
 
+def majority_vote_reference(times, norms, eps, delta):
+    """The windowed vote of energy_inequality_check pair by pair: its
+    violation rows and its largest residual."""
+    violations, max_resid = [], -np.inf
+    for i in range(1, times.size):
+        t = times[i]
+        lo = np.searchsorted(times, t - delta, side="right")
+        cand = np.arange(lo, i)
+        resid = norms[i] - (norms[cand] + eps)
+        max_resid = max(max_resid, float(resid.max()))
+        if (resid <= 0.0).mean() < 0.9:
+            j = cand[int(np.argmax(resid))]
+            violations.append((float(times[j]), float(t), float(norms[i]),
+                               float(norms[j] + eps), float(resid.max())))
+    return violations, max_resid
+
+
 def heat_sample(n=101, t_hi=2.0):
     fam = HeatSystem()
     seed = high_band_seed(fam.space, np.random.default_rng(0))
@@ -218,6 +237,31 @@ class TestEnergyCheck:
         rep = energy_inequality_check(traj, nu=1.0, integral_tol=1e-6)
         assert rep.verdict == "violated"
         assert rep.max_residual == pytest.approx(3.0)  # 2^2 - 1^2
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(["any", "rising", "falling"]),
+           eps=st.sampled_from([0.0, 1e-9, 0.25]))
+    def test_majority_vote_matches_the_pairwise_form(self, data, shape, eps):
+        # an irregular grid whose spacing stays below delta/4 = 0.125; on a
+        # dyadic grid some t - delta falls exactly on a grid time, the
+        # window's open end.  Norms take few values, so ties occur
+        dyadic = data.draw(st.booleans())
+        gap = (st.sampled_from([1 / 32, 1 / 16, 3 / 32]) if dyadic
+               else st.floats(1e-3, 0.124))
+        gaps = data.draw(st.lists(gap, min_size=1, max_size=60))
+        times = np.cumsum([data.draw(st.integers(-160, 160)) / 32] + gaps)
+        norms = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 2.0]),
+                                   min_size=times.size, max_size=times.size))
+        if shape != "any":
+            norms = sorted(norms, reverse=shape == "falling")
+        rep = energy_inequality_check(TrajectorySample(times, norms), eps=eps)
+        violations, max_resid = majority_vote_reference(
+            times, np.asarray(norms, dtype=np.float64), eps, 0.5)
+        assert rep.n_majority_checks == times.size - 1
+        assert rep.violations == violations
+        assert rep.max_residual == max_resid
+        if shape == "falling":
+            assert rep.verdict == "holds"
 
     def test_sample_validation(self):
         with pytest.raises(UsageError):

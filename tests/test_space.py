@@ -397,8 +397,9 @@ class TestLiveListNet:
 
 def reference_pack(space, states):
     """The one-pass packing form: stacked index rows, unique with first
-    positions, one key lookup per state and unblocked norms.  The block is
-    real when no value has a nonzero imaginary part."""
+    positions, one key lookup per state and unblocked norms, squared as the
+    cross kernels square (re^2 + im^2).  The block is real when no value has
+    a nonzero imaginary part."""
     stacked = np.vstack([s.idx for s in states])
     if stacked.shape[0] == 0:
         uniq_idx = np.empty((0, space.index_dim), dtype=np.int64)
@@ -414,7 +415,7 @@ def reference_pack(space, states):
             vals[i, np.searchsorted(uniq_keys, _encode_rows(s.idx)), :] = (
                 s.val.real if real else s.val)
     qw = space.quad_weights(uniq_idx)
-    norms = np.sqrt(np.maximum((np.abs(vals) ** 2).sum(axis=2) @ qw, 0.0))
+    norms = np.sqrt((vals.real ** 2 + vals.imag ** 2).sum(axis=2) @ qw)
     return {"idx": uniq_idx, "vals": vals, "qw": qw,
             "ww": space.weak_weights(uniq_idx), "norms": norms}
 
@@ -465,6 +466,20 @@ class TestPackStates:
         ids = {id(s.idx) for s in states}
         assert len(ids) < len(states) if shared else len(ids) == len(states)
         assert_packs_bitwise(pack_states(space, states), reference_pack(space, states))
+
+    @pytest.mark.parametrize("space", [SEQ, SEQ3, LAT3], ids=lambda s: s.tag)
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_norm_is_the_strong_distance_to_zero(self, space, real):
+        rng = np.random.default_rng(len(space.tag) + 10 * real)
+        states = random_states(rng, space, shared=False)
+        if real:
+            states = [s.with_values(s.val.real) for s in states]
+        p = pack_states(space, states + [space.zero_state()])
+        assert p.vals.dtype == (np.float64 if real else np.complex128)
+        zero = p.n_states - 1
+        for r in range(p.n_states):
+            assert (p.norms[r].tobytes()
+                    == p.cross([r], [zero], "strong")[0, 0].tobytes()), r
 
     @pytest.mark.parametrize("space", [SEQ, LAT3], ids=lambda s: s.tag)
     def test_all_empty_states(self, space):

@@ -928,7 +928,7 @@ class TestForcing:
 
     def test_empty_mode_list_is_zero_force(self):
         prof = ForcingProfile.from_dict({"modes": []})
-        assert prof.vprime_norm_sq(0.0) == 0.0
+        assert prof.translational_bound() == 0.0
         assert prof.is_static()
 
     @pytest.mark.parametrize("obj", [
