@@ -40,6 +40,7 @@ from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, UsageError
 from .space import CoeffState, DualMetricSpace, PackedSet, pack_groups
@@ -283,6 +284,11 @@ class EnergyCheckReport:
     integral_tol_used: float = 1e-6
 
 
+# (time, window slot) cells per block of the energy check's vote: 512 KB
+# of residuals
+_VOTE_CELLS = 1 << 16
+
+
 def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
                             eps: float = 1e-9, delta: float = 0.5,
                             integral_tol: float = 1e-6) -> EnergyCheckReport:
@@ -310,19 +316,31 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
     if not h < delta / 4.0:
         raise UsageError(f"grid spacing {h:.3g} must be below delta/4 = {delta / 4:.3g}")
 
-    violations: list[tuple] = []
-    max_resid = -np.inf
     # h < delta/4, so the window (t - delta, t) always holds times[i-1]
     n_major = times.size - 1
     lo = np.searchsorted(times, times - delta, side="right")
-    for i in range(1, times.size):
-        resid = norms[i] - (norms[lo[i]:i] + eps)
-        worst = float(resid.max())
-        max_resid = max(max_resid, worst)
-        if (resid <= 0.0).mean() < 0.9:
-            j = lo[i] + int(np.argmax(resid))
-            violations.append((float(times[j]), float(times[i]), float(norms[i]),
-                               float(norms[j] + eps), worst))
+    length = np.arange(times.size) - lo
+    width = int(length.max())
+    # row i of `windows` is norms[j] + eps for j = i - width .. i - 1, padded
+    # before times[0]; the window (t - delta, t) is its last length[i] slots
+    windows = sliding_window_view(np.concatenate([np.zeros(width), norms + eps]), width)
+    first = width - length
+    peak = np.full(times.size, -np.inf)
+    fails = np.zeros(times.size, dtype=bool)
+    rows = max(1, _VOTE_CELLS // width)
+    for s in range(1, times.size, rows):
+        i = slice(s, min(s + rows, times.size))
+        resid = np.subtract(norms[i, None], windows[i])
+        resid[np.arange(width) < first[i, None]] = -np.inf
+        peak[i] = resid.max(axis=1)
+        held = np.count_nonzero(resid <= 0.0, axis=1) - first[i]  # less the -inf slots
+        fails[i] = held / length[i] < 0.9
+    max_resid = np.fmax.reduce(peak)  # skips NaN, as max() over the times did
+    violations: list[tuple] = []
+    for i in np.flatnonzero(fails):
+        j = lo[i] + int(np.argmax(norms[i] - (norms[lo[i]:i] + eps)))
+        violations.append((float(times[j]), float(times[i]), float(norms[i]),
+                           float(norms[j] + eps), float(peak[i])))
 
     n_int = 0
     if nu is not None and vn is not None and fp is not None:

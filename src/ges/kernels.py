@@ -6,8 +6,8 @@ inner loops stay free of Python objects:
 * strong_cross  -- pairwise quadrature-weighted l2 distances
 * weak_cross    -- pairwise weighted bounded-difference series
 * nse_bilinear  -- truncated convolution of the advection term with
-                   Leray projection, by 9 zero-padded real FFTs
-                   (rotational form)
+                   Leray projection (rotational form), by separable
+                   partial DFTs over the retained frequency lines
 
 Each kernel has one numpy implementation.  The two cross kernels walk
 bv in fixed blocks of rows through preallocated buffers, so their
@@ -21,6 +21,7 @@ distances of its complex copy.  The module imports numpy only.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,24 +105,81 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
 # spectral advection term for the Galerkin velocity field
 #
 # out_k = -P_k [ sum_{p+q=k} (v_p . i q) v_q ]  with P_k = I - k k^T / |k|^2,
-# evaluated pseudo-spectrally (Orszag 1971) in rotational form: inverse-
-# transform v and w_k = i k x v_k on a zero-padded n^3 grid (6 FFTs), form
-# w x u, transform back (3 FFTs) and keep the retained modes.  As
-# (u . grad) u = grad(u . u / 2) + w x u, P_k removes the gradient.  Products
-# of retained modes reach 2 kmax per component, so n >= 3 kmax + 1 keeps
-# every alias off the retained set: the result is the truncated convolution
-# up to roundoff.
+# evaluated pseudo-spectrally (Orszag 1971) in rotational form: take v and
+# w_k = i k x v_k to an n^3 grid, form w x u there, and take the product
+# back to the retained modes.  As (u . grad) u = grad(u . u / 2) + w x u,
+# P_k removes the gradient.  Products of retained modes reach 2 kmax per
+# component, so n >= 3 kmax + 1 keeps every alias off the retained set: the
+# result is the truncated convolution up to roundoff.
 #
-# The field is real (v_{-k} = conj(v_k)), so the transforms are real ones
-# on the half grid kx >= 0, stored in (kz, ky, kx) order.  The sorted mode
-# list is symmetric under k -> -k (row m - 1 - i holds -k of row i), so
-# rows m // 2 on hold one mode of each +-k pair: the kernel takes those
-# rows and returns them.  Every one of them has kx >= 0; the other half of
-# the kx = 0 plane is scattered as their conjugates.  Each thread keeps its
-# transform arrays across calls: --threads evolves seeds in parallel, and
-# arrays allocated per call made the heap top shrink and refault.
+# Only the 2 kmax + 1 frequency lines -kmax..kmax of each axis hold a
+# retained mode, so each transform is a separable partial DFT: one small
+# dense matrix per axis, applied by np.matmul.  The sorted mode list is
+# symmetric under k -> -k (row m - 1 - i holds -k of row i), so rows m // 2
+# on hold one mode of each +-k pair, all with kx >= 0: the kernel takes
+# those rows and returns them.  They sit in a (kz, ky, kx) cube of
+# (2 kmax + 1, 2 kmax + 1, kmax + 1) lines, and as v_k e^{ik.x} + v_{-k}
+# e^{-ik.x} = 2 Re(v_k e^{ik.x}), the real field is 2 Re of the cube's sum:
+# no mirror mode is stored.  With K = kmax, the stages are
+#
+#   inverse  z: one GEMM over the cube        (n x 2K+1) complex
+#            y: one GEMM per field            (n x 2K+1) complex
+#            x: one GEMM, 2 Re on every kx    (2(K+1) x n) real on (re, im)
+#   forward  x: one GEMM, 1 / n^3 folded in   (n x 2(K+1)) real
+#            y: one GEMM per component        (2K+1 x n) complex
+#            z: one GEMM onto the cube        (2K+1 x n) complex
+#
+# O(n^3 K) multiply-adds per call.  A transpose between the z and y stages
+# of each direction puts the next stage's axis first.  The y stages run
+# per field, so every field is contiguous on the grid and the product runs
+# on whole arrays.  The matrices are built once per (n, kmax)
+# and are read-only; each thread keeps its own scratch arrays across calls
+# (--threads evolves seeds in parallel, and arrays allocated per call made
+# the heap top shrink and refault).
 
 _THREAD = threading.local()
+
+
+@lru_cache(maxsize=8)
+def _dft_matrices(n: int, kmax: int):
+    """The stage matrices on n points and lines -kmax..kmax (kx 0..kmax):
+    inverse e^{+i k x} (n, 2 kmax + 1), forward e^{-i k x} (2 kmax + 1, n),
+    the inverse x stage (2 (kmax + 1), n) acting on (re, im) pairs, and the
+    forward x stage (n, 2 (kmax + 1)) with the 1 / n^3 normalisation."""
+    j = np.arange(n)
+    k = np.arange(-kmax, kmax + 1)
+    kx = np.arange(kmax + 1)
+    inv = np.exp((2j * np.pi / n) * (np.outer(j, k) % n))
+    fwd = np.exp((-2j * np.pi / n) * (np.outer(k, j) % n))
+    theta = (2 * np.pi / n) * (np.outer(kx, j) % n)
+    cos, sin = np.cos(theta), np.sin(theta)
+    inv_x = np.empty((2 * kmax + 2, n))
+    inv_x[0::2], inv_x[1::2] = 2.0 * cos, -2.0 * sin  # 2 Re((a + ib) e^{i theta})
+    fwd_x = np.empty((n, 2 * kmax + 2))
+    fwd_x[:, 0::2], fwd_x[:, 1::2] = cos.T / n ** 3, -sin.T / n ** 3
+    for a in (inv, fwd, inv_x, fwd_x):
+        a.flags.writeable = False
+    return inv, fwd, inv_x, fwd_x
+
+
+def _scratch(n: int, kmax: int):
+    bufs = vars(_THREAD)
+    key = (n, kmax)
+    if key not in bufs:
+        p, q, c = 2 * kmax + 1, kmax + 1, np.complex128
+        bufs[key] = (
+            np.empty((p, 6, p, q), c),   # the cube: (kz, field, ky, kx)
+            np.empty((n, 6, p, q), c),   # (z, field, ky, kx)
+            np.empty((6, p, n, q), c),   # (field, ky, z, kx)
+            np.empty((6, n, n, q), c),   # (field, y, z, kx)
+            np.empty((6, n, n, n)),      # u and w: (field, y, z, x)
+            np.empty((3, n, n, n)),      # w x u: (component, y, z, x)
+            np.empty((n, n, n)),
+            np.empty((3, n, n, q), c),   # (component, y, z, kx)
+            np.empty((3, p, n, q), c),   # (component, ky, z, kx)
+            np.empty((n, 3, p, q), c),   # (z, component, ky, kx)
+            np.empty((p, 3, p, q), c))   # (kz, component, ky, kx)
+    return bufs[key]
 
 
 def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
@@ -129,34 +187,40 @@ def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
 
     vals: (m // 2, 3) complex coefficients of a real field on rows m // 2
     on of the sorted mode list (one mode of each +-k pair), kvec: (m, 3)
-    wave vectors in sorted order, grid_index: (m,) flat index on the (n, n,
-    n // 2 + 1) half grid of the slot that holds each mode or its mirror.
-    Returns the term on the same m // 2 rows.
+    wave vectors in sorted order, which ends at (kmax, 0, 0), grid_index:
+    (m,) flat index on the (2 kmax + 1, 2 kmax + 1, kmax + 1) cube of
+    (kz, ky, kx) lines of each mode, or of its mirror if kx < 0, n: the
+    points per direction of the grid the product is formed on.  Returns
+    the term on the same m // 2 rows.
     """
-    bufs = vars(_THREAD)
-    if n not in bufs:
-        bufs[n] = (np.empty((2, 3, n, n, n // 2 + 1), dtype=np.complex128),
-                   np.empty((2, 3, n, n, n)), np.empty((3, n, n, n)))
-    spec, uw, rot = bufs[n]
+    kmax = int(kvec[-1, 0])
+    p, q = 2 * kmax + 1, kmax + 1  # lines on the y and z axes, on the x axis
+    inv, fwd, inv_x, fwd_x = _dft_matrices(n, kmax)
+    cube, iz, iz_t, iy, uw, rot, tmp, fx, fy, fy_t, fz = _scratch(n, kmax)
     h = len(grid_index) // 2
-    lo = int(np.searchsorted(kvec[:, 0], 0.0))  # first row with kx >= 0
-    # rows lo to h - 1 are the kx = 0 mirrors of rows h on, in reverse order
-    rows = np.concatenate([np.conj(vals[:h - lo][::-1]), vals])
-    spec.fill(0.0)
-    flat = spec.reshape(2, 3, -1)
-    flat[0][:, grid_index[lo:]] = rows.T
-    flat[1][:, grid_index[lo:]] = 1j * np.cross(kvec[lo:], rows).T
-    np.fft.ifft(spec, axis=2, norm="forward", out=spec)
-    np.fft.ifft(spec, axis=3, norm="forward", out=spec)
-    np.fft.irfft(spec, n, axis=4, norm="forward", out=uw)
-    u, w = uw
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.subtract(w[b] * u[c], w[c] * u[b], out=rot[a])
-    half = spec[0]
-    np.fft.rfft(rot, axis=3, norm="forward", out=half)
-    np.fft.fft(half, axis=2, norm="forward", out=half)
-    np.fft.fft(half, axis=1, norm="forward", out=half)
-    top = half.reshape(3, -1)[:, grid_index[h:]].T
+    kz, kyx = np.divmod(grid_index[h:], p * q)
     k = kvec[h:]
+    k0, k1, k2 = k.T
+    v0, v1, v2 = vals.T
+    cube.fill(0.0)
+    cells = cube.reshape(p, 6, p * q)
+    cells[kz, :3, kyx] = vals
+    cells[kz, 3, kyx] = 1j * (k1 * v2 - k2 * v1)  # w = i k x v
+    cells[kz, 4, kyx] = 1j * (k2 * v0 - k0 * v2)
+    cells[kz, 5, kyx] = 1j * (k0 * v1 - k1 * v0)
+    np.matmul(inv, cube.reshape(p, -1), out=iz.reshape(n, -1))
+    np.copyto(iz_t, iz.transpose(1, 2, 0, 3))
+    np.matmul(inv, iz_t.reshape(6, p, -1), out=iy.reshape(6, n, -1))
+    np.matmul(iy.reshape(-1, q).view(np.float64), inv_x, out=uw.reshape(-1, n))
+    u, w = uw[:3], uw[3:]
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(w[j], u[l], out=rot[i])
+        np.multiply(w[l], u[j], out=tmp)
+        np.subtract(rot[i], tmp, out=rot[i])
+    np.matmul(rot.reshape(-1, n), fwd_x, out=fx.reshape(-1, q).view(np.float64))
+    np.matmul(fwd, fx.reshape(3, n, -1), out=fy.reshape(3, p, -1))
+    np.copyto(fy_t, fy.transpose(2, 0, 1, 3))
+    np.matmul(fwd, fy_t.reshape(n, -1), out=fz.reshape(p, -1))
+    top = fz.reshape(p, 3, p * q)[kz, :, kyx]
     kd = (top * k).sum(axis=1) / (k * k).sum(axis=1)
     return kd[:, None] * k - top  # -P_k of the product

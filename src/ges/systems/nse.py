@@ -13,10 +13,12 @@ radius).  Velocity coefficients are complex 3-vectors, divergence-free
 underlying field is real.  The advection term is the sharply truncated
 convolution with Leray projection, which conserves energy exactly:
 Re sum conj(u_hat_k) . B_k = 0 at machine precision.  It is evaluated
-pseudo-spectrally in rotational form, -P(curl u x u), on a zero-padded grid
-of n >= 3 kmax + 1 points per direction with 9 real FFTs per right-hand
-side (see kernels.nse_bilinear).  That equals the convolution sum up to
-roundoff at O(n^3 log n) cost instead of O(m^2) for m retained modes.
+pseudo-spectrally in rotational form, -P(curl u x u), on a grid of
+n >= 3 kmax + 1 points per direction, each transform a separable partial
+DFT over the 2 kmax + 1 retained frequency lines per axis, by small dense
+matrix products (see kernels.nse_bilinear).  That equals the convolution
+sum up to roundoff at O(n^3 kmax) cost instead of O(m^2) for m retained
+modes.
 
 Forcing is a finite list of modes, each a complex scalar law on the
 canonical transverse unit direction of its wave vector; exactly the
@@ -80,7 +82,7 @@ LAMBDA_1 = 1.0
 class SpectralBasis:
     """Mode bookkeeping for one Galerkin cutoff: the sorted mode list, which
     is symmetric under k -> -k (row m - 1 - i holds -k of row i), and each
-    mode's slot on the zero-padded half grid that evaluates the advection
+    mode's slot in the cube of frequency lines that evaluates the advection
     term (see kernels.nse_bilinear)."""
 
     def __init__(self, kmax: int):
@@ -102,10 +104,12 @@ class SpectralBasis:
         # products of two retained modes reach 2 kmax per component, so
         # n >= 3 kmax + 1 keeps their aliases off the retained set
         n = 3 * self.kmax + 1
-        self.grid_n = n = n + n % 2
-        # the half grid kx >= 0 in (kz, ky, kx) order holds k, or -k if kx < 0
-        half = np.where(self.modes[:, :1] < 0, -self.modes, self.modes) % n
-        self.grid_index = np.ravel_multi_index(half.T[::-1], (n, n, n // 2 + 1))
+        self.grid_n = n + n % 2
+        # the (kz, ky, kx) cube of lines -kmax..kmax (kx 0..kmax) holds k,
+        # or -k if kx < 0
+        k = self.kmax
+        half = np.where(self.modes[:, :1] < 0, -self.modes, self.modes) + (0, k, k)
+        self.grid_index = np.ravel_multi_index(half.T[::-1], (2 * k + 1, 2 * k + 1, k + 1))
 
     def row(self, k) -> int:
         r = self._row.get((int(k[0]), int(k[1]), int(k[2])))

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,8 +458,24 @@ def full_field(z):
     return np.concatenate([np.conj(z[::-1]), z])
 
 
+_KERNEL_HASHES = """
+import hashlib
+import numpy as np
+from ges import kernels
+from ges.systems.nse import get_basis
+for kmax in (4, 6):
+    b = get_basis(kmax)
+    rng = np.random.default_rng(kmax)
+    shape = (b.m // 2, 3)
+    for _ in range(4):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = kernels.nse_bilinear(v, b.kvec, b.grid_index, b.grid_n)
+        print(kmax, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
 class TestNSEAdvection:
-    """The padded-FFT advection kernel against the convolution pair sum."""
+    """The partial-DFT advection kernel against the convolution pair sum."""
 
     @staticmethod
     def assert_matches_pair_sum(basis, v):
@@ -474,7 +493,7 @@ class TestNSEAdvection:
         for x in fam.sample_states(3, np.random.default_rng(kmax), active_kmax=kmax):
             self.assert_matches_pair_sum(fam.basis, full_field(fam.dense_values(x)))
 
-    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
     def test_matches_pair_sum_on_random_real_fields(self, kmax):
         # real, but neither solenoidal nor confined to the low modes
         basis = get_basis(kmax)
@@ -484,6 +503,20 @@ class TestNSEAdvection:
             self.assert_matches_pair_sum(basis, v + np.conj(v[::-1]))
 
     @pytest.mark.parametrize("kmax", [2, 3])
+    def test_matches_pair_sum_on_the_kx_0_plane(self, kmax):
+        # a real field on kx = 0 only: half its modes are the mirrors of the
+        # kernel's rows, and their products stay on the plane
+        basis = get_basis(kmax)
+        rng = np.random.default_rng(40 + kmax)
+        plane = basis.modes[:, 0] == 0
+        for _ in range(3):
+            v = rng.normal(size=(basis.m, 3)) + 1j * rng.normal(size=(basis.m, 3))
+            v[~plane] = 0.0
+            v = v + np.conj(v[::-1])
+            assert np.abs(pair_sum_bilinear(v, basis)).max() > 0.1
+            self.assert_matches_pair_sum(basis, v)
+
+    @pytest.mark.parametrize("kmax", [2, 3, 4])
     def test_curl_free_field_has_no_projected_advection(self, kmax):
         # for v_k = i k phi_k the advective term is the pure gradient
         # grad(u . u / 2), which the projection removes; a Hermitian
@@ -543,6 +576,20 @@ class TestNSEAdvection:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, want[i % 8]) for i, g in enumerate(got))
 
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the stages are BLAS products, and at kmax 6 the x stage is large
+        # enough for OpenBLAS to split it between two threads
+        root = Path(__file__).resolve().parents[1]
+        hashes = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(root / "src"),
+                   "OPENBLAS_NUM_THREADS": threads}
+            res = subprocess.run([sys.executable, "-c", _KERNEL_HASHES], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert res.returncode == 0, res.stderr
+            hashes.append(res.stdout.splitlines())
+        assert len(hashes[0]) == 8 and hashes[0] == hashes[1]
+
     @pytest.mark.parametrize("kmax", [1, 4, 8])
     def test_basis_holds_only_per_mode_arrays(self, kmax):
         basis = get_basis(kmax)
@@ -551,7 +598,7 @@ class TestNSEAdvection:
         assert arrays and all(a.shape[0] == basis.m for a in arrays)
         assert np.array_equal(basis.modes[::-1], -basis.modes)
         assert np.all(basis.modes[basis.m // 2:, 0] >= 0)  # the kernel's rows
-        # the half grid holds the rows with kx >= 0, each in a slot of its own
+        # the cube of lines holds the rows with kx >= 0, each in a slot of its own
         half = basis.modes[:, 0] >= 0
         assert np.unique(basis.grid_index[half]).size == half.sum()
 
