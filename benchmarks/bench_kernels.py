@@ -2,8 +2,8 @@
 
 Runs each kernel on inputs shaped like the real workloads: packed
 coefficient blocks for the cross-distance kernels (a mid-size complex
-tier comparison, and the survival-filter shape of `ges omega --system heat
---n-seeds 512`: one real state against a 512-state real tier over the
+tier comparison, and a net pass of `ges omega --system heat --n-seeds
+512`: one kept real state against 512 real states still live, over the
 1,986 grid slots that run packs onto, since heat values are real and pack
 into a float64 block),
 the truncated spectral basis for the advection term, at the
@@ -12,11 +12,11 @@ system over one model-time unit (kmax=4; 245 right-hand-side calls at
 --seed 0, so its time less 245 x nse_bilinear/k4 is the stepper's and
 the right-hand side's own cost), `pack_states` on 1,024 heat tier
 images (64 seeds at 16 times, so each seed's images share one index
-array), and the omega net and survival filter on the tier block of a
-128-seed heat ladder at the CLI's default schedule, eps_net and metric
-(a quarter of the `--n-seeds 512` block).  Each case draws its inputs
-from its own generator and runs once untimed before the timed
-repetitions; the table reports the best time.
+array), and the omega step (net, survival filter and attraction
+profile) on the tier block of a 128-seed heat ladder at the CLI's
+default schedule, eps_net and metric (a quarter of the `--n-seeds 512`
+block).  Each case draws its inputs from its own generator and runs once
+untimed before the timed repetitions; the table reports the best time.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -29,7 +29,7 @@ import numpy as np
 
 from ges import kernels
 from ges.evolution import _image_tier, _tier_block
-from ges.omega import PullbackSchedule, _net_and_survive, _tier_seeds
+from ges.omega import PullbackSchedule, _omega_from_tiers, _tier_seeds
 from ges.space import pack_states
 from ges.systems.heat import HeatSystem
 from ges.systems.nse import NSESystem, SpectralBasis
@@ -69,7 +69,7 @@ def weak_cross(rng):
 
 
 def weak_cross_heat(rng):
-    """The heat survival filter: one netted state against one 512-state tier."""
+    """A heat net pass: one kept state against 512 states still live."""
     grid = 1986
     hv = rng.standard_normal((513, grid, 1))
     hw = 2.0 ** (-np.abs(np.arange(grid) - grid // 2) / 64.0) / 64.0
@@ -84,14 +84,16 @@ def pack_states_heat(rng):
     return lambda: pack_states(heat.space, tiers)
 
 
-def net_survive_heat(rng):
-    """`ges omega --system heat --n-seeds 128`'s tier block."""
+def omega_heat(rng):
+    """Net, survival and profile of `ges omega --system heat --n-seeds 128`'s
+    tier block."""
     heat = HeatSystem()
     sched = PullbackSchedule.geometric(0.0)
     ladder = [_image_tier(heat, seeds, s, sched.t) for s, seeds in zip(
         sched.starts, _tier_seeds(heat, None, None, 128, rng, sched.t, sched.starts))]
     block, tier_rows, _ = _tier_block(heat.space, ladder, 1)
-    return lambda: _net_and_survive(block, tier_rows, 0.05, "weak")
+    return lambda: _omega_from_tiers(heat.system_id, block, tier_rows, sched.starts,
+                                     sched.t, "weak", 0.05, 1e-3, "")
 
 
 def nse_bilinear(kmax):
@@ -113,7 +115,7 @@ def dop853_nse(rng):
 
 CASES = [("strong_cross", strong_cross), ("weak_cross", weak_cross),
          ("weak_cross/heat", weak_cross_heat), ("pack_states/heat", pack_states_heat),
-         ("net_survive/heat", net_survive_heat),
+         ("omega/heat", omega_heat),
          ("nse_bilinear/k4", nse_bilinear(4)), ("nse_bilinear/k6", nse_bilinear(6)),
          ("dop853/nse", dop853_nse)]
 

@@ -15,16 +15,21 @@ below tol and is non-increasing over its last third.  When nothing
 survives, the profile instead records each tier's drift from the
 shallowest image and the note says so.
 
-The net and the survival filter compute only the distances that can
-change their answer.  The net compares each kept row only with the rows
-still live (farther than eps_net from every kept row so far), and
-records each other row's pivot: the first kept row within eps_net of it.
-The survival filter then bounds a candidate's distance to each tier row
-through that row's pivot (the triangle inequality, as in LAESA) and
-measures only the rows whose bound, widened by a margin far above
-rounding, reaches the survival cap; see _net_and_survive.  A distance
-depends only on its two rows, however scattered, so rules, ties and
-verdicts are those of the full comparison, bit for bit.
+The net, the survival filter and the profile compute only the distances
+that can change their answer.  The net compares each kept row only with
+the rows still live (farther than eps_net from every kept row so far),
+and records each other row's pivot: the first kept row within eps_net of
+it, and their distance.  The survival filter tests a candidate's deeper
+tiers deepest first, where a point that is no limit point sits farthest
+off; it bounds the candidate's distance to each tier row through that
+row's pivot (the triangle inequality, as in LAESA) and measures only the
+rows whose bound, widened by a margin far above rounding, reaches the
+survival cap; see _net_and_survive.  The profile reads a row's distance
+to its pivot back from the net when the pivot survived and the same
+bound shows no other survivor nearer; see _survivor_profile.  A distance
+depends only on its two rows, however scattered and on whichever side,
+so rules, ties, profiles and verdicts are those of the full comparison,
+bit for bit.
 
 Every image is packed straight from its seed by evolution._tier_block,
 so no state object is made per image; only surviving omega points become
@@ -190,7 +195,8 @@ def _profile_converged(values: np.ndarray, tol: float) -> bool:
 
 
 def _net_and_survive(packed: PackedSet, tier_rows: list[np.ndarray],
-                     eps_net: float, metric: str) -> list[int]:
+                     eps_net: float, metric: str,
+                     pivots: NetPivots | None = None) -> list[int]:
     """Greedy net over all tiers, deepest first, then the survival filter.
 
     A netted candidate from tier j must come within eps_net of every
@@ -203,48 +209,105 @@ def _net_and_survive(packed: PackedSet, tier_rows: list[np.ndarray],
     The net pass leaves every tier row b with a pivot p (a net point) and
     d(b, p), and every net-to-net distance, so the triangle inequality
     bounds d(r, b) >= |d(r, p) - d(b, p)| for a candidate r at no cost
-    (LAESA).  Only the rows whose bound is at most cap + margin are
-    measured; a tier with none left is certainly too far.  The margin
-    covers rounding.  Each computed distance d^ is d (1 + theta) with
-    |theta| <= g = (u + c + 8) 2^-53 for u index slots of c components:
-    every term of the kernels' sums is nonnegative and carries at most
-    c + 8 roundings.  With M the largest of cap, 1 and the distances in
-    the bound, a skipped row has true d(r, b) > cap + margin - 2 g M, so
-    its computed distance exceeds cap + margin - 3 g M.  The margin,
-    max(1e-9, 4e-16 (u + c + 8)) M, is above 3 g M, so every skipped row
-    would have failed the test.  Candidates and tiers are taken in the
-    order of the rule above, with the same short-circuits.
+    (LAESA).  Only the rows whose bound is at most cap + _pivot_margin are
+    measured; a tier with none left is certainly too far.  A tier holding
+    a row whose pivot is r itself needs no measure: the net found that
+    row within eps_net of r.
+
+    A candidate's deeper tiers are tested deepest first, and its support
+    clause from the next-deepest tier down.  The deepest tier sits nearest
+    the limit set, so a candidate that is no limit point is usually
+    farthest from it, and the bound drops all of that tier's rows: most
+    rejections cost no kernel call.  The test of one tier has no side
+    effect, so all and any see the same answers in any order and the
+    survivors are those of the rule above.  When pivots is given, it is
+    filled as net_rows fills it, for the visiting order
+    np.concatenate(tier_rows[::-1]); _survivor_profile reads it back for
+    the attraction profile under the same margin.
     """
     n_tiers = len(tier_rows)
-    deepest_first = np.concatenate(tier_rows[::-1])
-    piv = NetPivots()
-    net = net_rows(packed, deepest_first, eps_net, metric, piv)
+    piv = pivots if pivots is not None else NetPivots()
+    net = net_rows(packed, np.concatenate(tier_rows[::-1]), eps_net, metric, piv)
     tier_of = np.empty(packed.n_states, dtype=np.int64)
     for j, rows in enumerate(tier_rows):
         tier_of[rows] = j
-    pivot = np.empty(packed.n_states, dtype=np.int64)
-    to_pivot = np.empty(packed.n_states, dtype=np.float64)
-    pivot[deepest_first], to_pivot[deepest_first] = piv.pivot, piv.dist
+    pivot, to_pivot = _pivots_by_row(packed, tier_rows, piv)
     cap = eps_net + 1e-12
-    _, u, c = packed.vals.shape
-    reach = cap + max(1e-9, 4e-16 * (u + c + 8)) * max(
-        1.0, cap, piv.kept.max(initial=0.0), piv.dist.max(initial=0.0))
+    reach = cap + _pivot_margin(packed, piv, cap)
 
     def near(a: int, j: int) -> bool:
         """Net point a lies within cap of some row of tier j."""
         rows = np.asarray(tier_rows[j])
+        if np.any(pivot[rows] == a):  # the net measured one within eps_net
+            return True
         rows = rows[np.abs(piv.kept[a, pivot[rows]] - to_pivot[rows]) <= reach]
         return bool(rows.size) and packed.cross([net[a]], rows, metric).min() <= cap
 
     survivors = []
     for a, row in enumerate(net):
         src = int(tier_of[row])
-        ok = all(near(a, j) for j in range(src + 1, n_tiers))
+        ok = all(near(a, j) for j in range(n_tiers - 1, src, -1))
         if ok and src == n_tiers - 1:
-            ok = any(near(a, j) for j in range(n_tiers - 1))
+            ok = any(near(a, j) for j in range(n_tiers - 2, -1, -1))
         if ok:
             survivors.append(row)
     return survivors
+
+
+def _pivots_by_row(packed: PackedSet, tier_rows, piv: NetPivots):
+    """Each packed row's pivot (its place in the net) and its distance to
+    it, from a net that visited the tiers deepest first."""
+    order = np.concatenate(tier_rows[::-1])
+    pivot = np.empty(packed.n_states, dtype=np.int64)
+    to_pivot = np.empty(packed.n_states, dtype=np.float64)
+    pivot[order], to_pivot[order] = piv.pivot, piv.dist
+    return pivot, to_pivot
+
+
+def _pivot_margin(packed: PackedSet, piv: NetPivots, cap: float) -> float:
+    """How far a pivot lower bound must clear a threshold to decide a test.
+
+    Each computed distance d^ is d (1 + theta) with |theta| <= g =
+    (u + c + 8) 2^-53 for u index slots of c components: every term of the
+    kernels' sums is nonnegative and carries at most c + 8 roundings.
+    With M the largest of 1, cap and the net's distances, a bound
+    |d^(r, p) - d^(b, p)| that exceeds x + margin gives a true d(r, b) >
+    x + margin - 2 g M, so a computed d^(r, b) > x for every x <= M: the
+    margin, max(1e-9, 4e-16 (u + c + 8)) M, is above 3 g M.  Survival
+    takes x = cap, the profile x = d^(r, p).
+    """
+    _, u, c = packed.vals.shape
+    return max(1e-9, 4e-16 * (u + c + 8)) * max(
+        1.0, cap, piv.kept.max(initial=0.0), piv.dist.max(initial=0.0))
+
+
+def _survivor_profile(packed: PackedSet, tier_rows, survivors: list[int],
+                      piv: NetPivots, eps_net: float, metric: str) -> list[float]:
+    """packed.semidist(rows, survivors) for each tier, bit for bit.
+
+    A row r whose pivot is a survivor s has d(r, s) from the net pass.
+    That is r's distance to the nearest survivor when the pivot bound
+    |d(k, s) - d(r, s)| exceeds d(r, s) + _pivot_margin for every other
+    survivor k; only the other rows are measured, in one cross call per
+    tier.  The net measured d(s, r), which has the bits of d(r, s).
+    """
+    keep = np.asarray(survivors)
+    pivot, to_pivot = _pivots_by_row(packed, tier_rows, piv)
+    places = pivot[keep]  # a net point is its own pivot
+    margin = _pivot_margin(packed, piv, eps_net + 1e-12)
+    to_pivots = piv.kept[places]  # (survivors, net points)
+    vals = []
+    for rows in tier_rows:
+        rows = np.asarray(rows)
+        p, d = pivot[rows], to_pivot[rows]
+        own = places[:, None] == p
+        clear = own | (np.abs(to_pivots[:, p] - d) > d + margin)
+        known = own.any(axis=0) & clear.all(axis=0)
+        worst = d[known].max(initial=0.0)
+        if not known.all():
+            worst = max(worst, packed.cross(rows[~known], keep, metric).min(axis=1).max())
+        vals.append(float(worst))
+    return vals
 
 
 def _check_omega_args(metric: str, eps_net: float, tol: float) -> None:
@@ -258,11 +321,11 @@ def _omega_from_tiers(system_id: str, packed: PackedSet, tier_rows, tick_values,
                       t_report: float, metric: str, eps_net: float,
                       tol: float, note: str) -> OmegaApprox:
     # deepest tier first: the net visits rows 0..N-1 in storage order
-    survivors = _net_and_survive(packed, tier_rows, eps_net, metric)
+    piv = NetPivots()
+    survivors = _net_and_survive(packed, tier_rows, eps_net, metric, piv)
 
     if survivors:
-        keep = np.asarray(survivors)
-        vals = [packed.semidist(rows, keep, metric) for rows in tier_rows]
+        vals = _survivor_profile(packed, tier_rows, survivors, piv, eps_net, metric)
         points = [packed.state(r) for r in survivors]
     else:
         # nothing persisted across depths; report each tier's drift from

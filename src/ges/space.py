@@ -330,14 +330,21 @@ class PackedSet:
     def cross(self, rows_a: np.ndarray, rows_b: np.ndarray, metric: str) -> np.ndarray:
         """(len(rows_a), len(rows_b)) distances in the chosen metric.
 
-        Runs of consecutive rows reach the kernel as views.  Scattered rows_a
-        are gathered whole; scattered rows_b one kernel block at a time, so
-        the gathered rows never exceed one block beside the packed set.  A
-        distance depends only on its two rows, so it has the same bits
-        gathered or not.
+        The kernels loop in Python over their left rows, so the shorter
+        row list goes on the left: a call with more rows_a than rows_b
+        returns the transpose of cross(rows_b, rows_a).  d(a, b) and
+        d(b, a) have the same bits (the kernels square or take the modulus
+        of a - b), so the side changes no value.  Runs of consecutive rows
+        reach the kernel as views.  Scattered left rows are gathered whole;
+        scattered right rows one kernel block at a time, so the gathered
+        rows never exceed one block beside the packed set.  A distance
+        depends only on its two rows, so it has the same bits gathered or
+        not.
         """
         if metric not in ("strong", "weak"):
             raise UsageError(f"unknown metric {metric!r}")
+        if np.size(rows_a) > np.size(rows_b):
+            return self.cross(rows_b, rows_a, metric).T
         strong = metric == "strong" or self.space.weak_kind == "strong"
         kernel = kernels.strong_cross if strong else kernels.weak_cross
         w = self.qw if metric == "strong" else self.ww

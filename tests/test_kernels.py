@@ -189,5 +189,5 @@ def test_bench_kernels_script_runs():
     assert lines[0].split() == ["kernel", "time", "(ms)"]
     assert [ln.split()[0] for ln in lines[1:]] == [
         "strong_cross", "weak_cross", "weak_cross/heat", "pack_states/heat",
-        "net_survive/heat", "nse_bilinear/k4", "nse_bilinear/k6", "dop853/nse"]
+        "omega/heat", "nse_bilinear/k4", "nse_bilinear/k6", "dop853/nse"]
     assert all(float(ln.split()[1]) >= 0.0 for ln in lines[1:])

@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ges.omega
 from ges.errors import BlowUpError, UnsupportedError, UsageError
@@ -33,7 +35,8 @@ from ges.omega import (
     tracking_check,
 )
 from ges import kernels
-from ges.space import DualMetricSpace, hausdorff_dist, pack_states, set_semidist
+from ges.space import (DualMetricSpace, hausdorff_dist, pack_states, set_semidist,
+                       state_to_json)
 from ges.symbols import SymbolFamily, uniform_omega
 from ges.systems import (
     BranchSystem,
@@ -510,14 +513,20 @@ def test_pruned_survival_matches_full_tier_rule(system_id, metric):
     assert found > 0
 
 
+def survival_cap_eps(cap):
+    """The eps_net whose survival cap eps_net + 1e-12 is exactly cap."""
+    eps = cap - 1e-12
+    while eps + 1e-12 < cap:
+        eps = np.nextafter(eps, np.inf)
+    while eps + 1e-12 > cap:
+        eps = np.nextafter(eps, -np.inf)
+    assert eps + 1e-12 == cap and eps < cap
+    return eps
+
+
 def test_tier_row_at_exactly_the_survival_cap_counts():
     """A deeper tier row at exactly eps_net + 1e-12 keeps the candidate."""
-    eps = 0.5 - 1e-12
-    while eps + 1e-12 < 0.5:
-        eps = np.nextafter(eps, 1.0)
-    while eps + 1e-12 > 0.5:
-        eps = np.nextafter(eps, 0.0)
-    assert eps + 1e-12 == 0.5 and eps < 0.5
+    eps = survival_cap_eps(0.5)
     space = DualMetricSpace(tag="plane", truncation_radius=8)
     pt = lambda x, y: space.state([0, 1], [x, y])
     tiers = [[pt(0.0, 5.0)],                       # shallow: far from all
@@ -547,6 +556,110 @@ def test_pruning_computes_under_half_the_pairs(monkeypatch):
     want = full_tier_survivors(packed, tier_rows, 0.05, "weak")
     assert got == want and want
     assert pruned < pairs[0] / 2
+
+
+def reference_omega(packed, tier_rows, eps_net, metric):
+    """Survivors and profile of the omega rule from the full cross matrix:
+    a first-come net, deeper tiers and support tested in ascending order,
+    and no pivot bound or pivot distance anywhere."""
+    strong = metric == "strong"
+    kernel = kernels.strong_cross if strong else kernels.weak_cross
+    d = kernel(packed.vals, packed.vals, packed.qw if strong else packed.ww)
+    net = []
+    for row in np.concatenate(tier_rows[::-1]):
+        if all(d[row, k] > eps_net for k in net):
+            net.append(int(row))
+    tier_of = {int(r): j for j, rows in enumerate(tier_rows) for r in rows}
+    n_tiers = len(tier_rows)
+
+    def near(row, j):
+        return d[row, tier_rows[j]].min() <= eps_net + 1e-12
+
+    survivors = []
+    for row in net:
+        src = tier_of[row]
+        ok = all(near(row, j) for j in range(src + 1, n_tiers))
+        if ok and src == n_tiers - 1:
+            ok = any(near(row, j) for j in range(n_tiers - 1))
+        if ok:
+            survivors.append(row)
+    target = survivors if survivors else tier_rows[0]
+    profile = [d[np.ix_(rows, target)].min(axis=1).max() for rows in tier_rows]
+    return survivors, profile
+
+
+# a plane point: a cluster (or a stray, cluster -1) and a step-1/4 offset,
+# so strong distances along an axis, 0.5 among them, are exact
+PLANE_POINT = st.tuples(st.integers(-1, 2), st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def plane_ladders(draw):
+    n_tiers = draw(st.integers(3, 6))
+    tiers = draw(st.lists(st.lists(PLANE_POINT, min_size=1, max_size=6),
+                          min_size=n_tiers, max_size=n_tiers))
+    return (tiers, draw(st.booleans()), draw(st.sampled_from(["strong", "weak"])),
+            draw(st.sampled_from([0.25, 0.5, 0.75])))
+
+
+def test_omega_from_tiers_matches_the_full_reference():
+    """Survivors and profile, bit for bit, of reference_omega on small plane
+    ladders: 3 to 6 tiers of clustered points, packed deepest or shallowest
+    tier first, with rows at exactly eps_net + 1e-12 from one another."""
+    space = DualMetricSpace(tag="plane", truncation_radius=8)
+    seen = {"two survivors": 0, "rows at the cap": 0}
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(plane_ladders())
+    def check(ladder):
+        tiers, deepest_first, metric, cap = ladder
+        states = [[space.state([0, 1], [3.0 * k + x / 4 if k >= 0 else 20.0 + 5 * j,
+                                        y / 4])
+                   for k, x, y in tier] for j, tier in enumerate(tiers)]
+        ordered = states[::-1] if deepest_first else states
+        packed = pack_states(space, [s for tier in ordered for s in tier])
+        ends = np.cumsum([len(t) for t in ordered])
+        rows = [np.arange(end - len(t), end) for t, end in zip(ordered, ends)]
+        tier_rows = rows[::-1] if deepest_first else rows
+        eps = survival_cap_eps(cap)
+        want, profile = reference_omega(packed, tier_rows, eps, metric)
+        om = ges.omega._omega_from_tiers("plane", packed, tier_rows, range(len(tiers)),
+                                         0.0, metric, eps, 1e-3, "")
+        assert [state_to_json(p) for p in om.points] == [
+            state_to_json(packed.state(r)) for r in want]
+        assert om.profile_values().tobytes() == np.array(profile).tobytes()
+        seen["two survivors"] += len(want) >= 2
+        seen["rows at the cap"] += bool(
+            np.any(packed.cross(np.arange(packed.n_states), np.arange(packed.n_states),
+                                metric) == cap))
+
+    check()
+    assert seen["two survivors"] >= 20 and seen["rows at the cap"] >= 20
+
+
+def test_survival_and_profile_reuse_the_net_pass(monkeypatch):
+    """Pairs the weak kernel measures once net_rows has returned, on a
+    64-seed heat ladder at the CLI's schedule, eps_net and metric (seed 0):
+    1,351 when survival tested the shallower tiers first and the profile
+    measured every tier row against the survivors, 34 now (1,228 before)."""
+    after_net, pairs = [False], [0, 0]
+    weak_cross, net_rows = kernels.weak_cross, ges.omega.net_rows
+
+    def cross_spy(av, bv, w):
+        pairs[after_net[0]] += av.shape[0] * bv.shape[0]
+        return weak_cross(av, bv, w)
+
+    def net_spy(*args):
+        kept = net_rows(*args)
+        after_net[0] = True
+        return kept
+
+    monkeypatch.setattr(kernels, "weak_cross", cross_spy)
+    monkeypatch.setattr(ges.omega, "net_rows", net_spy)
+    om = omega_pullback(HeatSystem(), PullbackSchedule.geometric(0.0), n_seeds=64,
+                        rng=np.random.default_rng(0))
+    assert om.points and om.converged
+    assert pairs[0] > 1000 and pairs[1] <= 100
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,60 @@ class TestPackStates:
         # each norm is its row's alone
         assert p.norms[17] == PackedSet(SEQ, p.idx, vals[17:18], w, w).norms[0]
 
+    # cross loops over its shorter row list: tall calls run transposed
+    @pytest.mark.parametrize("metric", ["strong", "weak"])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_cross_is_the_transpose_of_the_swapped_call(self, monkeypatch, metric,
+                                                        real, c):
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 96)  # 8 or 4 rows per block
+        u, n = 11, 40
+        rng = np.random.default_rng(c + 2 * real)
+        vals = rng.normal(size=(n, u, c))
+        if not real:
+            vals = vals + 1j * rng.normal(size=vals.shape)
+        qw, ww = rng.uniform(0.0, 1.0, size=(2, u))
+        p = PackedSet(SEQ, np.arange(u)[:, None], vals, qw, ww)
+        kernel = kernels.strong_cross if metric == "strong" else kernels.weak_cross
+        w = qw if metric == "strong" else ww
+
+        def rows(k, run):
+            if run:
+                start = int(rng.integers(0, n - k + 1))
+                return np.arange(start, start + k)
+            got = rng.permutation(n)[:k]
+            if k > 1 and p._run(got) is not None:
+                got = got[::-1].copy()
+            return got
+
+        # tall, wide and square, with row counts off whole groups of four
+        for na, nb in ((1, 13), (13, 1), (5, 18), (18, 5), (7, 7), (9, 9), (2, 3)):
+            for run_a in (True, False):
+                for run_b in (True, False):
+                    ra, rb = rows(na, run_a), rows(nb, run_b)
+                    ab = p.cross(ra, rb, metric)
+                    ba = p.cross(rb, ra, metric)
+                    assert ab.shape == (na, nb)
+                    assert ab.tobytes() == np.ascontiguousarray(ba.T).tobytes()
+                    assert ab.tobytes() == kernel(vals[ra], vals[rb], w).tobytes()
+
+    def test_tall_cross_puts_the_short_side_on_the_left(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        vals = rng.normal(size=(30, 5, 1))
+        w = np.ones(5)
+        p = PackedSet(SEQ, np.arange(5)[:, None], vals, w, w)
+        left = []
+        weak_cross = kernels.weak_cross
+
+        def spy(av, bv, w):
+            left.append(av.shape[0])
+            return weak_cross(av, bv, w)
+
+        monkeypatch.setattr(kernels, "weak_cross", spy)
+        assert p.cross(np.arange(30), [3, 7], "weak").shape == (30, 2)
+        assert p.cross([3, 7], np.arange(0, 30, 2), "weak").shape == (2, 15)
+        assert left == [2, 2]
+
     def test_scattered_rows_are_gathered_one_block_at_a_time(self):
         rng = np.random.default_rng(5)
         n, u = 800, 1986
