@@ -110,7 +110,7 @@ def dop853_nse(rng):
     """One solve as `ges nse omega` makes them: the default system, one seed."""
     nse = NSESystem()
     v0 = nse.dense_values(nse.sample_states(1, rng)[0])
-    return lambda: nse._integrate(0.0, v0, 1.0, [1.0])
+    return lambda: nse._integrate(0.0, v0, [1.0])
 
 
 CASES = [("strong_cross", strong_cross), ("weak_cross", weak_cross),

@@ -10,17 +10,22 @@ pullback image operator
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
 is approximated by evolving a finite seed ensemble through every branch.
-Whatever reads distances from images packs them with _tier_block: one
-evolve_block call per seed and branch gives all of that seed's images as
-values ready for packing: one evolve from time 0 sampled at every
-duration t - s when the family is autonomous, P(t, s) = S(t - s), else
-one per run of equal start times (heat broadcasts one multiplier).
-Fixed states follow them, and the blow-up guard reads the block's norms.
-It is the only image path: compose_check reads its middle images back
-from one block as states.  Families also expose phase-space seed
-sampling keyed by labels: a label fixes one trajectory relative to the
-evaluation time, so ensembles drawn at different pullback depths sample
-the same bundle of trajectories.
+Both evolve and evolve_block apply one autonomy rule, which _check_run
+writes: an autonomous family evolves from time 0 over the duration t - s,
+P(t, s) = S(t - s), and any other from s.  So evolve's samples and
+evolve_block's images of one seed come from the same runs, and a system
+whose runs give a sample's bits from its start, seed and time alone
+(every system here, the NSE solver included) gives each image bit for
+bit as its own evolve.  Whatever reads distances from images packs them
+with _tier_block: one evolve_block call per seed and branch gives all of
+that seed's images as values ready for packing, from one run when the
+family is autonomous, else one per run of equal start times (heat
+broadcasts one multiplier).  Fixed states follow them, and the blow-up
+guard reads the block's norms.  It is the only image path: compose_check
+packs both legs' images from one block.  Families also expose
+phase-space seed sampling keyed by labels: a label fixes one trajectory
+relative to the evaluation time, so ensembles drawn at different
+pullback depths sample the same bundle of trajectories.
 
 Checks in this module:
 
@@ -67,9 +72,11 @@ class TrajectoryFamily(ABC):
 
     def evolve(self, s: float, x: CoeffState, ts: Sequence[float],
                branch: int = 0) -> list[CoeffState]:
-        """Sample the branch's trajectory through (s, x) at times ts >= s."""
-        self._check_run(x, [s] * len(ts), ts, branch)
-        return self._evolve(s, x, ts, branch)
+        """Sample the branch's trajectory through (s, x) at times ts >= s.
+        An autonomous family runs from time 0 over the durations t - s, as
+        evolve_block does: both take their runs from _check_run."""
+        runs = self._check_run(x, [s] * len(ts), ts, branch)
+        return [st for r, run_ts in runs for st in self._evolve(r, x, run_ts, branch)]
 
     def evolve_block(self, x: CoeffState, starts: Sequence[float],
                      ts: Sequence[float], branch: int = 0) -> list[tuple]:
@@ -79,12 +86,16 @@ class TrajectoryFamily(ABC):
         image's values on the index rows idx, or vals is a callable giving
         them (see space.pack_groups).
         """
-        self._check_run(x, starts, ts, branch)
-        return self._evolve_block(x, starts, ts, branch)
+        return self._evolve_block(x, self._check_run(x, starts, ts, branch), branch)
 
-    def _check_run(self, x, starts, ts, branch) -> None:
+    def _check_run(self, x, starts, ts, branch) -> list[tuple]:
         """Refuse a seed from another space, other than one start per sample
-        time, a branch the seed lacks and a sample time before its start."""
+        time, a branch the seed lacks and a sample time before its start.
+
+        Returns the (start, sample times) runs that give the images
+        P(ts[k], starts[k]) x in order, by the autonomy rule: an autonomous
+        family makes one run from time 0 sampled at every duration t - s,
+        any other one run per run of equal start times."""
         self.space.check_member(x)
         if len(starts) != len(ts):
             raise UsageError(f"{len(starts)} start times for {len(ts)} sample times")
@@ -92,21 +103,20 @@ class TrajectoryFamily(ABC):
             raise UsageError(f"branch {branch} out of range for {self.system_id!r}")
         if np.any(np.asarray(ts, dtype=np.float64) < np.asarray(starts, dtype=np.float64)):
             raise UsageError("evolution runs forward: no sample may precede its start")
+        if self.autonomous:
+            return [(0.0, [float(t) - float(s) for s, t in zip(starts, ts)])]
+        pairs = groupby(zip(starts, ts), key=lambda pair: pair[0])
+        return [(s, [t for _, t in run]) for s, run in pairs]
 
     @abstractmethod
     def _evolve(self, s, x, ts, branch) -> list[CoeffState]:
-        """evolve's samples, for a run _check_run accepted."""
+        """The samples at ts of the trajectory through (s, x), for one run
+        _check_run gave."""
 
-    def _evolve_block(self, x, starts, ts, branch) -> list[tuple]:
-        """One group per image, by the autonomy rule (see the module doc).
-        evolve_block checked the whole run, so each run goes to _evolve."""
-        if self.autonomous:
-            runs = [(0.0, [float(t) - float(s) for s, t in zip(starts, ts)])]
-        else:
-            pairs = groupby(zip(starts, ts), key=lambda pair: pair[0])
-            runs = [(s, [t for _, t in run]) for s, run in pairs]
+    def _evolve_block(self, x, runs, branch) -> list[tuple]:
+        """One group per image of the runs _check_run gave."""
         return [(st.idx, st.val[None])
-                for s, run_ts in runs for st in self._evolve(s, x, run_ts, branch)]
+                for r, run_ts in runs for st in self._evolve(r, x, run_ts, branch)]
 
     # -- phase-space sampling ---------------------------------------------------
 
@@ -224,16 +234,18 @@ def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     """Strong semidistance of P(t,r)A from P(t,s)P(s,r)A.
 
     The two-parameter family satisfies P(t,r)A inside P(t,s)P(s,r)A, so
-    the value is solver noise for restriction-closed systems.  The middle
-    images P(s,r)A come back as states from their own _tier_block; a
-    second block holds P(t,r)A and P(t,s)P(s,r)A as two tiers.
+    the value is solver noise for restriction-closed systems.  One block
+    holds P(s,r)A and P(t,r)A as two tiers, so each seed and branch makes
+    one run from r; the middle images come back as states, and a second
+    block packs P(t,s)P(s,r)A beside P(t,r)A as fixed states.
     """
     if not (r <= s <= t):
         raise UsageError("compose_check needs r <= s <= t")
-    packed, (rows,), _ = _tier_block(fam.space, [_image_tier(fam, seeds, r, s)], 1)
-    mid = [packed.state(row) for row in rows]
-    packed, (one, two), _ = _tier_block(
-        fam.space, [_image_tier(fam, seeds, r, t), _image_tier(fam, mid, s, t)], 1)
+    packed, (mid_rows, one_rows), _ = _tier_block(
+        fam.space, [_image_tier(fam, seeds, r, s), _image_tier(fam, seeds, r, t)], 1)
+    mid = [packed.state(row) for row in mid_rows]
+    one = [packed.state(row) for row in one_rows]
+    packed, (two,), one = _tier_block(fam.space, [_image_tier(fam, mid, s, t)], 1, one)
     return packed.semidist(one, two, "strong")
 
 

@@ -37,7 +37,8 @@ def make_heat_space() -> DualMetricSpace:
 
 
 def heat_block(space: DualMetricSpace, x: CoeffState, starts, ts) -> np.ndarray:
-    """Values of the images P(ts[k], starts[k]) x on x's own index rows.
+    """Values of the images P(ts[k], starts[k]) x on x's own index rows;
+    starts may be one start for every image.
 
     One broadcast of exp(xi^2 (s - t)) over all images, (k, rows, c); real
     when x is.  Each entry is bitwise the single-image product.
@@ -121,9 +122,10 @@ class HeatSystem(TrajectoryFamily):
     def _evolve(self, s, x, ts, branch):
         return [x.with_values(v) for v in heat_block(self.space, x, [s] * len(ts), ts)]
 
-    def _evolve_block(self, x, starts, ts, branch):
+    def _evolve_block(self, x, runs, branch):
         """One group on the seed's rows, its values deferred to the packer."""
-        return [(x.idx, partial(heat_block, self.space, x, starts, ts))]
+        (s, ts), = runs  # autonomous: one run from time 0
+        return [(x.idx, partial(heat_block, self.space, x, s, np.array(ts)))]
 
     def sample_states(self, count, rng):
         return [band_profile(self.space, int(rng.integers(0, 4)), rng)

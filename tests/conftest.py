@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ges.systems.nse as nse_module
 from ges.space import DualMetricSpace
 
 
@@ -35,3 +36,16 @@ def image_states(fam, seeds, t: float, s: float, branches: str = "all"):
     return [fam.evolve(s, x, [t], branch=b)[0]
             for x in seeds
             for b in range(fam.branch_count(s, x) if branches == "all" else 1)]
+
+
+def counting_solves(monkeypatch):
+    """Wrap the NSE module's solve_ivp; returns the list of call starts."""
+    calls = []
+    real = nse_module.solve_ivp
+
+    def counting(fun, t_span, *args, **kwargs):
+        calls.append(t_span[0])
+        return real(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(nse_module, "solve_ivp", counting)
+    return calls

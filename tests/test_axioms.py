@@ -1,21 +1,19 @@
 """Axioms of the evolution contract, checked on every system.
 
 Block consistency: evolve_block(x, starts, ts, b) gives the images
-evolve(starts[k], x, [ts[k]], b), one for each k, in order.  Where both
-paths do the same arithmetic the images agree bit for bit.  bump's block
-evolves its autonomous shift t - s from time 0, which rounds otherwise
-than the closed form from s, and the NSE block makes one solve for every
-image, so those two agree within a relative tolerance.
+evolve(starts[k], x, [ts[k]], b), one for each k, in order, bit for bit:
+both paths apply one autonomy rule, and one NSE solve reads every sample
+off the dense output of one step sequence.  The NSE phase wheel's
+time-dependent force at kmax 4 joins the systems here.
 
 Sample independence: evolve(s, x, ts, b)[i] is evolve(s, x, [ts[i]], b)[0],
-bit for bit for the closed forms.  One NSE solve steps to the last sample
-and reads the others off its dense output, so its samples agree within a
-relative tolerance.
+bit for bit: an NSE solve's steps depend only on its start and seed.
 
 Concatenation: P(t, s) P(s, r) A holds P(t, r) A, so compose_check reads
 0 up to rounding for every restriction-closed system; line is not one.
 bump composes two shifts whose sum rounds otherwise than t - r, and NSE
-runs three solves, so those two get their own tolerances.
+solves its second leg from the middle images, so those two get their own
+tolerances.
 
 Closure: every state evolve returns is a seed of the same system, so it
 evolves again.  An NSE state must be an exactly real field; the property
@@ -23,9 +21,9 @@ draws the NSE cutoff too, and one test re-evolves NSE states under two BLAS
 threads, which sum the stepper's products in another order.
 
 Translation: an autonomous family evolves from s + h to t + h as from s
-to t.  Times lie on a 2^-20 grid, where s + h, t + h and their difference
-are exact, so the property checks the systems and not the rounding of the
-shift; the tolerances are block consistency's.
+to t, bit for bit.  Times lie on a 2^-20 grid, where s + h, t + h and
+their difference are exact, so the property checks the systems and not
+the rounding of the shift.
 
 The shift identity: every symbol family evolves under sigma from r + h to
 t + h as under the shifted symbol sigma + h from r to t.  The shifted
@@ -50,13 +48,11 @@ from ges.evolution import compose_check
 from ges.symbols import SymbolFamily, shift_identity_defect
 from ges.systems import SYSTEM_IDS, make_system
 
-# relative tolerance of a block image against its own evolve; 0 is bitwise
-TOLERANCE = {"bump": 1e-12, "nse": 1e-7}
-# relative tolerance of a sample against its own evolve; 0 is bitwise
-SAMPLE_TOLERANCE = {"nse": 1e-7}
-# longest sample span t - s; NSE solves stay short at kmax 2
-SPAN = {"nse": 0.5}
-EXAMPLES = {"nse": 20}
+# the NSE phase wheel at sigma = pi / 2: a time-dependent force at kmax 4
+WHEEL = "nse-wheel"
+# longest sample span t - s; NSE solves stay short
+SPAN = {"nse": 0.5, WHEEL: 0.5}
+EXAMPLES = {"nse": 20, WHEEL: 20}
 # largest compose_check value, an absolute strong distance
 COMPOSE_TOLERANCE = {"bump": 1e-12, "nse": 1e-7}
 # the translation property's time grid
@@ -65,6 +61,8 @@ GRID = 2.0 ** -20
 
 @cache
 def system(sid, kmax=2):
+    if sid == WHEEL:
+        return SymbolFamily("nse", 4).system(np.pi / 2)
     return make_system(sid, kmax=kmax) if sid == "nse" else make_system(sid)
 
 
@@ -75,14 +73,6 @@ def runs(draw, span):
     starts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
     ts = [s + draw(st.floats(0.0, span)) for s in starts]
     return starts, ts
-
-
-def assert_close(v, w, tol):
-    if tol == 0.0:
-        assert np.array_equal(v, w)
-    else:
-        scale = np.abs(w).max(initial=0.0)
-        assert np.abs(v - w).max(initial=0.0) <= tol * scale
 
 
 def seed_and_branch(fam, seed, branch, starts):
@@ -99,10 +89,9 @@ def block_images(groups):
             yield idx, v
 
 
-@pytest.mark.parametrize("sid", SYSTEM_IDS)
+@pytest.mark.parametrize("sid", [*SYSTEM_IDS, WHEEL])
 def test_block_images_are_one_evolve_each(sid):
     fam = system(sid)
-    tol = TOLERANCE.get(sid, 0.0)
 
     @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
               database=None)
@@ -115,15 +104,14 @@ def test_block_images_are_one_evolve_each(sid):
         assert len(got) == len(want)
         for (idx, v), w in zip(got, want):
             assert np.array_equal(idx, w.idx)
-            assert_close(v, w.val, tol)
+            assert np.array_equal(v, w.val)
 
     check()
 
 
-@pytest.mark.parametrize("sid", SYSTEM_IDS)
+@pytest.mark.parametrize("sid", [*SYSTEM_IDS, WHEEL])
 def test_every_sample_is_its_own_evolve(sid):
     fam = system(sid)
-    tol = SAMPLE_TOLERANCE.get(sid, 0.0)
     span = SPAN.get(sid, 3.0)
 
     @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
@@ -138,9 +126,17 @@ def test_every_sample_is_its_own_evolve(sid):
         for g, t in zip(got, ts):
             w = fam.evolve(s, x, [t], branch)[0]
             assert np.array_equal(g.idx, w.idx)
-            assert_close(g.val, w.val, tol)
+            assert np.array_equal(g.val, w.val)
 
     check()
+
+
+def test_a_sample_does_not_depend_on_the_others_at_kmax_4():
+    fam = system("nse", 4)
+    x = fam.sample_states(1, np.random.default_rng(0))[0]
+    want = fam.evolve(0.0, x, [1.3])[0].val
+    assert np.array_equal(fam.evolve(0.0, x, [1.3, 5.0])[0].val, want)
+    assert np.array_equal(fam.evolve(0.0, x, [0.4, 1.3, 9.0])[1].val, want)
 
 
 @pytest.mark.parametrize("sid", [sid for sid in SYSTEM_IDS if sid != "line"])
@@ -188,7 +184,6 @@ def grid_times(lo, hi):
 @pytest.mark.parametrize("sid", [sid for sid in SYSTEM_IDS if system(sid).autonomous])
 def test_autonomous_evolution_commutes_with_translation(sid):
     fam = system(sid)
-    tol = TOLERANCE.get(sid, 0.0)
 
     @settings(max_examples=EXAMPLES.get(sid, 40), derandomize=True, deadline=None,
               database=None)
@@ -200,7 +195,7 @@ def test_autonomous_evolution_commutes_with_translation(sid):
         got = fam.evolve(s + h, x, [t + h], branch)[0]
         want = fam.evolve(s, x, [t], branch)[0]
         assert np.array_equal(got.idx, want.idx)
-        assert_close(got.val, want.val, tol)
+        assert np.array_equal(got.val, want.val)
 
     check()
 

@@ -36,6 +36,8 @@ from ges.systems import (
     high_band_seed,
 )
 
+from conftest import counting_solves
+
 
 # ---------------------------------------------------------------------------
 # images
@@ -136,6 +138,14 @@ class TestCompose:
         fam = NSESystem()
         seeds = fam.sample_states(1, np.random.default_rng(3))
         assert compose_check(fam, seeds, 0.0, 0.25, 0.5) <= 1e-6
+
+    def test_one_solve_per_seed_and_leg(self, monkeypatch):
+        # P(s, r)A and P(t, r)A share one solve per seed; P(t, s) adds one
+        fam = NSESystem()
+        seeds = fam.sample_states(2, np.random.default_rng(3))
+        calls = counting_solves(monkeypatch)
+        compose_check(fam, seeds, 0.0, 0.25, 0.5)
+        assert len(calls) == 4
 
     def test_order_validation(self):
         fam = LineSystem()

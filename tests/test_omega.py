@@ -1186,10 +1186,11 @@ class TestBlowUpGuard:
             forward_omega(fam, 0.0, seeds, n=5)
 
     def test_compose(self):
-        # every one-sample run spikes, so the middle images P(s, r)A do
+        # one run from r samples P(s, r)A and then P(t, r)A, so its middle
+        # sample, the spike, is the one-leg image u(t)
         fam = SpikeSystem()
         seeds = fam.sample_states(2, np.random.default_rng(0))
-        with pytest.raises(BlowUpError, match=r"seed #0 \(branch 0\) blew up: \|u\(-1.0\)\|"):
+        with pytest.raises(BlowUpError, match=r"seed #0 \(branch 0\) blew up: \|u\(0.0\)\|"):
             compose_check(fam, seeds, -2.0, -1.0, 0.0)
 
     def test_tracking(self):

@@ -55,7 +55,7 @@ from ges.systems import (
 from ges.systems.branch import RATES
 from ges.systems.line import make_line_space
 
-from conftest import image_states
+from conftest import counting_solves, image_states
 
 
 # ---------------------------------------------------------------------------
@@ -674,19 +674,6 @@ class TestNSEFlow:
             nse.evolve(0.0, x, [-0.5])
 
 
-def _counting_solves(monkeypatch):
-    """Wrap the NSE module's solve_ivp; returns the list of call starts."""
-    calls = []
-    real = nse_module.solve_ivp
-
-    def counting(fun, t_span, *args, **kwargs):
-        calls.append(t_span[0])
-        return real(fun, t_span, *args, **kwargs)
-
-    monkeypatch.setattr(nse_module, "solve_ivp", counting)
-    return calls
-
-
 def _sin_forced_nse():
     modes = [ForcingMode(k=k, amp=complex(0.5), kind="sin", omega=2.0)
              for k in ((1, 0, 0), (-1, 0, 0))]
@@ -698,22 +685,21 @@ class TestNSEBlock:
         assert nse.autonomous
         x = nse.sample_states(1, np.random.default_rng(12))[0]
         starts = [-3.2, -5.12, -8.192]
-        calls = _counting_solves(monkeypatch)
+        calls = counting_solves(monkeypatch)
         groups = nse.evolve_block(x, starts, [0.0] * 3)
         assert len(calls) == 1
         assert len(groups) == 3
         for s, (idx, vals) in zip(starts, groups):
             want = nse.evolve(s, x, [0.0])[0]
-            got = nse.space.state(idx, vals[0])
-            assert nse.space.strong_dist(got, want) <= \
-                1e-7 * nse.space.strong_norm(want)
+            assert np.array_equal(idx, want.idx)
+            assert np.array_equal(vals, want.val[None])
 
     def test_time_dependent_force_solves_once_per_start(self, monkeypatch):
         fam = _sin_forced_nse()
         assert not fam.autonomous
         x = fam.sample_states(1, np.random.default_rng(13))[0]
         starts, ts = [-0.5, -0.5, -0.8], [0.0, 0.2, 0.0]
-        calls = _counting_solves(monkeypatch)
+        calls = counting_solves(monkeypatch)
         groups = fam.evolve_block(x, starts, ts)
         assert calls == [-0.5, -0.8]
         want = fam.evolve(-0.5, x, [0.0, 0.2]) + fam.evolve(-0.8, x, [0.0])
@@ -728,9 +714,35 @@ class TestNSEBlock:
             nse.evolve_block(x, [-1.0, 0.0], [0.0, -0.5])
 
 
+def _scipy_twin(fam, y0, t_span, t_eval):
+    """Solve with the package's stepper, then with scipy's DOP853 over the
+    same start and the stepper's last step end at max_step=_MAX_STEP, and
+    check that both give the same bits, nfev and right-hand-side times.
+    Returns the stepper's right-hand-side times."""
+
+    def recording(times):
+        def fun(t, y):
+            times.append(t)
+            return fam.rhs_dense(t, y.reshape(-1, 3)).ravel()
+        return fun
+
+    got_times, want_times = [], []
+    got = nse_module.solve_ivp(recording(got_times), t_span, y0, rtol=1e-8,
+                               atol=1e-11, t_eval=t_eval)
+    want = scipy_solve_ivp(recording(want_times), (t_span[0], max(got_times)), y0,
+                           method="DOP853", rtol=1e-8, atol=1e-11, t_eval=t_eval,
+                           max_step=nse_module._MAX_STEP)
+    assert got.success and want.success
+    assert np.array_equal(got.y, want.y)
+    assert got.nfev == want.nfev == len(got_times)
+    # the same right-hand-side times: the steps never clip to the span
+    assert got_times == want_times
+    return got_times
+
+
 class TestNSESolver:
     """The in-package Dormand-Prince 8(5,3) stepper reproduces scipy's
-    DOP853, dense-output stages included."""
+    DOP853 with max_step, dense-output stages included."""
 
     @pytest.mark.parametrize("force", ["static", "sin"])
     @pytest.mark.parametrize("t_span, t_eval", [
@@ -741,24 +753,16 @@ class TestNSESolver:
     def test_bitwise_equal_to_scipy_dop853(self, nse, force, t_span, t_eval):
         fam = nse if force == "static" else _sin_forced_nse()
         y0 = fam.dense_values(fam.sample_states(1, np.random.default_rng(15))[0]).ravel()
+        _scipy_twin(fam, y0, t_span, t_eval)
 
-        def recording(times):
-            def fun(t, y):
-                times.append(t)
-                return fam.rhs_dense(t, y.reshape(-1, 3)).ravel()
-            return fun
-
-        got_times, want_times = [], []
-        got = nse_module.solve_ivp(recording(got_times), t_span, y0, rtol=1e-8,
-                                   atol=1e-11, t_eval=t_eval)
-        want = scipy_solve_ivp(recording(want_times), t_span, y0, method="DOP853",
-                               rtol=1e-8, atol=1e-11, t_eval=t_eval)
-        assert got.success and want.success
-        assert np.array_equal(got.y, want.y)
-        assert got.nfev == want.nfev == len(got_times)
-        # the same right-hand-side times: the initial-step probe stays in the span
-        assert got_times == want_times
-
+    def test_step_cap_binds_and_matches_scipy_max_step(self, nse):
+        y0 = nse.dense_values(nse.sample_states(1, np.random.default_rng(0))[0]).ravel()
+        times = _scipy_twin(nse, y0, (0.0, 8.0), [1.0, 8.0])
+        # without the cap scipy takes other steps over the same span
+        uncapped = scipy_solve_ivp(lambda t, y: nse.rhs_dense(t, y.reshape(-1, 3)).ravel(),
+                                   (0.0, max(times)), y0, method="DOP853", rtol=1e-8,
+                                   atol=1e-11, t_eval=[1.0, 8.0])
+        assert uncapped.nfev != len(times)
 
 
 def _energy_loop(fam, grid, y):
@@ -792,7 +796,7 @@ class TestNSEDenseSolve:
         n = 8001  # verify's energy trajectory
         grid = np.linspace(0.0, 1.0, n)
         out_bytes = v0.size * n * v0.itemsize
-        for solve in (lambda: nse._integrate(0.0, v0, 1.0, grid),
+        for solve in (lambda: nse._integrate(0.0, v0, grid),
                       lambda: nse.energy_sample(0.0, x, 1.0, n=n)):
             tracemalloc.start()
             try:
@@ -808,7 +812,7 @@ class TestNSEDenseSolve:
         x = fam.sample_states(1, np.random.default_rng(17))[0]
         grid = np.linspace(-0.5, 0.5, 401)
         traj = fam.energy_sample(-0.5, x, 0.5, n=grid.size)
-        y = fam._integrate(-0.5, fam.dense_values(x), 0.5, grid)
+        y = fam._integrate(-0.5, fam.dense_values(x), grid)
         norms, vsq, pair = _energy_loop(fam, grid, y)
         assert np.array_equal(traj.times, grid)
         np.testing.assert_allclose(traj.norms, norms, rtol=1e-13)
@@ -834,7 +838,7 @@ class TestNSEDenseSolve:
                 return real(self, k)
 
             monkeypatch.setattr(nse_module.SpectralBasis, name, counting)
-        fam._integrate(0.0, v0, 0.5, [0.25, 0.5])
+        fam._integrate(0.0, v0, [0.25, 0.5])
         assert lookups == []
 
 
