@@ -319,7 +319,8 @@ def cmd_nse(args) -> int:
         return EXIT_OK if rep.verdict == "holds" else EXIT_VIOLATION
 
     if action == "absorbing":
-        grid, norms, worst, verdict = nse_absorbing_check(fam, rng, cfg.n_seeds)
+        grid, norms, worst, verdict = nse_absorbing_check(
+            fam, rng, cfg.n_seeds, cfg.threads)
         _emit(cfg.out, {
             "nse_absorbing.json": artifact_json("nse-absorbing", {
                 "seeds": len(norms), "horizon": float(grid[-1]),

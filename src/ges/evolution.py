@@ -22,7 +22,9 @@ that seed's images as values ready for packing, from one run when the
 family is autonomous, else one per run of equal start times (heat
 broadcasts one multiplier).  Fixed states follow them, and the blow-up
 guard reads the block's norms.  It is the only image path: compose_check
-packs both legs' images from one block.  Families also expose
+packs both legs' images from one block, _trajectory_norms reads the norms
+along sampled trajectories from one block, and no check calls evolve,
+which stays the public per-seed sampler.  Families also expose
 phase-space seed sampling keyed by labels: a label fixes one trajectory
 relative to the evaluation time, so ensembles drawn at different
 pullback depths sample the same bundle of trajectories.
@@ -229,6 +231,15 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
     return packed, tier_rows, fixed_rows
 
 
+def _trajectory_norms(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
+                      grid: Sequence[float], workers: int = 1) -> np.ndarray:
+    """|u(t)| of each seed's branch-0 trajectory from time s at every grid
+    time t, one row per seed, read from one _tier_block."""
+    tiers = [_image_tier(fam, seeds, s, t, "first") for t in grid]
+    packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
+    return np.stack([packed.norms[rows] for rows in tier_rows], axis=1)
+
+
 def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
                   r: float, s: float, t: float) -> float:
     """Strong semidistance of P(t,r)A from P(t,s)P(s,r)A.
@@ -276,11 +287,6 @@ class TrajectorySample:
             raise UsageError("sample times must increase strictly")
         if self.norms.shape != self.times.shape:
             raise UsageError("norms must match times")
-
-    @classmethod
-    def from_states(cls, space: DualMetricSpace, times, states, **kw):
-        norms = np.array([space.strong_norm(s) for s in states])
-        return cls(np.asarray(times, float), norms, **kw)
 
 
 @dataclass

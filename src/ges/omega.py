@@ -100,8 +100,6 @@ class PullbackSchedule:
     def geometric(cls, t: float, delta: float = 1.0, rho: float = 1.6,
                   n: int = 16) -> "PullbackSchedule":
         """Start times t - delta * rho**i for i = 1..n."""
-        if delta <= 0 or rho <= 1:
-            raise UsageError("need delta > 0 and rho > 1")
         return cls(float(t),
                    tuple(float(t) - d for d in _geometric_steps(delta, rho, n)))
 
@@ -110,8 +108,11 @@ class PullbackSchedule:
 
 
 def _geometric_steps(delta: float, rho: float, n: int) -> list[float]:
-    """delta * rho**i for i = 1..n, growing with i as rho > 1; a UsageError
-    when the last one overflows or n exceeds MAX_TIERS."""
+    """delta * rho**i for i = 1..n, growing with i.  A UsageError refuses
+    delta <= 0, rho <= 1, n < 3, a last step that overflows and n above
+    MAX_TIERS."""
+    if delta <= 0 or rho <= 1 or n < 3:
+        raise UsageError("need delta > 0, rho > 1 and at least three steps")
     try:
         last = delta * rho ** n
     except OverflowError:
@@ -397,12 +398,10 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     before any integration starts.
     """
     _check_omega_args(metric, eps_net, tol)
-    if delta <= 0 or rho <= 1 or n < 3:
-        raise UsageError("need delta > 0, rho > 1 and at least three horizons")
+    horizons = [t0 + d for d in _geometric_steps(delta, rho, n)]
     seeds = list(seeds)
     if not seeds:
         raise UsageError("empty seed collection")
-    horizons = [t0 + d for d in _geometric_steps(delta, rho, n)]
     if not math.isfinite(horizons[-1]):
         raise UsageError("the forward horizons must be finite")
     if np.any(np.diff([t0, *horizons]) <= 0):

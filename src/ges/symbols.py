@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import UsageError
-from .evolution import TrajectoryFamily
+from .evolution import TrajectoryFamily, _image_tier, _tier_block
 from .omega import OmegaApprox, PullbackSchedule, _forward_omega, omega_pullback
 from .space import CoeffState, set_semidists
 from .systems import (BranchSystem, ForcedScalarSystem, ForcingMode, ForcingProfile,
@@ -78,12 +78,15 @@ class SymbolFamily:
 def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
                           r: float, t: float, x: CoeffState) -> float:
     """Strong distance between evolving under sigma on [r+s, t+s] and
-    under the shifted symbol on [r, t]; solver noise when the family
-    represents one nonautonomous system."""
+    under the shifted symbol on [r, t] on branch 0; solver noise when the
+    family represents one nonautonomous system.  The two images are two
+    one-row tiers of one _tier_block."""
     fam = symfam.system(sigma)
-    a = fam.evolve(r + s, x, [t + s])[0]
-    b = symfam.system(symfam.shift(s, sigma)).evolve(r, x, [t])[0]
-    return fam.space.strong_dist(a, b)
+    shifted = symfam.system(symfam.shift(s, sigma))
+    packed, (a, b), _ = _tier_block(
+        fam.space, [_image_tier(fam, [x], r + s, t + s, "first"),
+                    _image_tier(shifted, [x], r, t, "first")], 1)
+    return float(packed.cross(a, b, "strong")[0, 0])
 
 
 # ---------------------------------------------------------------------------

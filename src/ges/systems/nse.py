@@ -727,10 +727,15 @@ class NSESystem(TrajectoryFamily):
                       n: int = 2001) -> TrajectorySample:
         """Integrate once and sample the three energy functionals densely:
         |u|^2, ||u||^2 and <g, u>, each reduced over all samples at once.
-        The solve holds one mode of each +-k pair, and a mode and its
-        mirror add the same term, so each sum over it is doubled."""
+        The one run comes from _check_run, so the solve is the one that
+        evolve(s, x, grid) makes: a static force runs from time 0 over the
+        durations t - s.  The force pairing reads the true times.  The solve
+        holds one mode of each +-k pair, and a mode and its mirror add the
+        same term, so each sum over it is doubled; |u| stays this half sum,
+        since packing every sample as a full field would hold n full states."""
         grid = np.linspace(s, t_hi, n)
-        y = self._integrate(s, self.dense_values(x), grid)
+        (r, run_ts), = self._check_run(x, [s] * n, grid, 0)
+        y = self._integrate(r, self.dense_values(x), run_ts)
         re, im = y.real, y.imag  # views: nothing of y's size is allocated
         esq = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
         # y's rows are (mode, component)

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import UsageError
-from .evolution import TrajectorySample, compose_check, energy_inequality_check
+from .evolution import (TrajectorySample, _trajectory_norms, compose_check,
+                        energy_inequality_check)
 from .omega import (INVARIANT_VERDICTS, PullbackSchedule, invariance_check,
                     tracking_check)
 from .space import DualMetricSpace, epsilon_net, pack_states
@@ -170,7 +171,8 @@ def nse_energy_check(fam, rng: np.random.Generator):
 NSE_ABSORBING_SLACK = 1e-6
 
 
-def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int):
+def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int,
+                        workers: int = 1):
     """(grid, norms, max_violation, verdict) of the absorbing inequality
 
         |u(t)|^2 <= |u(a)|^2 exp(-nu lambda_1 (t - a))
@@ -178,13 +180,14 @@ def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int):
 
     along n_seeds fields sampled in |u| <= 2R, at 41 times from 0 to one past
     the absorbing entry time (to 3 for a radius of at most 1/2).  norms holds
-    one row of |u| per seed, and max_violation is the largest excess of the
-    left side over the right over every pair of grid times a <= t."""
+    one row of |u| per seed, the packed norms of every seed's images in one
+    block, split over the workers; max_violation is the largest excess of
+    the left side over the right over every pair of grid times a <= t."""
     radius = fam.absorbing_set_radius()
     horizon = absorbing_entry_time(radius, fam.nu) + 1.0 if radius > 0.5 else 3.0
     seeds = fam.sample_states(n_seeds, rng, radius=2.0 * radius if radius > 0 else None)
-    norms = np.array([fam.energy_sample(0.0, x, horizon, n=41).norms for x in seeds])
     grid = np.linspace(0.0, horizon, 41)
+    norms = _trajectory_norms(fam, seeds, 0.0, grid, workers)
     a, t = np.triu_indices(grid.size)
     sq = norms ** 2
     bound = fam.radius / 2.0  # the last term above is half the absorbing radius R
@@ -201,11 +204,9 @@ def suite_energy(seed: int, workers: int = 1,
         fam = make_system("heat")
         rng = np.random.default_rng(seed)
         grid = np.arange(-5.0, 0.01, 0.25)
-        reps = []
-        for x in fam.sample_states(10, rng):
-            states = fam.evolve(-5.0, x, grid)
-            traj = TrajectorySample.from_states(fam.space, grid, states)
-            reps.append(energy_inequality_check(traj, eps=1e-12, delta=2.0))
+        norms = _trajectory_norms(fam, fam.sample_states(10, rng), -5.0, grid, workers)
+        reps = [energy_inequality_check(TrajectorySample(grid, row), eps=1e-12, delta=2.0)
+                for row in norms]
         res.append(CheckResult("heat norm decay",
                                all(r.verdict == "holds" for r in reps),
                                {"max_residual": max(r.max_residual for r in reps)}))

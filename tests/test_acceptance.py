@@ -16,6 +16,7 @@ they pin down the behaviour the package promises:
   10  the verify harness is bytewise deterministic
 """
 
+import copy
 import json
 import math
 import time
@@ -27,11 +28,12 @@ from ges.cli import main
 from ges.evolution import compose_check, energy_inequality_check
 from ges.omega import (PullbackSchedule, attraction_diagnostic, forward_omega,
                        omega_pullback)
-from ges.space import hausdorff_dist, set_semidist
+from ges.space import hausdorff_dist, pack_states, set_semidist
 from ges.symbols import SymbolFamily, union_inclusion_check
 from ges.systems import SYSTEM_IDS, make_system
 from ges.systems.heat import band_witness
 from ges.systems.nse import LAMBDA_1, absorbing_entry_time
+from ges.verify import nse_absorbing_check
 
 from conftest import image_states
 
@@ -193,15 +195,23 @@ def test_criterion_08_spectral_flow_energy_and_absorption():
                                        abs=1e-9)
 
     # (c) every trajectory started inside |u| <= 2R obeys the decay-plus-
-    # forcing bound at all sampled time pairs, with 1e-6 slack
+    # forcing bound at all sampled time pairs, with 1e-6 slack; the by-hand
+    # evolve loop is the oracle of nse_absorbing_check on the same draws
     radius = fam.absorbing_set_radius()
     horizon = absorbing_entry_time(radius, fam.nu) + 1.0
     grid = np.linspace(0.0, horizon, 41)
+    check_grid, check_norms, _, verdict = nse_absorbing_check(fam, copy.deepcopy(rng), 4)
+    assert np.array_equal(check_grid, grid) and verdict == "holds"
     bound_const = fam.l2b_bound / (fam.nu * (1.0 - math.exp(-fam.nu * LAMBDA_1)))
     worst = -np.inf
-    for x in fam.sample_states(4, rng, radius=2.0 * radius):
+    for x, got in zip(fam.sample_states(4, rng, radius=2.0 * radius), check_norms,
+                      strict=True):
         states = fam.evolve(0.0, x, list(grid))
-        sq = np.array([fam.space.strong_norm(u) for u in states]) ** 2
+        norms = np.array([fam.space.strong_norm(u) for u in states])
+        np.testing.assert_allclose(got, norms, rtol=1e-14, atol=0.0)
+        packed = np.array([pack_states(fam.space, [u]).norms[0] for u in states])
+        assert np.array_equal(got, packed)
+        sq = norms ** 2
         for a in range(grid.size):
             decay = sq[a] * np.exp(-fam.nu * LAMBDA_1 * (grid[a:] - grid[a]))
             worst = max(worst, float((sq[a:] - decay - bound_const).max()))

@@ -752,8 +752,11 @@ class TestDeterminism:
         ("verify", "tracking"),
         ("attract", "--system", "nse", "--target", "omega", "--n", "3",
          "--n-seeds", "2", "--delta", "2"),
+        ("nse", "absorbing", "--n-seeds", "3"),
+        ("verify", "energy", "--system", "heat"),
     ], ids=["omega-heat", "attract-heat-witness", "invariance-bump-quasi",
-            "verify-tracking", "attract-nse-omega"])
+            "verify-tracking", "attract-nse-omega", "nse-absorbing",
+            "verify-energy-heat"])
     def test_worker_count_never_changes_results(self, tmp_path, argv):
         code1, out1 = run(tmp_path / "a", *argv, "--threads", "1")
         code2, out2 = run(tmp_path / "b", *argv, "--threads", "4")

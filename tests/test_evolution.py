@@ -20,11 +20,12 @@ from ges.evolution import (
     TrajectorySample,
     _image_tier,
     _tier_block,
+    _trajectory_norms,
     compose_check,
     energy_inequality_check,
     weak_c_convergence_check,
 )
-from ges.space import DualMetricSpace, hausdorff_dist
+from ges.space import DualMetricSpace, hausdorff_dist, pack_states
 from ges.systems import (
     BranchSystem,
     BumpSystem,
@@ -96,6 +97,17 @@ class TestImageTier:
         tiers = [_image_tier(fam, seeds, -depth, 0.0) for depth in (1.0, 4.0, 16.0)]
         packed, _, _ = _tier_block(fam.space, tiers, 1)
         assert packed.norms.max() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("fam", [HeatSystem(), BranchSystem()],
+                             ids=["heat", "branch2"])
+    def test_trajectory_norms_are_the_packed_norms_of_evolve(self, fam):
+        seeds = fam.sample_states(3, np.random.default_rng(3))
+        grid = np.linspace(-2.0, 1.0, 7)
+        samples = [u for x in seeds for u in fam.evolve(-2.0, x, grid)]
+        want = pack_states(fam.space, samples).norms.reshape(len(seeds), grid.size)
+        for workers in (1, 2):
+            got = _trajectory_norms(fam, seeds, -2.0, grid, workers)
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +208,7 @@ def heat_sample(n=101, t_hi=2.0):
     fam = HeatSystem()
     seed = high_band_seed(fam.space, np.random.default_rng(0))
     grid = np.linspace(0.0, t_hi, n)
-    states = fam.evolve(0.0, seed, grid)
-    return TrajectorySample.from_states(fam.space, grid, states)
+    return TrajectorySample(grid, _trajectory_norms(fam, [seed], 0.0, grid)[0])
 
 
 class TestEnergyCheck:

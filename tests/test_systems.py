@@ -812,12 +812,36 @@ class TestNSEDenseSolve:
         x = fam.sample_states(1, np.random.default_rng(17))[0]
         grid = np.linspace(-0.5, 0.5, 401)
         traj = fam.energy_sample(-0.5, x, 0.5, n=grid.size)
-        y = fam._integrate(-0.5, fam.dense_values(x), grid)
+        y = np.stack([fam.dense_values(u).ravel() for u in fam.evolve(-0.5, x, grid)],
+                     axis=1)
         norms, vsq, pair = _energy_loop(fam, grid, y)
         assert np.array_equal(traj.times, grid)
         np.testing.assert_allclose(traj.norms, norms, rtol=1e-13)
         np.testing.assert_allclose(traj.vnorm_sq, vsq, rtol=1e-13)
         np.testing.assert_allclose(traj.force_pair, pair, rtol=1e-13)
+
+    @pytest.mark.parametrize("force, start", [("static", 0.0), ("sin", -1.0)])
+    def test_energy_trajectory_is_the_one_evolve_samples(self, nse, monkeypatch,
+                                                         force, start):
+        """The autonomy rule: under a static force both solves run from time
+        0 over the durations t - s, under a sin force both from s."""
+        fam = nse if force == "static" else _sin_forced_nse()
+        x = fam.sample_states(1, np.random.default_rng(19))[0]
+        solves = []
+        real = NSESystem._integrate
+
+        def spy(self, s, v0, t_eval):
+            solves.append((s, np.asarray(t_eval, dtype=np.float64)))
+            return real(self, s, v0, t_eval)
+
+        monkeypatch.setattr(NSESystem, "_integrate", spy)
+        grid = np.linspace(-1.0, 0.0, 5)
+        fam.energy_sample(-1.0, x, 0.0, n=5)
+        fam.evolve(-1.0, x, grid)
+        (s_energy, ts_energy), (s_evolve, ts_evolve) = solves
+        assert s_energy == s_evolve == start
+        assert np.array_equal(ts_energy, ts_evolve)
+        assert np.array_equal(ts_energy, grid + 1.0 if fam.autonomous else grid)
 
     @pytest.mark.parametrize("force", ["static", "sin"])
     def test_force_equals_a_mode_by_mode_rebuild_bit_for_bit(self, nse, force):
