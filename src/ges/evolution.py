@@ -4,8 +4,10 @@ A TrajectoryFamily hands out solution samples per start time, possibly
 several per seed (branch_count > 1 for genuinely multivalued systems).
 evolve and evolve_block refuse, with a UsageError, a seed from another
 space, unequal start and sample lists, a branch the seed lacks and a
-sample time before its start; a system implements only _evolve.  The
-pullback image operator
+sample time before its start.  A system implements only _evolve, which
+hands out one run's samples as packing groups (see space.pack_groups),
+the one format of an image: evolve_block returns them as they come, and
+evolve makes each image a state.  The pullback image operator
 
     P(t, s) A = { u(t) : u a trajectory from time s with u(s) in A }
 
@@ -24,10 +26,12 @@ broadcasts one multiplier).  Fixed states follow them, and the blow-up
 guard reads the block's norms.  It is the only image path: compose_check
 packs both legs' images from one block, _trajectory_norms reads the norms
 along sampled trajectories from one block, and no check calls evolve,
-which stays the public per-seed sampler.  Families also expose
-phase-space seed sampling keyed by labels: a label fixes one trajectory
-relative to the evaluation time, so ensembles drawn at different
-pullback depths sample the same bundle of trajectories.
+which stays the public per-seed sampler.  No image becomes a state on its
+way to a block unless its system builds it as one (bump and single, whose
+support slides).  Families also expose phase-space seed sampling keyed by
+labels: a label fixes one trajectory relative to the evaluation time, so
+ensembles drawn at different pullback depths sample the same bundle of
+trajectories.
 
 Checks in this module:
 
@@ -74,21 +78,18 @@ class TrajectoryFamily(ABC):
 
     def evolve(self, s: float, x: CoeffState, ts: Sequence[float],
                branch: int = 0) -> list[CoeffState]:
-        """Sample the branch's trajectory through (s, x) at times ts >= s.
-        An autonomous family runs from time 0 over the durations t - s, as
-        evolve_block does: both take their runs from _check_run."""
-        runs = self._check_run(x, [s] * len(ts), ts, branch)
-        return [st for r, run_ts in runs for st in self._evolve(r, x, run_ts, branch)]
+        """Sample the branch's trajectory through (s, x) at times ts >= s:
+        evolve_block's images from the one start s, one state each."""
+        return [self.space.state(idx, v)
+                for idx, vals in self.evolve_block(x, [s] * len(ts), ts, branch)
+                for v in (vals() if callable(vals) else vals)]
 
     def evolve_block(self, x: CoeffState, starts: Sequence[float],
                      ts: Sequence[float], branch: int = 0) -> list[tuple]:
-        """The images P(ts[k], starts[k]) x of one seed, as packing groups.
-
-        Returns (idx, vals) groups in image order; vals[j] holds the next
-        image's values on the index rows idx, or vals is a callable giving
-        them (see space.pack_groups).
-        """
-        return self._evolve_block(x, self._check_run(x, starts, ts, branch), branch)
+        """The images P(ts[k], starts[k]) x of one seed, as packing groups:
+        the groups _evolve gives for each run _check_run makes, in order."""
+        return [g for r, run_ts in self._check_run(x, starts, ts, branch)
+                for g in self._evolve(r, x, run_ts, branch)]
 
     def _check_run(self, x, starts, ts, branch) -> list[tuple]:
         """Refuse a seed from another space, other than one start per sample
@@ -111,14 +112,14 @@ class TrajectoryFamily(ABC):
         return [(s, [t for _, t in run]) for s, run in pairs]
 
     @abstractmethod
-    def _evolve(self, s, x, ts, branch) -> list[CoeffState]:
+    def _evolve(self, s, x, ts, branch) -> list[tuple]:
         """The samples at ts of the trajectory through (s, x), for one run
-        _check_run gave."""
+        _check_run gave, as (idx, vals) packing groups in sample order.
 
-    def _evolve_block(self, x, runs, branch) -> list[tuple]:
-        """One group per image of the runs _check_run gave."""
-        return [(st.idx, st.val[None])
-                for r, run_ts in runs for st in self._evolve(r, x, run_ts, branch)]
+        vals[j] holds the next sample's values on the index rows idx, so
+        vals is (len, len(idx), c), or vals is a callable giving that array
+        once (see space.pack_groups).  Groups may share one idx array.
+        """
 
     # -- phase-space sampling ---------------------------------------------------
 

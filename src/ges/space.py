@@ -53,6 +53,11 @@ from .errors import UsageError
 
 BALL_SLACK = 1e-9
 
+#: the index rows of a one-slot state, slot 0: shared by every image a
+#: scalar system hands out, so packing encodes them once per block
+SCALAR_SLOT = np.zeros((1, 1), dtype=np.int64)
+SCALAR_SLOT.flags.writeable = False
+
 
 # ---------------------------------------------------------------------------
 # states
@@ -83,27 +88,6 @@ class CoeffState:
             keys = np.sort(_encode_rows(self.idx))
             if np.any(keys[1:] == keys[:-1]):
                 raise UsageError("duplicate indices in state")
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.idx.shape[0]
-
-    def with_values(self, val) -> "CoeffState":
-        """A state on these already checked index rows with new values.
-
-        Only the values' shape and finiteness are checked, so a trajectory's
-        samples need not sort the seed's keys again.
-        """
-        v = np.ascontiguousarray(val, dtype=np.complex128)
-        if v.shape != self.val.shape:
-            raise UsageError("new values must keep the state's shape")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise UsageError("non-finite coefficient in state")
-        st = object.__new__(CoeffState)
-        object.__setattr__(st, "space_tag", self.space_tag)
-        object.__setattr__(st, "idx", self.idx)
-        object.__setattr__(st, "val", v)
-        return st
 
 
 def _encode_rows(idx: np.ndarray) -> np.ndarray:

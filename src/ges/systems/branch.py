@@ -34,8 +34,8 @@ class BranchSystem(TrajectoryFamily):
         return len(RATES)
 
     def _evolve(self, s, x, ts, branch):
-        return [self.space.state(x.idx, x.val * math.exp(-RATES[branch] * (float(t) - s)))
-                for t in ts]
+        vals = [x.val * math.exp(-RATES[branch] * (float(t) - s)) for t in ts]
+        return [(x.idx, np.array(vals).reshape(len(ts), *x.val.shape))]
 
     def sample_states(self, count, rng):
         out = []

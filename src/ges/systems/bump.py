@@ -74,7 +74,8 @@ class BumpSystem(TrajectoryFamily):
 
     def _evolve(self, s, x, ts, branch):
         r = s - _profile_position(x)
-        return [bump_state(self.space, r, float(t)) for t in ts]
+        images = [bump_state(self.space, r, float(t)) for t in ts]
+        return [(st.idx, st.val[None]) for st in images]
 
     # labels are positions at the evaluation time, so a label tracks one
     # trajectory across pullback depths and forward horizons alike
@@ -125,7 +126,7 @@ class SingleTrajectorySystem(TrajectoryFamily):
         return bump_state(self.space, 0.0, float(tau))
 
     def _evolve(self, s, x, ts, branch):
-        return [self.trajectory(t) for t in ts]
+        return [(st.idx, st.val[None]) for st in map(self.trajectory, ts)]
 
     def sample_states(self, count, rng):
         taus = rng.uniform(-4.0, 4.0, size=count)

@@ -36,14 +36,14 @@ def make_heat_space() -> DualMetricSpace:
                            grid_extent=GRID_EXTENT)
 
 
-def heat_block(space: DualMetricSpace, x: CoeffState, starts, ts) -> np.ndarray:
-    """Values of the images P(ts[k], starts[k]) x on x's own index rows;
-    starts may be one start for every image.
+def heat_block(space: DualMetricSpace, x: CoeffState, s: float, ts) -> np.ndarray:
+    """Values of the samples at times ts of the solution from (s, x), on x's
+    own index rows.
 
-    One broadcast of exp(xi^2 (s - t)) over all images, (k, rows, c); real
-    when x is.  Each entry is bitwise the single-image product.
+    One broadcast of exp(xi^2 (s - t)) over all samples, (len(ts), rows, c);
+    real when x is.  Each entry is bitwise the single-sample product.
     """
-    lag = np.asarray(starts, dtype=np.float64) - np.asarray(ts, dtype=np.float64)
+    lag = s - np.asarray(ts, dtype=np.float64)
     xi = x.idx[:, 0].astype(np.float64) * space.grid_spacing
     factor = np.exp(xi * xi * lag[:, None])
     val = x.val if np.any(x.val.imag) else x.val.real
@@ -120,11 +120,7 @@ class HeatSystem(TrajectoryFamily):
         super().__init__(make_heat_space())
 
     def _evolve(self, s, x, ts, branch):
-        return [x.with_values(v) for v in heat_block(self.space, x, [s] * len(ts), ts)]
-
-    def _evolve_block(self, x, runs, branch):
         """One group on the seed's rows, its values deferred to the packer."""
-        (s, ts), = runs  # autonomous: one run from time 0
         return [(x.idx, partial(heat_block, self.space, x, s, np.array(ts)))]
 
     def sample_states(self, count, rng):

@@ -14,8 +14,10 @@ to it.  It exists purely to witness how the diagnostics report failure.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..evolution import TrajectoryFamily
-from ..space import DualMetricSpace
+from ..space import SCALAR_SLOT, DualMetricSpace
 
 
 def make_line_space() -> DualMetricSpace:
@@ -35,7 +37,7 @@ class LineSystem(TrajectoryFamily):
         return self.space.state([0], [float(v)])
 
     def _evolve(self, s, x, ts, branch):
-        return [self.scalar(float(t) - s) for t in ts]
+        return [(SCALAR_SLOT, np.array([float(t) - s for t in ts]).reshape(-1, 1, 1))]
 
     def sample_states(self, count, rng):
         return [self.scalar(v) for v in rng.uniform(-1.0, 1.0, size=count)]

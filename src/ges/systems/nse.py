@@ -615,6 +615,9 @@ class NSESystem(TrajectoryFamily):
             raise ForcingFormatError(
                 "the force must be real: list each mode's -k with the same time "
                 "law, the conjugate amplitude and the conjugate sampled values")
+        if not math.isfinite(self.nu * self.basis.kmax ** 2):
+            raise UsageError(f"nu={self.nu:g} gives a non-finite viscous rate "
+                             f"nu * kmax^2")
         self._visc = -self.nu * self.basis.ksq[h:, None]
         self.ball_convention = ball_convention
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
@@ -709,17 +712,18 @@ class NSESystem(TrajectoryFamily):
         return sol.y
 
     def _evolve(self, s, x, ts, branch):
-        ts = [float(t) for t in ts]
+        """One group on the basis modes: the samples' dense fields, each
+        bitwise what state_from_dense stores."""
         v0 = self.dense_values(x)
         if not ts:
             return []
         if max(ts) == s:
-            return [self.state_from_dense(v0) for _ in ts]
-        t_eval = sorted(set(ts))
-        y = self._integrate(s, v0, t_eval)
-        by_time = {tv: self.state_from_dense(y[:, i].reshape(-1, 3))
-                   for i, tv in enumerate(t_eval)}
-        return [by_time[t] for t in ts]
+            z = np.broadcast_to(v0, (len(ts), *v0.shape))
+        else:
+            t_eval = sorted(set(map(float, ts)))
+            y = self._integrate(s, v0, t_eval)
+            z = y.T.reshape(len(t_eval), -1, 3)[np.searchsorted(t_eval, ts)]
+        return [(self.basis.modes, np.concatenate([np.conj(z[:, ::-1]), z], axis=1))]
 
     # -- energy functionals ----------------------------------------------------------
 

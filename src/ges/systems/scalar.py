@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import UsageError
 from ..evolution import TrajectoryFamily
-from ..space import DualMetricSpace
+from ..space import SCALAR_SLOT, DualMetricSpace
 
 
 def make_scalar_space() -> DualMetricSpace:
@@ -52,8 +54,8 @@ class ForcedScalarSystem(TrajectoryFamily):
 
     def _evolve(self, s, x, ts, branch):
         gap = self.value_of(x) - self.particular(s)
-        return [self.scalar(math.exp(-(t - s)) * gap + self.particular(t))
-                for t in map(float, ts)]
+        vals = [math.exp(-(t - s)) * gap + self.particular(t) for t in map(float, ts)]
+        return [(SCALAR_SLOT, np.array(vals).reshape(-1, 1, 1))]
 
     def sample_states(self, count, rng):
         return [self.scalar(v) for v in rng.uniform(-1.5, 1.5, size=count)]

@@ -1,5 +1,5 @@
-"""Shared fixtures: a plain sequence space, sparse-state helpers and a
-per-image evolution oracle."""
+"""Shared fixtures: a plain sequence space, sparse-state helpers, a
+per-image evolution oracle and evolve_block's groups as flat images."""
 
 from __future__ import annotations
 
@@ -36,6 +36,12 @@ def image_states(fam, seeds, t: float, s: float, branches: str = "all"):
     return [fam.evolve(s, x, [t], branch=b)[0]
             for x in seeds
             for b in range(fam.branch_count(s, x) if branches == "all" else 1)]
+
+
+def flat_images(groups):
+    """(idx, values) per image of evolve_block's packing groups, in order."""
+    return [(idx, v) for idx, vals in groups
+            for v in (vals() if callable(vals) else vals)]
 
 
 def counting_solves(monkeypatch):

@@ -221,6 +221,11 @@ class TestVerifyCommand:
         assert (plain / "verify_metrics.json").read_bytes() == \
             (scoped / "verify_metrics.json").read_bytes()
 
+    def test_invariance_suite_evolves_the_branch2_zero_state(self, tmp_path):
+        code, out = run(tmp_path, "verify", "invariance", "--system", "branch2")
+        assert code == 0
+        assert read_json(out, "verify_invariance.json")["verdict"] == "pass"
+
     def test_unknown_suite_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", "does-not-exist")
         assert code == 64
@@ -331,6 +336,10 @@ class TestNseCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_a_viscosity_below_the_overflow_still_runs(self, tmp_path):
+        # nu * kmax^2 is finite at kmax 4; nu = 1e308 is refused below
+        code, _ = run(tmp_path, "nse", "info", "--nu", "1e307")
+        assert code == 0
 
     # a forcing whose translational bound overflows to inf
     HUGE = {"modes": [{"k": [1, 0, 0], "amp": [1e300, 0]},
@@ -348,6 +357,7 @@ class TestNseCommand:
         (("info",), {"modes": [{"k": [1, 0, 0], "amp": [1, 0],
                                 "time": {"kind": "sampled", "times": [0, 1, 1],
                                          "values": [[0, 0], [1, 0], [2, 0]]}}]}, 65),
+        (("info", "--nu", "1e308"), None, 64),
     ])
     def test_set_up_overflow(self, tmp_path, capsys, argv, forcing, code):
         flags = ()

@@ -37,7 +37,7 @@ from ges.systems import (
     high_band_seed,
 )
 
-from conftest import counting_solves
+from conftest import counting_solves, flat_images
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,7 @@ class ExplodingSystem(TrajectoryFamily):
         super().__init__(DualMetricSpace(tag="exploding", ball_radius=1.0))
 
     def _evolve(self, s, x, ts, branch):
-        return [self.space.state(x.idx, x.val * math.exp(float(t) - s))
-                for t in ts]
+        return [(x.idx, np.array([x.val * math.exp(float(t) - s) for t in ts]))]
 
 
 class TestCompose:
@@ -181,6 +180,33 @@ def test_evolve_at_start_time_is_identity():
         for x in seeds:
             y = fam.evolve(-1.0, x, [-1.0])[0]
             assert fam.space.strong_dist(x, y) == 0.0
+
+
+@pytest.mark.parametrize("make", [HeatSystem, NSESystem, ForcedScalarSystem,
+                                  LineSystem, BranchSystem],
+                         ids=lambda make: make.system_id)
+def test_no_image_becomes_a_state_on_its_way_to_a_block(make, monkeypatch):
+    fam = make()
+    x = fam.sample_states(1, np.random.default_rng(8))[0]
+    built = []
+    real = DualMetricSpace.state
+    monkeypatch.setattr(DualMetricSpace, "state",
+                        lambda space, idx, val: built.append(idx) or real(space, idx, val))
+    images = flat_images(fam.evolve_block(x, [-1, -1, -2], [0, 0.5, 0]))
+    assert len(images) == 3
+    assert built == []
+
+
+@pytest.mark.parametrize("make", [HeatSystem, NSESystem, ForcedScalarSystem,
+                                  LineSystem, BranchSystem, SingleTrajectorySystem],
+                         ids=lambda make: make.system_id)
+def test_the_zero_state_evolves(make):
+    fam = make()
+    zero = fam.space.zero_state()
+    ts = [-1.0, -0.5, 0.0]
+    for b in range(fam.branch_count(-1.0, zero)):
+        assert len(fam.evolve(-1.0, zero, ts, b)) == 3
+        assert len(flat_images(fam.evolve_block(zero, [-1.0, -1.0, -2.0], ts, b))) == 3
 
 
 # ---------------------------------------------------------------------------

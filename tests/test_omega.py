@@ -35,8 +35,8 @@ from ges.omega import (
     tracking_check,
 )
 from ges import kernels
-from ges.space import (DualMetricSpace, hausdorff_dist, pack_states, set_semidist,
-                       state_to_json)
+from ges.space import (SCALAR_SLOT, DualMetricSpace, hausdorff_dist, pack_states,
+                       set_semidist, state_to_json)
 from ges.symbols import SymbolFamily, uniform_omega
 from ges.systems import (
     BranchSystem,
@@ -1158,9 +1158,9 @@ class SpikeSystem(TrajectoryFamily):
         super().__init__(DualMetricSpace(tag="spike", ball_radius=1.0))
 
     def _evolve(self, s, x, ts, branch):
-        mid = len(ts) // 2
-        return [self.space.state([0], [20.0 if k == mid else 0.5])
-                for k in range(len(ts))]
+        vals = np.full((len(ts), 1, 1), 0.5)
+        vals[len(ts) // 2] = 20.0
+        return [(SCALAR_SLOT, vals)]
 
     def sample_states(self, count, rng):
         return [self.space.state([0], [0.5]) for _ in range(count)]

@@ -473,7 +473,7 @@ class TestPackStates:
         rng = np.random.default_rng(len(space.tag) + 10 * real)
         states = random_states(rng, space, shared=False)
         if real:
-            states = [s.with_values(s.val.real) for s in states]
+            states = [space.state(s.idx, s.val.real) for s in states]
         p = pack_states(space, states + [space.zero_state()])
         assert p.vals.dtype == (np.float64 if real else np.complex128)
         zero = p.n_states - 1
@@ -683,7 +683,7 @@ class TestPackStates:
         runs = [((2, 0), [(a.idx, lambda: np.stack([a.val, 2 * a.val]))]),
                 ((1,), [(b.idx, b.val[None] * 1j)])]
         p = pack_groups(SEQ, 3, runs)
-        want = pack_states(SEQ, [a.with_values(2 * a.val), b.with_values(b.val * 1j), a])
+        want = pack_states(SEQ, [SEQ.state(a.idx, 2 * a.val), SEQ.state(b.idx, b.val * 1j), a])
         assert p.vals.dtype == np.complex128
         assert p.vals.tobytes() == want.vals.tobytes()
         real = pack_groups(SEQ, 3, runs[:1] + [((1,), [(b.idx, lambda: b.val[None])])])
@@ -725,16 +725,6 @@ class TestPackStates:
 
 
 class TestStateValidation:
-    def test_with_values_keeps_the_index_rows(self):
-        x = SEQ.state([3, -1], [1.0, 2.0])
-        y = x.with_values(np.array([[0.5], [0.25j]]))
-        assert y.idx is x.idx and y.space_tag == x.space_tag
-        assert y.val.dtype == np.complex128 and y.val[1, 0] == 0.25j
-        with pytest.raises(UsageError, match="shape"):
-            x.with_values(np.ones((3, 1)))
-        with pytest.raises(UsageError, match="non-finite"):
-            x.with_values(np.array([[1.0], [np.inf]]))
-
     def test_duplicate_indices_rejected(self):
         with pytest.raises(UsageError, match="duplicate"):
             SEQ.state([1, 1], [1.0, 2.0])
@@ -743,7 +733,7 @@ class TestStateValidation:
         idx = [[1, 0, -2], [0, 3, 1], [-1, 0, 0], [0, 3, 1]]
         with pytest.raises(UsageError, match="duplicate"):
             LAT3.state(idx, np.ones((4, 3)))
-        assert LAT3.state(idx[:3], np.ones((3, 3))).n_coeffs == 3
+        assert LAT3.state(idx[:3], np.ones((3, 3))).idx.shape[0] == 3
 
     def test_lattice_key_collision_refused(self):
         # 21 bits per axis: (0, 0, 2^21) and (0, 1, 0) would share one key
@@ -763,7 +753,7 @@ class TestStateValidation:
         with pytest.raises(UsageError, match="outside"):
             CoeffState("lat3", np.array([row]), np.ones((1, 3)))
         edge = [[-(1 << 20), (1 << 20) - 1, 0]]
-        assert LAT3.state(edge, np.ones((1, 3))).n_coeffs == 1
+        assert LAT3.state(edge, np.ones((1, 3))).idx.shape[0] == 1
 
     def test_nonfinite_rejected(self):
         with pytest.raises(UsageError):

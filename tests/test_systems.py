@@ -55,7 +55,7 @@ from ges.systems import (
 from ges.systems.branch import RATES
 from ges.systems.line import make_line_space
 
-from conftest import counting_solves, image_states
+from conftest import counting_solves, flat_images, image_states
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +277,7 @@ class TestBump:
             fam.space.state([0, 2], [0.8, 0.6]),     # non-adjacent slots
             fam.space.state([0], [1.0j]),            # complex
             fam.space.state([0, 1], [-0.8, 0.6]),    # negative component
+            fam.space.zero_state(),                  # no slot at all
         ]
         for x in bad:
             with pytest.raises(UsageError):
@@ -686,13 +687,13 @@ class TestNSEBlock:
         x = nse.sample_states(1, np.random.default_rng(12))[0]
         starts = [-3.2, -5.12, -8.192]
         calls = counting_solves(monkeypatch)
-        groups = nse.evolve_block(x, starts, [0.0] * 3)
+        images = flat_images(nse.evolve_block(x, starts, [0.0] * 3))
         assert len(calls) == 1
-        assert len(groups) == 3
-        for s, (idx, vals) in zip(starts, groups):
+        assert len(images) == 3
+        for s, (idx, val) in zip(starts, images):
             want = nse.evolve(s, x, [0.0])[0]
             assert np.array_equal(idx, want.idx)
-            assert np.array_equal(vals, want.val[None])
+            assert np.array_equal(val, want.val)
 
     def test_time_dependent_force_solves_once_per_start(self, monkeypatch):
         fam = _sin_forced_nse()
@@ -700,13 +701,13 @@ class TestNSEBlock:
         x = fam.sample_states(1, np.random.default_rng(13))[0]
         starts, ts = [-0.5, -0.5, -0.8], [0.0, 0.2, 0.0]
         calls = counting_solves(monkeypatch)
-        groups = fam.evolve_block(x, starts, ts)
+        images = flat_images(fam.evolve_block(x, starts, ts))
         assert calls == [-0.5, -0.8]
         want = fam.evolve(-0.5, x, [0.0, 0.2]) + fam.evolve(-0.8, x, [0.0])
-        assert len(groups) == len(want)
-        for (idx, vals), st in zip(groups, want):
+        assert len(images) == len(want)
+        for (idx, val), st in zip(images, want):
             assert np.array_equal(idx, st.idx)
-            assert np.array_equal(vals, st.val[None])
+            assert np.array_equal(val, st.val)
 
     def test_image_before_its_start_rejected(self, nse):
         x = nse.sample_states(1, np.random.default_rng(14))[0]
