@@ -15,8 +15,12 @@ images (64 seeds at 16 times, so each seed's images share one index
 array), and the omega step (net, survival filter and attraction
 profile) on the tier block of a 128-seed heat ladder at the CLI's
 default schedule, eps_net and metric (a quarter of the `--n-seeds 512`
-block).  Each case draws its inputs from its own generator and runs once
-untimed before the timed repetitions; the table reports the best time.
+block), and `energy_sample` of the default NSE system at 8,001 samples
+over one unit (`verify all`'s energy trajectory is that long), whose
+solve streams its samples through the three functionals.  Each case
+draws its inputs from its own generator and runs once untimed before the
+timed repetitions; the table reports the best time and the peak of
+Python's traced allocations (tracemalloc) over one more call.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeat 50] [--seed 0]
@@ -24,6 +28,7 @@ Usage:
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -43,6 +48,16 @@ def time_call(fn, repeat):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def peak_mb(fn):
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _cross_blocks(rng):
@@ -113,11 +128,18 @@ def dop853_nse(rng):
     return lambda: nse._integrate(0.0, v0, [1.0])
 
 
+def energy_nse(rng):
+    """`verify all`'s energy trajectory: 8,001 samples of one seed's solve."""
+    nse = NSESystem()
+    x = nse.sample_states(1, rng)[0]
+    return lambda: nse.energy_sample(0.0, x, 1.0, n=8001)
+
+
 CASES = [("strong_cross", strong_cross), ("weak_cross", weak_cross),
          ("weak_cross/heat", weak_cross_heat), ("pack_states/heat", pack_states_heat),
          ("omega/heat", omega_heat),
          ("nse_bilinear/k4", nse_bilinear(4)), ("nse_bilinear/k6", nse_bilinear(6)),
-         ("dop853/nse", dop853_nse)]
+         ("dop853/nse", dop853_nse), ("energy/nse", energy_nse)]
 
 
 def make_cases(seed):
@@ -136,9 +158,9 @@ def main():
     args = ap.parse_args()
 
     cases = make_cases(args.seed)
-    print(f"{'kernel':<16}{'time (ms)':>14}")
+    print(f"{'kernel':<16}{'time (ms)':>14}{'peak (MB)':>12}")
     for case, fn in cases:
-        print(f"{case:<16}{time_call(fn, args.repeat) * 1e3:>14.3f}")
+        print(f"{case:<16}{time_call(fn, args.repeat) * 1e3:>14.3f}{peak_mb(fn):>12.2f}")
 
 
 if __name__ == "__main__":

@@ -194,7 +194,8 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
     in its own order.  One evolve_block call covers every image of one
     (family, seed object, branch); the calls are split over the workers.
     The blow-up guard reads the images' norms, tier by tier in the given
-    order, before the ball check of the whole block.  Returns the block,
+    order, before the ball check of the whole block: a norm that is not
+    finite, or above 10x the ball radius, names its seed.  Returns the block,
     each tier's rows and the fixed rows.
     """
     fixed = [space.check_member(st) for st in fixed]
@@ -220,14 +221,16 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
     runs.append((fixed_rows, [(st.idx, st.val[None]) for st in fixed]))
     packed = pack_groups(space, n_images + len(fixed), runs)
     cap = space.ball_radius
-    if cap is not None:
-        for rows, tier in zip(tier_rows, tiers):
-            over = np.flatnonzero(packed.norms[rows] > 10.0 * cap)
-            if over.size:
-                _, i, b, _, _, t = tier[over[0]]
-                raise BlowUpError(f"seed #{i} (branch {b}) blew up: |u({t})| = "
-                                  f"{packed.norms[rows[over[0]]]:.3g} exceeds 10x "
-                                  f"ball radius {cap:.3g}")
+    limit = np.inf if cap is None else 10.0 * cap
+    for rows, tier in zip(tier_rows, tiers):
+        norms = packed.norms[rows]
+        over = np.flatnonzero(~np.isfinite(norms) | (norms > limit))
+        if over.size:
+            _, i, b, _, _, t = tier[over[0]]
+            norm = norms[over[0]]
+            why = f"exceeds 10x ball radius {cap:.3g}" if norm > limit else "is not finite"
+            raise BlowUpError(f"seed #{i} (branch {b}) blew up: |u({t})| = "
+                              f"{norm:.3g} {why}")
     packed.check_ball()
     return packed, tier_rows, fixed_rows
 
@@ -308,6 +311,19 @@ class EnergyCheckReport:
 _VOTE_CELLS = 1 << 16
 
 
+def _window_min(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(b[lo[k]:hi[k]]) for every k, each window nonempty, from a sparse
+    table: row p holds the minima of the runs of 2**p entries, and two such
+    runs cover a window (NaN propagates, as in np.min)."""
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(window length))
+    table = np.full((int(level.max()) + 1, b.size), np.inf)
+    table[0] = b
+    for p in range(1, table.shape[0]):
+        half = 1 << (p - 1)
+        np.minimum(table[p - 1, :-half], table[p - 1, half:], out=table[p, :-half])
+    return np.minimum(table[level, lo], table[level, hi - (1 << level)])
+
+
 def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
                             eps: float = 1e-9, delta: float = 0.5,
                             integral_tol: float = 1e-6) -> EnergyCheckReport:
@@ -339,21 +355,26 @@ def energy_inequality_check(traj: TrajectorySample, nu: float | None = None,
     n_major = times.size - 1
     lo = np.searchsorted(times, times - delta, side="right")
     length = np.arange(times.size) - lo
-    width = int(length.max())
-    # row i of `windows` is norms[j] + eps for j = i - width .. i - 1, padded
-    # before times[0]; the window (t - delta, t) is its last length[i] slots
-    windows = sliding_window_view(np.concatenate([np.zeros(width), norms + eps]), width)
-    first = width - length
+    bound = norms + eps
+    # time i's worst residual: rounding is monotone, so norms[i] - min(bound)
+    # over the window is bit for bit the largest norms[i] - bound[j]
     peak = np.full(times.size, -np.inf)
+    peak[1:] = norms[1:] - _window_min(bound, lo[1:], np.arange(1, times.size))
+    # a time whose worst residual is <= 0 holds on its whole window; the vote
+    # counts the others' residuals.  Row i of `windows` is bound[j] for
+    # j = i - width .. i - 1, padded before times[0]; the window (t - delta, t)
+    # is its last length[i] slots
+    width = int(length.max())
+    windows = sliding_window_view(np.concatenate([np.zeros(width), bound]), width)
+    first = width - length
     fails = np.zeros(times.size, dtype=bool)
+    check = np.flatnonzero(~(peak <= 0.0))
     rows = max(1, _VOTE_CELLS // width)
-    for s in range(1, times.size, rows):
-        i = slice(s, min(s + rows, times.size))
-        resid = np.subtract(norms[i, None], windows[i])
-        resid[np.arange(width) < first[i, None]] = -np.inf
-        peak[i] = resid.max(axis=1)
-        held = np.count_nonzero(resid <= 0.0, axis=1) - first[i]  # less the -inf slots
-        fails[i] = held / length[i] < 0.9
+    for c in range(0, check.size, rows):
+        i = check[c:c + rows]
+        held = (np.subtract(norms[i, None], windows[i]) <= 0.0) & (
+            np.arange(width) >= first[i, None])
+        fails[i] = np.count_nonzero(held, axis=1) / length[i] < 0.9
     max_resid = np.fmax.reduce(peak)  # skips NaN, as max() over the times did
     violations: list[tuple] = []
     for i in np.flatnonzero(fails):

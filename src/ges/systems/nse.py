@@ -62,9 +62,9 @@ function's name and call shape: e2ebench/tracer.py rebinds
 ges.systems.nse.solve_ivp by name and reads sol.nfev, t_span and the
 t_eval keyword.  nfev counts every right-hand side, the three extra stages
 of each step that holds a sample included.  Each such step evaluates its
-dense output in place in one array allocated up front, one contiguous row
-per sample, so a dense solve (energy_sample's 8,001 samples) peaks at
-about its output's size.
+dense output in place, _DENSE_ROWS sample rows at a time, into one array
+allocated up front or into one reusable buffer that a consumer
+(energy_sample) reduces as it fills.
 """
 
 from __future__ import annotations
@@ -459,6 +459,8 @@ _EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 # the longest step, in model time: samples come from the dense output,
 # which loses accuracy inside longer steps (see the module doc)
 _MAX_STEP = 0.5
+# sample rows per block of the dense output (1.5 MB at kmax 4)
+_DENSE_ROWS = 256
 
 
 def _rms(x: np.ndarray):
@@ -475,7 +477,7 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray):
     return np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
 
 
-def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
+def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval, sink=None):
     """Integrate y' = fun(t, y) forward from t_span[0] with adaptive
     Dormand-Prince 8(5,3) steps of at most _MAX_STEP; sample the
     7th-order dense output at the increasing times t_eval, which lie in
@@ -488,7 +490,12 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
     a writable view), nfev (every call of fun, the dense output's three
     per sampled step included), success and message.  A step that would
     have to shrink below ten ulps of t, as a non-finite right-hand side
-    forces it to, ends the solve with success False."""
+    forces it to, ends the solve with success False.
+
+    Given sink, y is None and sink(first, block) gets the samples in order
+    instead, block[j] being sample first + j, in one buffer of _DENSE_ROWS
+    rows that it must not keep.  Each row takes the same operations either
+    way, so the bits match."""
     t, t_bound = map(float, t_span)
     if not t < t_bound:
         raise ValueError("solve_ivp integrates forward over a nonempty span")
@@ -510,9 +517,11 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
 
     K = np.empty((16, y.size), dtype=y.dtype)
     F = np.empty((7, y.size), dtype=y.dtype)  # the dense output's coefficients
-    # one row per sample, so each step's samples are one contiguous block
-    y_out = np.empty((t_eval.size, y.size), dtype=y.dtype)
-    done = 0  # t_eval[:done] are sampled
+    # one row per sample: every sample, or the buffer a consumer is handed,
+    # whose row 0 is sample `first`
+    rows = t_eval.size if sink is None else min(_DENSE_ROWS, t_eval.size)
+    out = np.empty((rows, y.size), dtype=y.dtype)
+    done = first = 0  # t_eval[:done] are sampled
     success, message = True, ("The solver successfully reached the end of the "
                               "integration interval.")
     while done < t_eval.size:
@@ -570,17 +579,24 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval):
             F[1] = h * f_old - delta_y
             F[2] = 2 * delta_y - h * (f + f_old)
             F[3:] = h * np.dot(_D, K)
-            # Horner's rule in x and 1 - x, in place in the samples' rows
-            x = (t_eval[done:end, None] - t_old) / h
-            out = y_out[done:end]
-            out[...] = 0
-            for i, row in enumerate(F[::-1]):
-                out += row
-                out *= x if i % 2 == 0 else 1 - x
-            out += y_old
-            done = end
-    return SimpleNamespace(y=y_out[:done].T, nfev=nfev, success=success,
-                           message=message)
+            while done < end:
+                if done - first == rows:  # only a consumer's buffer fills
+                    sink(first, out)
+                    first = done
+                stop = min(end, done + _DENSE_ROWS, first + rows)
+                # Horner's rule in x and 1 - x, in place in the samples' rows
+                x = (t_eval[done:stop, None] - t_old) / h
+                block = out[done - first:stop - first]
+                block[...] = 0
+                for i, row in enumerate(F[::-1]):
+                    block += row
+                    block *= x if i % 2 == 0 else 1 - x
+                block += y_old
+                done = stop
+    if sink is not None and done > first:
+        sink(first, out[:done - first])
+    return SimpleNamespace(y=None if sink is not None else out[:done].T, nfev=nfev,
+                           success=success, message=message)
 
 
 # ---------------------------------------------------------------------------
@@ -692,24 +708,29 @@ class NSESystem(TrajectoryFamily):
                                    self.basis.grid_n)
         return self.state_from_dense(adv)
 
-    def _integrate(self, s: float, v0: np.ndarray, t_eval) -> np.ndarray:
+    def _integrate(self, s: float, v0: np.ndarray, t_eval, sink=None):
         """One DOP853 solve from v0, rows m // 2 on of a dense field, at time s;
         the columns of the result are those rows, flat, at the increasing
-        times t_eval, the last above s.  A failed solve or a non-finite sample
-        raises BlowUpError."""
+        times t_eval, the last above s, or None when they stream to sink (see
+        solve_ivp).  A failed solve or a non-finite sample raises BlowUpError."""
 
         def fun(t, y):
             return self.rhs_dense(t, y.reshape(-1, 3)).ravel()
 
         t_end = t_eval[-1]
+
+        def check(y):
+            if not np.all(np.isfinite(y)):
+                raise BlowUpError(f"integration from t={s:g} to t={t_end:g} gave a "
+                                  f"non-finite coefficient")
+            return y
+
         sol = solve_ivp(fun, (s, t_end), v0.ravel(), rtol=1e-8, atol=1e-11,
-                        t_eval=t_eval)
+                        t_eval=t_eval, sink=None if sink is None else
+                        lambda first, block: sink(first, check(block)))
         if not sol.success:
             raise BlowUpError(f"integration failed: {sol.message}")
-        if not np.all(np.isfinite(sol.y)):
-            raise BlowUpError(f"integration from t={s:g} to t={t_end:g} gave a "
-                              f"non-finite coefficient")
-        return sol.y
+        return check(sol.y) if sink is None else None
 
     def _evolve(self, s, x, ts, branch):
         """One group on the basis modes: the samples' dense fields, each
@@ -730,8 +751,9 @@ class NSESystem(TrajectoryFamily):
     def energy_sample(self, s: float, x: CoeffState, t_hi: float,
                       n: int = 2001) -> TrajectorySample:
         """Integrate once and sample the three energy functionals densely:
-        |u|^2, ||u||^2 and <g, u>, each reduced over all samples at once.
-        The one run comes from _check_run, so the solve is the one that
+        |u|^2, ||u||^2 and <g, u>, each reduced block by block as the solve
+        streams its samples, so no array of every sample exists.  The one
+        run comes from _check_run, so the solve is the one that
         evolve(s, x, grid) makes: a static force runs from time 0 over the
         durations t - s.  The force pairing reads the true times.  The solve
         holds one mode of each +-k pair, and a mode and its mirror add the
@@ -739,16 +761,22 @@ class NSESystem(TrajectoryFamily):
         since packing every sample as a full field would hold n full states."""
         grid = np.linspace(s, t_hi, n)
         (r, run_ts), = self._check_run(x, [s] * n, grid, 0)
-        y = self._integrate(r, self.dense_values(x), run_ts)
-        re, im = y.real, y.imag  # views: nothing of y's size is allocated
-        esq = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
         # y's rows are (mode, component)
         ksq = np.repeat(self.basis.ksq[self.basis.m // 2:], 3)
-        vsq = (np.einsum("i,ij,ij->j", ksq, re, re)
-               + np.einsum("i,ij,ij->j", ksq, im, im))
-        pair = np.zeros(n)
-        for e, row, d in self._forced:  # g vanishes off the listed modes
-            pair += np.real(np.conj(e.envelope(grid)) * (d @ y[3 * row:3 * row + 3]))
+        esq, vsq, pair = np.empty(n), np.empty(n), np.zeros(n)
+
+        def reduce(first, block):
+            y = block.T
+            re, im = y.real, y.imag  # views: nothing of y's size is allocated
+            j = slice(first, first + y.shape[1])
+            esq[j] = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+            vsq[j] = (np.einsum("i,ij,ij->j", ksq, re, re)
+                      + np.einsum("i,ij,ij->j", ksq, im, im))
+            for e, row, d in self._forced:  # g vanishes off the listed modes
+                pair[j] += np.real(np.conj(e.envelope(grid[j]))
+                                   * (d @ y[3 * row:3 * row + 3]))
+
+        self._integrate(r, self.dense_values(x), run_ts, sink=reduce)
         return TrajectorySample(grid, np.sqrt(2.0 * esq), vnorm_sq=2.0 * vsq,
                                 force_pair=2.0 * pair)
 

@@ -380,10 +380,19 @@ class TestNseCommand:
                                                    monkeypatch, argv):
         real = ges.systems.nse.solve_ivp
 
-        def last_sample_nan(*args, **kwargs):
-            sol = real(*args, **kwargs)
-            sol.y[:, -1] = math.nan
-            return sol
+        def last_sample_nan(*args, sink=None, **kwargs):
+            if sink is None:
+                sol = real(*args, **kwargs)
+                sol.y[:, -1] = math.nan
+                return sol
+            n = len(kwargs["t_eval"])
+
+            def last_block_nan(first, block):  # energy streams its samples
+                if first + len(block) == n:
+                    block[-1] = math.nan
+                sink(first, block)
+
+            return real(*args, sink=last_block_nan, **kwargs)
 
         monkeypatch.setattr(ges.systems.nse, "solve_ivp", last_sample_nan)
         code, out = run(tmp_path, "nse", *argv)

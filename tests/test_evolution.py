@@ -8,13 +8,15 @@ the two-leg image through s is {t - s}, giving |s - r| on the nose.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ges.errors import UsageError
+from ges.errors import BlowUpError, UsageError
 from ges.evolution import (
     TrajectoryFamily,
     TrajectorySample,
@@ -174,6 +176,28 @@ class TestCompose:
             compose_check(fam, [fam.space.state([0], [1.0])], 0.0, 1.0, 2.0)
 
 
+class NaNSystem(ExplodingSystem):
+    """Every image is NaN, on a space with a unit ball."""
+
+    def _evolve(self, s, x, ts, branch):
+        return [(x.idx, np.full((len(ts), *x.val.shape), math.nan))]
+
+
+@pytest.mark.parametrize("fam, x, s, t, norm", [
+    (LineSystem(), LineSystem().scalar(0.0), -1e308, 1e308, "inf"),
+    (NaNSystem(), NaNSystem().space.state([0], [0.5]), 0.0, 1.0, "nan"),
+], ids=["line-overflow", "ball-nan"])
+def test_a_non_finite_image_is_a_blow_up(fam, x, s, t, norm):
+    """The guard refuses a norm that is not finite on every space: line has
+    no ball, and a NaN norm exceeds no radius.  evolve refuses the same
+    image as a state."""
+    with pytest.raises(BlowUpError, match=rf"seed #0 \(branch 0\) blew up: "
+                                          rf"\|u\({re.escape(str(t))}\)\| = {norm} is not finite"):
+        _tier_block(fam.space, [_image_tier(fam, [x], s, t)], 1)
+    with pytest.raises(UsageError, match="non-finite coefficient"):
+        fam.evolve(s, x, [t])
+
+
 def test_evolve_at_start_time_is_identity():
     for fam in (HeatSystem(), BranchSystem(), ForcedScalarSystem()):
         seeds = fam.sample_states(2, np.random.default_rng(7))
@@ -228,6 +252,27 @@ def majority_vote_reference(times, norms, eps, delta):
             violations.append((float(times[j]), float(t), float(norms[i]),
                                float(norms[j] + eps), float(resid.max())))
     return violations, max_resid
+
+
+def full_vote_reference(times, norms, eps, delta):
+    """The vote as energy_inequality_check computed it with every residual
+    of every window at once: its violation rows and its largest residual."""
+    lo = np.searchsorted(times, times - delta, side="right")
+    length = np.arange(times.size) - lo
+    width = int(length.max())
+    windows = sliding_window_view(np.concatenate([np.zeros(width), norms + eps]), width)
+    resid = np.subtract(norms[:, None], windows[:-1])
+    resid[np.arange(width) < (width - length)[:, None]] = -np.inf
+    peak, held = resid.max(axis=1), np.count_nonzero(resid <= 0.0, axis=1)
+    peak[0] = -np.inf
+    violations = []
+    for i in range(1, times.size):
+        if (held[i] - (width - length[i])) / length[i] < 0.9:
+            j = lo[i] + int(np.argmax(norms[i] - (norms[lo[i]:i] + eps)))
+            violations.append((float(times[j]), float(times[i]), float(norms[i]),
+                               float(norms[j] + eps), float(peak[i])))
+    max_resid = np.fmax.reduce(peak)
+    return violations, float(max_resid) if np.isfinite(max_resid) else 0.0
 
 
 def heat_sample(n=101, t_hi=2.0):
@@ -309,6 +354,42 @@ class TestEnergyCheck:
         assert rep.max_residual == max_resid
         if shape == "falling":
             assert rep.verdict == "holds"
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(["walk", "rising", "falling"]),
+           eps=st.sampled_from([0.0, 1e-9, 1e-3]), delta=st.sampled_from([0.5, 1.5]))
+    def test_window_minimum_gives_the_full_vote_bit_for_bit(self, data, shape, eps,
+                                                            delta):
+        """The sparse-table peaks and the vote over the times they leave give
+        every report field of the full residual computation, on long
+        trajectories of continuous norms; rising ones fail the vote."""
+        n = data.draw(st.integers(2, 600))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        times = np.cumsum(rng.uniform(1e-3, delta / 4 - 1e-3, n))
+        steps = rng.normal(size=n) * 10.0 ** rng.uniform(-12, 0)
+        if shape != "walk":
+            steps = np.abs(steps) * (1 if shape == "rising" else -1)
+        norms = 10.0 + np.cumsum(steps)
+        rep = energy_inequality_check(TrajectorySample(times, norms), eps=eps,
+                                      delta=delta)
+        violations, max_resid = full_vote_reference(times, norms, eps, delta)
+        assert rep.violations == violations
+        assert rep.max_residual == max_resid
+        assert rep.verdict == ("violated" if violations else "holds")
+        assert rep.n_majority_checks == n - 1
+        assert rep.grid_spacing == float(np.max(np.diff(times)))
+        if shape == "rising" and n > 2 and eps == 0.0:
+            assert rep.verdict == "violated"
+
+    def test_window_minimum_keeps_the_full_vote_on_non_finite_norms(self):
+        times = np.linspace(0.0, 2.0, 81)
+        norms = np.exp(-times)
+        norms[[20, 50]] = [math.nan, math.inf]
+        rep = energy_inequality_check(TrajectorySample(times, norms))
+        violations, max_resid = full_vote_reference(times, norms, 1e-9, 0.5)
+        assert rep.verdict == "violated"
+        assert np.array_equal(rep.violations, violations, equal_nan=True)
+        assert rep.max_residual == max_resid
 
     def test_sample_validation(self):
         with pytest.raises(UsageError):

@@ -186,8 +186,10 @@ def test_bench_kernels_script_runs():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0].split() == ["kernel", "time", "(ms)"]
+    assert lines[0].split() == ["kernel", "time", "(ms)", "peak", "(MB)"]
     assert [ln.split()[0] for ln in lines[1:]] == [
         "strong_cross", "weak_cross", "weak_cross/heat", "pack_states/heat",
-        "omega/heat", "nse_bilinear/k4", "nse_bilinear/k6", "dop853/nse"]
+        "omega/heat", "nse_bilinear/k4", "nse_bilinear/k6", "dop853/nse",
+        "energy/nse"]
     assert all(float(ln.split()[1]) >= 0.0 for ln in lines[1:])
+    assert all(float(ln.split()[2]) >= 0.0 for ln in lines[1:])

@@ -27,7 +27,7 @@ import ges
 import ges.systems.nse as nse_module
 from ges import kernels
 from ges.cli import main
-from ges.errors import ForcingFormatError, UsageError
+from ges.errors import BlowUpError, ForcingFormatError, UsageError
 from ges.symbols import TWO_PI, SymbolFamily
 from ges.systems import (
     BranchSystem,
@@ -787,25 +787,81 @@ def _force_rebuilt(fam, t):
     return g
 
 
+def _dense_solve(fam, v0, t_span, t_eval, sink):
+    return nse_module.solve_ivp(
+        lambda t, y: fam.rhs_dense(t, y.reshape(-1, 3)).ravel(), t_span, v0.ravel(),
+        rtol=1e-8, atol=1e-11, t_eval=t_eval, sink=sink)
+
+
 class TestNSEDenseSolve:
-    """A dense solve stores its samples once; the energy functionals and
-    the force come from arrays built once."""
+    """A dense solve stores its samples once, or streams them to a consumer
+    in blocks and stores none; the energy functionals and the force come
+    from arrays built once."""
 
     def test_peak_memory_is_about_the_output(self, nse):
         x = nse.sample_states(1, np.random.default_rng(16))[0]
         v0 = nse.dense_values(x)
-        n = 8001  # verify's energy trajectory
-        grid = np.linspace(0.0, 1.0, n)
-        out_bytes = v0.size * n * v0.itemsize
-        for solve in (lambda: nse._integrate(0.0, v0, grid),
-                      lambda: nse.energy_sample(0.0, x, 1.0, n=n)):
+
+        def peak(solve):
             tracemalloc.start()
             try:
                 solve()
-                peak = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.25 * out_bytes
+
+        n = 8001  # verify's energy trajectory
+        out_bytes = v0.size * n * v0.itemsize
+        assert peak(lambda: nse._integrate(0.0, v0, np.linspace(0.0, 1.0, n))) \
+            <= 1.25 * out_bytes
+        # energy_sample streams: its peak is a block buffer and its n-long
+        # functionals, not its samples, so four times the samples stay
+        # within twice the peak
+        streamed = {k: peak(lambda: nse.energy_sample(0.0, x, 1.0, n=k))
+                    for k in (n, 4 * n - 3)}
+        assert streamed[n] <= out_bytes / 8
+        assert streamed[4 * n - 3] <= 2 * streamed[n]
+
+    @pytest.mark.parametrize("force", ["static", "sin"])
+    def test_streamed_blocks_are_the_stored_samples(self, nse, force):
+        """8,001 samples over one unit: fewer steps than full blocks, so
+        some block boundary falls inside a step."""
+        fam = nse if force == "static" else _sin_forced_nse()
+        v0 = fam.dense_values(fam.sample_states(1, np.random.default_rng(20))[0])
+        t_eval = np.linspace(0.0, 1.0, 8001)
+        stored = _dense_solve(fam, v0, (0.0, 1.0), t_eval, None)
+        blocks = []
+        sol = _dense_solve(fam, v0, (0.0, 1.0), t_eval,
+                        lambda first, block: blocks.append((first, block.copy())))
+        assert sol.y is None
+        assert (sol.nfev, sol.success, sol.message) == (
+            stored.nfev, stored.success, stored.message)
+        firsts = [first for first, _ in blocks]
+        sizes = [len(block) for _, block in blocks]
+        assert firsts == list(np.cumsum([0] + sizes[:-1]))
+        assert set(sizes[:-1]) == {nse_module._DENSE_ROWS}
+        assert (stored.nfev - 2) // 12 < len(blocks)  # each step takes 12+ calls
+        streamed = np.concatenate([block for _, block in blocks])
+        assert np.array_equal(streamed.view(np.int64), stored.y.T.view(np.int64))
+
+    def test_a_non_finite_streamed_sample_is_a_blow_up(self, nse, monkeypatch):
+        v0 = nse.dense_values(nse.sample_states(1, np.random.default_rng(21))[0])
+        real = nse_module.solve_ivp
+
+        def nan_in_block_two(*args, sink, **kwargs):
+            def spoil(first, block):
+                if first == nse_module._DENSE_ROWS:
+                    block[3, 5] = math.nan
+                sink(first, block)
+            return real(*args, sink=spoil, **kwargs)
+
+        monkeypatch.setattr(nse_module, "solve_ivp", nan_in_block_two)
+        seen = []
+        with pytest.raises(BlowUpError, match=r"^integration from t=0 to t=1 gave a "
+                                              r"non-finite coefficient$"):
+            nse._integrate(0.0, v0, np.linspace(0.0, 1.0, 1001),
+                           sink=lambda first, block: seen.append(first))
+        assert seen == [0]
 
     @pytest.mark.parametrize("force", ["static", "sin"])
     def test_energy_sample_matches_the_per_sample_loop(self, nse, force):
@@ -831,9 +887,9 @@ class TestNSEDenseSolve:
         solves = []
         real = NSESystem._integrate
 
-        def spy(self, s, v0, t_eval):
+        def spy(self, s, v0, t_eval, sink=None):
             solves.append((s, np.asarray(t_eval, dtype=np.float64)))
-            return real(self, s, v0, t_eval)
+            return real(self, s, v0, t_eval, sink=sink)
 
         monkeypatch.setattr(NSESystem, "_integrate", spy)
         grid = np.linspace(-1.0, 0.0, 5)
