@@ -131,13 +131,34 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
 #
 # O(n^3 K) multiply-adds per call.  A transpose between the z and y stages
 # of each direction puts the next stage's axis first.  The y stages run
-# per field, so every field is contiguous on the grid and the product runs
-# on whole arrays.  The matrices are built once per (n, kmax)
-# and are read-only; each thread keeps its own scratch arrays across calls
-# (--threads evolves seeds in parallel, and arrays allocated per call made
-# the heap top shrink and refault).
+# per field, so every field is contiguous on the grid.  Around the GEMMs a
+# call does
+#
+#   scatter  w = i k x v as one whole-array expression over the kernel
+#            rows, then one flat put of v and w into the cube
+#   product  the cube's six fields are u0 w0 u1 w1 u2 w2, so the inverse x
+#            stage leaves u and w interleaved on the grid; one copy of its
+#            first four fields behind the sixth extends them cyclically,
+#            and w x u (w_j u_l - w_l u_j for cyclic i j l) is three ufunc
+#            calls on stride-2 views of the ten fields
+#   gather   one flat take of the kernel rows out of the forward z stage,
+#            then the Leray projection
+#
+# Each element goes through the same operations as in a form that writes
+# one component at a time, so the bits do not depend on this arrangement.
+# What depends only on (n, kmax) is built once, on the first call for that
+# pair (the contract fixes kvec and grid_index for a kmax): the DFT stage
+# matrices, and the index table of the kernel rows' k, its two cyclic
+# column permutations and |k|^2, the flat cube cells of the scatter and
+# the flat cells of the gather.  Both are read-only and shared by threads.
+# The scatter writes the same cube cells on every call and no other, so the
+# cube is zeroed once, when it is allocated, and needs no fill per call.
+# Each thread keeps its own scratch arrays across calls (--threads evolves
+# seeds in parallel, and arrays allocated per call made the heap top
+# shrink and refault).
 
 _THREAD = threading.local()
+_TABLES: dict = {}  # (n, kmax) -> what _index_table returns
 
 
 @lru_cache(maxsize=8)
@@ -162,19 +183,41 @@ def _dft_matrices(n: int, kmax: int):
     return inv, fwd, inv_x, fwd_x
 
 
+def _index_table(kvec, grid_index, n: int, kmax: int):
+    """The kernel rows' k, k[:, (1, 2, 0)], k[:, (2, 0, 1)] and |k|^2, the
+    flat cube cells of (u, w) as a (2 h, 3) array (u rows first), and the
+    flat cells of the forward z stage's (kz, component, ky, kx) output as
+    an (h, 3) array, for the h = m // 2 kernel rows; cached per (n, kmax)."""
+    table = _TABLES.get((n, kmax))
+    if table is None:
+        p, q = 2 * kmax + 1, kmax + 1
+        h = len(grid_index) // 2
+        kz, kyx = np.divmod(grid_index[h:], p * q)
+        k = kvec[h:].copy()
+        c = np.arange(3)
+        u_cell = (kz * 6 * p * q + kyx)[:, None] + 2 * c * p * q
+        table = (k, k[:, [1, 2, 0]], k[:, [2, 0, 1]], (k * k).sum(axis=1),
+                 np.concatenate([u_cell, u_cell + p * q]),
+                 (kz * 3 * p * q + kyx)[:, None] + c * p * q)
+        for a in table:
+            a.flags.writeable = False
+        table = _TABLES.setdefault((n, kmax), table)
+    return table
+
+
 def _scratch(n: int, kmax: int):
     bufs = vars(_THREAD)
     key = (n, kmax)
     if key not in bufs:
         p, q, c = 2 * kmax + 1, kmax + 1, np.complex128
         bufs[key] = (
-            np.empty((p, 6, p, q), c),   # the cube: (kz, field, ky, kx)
+            np.zeros((p, 6, p, q), c),   # the cube: (kz, field, ky, kx)
             np.empty((n, 6, p, q), c),   # (z, field, ky, kx)
             np.empty((6, p, n, q), c),   # (field, ky, z, kx)
             np.empty((6, n, n, q), c),   # (field, y, z, kx)
-            np.empty((6, n, n, n)),      # u and w: (field, y, z, x)
+            np.empty((10, n, n, n)),     # u0 w0 u1 w1 u2 w2 u0 w0 u1 w1: (field, y, z, x)
             np.empty((3, n, n, n)),      # w x u: (component, y, z, x)
-            np.empty((n, n, n)),
+            np.empty((3, n, n, n)),
             np.empty((3, n, n, q), c),   # (component, y, z, kx)
             np.empty((3, p, n, q), c),   # (component, ky, z, kx)
             np.empty((n, 3, p, q), c),   # (z, component, ky, kx)
@@ -191,36 +234,31 @@ def nse_bilinear(vals, kvec, grid_index, n) -> np.ndarray:
     (m,) flat index on the (2 kmax + 1, 2 kmax + 1, kmax + 1) cube of
     (kz, ky, kx) lines of each mode, or of its mirror if kx < 0, n: the
     points per direction of the grid the product is formed on.  Returns
-    the term on the same m // 2 rows.
+    the term on the same m // 2 rows.  kvec and grid_index are those of
+    the cutoff's SpectralBasis: what the kernel derives from them is
+    cached per (n, kmax).
     """
     kmax = int(kvec[-1, 0])
     p, q = 2 * kmax + 1, kmax + 1  # lines on the y and z axes, on the x axis
     inv, fwd, inv_x, fwd_x = _dft_matrices(n, kmax)
+    k, k_a, k_b, ksq, scatter, gather = _index_table(kvec, grid_index, n, kmax)
     cube, iz, iz_t, iy, uw, rot, tmp, fx, fy, fy_t, fz = _scratch(n, kmax)
-    h = len(grid_index) // 2
-    kz, kyx = np.divmod(grid_index[h:], p * q)
-    k = kvec[h:]
-    k0, k1, k2 = k.T
-    v0, v1, v2 = vals.T
-    cube.fill(0.0)
-    cells = cube.reshape(p, 6, p * q)
-    cells[kz, :3, kyx] = vals
-    cells[kz, 3, kyx] = 1j * (k1 * v2 - k2 * v1)  # w = i k x v
-    cells[kz, 4, kyx] = 1j * (k2 * v0 - k0 * v2)
-    cells[kz, 5, kyx] = 1j * (k0 * v1 - k1 * v0)
+    # w = i k x v, whole-array: (k1 v2 - k2 v1, k2 v0 - k0 v2, k0 v1 - k1 v0)
+    w = 1j * (k_a * vals.take((2, 0, 1), axis=1) - k_b * vals.take((1, 2, 0), axis=1))
+    cube.put(scatter, np.concatenate([vals, w]))
     np.matmul(inv, cube.reshape(p, -1), out=iz.reshape(n, -1))
     np.copyto(iz_t, iz.transpose(1, 2, 0, 3))
     np.matmul(inv, iz_t.reshape(6, p, -1), out=iy.reshape(6, n, -1))
-    np.matmul(iy.reshape(-1, q).view(np.float64), inv_x, out=uw.reshape(-1, n))
-    u, w = uw[:3], uw[3:]
-    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(w[j], u[l], out=rot[i])
-        np.multiply(w[l], u[j], out=tmp)
-        np.subtract(rot[i], tmp, out=rot[i])
+    np.matmul(iy.reshape(-1, q).view(np.float64), inv_x, out=uw[:6].reshape(-1, n))
+    np.copyto(uw[6:], uw[:4])
+    np.multiply(uw[3:8:2], uw[4:9:2], out=rot)  # w1 u2, w2 u0, w0 u1
+    np.multiply(uw[5:10:2], uw[2:7:2], out=tmp)  # w2 u1, w0 u2, w1 u0
+    np.subtract(rot, tmp, out=rot)
     np.matmul(rot.reshape(-1, n), fwd_x, out=fx.reshape(-1, q).view(np.float64))
     np.matmul(fwd, fx.reshape(3, n, -1), out=fy.reshape(3, p, -1))
     np.copyto(fy_t, fy.transpose(2, 0, 1, 3))
     np.matmul(fwd, fy_t.reshape(n, -1), out=fz.reshape(p, -1))
-    top = fz.reshape(p, 3, p * q)[kz, :, kyx]
-    kd = (top * k).sum(axis=1) / (k * k).sum(axis=1)
+    top = fz.take(gather)
+    tk = top * k
+    kd = (tk[:, 0] + tk[:, 1] + tk[:, 2]) / ksq  # the order of tk.sum(axis=1)
     return kd[:, None] * k - top  # -P_k of the product

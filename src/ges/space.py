@@ -108,6 +108,18 @@ def _encode_rows(idx: np.ndarray) -> np.ndarray:
     return key
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a NaN-free 1-D array: np.unique(a) bit
+    for bit, by one sort and a mask of changes.  np.unique imports numpy.ma
+    on its first call in a process, and hashes int64 keys more slowly than
+    this sorts them."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _decode_keys(keys: np.ndarray, d: int) -> np.ndarray:
     """(n, d) index rows of the keys: the inverse of _encode_rows."""
     if d == 1:
@@ -368,7 +380,9 @@ def pack_groups(space: DualMetricSpace, n_states: int, runs) -> PackedSet:
     block and never all exist beside it.
 
     The union rows are sorted by encoded key, so all downstream summation
-    orders depend only on the set of indices, never on input order.  Each
+    orders depend only on the set of indices, never on input order.  The
+    union is sorted_unique of the concatenated keys (one sort and a mask;
+    empty when every state is zero, which gives a block of no slots).  Each
     distinct idx array object is encoded and located on the union once;
     beyond the block, the memory held while it is built is one slot array
     per distinct index array and one deferred group at a time.  The block
@@ -391,7 +405,7 @@ def pack_groups(space: DualMetricSpace, n_states: int, runs) -> PackedSet:
             if real and not callable(vals) and vals.dtype.kind == "c":
                 real = not np.count_nonzero(vals.imag)
     keys = [_encode_rows(a) for a in arrays]
-    uniq_keys = np.unique(np.concatenate(keys))
+    uniq_keys = sorted_unique(np.concatenate(keys))
     # a union never reaches 2^31 rows, so 4-byte slots halve what sits beside the block
     slots = [np.searchsorted(uniq_keys, k).astype(np.int32) for k in keys]
     del keys  # only the slot arrays outlive this point beside the block

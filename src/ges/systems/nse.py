@@ -81,7 +81,7 @@ import numpy as np
 from .. import kernels
 from ..errors import BlowUpError, ForcingFormatError, UsageError
 from ..evolution import TrajectoryFamily, TrajectorySample
-from ..space import CoeffState, DualMetricSpace
+from ..space import CoeffState, DualMetricSpace, sorted_unique
 
 LAMBDA_1 = 1.0
 
@@ -192,7 +192,7 @@ class ForcingMode:
             return cum[j] + simpson(knots[j], t)
 
         cum = np.concatenate([[0.0], np.cumsum(simpson(knots[:-1], knots[1:]))])
-        p = np.unique(np.concatenate([knots, knots - delta]))
+        p = sorted_unique(np.concatenate([knots, knots - delta]))
         p = p[(p >= knots[0] - delta) & (p <= knots[-1])]
         mid, half = 0.5 * (p[1:] + p[:-1]), 0.5 * (p[1:] - p[:-1])
         # F'(mid + half u) = a u^2 + b u + c on a piece: both roots, NaN if complex

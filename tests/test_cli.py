@@ -833,6 +833,34 @@ def test_nse_commands_solve_without_scipy_integrate(tmp_path):
     _run_fresh(_NSE_WITHOUT_SCIPY, tmp_path)
 
 
+_NO_NUMPY_MA = """
+import json
+import sys
+import ges.cli
+out = sys.argv[1]
+law = {"kind": "sampled", "times": [0.0, 0.5, 2.0], "values": [[1.0, 0.0], [0.2, 0.0],
+                                                               [0.7, 0.0]]}
+forcing = out + ".forcing.json"
+with open(forcing, "w") as f:
+    json.dump({"modes": [{"k": [0, 1, 0], "amp": [1.0, 0.0], "time": law},
+                         {"k": [0, -1, 0], "amp": [1.0, 0.0], "time": law}]}, f)
+for argv in (["nse", "omega", "--n", "3", "--n-seeds", "1", "--delta", "2",
+              "--eps-net", "0.05", "--tol", "0.05", "--seed", "0", "--threads", "1",
+              "--out", out],
+             ["omega", "--system", "heat", "--n-seeds", "8", "--out", out],
+             ["verify", "all", "--seed", "0", "--out", out],
+             ["nse", "info", "--forcing", forcing, "--out", out]):
+    assert ges.cli.main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; index unions and a
+    # sampled law's window sup take sorted_unique instead
+    _run_fresh(_NO_NUMPY_MA, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # package metadata
 

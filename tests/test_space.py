@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ges import kernels
@@ -32,6 +32,7 @@ from ges.space import (
     pack_states,
     set_semidist,
     set_semidists,
+    sorted_unique,
     state_to_json,
 )
 from ges.systems.heat import HeatSystem
@@ -701,6 +702,13 @@ class TestPackStates:
         assert p.vals.dtype == np.complex128
         assert p.vals.tobytes() == pack_states(SEQ, [a, b]).vals.tobytes()
 
+    def test_zero_states_pack_onto_an_empty_union(self):
+        zero = SEQ3.zero_state()
+        p = pack_groups(SEQ3, 2, [((0, 1), [(zero.idx, np.stack([zero.val] * 2))])])
+        assert p.vals.shape == (2, 0, 3) and p.idx.shape == (0, 1)
+        assert p.norms.tobytes() == np.zeros(2).tobytes()
+        assert SEQ3.strong_norm(p.state(1)) == 0.0
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_peak_memory_stays_near_the_block(self, shared):
         fam = HeatSystem()
@@ -718,6 +726,35 @@ class TestPackStates:
             tracemalloc.stop()
         assert p.n_states == 512
         assert peak <= 1.5 * p.vals.nbytes
+
+
+_LATTICE = st.integers(-(1 << 20), (1 << 20) - 1)
+
+
+def _int64_keys(rows):
+    return _encode_rows(np.array(rows, dtype=np.int64).reshape(-1, 3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=40)
+    .map(lambda x: np.array(x, dtype=np.int64)),
+    st.lists(st.tuples(_LATTICE, _LATTICE, _LATTICE), max_size=40).map(_int64_keys),
+    st.tuples(st.integers(-5, 5), st.integers(0, 9))
+    .map(lambda x: np.full(x[1], x[0], dtype=np.int64)),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300]), max_size=30)
+    .map(lambda x: np.array(x)),
+    st.tuples(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=12), st.floats(0.0, 4.0))
+    .map(lambda x: np.concatenate([np.array(x[0]), np.array(x[0]) - x[1]]))))
+@example(np.empty(0, dtype=np.int64))
+@example(np.array([7], dtype=np.int64))
+@example(np.empty(0))
+def test_sorted_unique_is_np_unique_bitwise(keys):
+    # int64 keys of index unions and float64 sampled-law knots, with
+    # repeats, zeros of both signs and knots shifted by a window length
+    got, want = sorted_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1035,6 +1035,23 @@ class TestForcing:
         assert prof.translational_bound() == prof.window_integral_sup(1.0)
         assert prof.translational_bound() == pytest.approx(sup, rel=1e-5)
 
+    @pytest.mark.parametrize("times,delta", [
+        ((0.0, 1.0), 1.0),                   # the README file's knots
+        ((-1.0, 0.0, 1.0), 1.0),             # knots at 0 and +-delta
+        ((-0.5, -0.0, 0.25, 0.5, 3.0), 0.5),
+        ((0.0, 0.1, 0.2, 0.3), 0.1),         # knots - delta hit knots up to rounding
+    ])
+    def test_sampled_window_sup_keeps_its_bits(self, monkeypatch, times, delta):
+        # the breakpoints' sorted union is np.unique's, bit for bit
+        rng = np.random.default_rng(len(times))
+        mode = ForcingMode(k=(0, 1, 0), amp=complex(0.8, 0.3), kind="sampled",
+                           times=times, values=tuple(rng.normal(size=len(times))
+                                                     + 1j * rng.normal(size=len(times))))
+        deltas = (delta, 2.0 * delta, 0.37)
+        got = np.array([mode.window_sup(d) for d in deltas])
+        monkeypatch.setattr(nse_module, "sorted_unique", np.unique)
+        assert np.array([mode.window_sup(d) for d in deltas]).tobytes() == got.tobytes()
+
     def test_modes_with_different_laws_sum_their_own_sups(self):
         # a zero frequency leaves the constant law 2 sin(0.3); the sampled
         # mode holds 3 after t = 10 and sits at |k|^2 = 4
