@@ -117,8 +117,8 @@ class TrajectoryFamily(ABC):
         _check_run gave, as (idx, vals) packing groups in sample order.
 
         vals[j] holds the next sample's values on the index rows idx, so
-        vals is (len, len(idx), c), or vals is a callable giving that array
-        once (see space.pack_groups).  Groups may share one idx array.
+        vals is (len, len(idx), c), or vals is a space.Deferred giving that
+        array once (see space.pack_groups).  Groups may share one idx array.
         """
 
     # -- phase-space sampling ---------------------------------------------------

@@ -1,7 +1,10 @@
 """Hot numeric kernels.
 
-Every kernel takes packed dense arrays (see space.pack_states) so the
-inner loops stay free of Python objects:
+Every kernel takes dense arrays, so the inner loops stay free of Python
+objects.  The cross kernels take (n, u, c) blocks over a packed set's
+index union, which space.PackedSet hands them: views of its stored rows
+when those cover the whole union, else rows it makes dense from the spans
+it keeps (see space.pack_groups):
 
 * strong_cross  -- pairwise quadrature-weighted l2 distances
 * weak_cross    -- pairwise weighted bounded-difference series

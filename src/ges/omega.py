@@ -277,7 +277,7 @@ def _pivot_margin(packed: PackedSet, piv: NetPivots, cap: float) -> float:
     margin, max(1e-9, 4e-16 (u + c + 8)) M, is above 3 g M.  Survival
     takes x = cap, the profile x = d^(r, p).
     """
-    _, u, c = packed.vals.shape
+    u, c = len(packed.idx), packed.vals.shape[1]
     return max(1e-9, 4e-16 * (u + c + 8)) * max(
         1.0, cap, piv.kept.max(initial=0.0), piv.dist.max(initial=0.0))
 

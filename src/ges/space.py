@@ -21,30 +21,29 @@ slot index.  A space may also declare weak_kind="strong", used by the
 scalar counterexample whose two metrics coincide.
 
 Set operations (semidistance, Hausdorff, greedy epsilon nets) run on
-packed dense blocks so the pairwise work happens inside the kernels
-module; pair distances go through the same path.  Every product runs on
-whole groups of four rows, so a distance depends only on its two rows
-(and the index union they are packed on).  A run of consecutive packed
-rows reaches the kernels as a view, not a copy, which is why the omega
-layer packs its tier images deepest tier first: the net then visits rows
-in storage order and every tier is one such run.
+packed sets so the pairwise work happens inside the kernels module; pair
+distances go through the same path.  Every product runs on whole groups
+of four rows, so a distance depends only on its two dense rows (and the
+index union they are packed on).  A large packed set keeps each row as
+its span of the union, and the kernels still get dense blocks (see
+PackedSet).  A run of consecutive rows that each cover the whole union
+reaches them as a view, not a copy, which is why the omega layer packs
+its tier images deepest tier first: the net then visits rows in storage
+order and every tier is one such run when the set keeps rows whole.
 
-One scatter packer, pack_groups, builds every block; pack_states is its
-case of one state per group, and the omega ladders hand it each seed's
-images as one group whose values may be computed only once the block
-exists.  Packing holds little beyond the block itself: index rows are
-encoded once per distinct index array (groups that share one array object
-share the work), no stacked copy of all rows is made, and a norm is the
-kernel's strong distance to the zero row.  While the block is built, the
-memory held beside it is one 4-byte slot array per distinct index array
-and one deferred group.  The block is float64 when every value is real,
-complex128 otherwise; the two give bitwise the same norms and distances.
+One packer, pack_groups, builds every packed set; pack_states is its case
+of one state per group, and the omega ladders hand it each seed's images
+as one group whose values may be computed only once the set is allocated
+(a Deferred).  Packing holds little beyond the values themselves (see
+pack_groups), and a norm is the kernel's strong distance to the zero row.
+The values are float64 when every value is real, complex128 otherwise;
+the two give bitwise the same norms and distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +51,11 @@ from . import kernels
 from .errors import UsageError
 
 BALL_SLACK = 1e-9
+
+#: kernel blocks of rows that a packed set kept as spans makes dense per
+#: kernel call: each call allocates the kernel's scratch arrays afresh, and
+#: one block per call made `ges omega --system heat --n-seeds 512` ~12% slower
+_FILL_BLOCKS = 4
 
 #: the index rows of a one-slot state, slot 0: shared by every image a
 #: scalar system hands out, so packing encodes them once per block
@@ -99,7 +103,7 @@ def _encode_rows(idx: np.ndarray) -> np.ndarray:
     if idx.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     if idx.shape[1] == 1:
-        return idx[:, 0].copy()
+        return idx[:, 0]
     base = np.int64(1) << np.int64(21)
     off = np.int64(1) << np.int64(20)
     key = idx[:, 0] + off
@@ -113,7 +117,11 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     for bit, by one sort and a mask of changes.  np.unique imports numpy.ma
     on its first call in a process, and hashes int64 keys more slowly than
     this sorts them."""
-    a = np.sort(a)
+    return _drop_repeats(np.sort(a))
+
+
+def _drop_repeats(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a sorted 1-D array, in order."""
     keep = np.empty(a.size, dtype=bool)
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
@@ -280,25 +288,61 @@ class DualMetricSpace:
 # packed set operations
 
 
+@dataclass(frozen=True)
+class Deferred:
+    """The values of count states of one packing group, which fn() gives as
+    a (count, len(idx), c) array once pack_groups has allocated the packed
+    set (see pack_groups)."""
+
+    count: int
+    fn: Callable[[], np.ndarray]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __call__(self) -> np.ndarray:
+        return self.fn()
+
+
 @dataclass
 class PackedSet:
-    """States densified onto the union of their index rows."""
+    """States on the sorted union of their index rows, each row kept as its span.
+
+    Row r holds the union slots lo[r] .. lo[r] + length[r] - 1, in union
+    order, at vals[start[r]:start[r] + length[r]]; its other slots are zero.
+    The spans lie in row order, so a run of consecutive rows that each cover
+    the whole union (lo 0, length u) is one dense (m, u, c) block of vals:
+    a set whose every row does so is stored exactly as a dense block.
+    Whatever the kernels see is dense: a run of such rows reaches them as a
+    view, any other rows as dense rows filled from their spans.
+    """
 
     space: DualMetricSpace
     idx: np.ndarray  # (u, d)
-    vals: np.ndarray  # (n, u, c): float64 when every value is real, else complex128
+    vals: np.ndarray  # (sum(length), c): float64 when every value is real, else complex128
+    lo: np.ndarray  # (n,) int64
+    start: np.ndarray  # (n,) int64
+    length: np.ndarray  # (n,) int64
     qw: np.ndarray  # (u,)
     ww: np.ndarray  # (u,)
     norms: np.ndarray = field(init=False)
+    _dense: np.ndarray | None = field(init=False, repr=False)  # vals as (n, u, c)
 
     def __post_init__(self):
+        u, c = len(self.idx), self.vals.shape[1]
+        # no span is longer than u, so the spans fill n u slots only when
+        # every row covers the whole union
+        full = len(self.vals) == self.n_states * u
+        self._dense = self.vals.reshape(self.n_states, u, c) if full else None
         # a norm is the strong distance to the zero row
-        zero = np.zeros((1, *self.vals.shape[1:]))
-        self.norms = kernels.strong_cross(zero, self.vals, self.qw)[0]
+        zero = np.zeros((1, u, c))
+        self.norms = (kernels.strong_cross(zero, self._dense, self.qw) if full else
+                      self._cross(zero, np.arange(self.n_states), kernels.strong_cross,
+                                  self.qw))[0]
 
     @property
     def n_states(self) -> int:
-        return self.vals.shape[0]
+        return len(self.lo)
 
     def check_ball(self) -> None:
         """UsageError when some row's strong norm leaves the space's ball."""
@@ -310,18 +354,64 @@ class PackedSet:
                 f"{cap:.6g} of space {self.space.tag!r}")
 
     def _run(self, rows: np.ndarray) -> np.ndarray | None:
-        """A view of vals when rows is a run of consecutive rows, else None."""
-        if (rows.ndim == 1 and rows.size and rows.dtype.kind in "iu"
-                and rows[0] >= 0 and rows[-1] < self.n_states
+        """The rows as an (m, u, c) view of vals when every row of the set
+        covers the whole union and rows is a run of consecutive rows, else
+        None."""
+        if (self._dense is not None and rows.ndim == 1 and rows.size
+                and rows.dtype.kind in "iu" and rows[0] >= 0 and rows[-1] < self.n_states
                 and np.all(np.diff(rows) == 1)):
-            return self.vals[rows[0]:rows[-1] + 1]
+            return self._dense[rows[0]:rows[-1] + 1]
         return None
 
+    def _spans(self, rows: np.ndarray) -> list[tuple[int, int, int]]:
+        """(lo, start, length) of each of the rows."""
+        return list(zip(self.lo[rows].tolist(), self.start[rows].tolist(),
+                        self.length[rows].tolist()))
+
     def _rows(self, rows) -> np.ndarray:
-        """vals at the given rows; a run of consecutive rows is a view."""
+        """The rows as a dense (m, u, c) block: a view when _run gives one,
+        else a new array, gathered from a dense set or filled from spans."""
         rows = np.asarray(rows)
         run = self._run(rows)
-        return run if run is not None else np.ascontiguousarray(self.vals[rows])
+        if run is not None:
+            return run
+        if self._dense is not None:
+            return self._dense[rows]
+        out = np.zeros((rows.size, len(self.idx), self.vals.shape[1]), self.vals.dtype)
+        for row, (lo, s, n) in zip(out, self._spans(rows)):
+            row[lo:lo + n] = self.vals[s:s + n]
+        return out
+
+    def _cross(self, av: np.ndarray, rows: np.ndarray, kernel, w: np.ndarray) -> np.ndarray:
+        """kernel(av, the rows' dense block, w).  A run _run views takes one
+        call.  Other rows of a dense set are gathered one kernel block at a
+        time.  Other rows of a set kept as spans are written into one reused
+        zero buffer of _FILL_BLOCKS kernel blocks, a call per buffer: a
+        buffer row is cleared only where its last span reaches past the
+        next one written there."""
+        bv = self._run(rows)
+        if bv is not None:
+            return kernel(av, bv, w)
+        u, c = len(self.idx), self.vals.shape[1]
+        step = kernels._block_rows(u, c)
+        out = np.empty((av.shape[0], rows.size), dtype=np.float64)
+        if self._dense is not None:
+            for s in range(0, rows.size, step):
+                out[:, s:s + step] = kernel(av, self._dense[rows[s:s + step]], w)
+            return out
+        step *= _FILL_BLOCKS
+        buf = np.zeros((min(step, rows.size), u, c), self.vals.dtype)
+        held = [(0, 0)] * len(buf)  # the span each buffer row holds
+        spans, vals, buf_rows = self._spans(rows), self.vals, list(buf)
+        for s in range(0, rows.size, step):
+            block = spans[s:s + step]
+            for i, (row, (lo, start, n), (a, m)) in enumerate(zip(buf_rows, block, held)):
+                if a < lo or a + m > lo + n:
+                    row[a:a + m] = 0.0
+                row[lo:lo + n] = vals[start:start + n]
+                held[i] = lo, n
+            out[:, s:s + step] = kernel(av, buf[:len(block)], w)
+        return out
 
     def cross(self, rows_a: np.ndarray, rows_b: np.ndarray, metric: str) -> np.ndarray:
         """(len(rows_a), len(rows_b)) distances in the chosen metric.
@@ -330,12 +420,11 @@ class PackedSet:
         row list goes on the left: a call with more rows_a than rows_b
         returns the transpose of cross(rows_b, rows_a).  d(a, b) and
         d(b, a) have the same bits (the kernels square or take the modulus
-        of a - b), so the side changes no value.  Runs of consecutive rows
-        reach the kernel as views.  Scattered left rows are gathered whole;
-        scattered right rows one kernel block at a time, so the gathered
-        rows never exceed one block beside the packed set.  A distance
-        depends only on its two rows, so it has the same bits gathered or
-        not.
+        of a - b), so the side changes no value.  The left rows are made
+        dense whole, the right rows one kernel block at a time (see _cross);
+        a run of rows that cover the whole union is a view on either side.
+        A distance depends only on its two dense rows, so it has the same
+        bits however they were made dense.
         """
         if metric not in ("strong", "weak"):
             raise UsageError(f"unknown metric {metric!r}")
@@ -344,16 +433,7 @@ class PackedSet:
         strong = metric == "strong" or self.space.weak_kind == "strong"
         kernel = kernels.strong_cross if strong else kernels.weak_cross
         w = self.qw if metric == "strong" else self.ww
-        av = self._rows(rows_a)
-        rows_b = np.asarray(rows_b)
-        bv = self._run(rows_b)
-        if bv is not None:
-            return kernel(av, bv, w)
-        step = kernels._block_rows(*self.vals.shape[1:])
-        out = np.empty((av.shape[0], rows_b.size), dtype=np.float64)
-        for s in range(0, rows_b.size, step):
-            out[:, s:s + step] = kernel(av, self.vals[rows_b[s:s + step]], w)
-        return out
+        return self._cross(self._rows(rows_a), np.asarray(rows_b), kernel, w)
 
     def semidist(self, rows_a, rows_b, metric: str) -> float:
         """sup over rows_a of the distance to the nearest rows_b member."""
@@ -365,75 +445,119 @@ class PackedSet:
         return float(np.max(np.min(d, axis=1)))
 
     def state(self, row: int) -> CoeffState:
-        keep = np.abs(self.vals[row]).max(axis=1) > 0.0
-        return self.space.state(self.idx[keep], self.vals[row][keep])
+        lo, s, n = int(self.lo[row]), int(self.start[row]), int(self.length[row])
+        span = self.vals[s:s + n]
+        keep = np.abs(span).max(axis=1) > 0.0
+        return self.space.state(self.idx[lo:lo + n][keep], span[keep])
 
 
 def pack_groups(space: DualMetricSpace, n_states: int, runs) -> PackedSet:
-    """Scatter groups of states onto their sorted index union.
+    """Write groups of states onto their sorted index union.
 
-    runs holds (rows, groups) pairs.  Each group is an (idx, vals) pair
-    whose states take the next len(vals) entries of rows: vals[k] holds a
-    state's values on the index rows idx, so vals is (k, len(idx), c).  A
-    group may give vals as a callable instead, which is called once, after
-    the block is allocated; values computed that way go straight into the
-    block and never all exist beside it.
+    runs holds (rows, groups) pairs, and names each row at most once.  Each
+    group is an (idx, vals) pair whose states take the next len(vals)
+    entries of rows: vals[k] holds a state's values on the index rows idx,
+    so vals is (k, len(idx), c).  A group may give vals as a Deferred
+    instead, which is called once, after the packed set is allocated;
+    values computed that way go straight into it and never all exist
+    beside it.
 
     The union rows are sorted by encoded key, so all downstream summation
     orders depend only on the set of indices, never on input order.  The
-    union is sorted_unique of the concatenated keys (one sort and a mask;
-    empty when every state is zero, which gives a block of no slots).  Each
-    distinct idx array object is encoded and located on the union once;
-    beyond the block, the memory held while it is built is one slot array
-    per distinct index array and one deferred group at a time.  The block
-    is float64 when every value has a zero imaginary part, which changes no
-    distance or norm: x + 0.0 == x.  A deferred group with a nonzero
-    imaginary part turns the block complex.  The block is not checked
-    against the ball: pack_states checks its own, and evolution._tier_block
-    checks its own after the blow-up guard.
+    union is the distinct concatenated keys (empty when every state is
+    zero).  Each distinct idx array object is encoded and located on the
+    union once.  A set of more rows than PackedSet.cross makes dense at a
+    time keeps each row as its span: the union slots from the first to the
+    last of its idx array's, none for a row no group fills.  A smaller set
+    would save no memory that way and keeps every row whole.  The values
+    are laid out in row order in one array, allocated as zeros (a large
+    array's zero pages come from the system, so no pass writes them) and
+    written row by row.  Beyond it, the memory held while it is built is
+    three int64s of bookkeeping per row, a 4-byte place array per distinct
+    idx array whose slots do not fill its span in order, and one deferred
+    group.  The values are float64 when every value has a zero imaginary
+    part, which changes no distance or norm: x + 0.0 == x.  A deferred
+    group with a nonzero imaginary part turns them complex.  The set is
+    not checked against the ball: pack_states checks its own, and
+    evolution._tier_block checks its own after the blow-up guard.
     """
-    runs = list(runs)
     which: dict[int, int] = {}  # id of an idx array -> its place in arrays
     arrays = []
+    filled = []  # per group: (its rows, the place of its idx array, vals)
     real = True
-    for _, groups in runs:
-        for idx, vals in groups:
-            if id(idx) not in which:
-                space._check_indices(idx)
-                which[id(idx)] = len(arrays)
-                arrays.append(idx)
-            if real and not callable(vals) and vals.dtype.kind == "c":
-                real = not np.count_nonzero(vals.imag)
-    keys = [_encode_rows(a) for a in arrays]
-    uniq_keys = sorted_unique(np.concatenate(keys))
-    # a union never reaches 2^31 rows, so 4-byte slots halve what sits beside the block
-    slots = [np.searchsorted(uniq_keys, k).astype(np.int32) for k in keys]
-    del keys  # only the slot arrays outlive this point beside the block
-    uniq_idx = _decode_keys(uniq_keys, space.index_dim)
-    del uniq_keys
-    block = np.zeros((n_states, uniq_idx.shape[0], space.component_dim),
-                     dtype=np.float64 if real else np.complex128)
     for rows, groups in runs:
         k = 0
         for idx, vals in groups:
-            if callable(vals):
-                vals = vals()
-                if real and vals.dtype.kind == "c" and np.count_nonzero(vals.imag):
-                    block, real = block.astype(np.complex128), False
-            if real and vals.dtype.kind == "c":
-                vals = vals.real
-            slot = slots[which[id(idx)]]
-            for row, v in zip(rows[k:], vals):
-                block[row, slot] = v
+            a = which.get(id(idx))
+            if a is None:
+                space._check_indices(idx)
+                a = which[id(idx)] = len(arrays)
+                arrays.append(idx)
+            if real and not callable(vals) and vals.dtype.kind == "c":
+                real = not np.count_nonzero(vals.imag)
+            filled.append((rows[k:k + len(vals)], a, vals))
             k += len(vals)
         if k != len(rows):
             raise UsageError(f"{k} packed states for {len(rows)} rows")
-    return PackedSet(space, uniq_idx, block,
+    keys = [_encode_rows(a) for a in arrays]
+    union = np.concatenate(keys)
+    union.sort()  # in place: sorted_unique would sort a copy
+    uniq_keys = _drop_repeats(union)
+    del union
+    u = len(uniq_keys)
+    # crossing rows kept as spans makes up to this many of them dense, so a
+    # set no larger keeps its rows whole: as spans it would save no memory
+    whole = n_states <= _FILL_BLOCKS * kernels._block_rows(u, space.component_dim)
+    spans = []  # per distinct idx array: (first slot, span length, slots in the span or None)
+    for key in keys:
+        slot = np.searchsorted(uniq_keys, key)
+        if whole:
+            lo, hi = 0, u - 1
+        else:
+            lo, hi = (int(slot.min()), int(slot.max())) if slot.size else (0, -1)  # else a zero state
+        in_order = hi - lo + 1 == slot.size and bool(np.all(slot[1:] > slot[:-1]))
+        # a union never reaches 2^31 rows, so 4-byte places halve what sits beside the spans
+        spans.append((lo, hi - lo + 1, None if in_order else (slot - lo).astype(np.int32)))
+    del keys
+    uniq_idx = _decode_keys(uniq_keys, space.index_dim)
+    del uniq_keys
+    lo = [0] * n_states
+    length = [u if whole else 0] * n_states
+    for rows, a, _ in filled:
+        a, n, _ = spans[a]
+        for row in rows:
+            lo[row], length[row] = a, n
+    lo, length = np.array(lo, dtype=np.int64), np.array(length, dtype=np.int64)
+    start = np.zeros(n_states + 1, dtype=np.int64)
+    np.cumsum(length, out=start[1:])
+    # a large array's zero pages come from the system: no pass writes the zeros
+    flat = np.zeros((start.item(-1), space.component_dim),
+                    dtype=np.float64 if real else np.complex128)
+    for rows, a, vals in filled:
+        if callable(vals):
+            vals = vals()
+            if len(vals) != len(rows):
+                raise UsageError(f"{len(vals)} deferred states for {len(rows)}")
+            if real and vals.dtype.kind == "c" and np.count_nonzero(vals.imag):
+                flat, real = flat.astype(np.complex128), False
+        if real and vals.dtype.kind == "c":
+            vals = vals.real
+        _, n, place = spans[a]
+        if place is not None:  # index once per group, not once per row
+            place = place.astype(np.intp)
+        for row, v in zip(rows, vals):
+            at = start.item(row)
+            if place is None:
+                flat[at:at + n] = v
+            else:
+                flat[at:at + n][place] = v
+    del spans, filled  # the places go before the norm pass
+    return PackedSet(space, uniq_idx, flat, lo, start[:-1], length,
                      space.quad_weights(uniq_idx), space.weak_weights(uniq_idx))
 
 
 def pack_states(space: DualMetricSpace, states: Sequence[CoeffState]) -> PackedSet:
-    """Densify states onto their sorted index union: pack_groups with one
+    """Pack states onto their sorted index union: pack_groups with one
     state per group, then the ball check.  States that share one idx array
     object (the images of one seed, or every state of a fixed spectral
     basis) share its encoding.

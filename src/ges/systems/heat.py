@@ -18,13 +18,13 @@ grid counterpart of coefficient weighting on a countable dense system.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ..errors import UsageError
 from ..evolution import TrajectoryFamily
-from ..space import CoeffState, DualMetricSpace
+from ..space import CoeffState, Deferred, DualMetricSpace
 
 GRID_SPACING = 1.0 / 64.0
 GRID_EXTENT = 1024  # covers |xi| <= 16
@@ -40,20 +40,29 @@ def heat_block(space: DualMetricSpace, x: CoeffState, s: float, ts) -> np.ndarra
     """Values of the samples at times ts of the solution from (s, x), on x's
     own index rows.
 
-    One broadcast of exp(xi^2 (s - t)) over all samples, (len(ts), rows, c);
-    real when x is.  Each entry is bitwise the single-sample product.
+    One broadcast of exp(xi^2 (s - t)) over all samples, (len(ts), rows, 1);
+    real when x is.  Each entry is bitwise the single-sample product: the
+    real case works in place in one array, as x * y == y * x bit for bit.
     """
     lag = s - np.asarray(ts, dtype=np.float64)
     xi = x.idx[:, 0].astype(np.float64) * space.grid_spacing
-    factor = np.exp(xi * xi * lag[:, None])
-    val = x.val if np.any(x.val.imag) else x.val.real
-    return val[None] * factor[:, :, None]
+    factor = np.multiply.outer(lag, xi * xi)
+    np.exp(factor, out=factor)
+    if np.any(x.val.imag):
+        return x.val[None] * factor[:, :, None]
+    out = factor[:, :, None]
+    out *= x.val.real
+    return out
 
 
-def _unit_band(space: DualMetricSpace, slots: np.ndarray,
-               amps: np.ndarray) -> CoeffState:
-    """Unit-norm even profile carrying amps[i] at the grid slots +-slots[i]."""
-    idx = np.concatenate([-slots[::-1], slots])
+def _band_rows(slots: np.ndarray) -> np.ndarray:
+    """(2 n, 1) index rows of the grid slots -slots reversed, then slots."""
+    return np.concatenate([-slots[::-1], slots])[:, None]
+
+
+def _unit_band(space: DualMetricSpace, idx: np.ndarray, amps: np.ndarray) -> CoeffState:
+    """Unit-norm even profile on the _band_rows idx of slots, carrying
+    amps[i] at +-slots[i]."""
     vals = np.concatenate([amps[::-1], amps])
     return space.state(idx, vals / space.strong_norm(space.state(idx, vals)))
 
@@ -85,20 +94,29 @@ def band_witness(space: DualMetricSpace, t: float,
         raise UsageError(
             f"band {j} is below the grid resolution h={h}; refine the grid")
     slots = np.arange(lo, hi + 1, dtype=np.int64)
-    return j, _unit_band(space, slots, np.ones(slots.size))
+    return j, _unit_band(space, _band_rows(slots), np.ones(slots.size))
+
+
+@lru_cache(maxsize=None)
+def _band_idx(h: float, extent: int, j: int) -> np.ndarray:
+    """The read-only index rows of the dyadic band 2^(j-1) <= |xi| <= 2^(j+1)
+    on the grid of spacing h and extent, shared by every profile on it."""
+    lo = math.ceil(2.0 ** (j - 1) / h - 1e-12)
+    hi = math.floor(2.0 ** (j + 1) / h + 1e-12)
+    hi = min(hi, extent)
+    if lo > hi or lo < 1:
+        raise UsageError(f"band {j} is outside the grid")
+    idx = _band_rows(np.arange(lo, hi + 1, dtype=np.int64))
+    idx.flags.writeable = False
+    return idx
 
 
 def band_profile(space: DualMetricSpace, j: int, rng: np.random.Generator) -> CoeffState:
     """Random unit-norm profile supported on the dyadic band
-    2^(j-1) <= |xi| <= 2^(j+1)."""
-    h = space.grid_spacing
-    lo = math.ceil(2.0 ** (j - 1) / h - 1e-12)
-    hi = math.floor(2.0 ** (j + 1) / h + 1e-12)
-    hi = min(hi, space.grid_extent)
-    if lo > hi or lo < 1:
-        raise UsageError(f"band {j} is outside the grid")
-    slots = np.arange(lo, hi + 1, dtype=np.int64)
-    return _unit_band(space, slots, rng.uniform(0.1, 1.0, size=slots.size))
+    2^(j-1) <= |xi| <= 2^(j+1).  Profiles on one band share its index
+    rows, so packing encodes and places them once per band."""
+    idx = _band_idx(space.grid_spacing, space.grid_extent, j)
+    return _unit_band(space, idx, rng.uniform(0.1, 1.0, size=len(idx) // 2))
 
 
 def high_band_seed(space: DualMetricSpace, rng: np.random.Generator,
@@ -108,7 +126,7 @@ def high_band_seed(space: DualMetricSpace, rng: np.random.Generator,
     solution weakly from the start."""
     h = space.grid_spacing
     slots = np.arange(math.ceil(xi_min / h), math.floor(xi_max / h) + 1, dtype=np.int64)
-    return _unit_band(space, slots, rng.uniform(0.1, 1.0, size=slots.size))
+    return _unit_band(space, _band_rows(slots), rng.uniform(0.1, 1.0, size=slots.size))
 
 
 class HeatSystem(TrajectoryFamily):
@@ -121,7 +139,7 @@ class HeatSystem(TrajectoryFamily):
 
     def _evolve(self, s, x, ts, branch):
         """One group on the seed's rows, its values deferred to the packer."""
-        return [(x.idx, partial(heat_block, self.space, x, s, np.array(ts)))]
+        return [(x.idx, Deferred(len(ts), partial(heat_block, self.space, x, s, np.array(ts))))]
 
     def sample_states(self, count, rng):
         return [band_profile(self.space, int(rng.integers(0, 4)), rng)
@@ -152,6 +170,6 @@ class HeatSystem(TrajectoryFamily):
             if slot < 1:
                 raise UsageError("schedule too deep for the grid resolution")
             used.add(slot)
-            out.append(_unit_band(self.space, np.array([slot], dtype=np.int64),
+            out.append(_unit_band(self.space, _band_rows(np.array([slot], dtype=np.int64)),
                                   np.ones(1)))
         return out

@@ -1,5 +1,6 @@
 """Shared fixtures: a plain sequence space, sparse-state helpers, a
-per-image evolution oracle and evolve_block's groups as flat images."""
+per-image evolution oracle, evolve_block's groups as flat images and a
+packed set's rows as one dense block."""
 
 from __future__ import annotations
 
@@ -42,6 +43,21 @@ def flat_images(groups):
     """(idx, values) per image of evolve_block's packing groups, in order."""
     return [(idx, v) for idx, vals in groups
             for v in (vals() if callable(vals) else vals)]
+
+
+def dense_rows(p) -> np.ndarray:
+    """p's rows as one dense (n, u, c) block, rebuilt from its spans: row r
+    holds vals[start[r]:start[r] + length[r]] at slots lo[r] on, zeros
+    elsewhere.  Checks that the spans lie back to back in row order."""
+    u, c = len(p.idx), p.vals.shape[1]
+    out = np.zeros((p.n_states, u, c), dtype=p.vals.dtype)
+    at = 0
+    for r, (lo, start, n) in enumerate(zip(p.lo, p.start, p.length)):
+        assert start == at and 0 <= lo and lo + n <= u, r
+        out[r, lo:lo + n] = p.vals[start:start + n]
+        at += n
+    assert at == len(p.vals)
+    return out
 
 
 def counting_solves(monkeypatch):

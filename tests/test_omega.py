@@ -52,7 +52,7 @@ from ges.systems import (
     make_system,
 )
 
-from conftest import image_states
+from conftest import dense_rows, image_states
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,7 @@ class TestTierBlock:
         real = ges.omega._omega_from_tiers
 
         def spy(system_id, packed, *args):
-            blocks.append(packed.vals.nbytes)
+            blocks.append((packed.vals.nbytes, packed.n_states * len(packed.idx) * 8))
             return real(system_id, packed, *args)
 
         monkeypatch.setattr(ges.omega, "_omega_from_tiers", spy)
@@ -402,8 +402,11 @@ class TestTierBlock:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert blocks[0] == 128 * 16 * 1986 * 8  # real values on the band union
-        assert peak <= 1.3 * blocks[0]
+        spans, dense = blocks[0]
+        assert dense == 128 * 16 * 1986 * 8  # real values on the band union
+        # each image keeps its band's span of the union, under half of it
+        assert spans < 0.5 * dense
+        assert peak <= 0.7 * dense
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +567,8 @@ def reference_omega(packed, tier_rows, eps_net, metric):
     and no pivot bound or pivot distance anywhere."""
     strong = metric == "strong"
     kernel = kernels.strong_cross if strong else kernels.weak_cross
-    d = kernel(packed.vals, packed.vals, packed.qw if strong else packed.ww)
+    dense = dense_rows(packed)
+    d = kernel(dense, dense, packed.qw if strong else packed.ww)
     net = []
     for row in np.concatenate(tier_rows[::-1]):
         if all(d[row, k] > eps_net for k in net):

@@ -6,9 +6,13 @@ computed by hand and frozen here as literals.
 
 from __future__ import annotations
 
+import collections
+import importlib.util
 import json
 import math
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,8 @@ from ges import space as space_mod
 from ges.errors import UsageError
 from ges.space import (
     CoeffState,
+    Deferred,
     DualMetricSpace,
-    PackedSet,
     _decode_keys,
     _encode_rows,
     epsilon_net,
@@ -36,6 +40,8 @@ from ges.space import (
     state_to_json,
 )
 from ges.systems.heat import HeatSystem
+
+from conftest import dense_rows
 
 SEQ = DualMetricSpace(tag="seq", index_dim=1, truncation_radius=32)
 GRID = DualMetricSpace(tag="grid", grid_spacing=1.0 / 64, grid_extent=1024,
@@ -248,16 +254,31 @@ class TestSetOps:
         with pytest.raises(UsageError):
             epsilon_net(SEQ, [ZERO], 0.0, "strong")
 
-    def test_packed_rows_read_runs_as_views(self):
+    def test_packed_rows_read_runs_as_views(self, monkeypatch):
         p = pack_states(SEQ, [e(0, 0.5 * k) for k in range(6)])
+        dense = dense_rows(p)
         run = p._rows(np.arange(2, 5))
         assert np.shares_memory(run, p.vals)
-        assert np.array_equal(run, p.vals[2:5])
+        assert np.array_equal(run, dense[2:5])
         picked = p._rows(np.array([4, 1, 2]))
         assert not np.shares_memory(picked, p.vals)
-        assert np.array_equal(picked, p.vals[[4, 1, 2]])
+        assert np.array_equal(picked, dense[[4, 1, 2]])
         with pytest.raises(IndexError):
             p._rows(np.arange(4, 7))
+        # a set of no more rows than one fill buffer keeps them whole; a
+        # larger one keeps spans, and rows narrower than the union are
+        # never views
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 8)  # 4-row kernel blocks
+        monkeypatch.setattr(space_mod, "_FILL_BLOCKS", 1)
+        states = [e(0, 0.5), e(1, 0.5), e(0, 0.25), e(1, 1.0), e(0, 1.0)]
+        whole = pack_states(SEQ, states[:4])
+        assert whole.lo.tolist() == [0] * 4 and whole.length.tolist() == [2] * 4
+        assert np.shares_memory(whole._rows(np.arange(4)), whole.vals)
+        q = pack_states(SEQ, states)
+        assert q.lo.tolist() == [0, 1, 0, 1, 0] and q.length.tolist() == [1] * 5
+        assert not np.shares_memory(q._rows(np.arange(3)), q.vals)
+        assert np.array_equal(q._rows(np.arange(3)), dense_rows(q)[:3])
+        assert np.array_equal(dense_rows(q)[:4], dense_rows(whole))
 
     def test_ball_violation_rejected_on_pack(self):
         small = DualMetricSpace(tag="ball", ball_radius=1.0)
@@ -343,7 +364,20 @@ def random_packed(rng, n, u, c, real, grid=None):
     if not real:
         vals = vals + 1j * (rng.integers(-grid, grid + 1, size=(n, u, c)) / 4.0 if grid
                             else rng.normal(scale=0.3, size=(n, u, c)))
-    return PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+    return packed_block(vals, w, w)
+
+
+def packed_block(vals, qw, ww):
+    """The (n, u, c) block vals through pack_groups, as one group on the
+    slots 0..u-1 of SEQ with c components, with the weights qw and ww.
+    Every row covers the union, so the packed values are vals itself, in
+    its own dtype (pack_groups would store a complex block of zero
+    imaginary parts as real)."""
+    n, u, c = vals.shape
+    space = replace(SEQ, component_dim=c)
+    p = pack_groups(space, n, [(range(n), [(np.arange(u)[:, None], vals)])])
+    assert p.lo.tolist() == [0] * n and p.length.tolist() == [u] * n
+    return replace(p, vals=vals.reshape(n * u, c), qw=qw, ww=ww)
 
 
 class TestLiveListNet:
@@ -423,7 +457,7 @@ def reference_pack(space, states):
 
 def assert_packs_bitwise(packed, ref):
     for name, want in ref.items():
-        got = getattr(packed, name)
+        got = dense_rows(packed) if name == "vals" else getattr(packed, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
 
@@ -487,7 +521,8 @@ class TestPackStates:
         states = [space.zero_state(), space.zero_state()]
         p = pack_states(space, states)
         assert p.idx.shape == (0, space.index_dim)
-        assert p.vals.shape == (2, 0, space.component_dim)
+        assert p.vals.shape == (0, space.component_dim)
+        assert p.lo.tolist() == p.length.tolist() == [0, 0]
         assert_packs_bitwise(p, reference_pack(space, states))
 
     def test_state_of_the_wrong_index_dimension_rejected(self):
@@ -519,9 +554,8 @@ class TestPackStates:
         rng = np.random.default_rng(10 * n + c)
         vals = rng.normal(size=(n, u, c)) + 1j * rng.normal(size=(n, u, c))
         qw = rng.uniform(0.0, 1.0, size=u)
-        idx = np.arange(u)[:, None]
-        p = PackedSet(SEQ, idx, vals, qw, qw)
-        alone = [PackedSet(SEQ, idx, vals[i:i + 1], qw, qw).norms[0] for i in range(n)]
+        p = packed_block(vals, qw, qw)
+        alone = [packed_block(vals[i:i + 1], qw, qw).norms[0] for i in range(n)]
         assert p.norms.tobytes() == np.array(alone).tobytes()
         want = np.sqrt((np.abs(vals) ** 2).sum(axis=2) @ qw)
         assert np.allclose(p.norms, want, rtol=1e-15, atol=0.0)
@@ -537,8 +571,8 @@ class TestPackStates:
         cvals = vals.astype(np.complex128)
         cvals.imag[rng.random(vals.shape) < 0.5] = -0.0
         qw = rng.uniform(0.0, 1.0, size=u)
-        real = PackedSet(SEQ, np.arange(u)[:, None], vals, qw, qw)
-        cplx = PackedSet(SEQ, np.arange(u)[:, None], cvals, qw, qw)
+        real = packed_block(vals, qw, qw)
+        cplx = packed_block(cvals, qw, qw)
         assert real.norms.tobytes() == cplx.norms.tobytes()
         rows = np.arange(n)
         for metric in ("strong", "weak"):
@@ -557,7 +591,7 @@ class TestPackStates:
         if not real:
             vals = vals + 1j * rng.normal(size=vals.shape)
         w = rng.uniform(0.0, 1.0, size=u)
-        p = PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+        p = packed_block(vals, w, w)
         rows_a = rng.choice(3 * n, size=3, replace=False)
         rows_b = np.sort(rng.choice(3 * n, size=n, replace=False))
         rows_b[0] = rows_b[1] - 2  # never a run
@@ -576,13 +610,13 @@ class TestPackStates:
         if not real:
             vals = vals + 1j * rng.normal(size=vals.shape)
         w = rng.uniform(0.0, 1.0, size=u)
-        p = PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+        p = packed_block(vals, w, w)
         rows_a = np.array([3, 40])
         run = p.cross(rows_a, np.arange(n), "weak")
         for rows in (np.arange(1, n, 2), rng.permutation(n)[:29], np.array([5, 7, 2])):
             assert p.cross(rows_a, rows, "weak").tobytes() == run[:, rows].tobytes()
         # each norm is its row's alone
-        assert p.norms[17] == PackedSet(SEQ, p.idx, vals[17:18], w, w).norms[0]
+        assert p.norms[17] == packed_block(vals[17:18], w, w).norms[0]
 
     # cross loops over its shorter row list: tall calls run transposed
     @pytest.mark.parametrize("metric", ["strong", "weak"])
@@ -597,7 +631,7 @@ class TestPackStates:
         if not real:
             vals = vals + 1j * rng.normal(size=vals.shape)
         qw, ww = rng.uniform(0.0, 1.0, size=(2, u))
-        p = PackedSet(SEQ, np.arange(u)[:, None], vals, qw, ww)
+        p = packed_block(vals, qw, ww)
         kernel = kernels.strong_cross if metric == "strong" else kernels.weak_cross
         w = qw if metric == "strong" else ww
 
@@ -625,7 +659,7 @@ class TestPackStates:
         rng = np.random.default_rng(4)
         vals = rng.normal(size=(30, 5, 1))
         w = np.ones(5)
-        p = PackedSet(SEQ, np.arange(5)[:, None], vals, w, w)
+        p = packed_block(vals, w, w)
         left = []
         weak_cross = kernels.weak_cross
 
@@ -643,7 +677,7 @@ class TestPackStates:
         n, u = 800, 1986
         vals = rng.normal(size=(n, u, 1))
         w = rng.uniform(0.0, 1.0, size=u)
-        p = PackedSet(SEQ, np.arange(u)[:, None], vals, w, w)
+        p = packed_block(vals, w, w)
         rows = np.arange(0, n, 2)
         block = (kernels._block_rows(u, 1) + 3) * u * 8
         tracemalloc.start()
@@ -664,7 +698,7 @@ class TestPackStates:
         assert p.vals.dtype == np.float64
         mixed = pack_states(SEQ, real + [e(1, 0.5j)])
         assert mixed.vals.dtype == np.complex128
-        assert np.array_equal(mixed.vals[:4], p.vals)
+        assert np.array_equal(dense_rows(mixed)[:4], dense_rows(p))
         assert mixed.norms[:4].tobytes() == p.norms.tobytes()
 
     def test_packed_state_serializes_as_from_a_complex_block(self):
@@ -674,30 +708,32 @@ class TestPackStates:
         states.append(SEQ.state([3], [complex(-1.5, -0.0)]))
         p = pack_states(SEQ, states)
         assert p.vals.dtype == np.float64
-        cplx = PackedSet(SEQ, p.idx, p.vals.astype(np.complex128), p.qw, p.ww)
+        cplx = replace(p, vals=p.vals.astype(np.complex128))
         for row in range(p.n_states):
             assert (json.dumps(state_to_json(p.state(row)))
                     == json.dumps(state_to_json(cplx.state(row))))
 
     def test_deferred_groups_fill_the_block(self):
         a, b = SEQ.state([0, 2], [1.0, -0.5]), SEQ.state([1], [0.25])
-        runs = [((2, 0), [(a.idx, lambda: np.stack([a.val, 2 * a.val]))]),
+        runs = [((2, 0), [(a.idx, Deferred(2, lambda: np.stack([a.val, 2 * a.val])))]),
                 ((1,), [(b.idx, b.val[None] * 1j)])]
         p = pack_groups(SEQ, 3, runs)
         want = pack_states(SEQ, [SEQ.state(a.idx, 2 * a.val), SEQ.state(b.idx, b.val * 1j), a])
         assert p.vals.dtype == np.complex128
         assert p.vals.tobytes() == want.vals.tobytes()
-        real = pack_groups(SEQ, 3, runs[:1] + [((1,), [(b.idx, lambda: b.val[None])])])
+        real = pack_groups(SEQ, 3, runs[:1] + [((1,), [(b.idx, Deferred(1, lambda: b.val[None]))])])
         assert real.vals.dtype == np.float64
         with pytest.raises(UsageError, match="rows"):
             pack_groups(SEQ, 3, [((0, 1), [(a.idx, a.val[None])])])
         with pytest.raises(UsageError, match="rows"):
             pack_groups(SEQ, 3, [((0,), [(a.idx, np.stack([a.val, a.val]))])])
+        with pytest.raises(UsageError, match="deferred"):
+            pack_groups(SEQ, 3, [((0, 1), [(a.idx, Deferred(2, lambda: a.val[None]))])])
 
     def test_deferred_complex_group_turns_the_block_complex(self):
         a, b = SEQ.state([0], [0.5]), SEQ.state([1], [0.5j])
-        runs = [((0,), [(a.idx, lambda: a.val[None])]),
-                ((1,), [(b.idx, lambda: b.val[None])])]
+        runs = [((0,), [(a.idx, Deferred(1, lambda: a.val[None]))]),
+                ((1,), [(b.idx, Deferred(1, lambda: b.val[None]))])]
         p = pack_groups(SEQ, 2, runs)
         assert p.vals.dtype == np.complex128
         assert p.vals.tobytes() == pack_states(SEQ, [a, b]).vals.tobytes()
@@ -705,7 +741,8 @@ class TestPackStates:
     def test_zero_states_pack_onto_an_empty_union(self):
         zero = SEQ3.zero_state()
         p = pack_groups(SEQ3, 2, [((0, 1), [(zero.idx, np.stack([zero.val] * 2))])])
-        assert p.vals.shape == (2, 0, 3) and p.idx.shape == (0, 1)
+        assert p.vals.shape == (0, 3) and p.idx.shape == (0, 1)
+        assert dense_rows(p).shape == (2, 0, 3)
         assert p.norms.tobytes() == np.zeros(2).tobytes()
         assert SEQ3.strong_norm(p.state(1)) == 0.0
 
@@ -726,6 +763,187 @@ class TestPackStates:
             tracemalloc.stop()
         assert p.n_states == 512
         assert peak <= 1.5 * p.vals.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the span layout against the dense block it replaced
+
+
+def dense_pack_groups(space, n_states, runs):
+    """The dense packer kept as an oracle: every row over the whole sorted
+    union, zero-filled, then each group scattered onto its slots.  Returns
+    the (n, u, c) block and the union rows."""
+    which, arrays, real = {}, [], True
+    for _, groups in runs:
+        for idx, vals in groups:
+            if id(idx) not in which:
+                which[id(idx)] = len(arrays)
+                arrays.append(idx)
+            if real and not callable(vals) and vals.dtype.kind == "c":
+                real = not np.count_nonzero(vals.imag)
+    keys = [_encode_rows(a) for a in arrays]
+    uniq_keys = sorted_unique(np.concatenate(keys))
+    slots = [np.searchsorted(uniq_keys, k) for k in keys]
+    uniq_idx = _decode_keys(uniq_keys, space.index_dim)
+    block = np.zeros((n_states, uniq_idx.shape[0], space.component_dim),
+                     dtype=np.float64 if real else np.complex128)
+    for rows, groups in runs:
+        k = 0
+        for idx, vals in groups:
+            if callable(vals):
+                vals = vals()
+                if real and vals.dtype.kind == "c" and np.count_nonzero(vals.imag):
+                    block, real = block.astype(np.complex128), False
+            if real and vals.dtype.kind == "c":
+                vals = vals.real
+            for row, v in zip(rows[k:], vals):
+                block[row, slots[which[id(idx)]]] = v
+            k += len(vals)
+    return block, uniq_idx
+
+
+# values with exact zeros of both signs, so rows hold all-zero stretches
+_VALUES = np.array([0.0, -0.0, 0.0, 0.25, -1.5, 0.75, 2.0])
+
+
+def random_runs(rng, space, complex_vals, defer, empty):
+    """Packing runs over a few shared index arrays in random (unsorted) slot
+    order, some of them empty, each group of 1-3 states with values that
+    may be zero at either end or throughout, some groups deferred; the rows
+    are a permutation of the named rows, and 0-2 more rows stay unnamed."""
+    c = space.component_dim
+    arrays = []
+    for _ in range(int(rng.integers(1, 5))):
+        size = 0 if empty or rng.random() < 0.15 else int(rng.integers(1, 9))
+        arrays.append(random_rows(rng, space, size))
+    groups = []
+    for _ in range(int(rng.integers(1, 7))):
+        idx = arrays[int(rng.integers(len(arrays)))]
+        k = int(rng.integers(1, 4))
+        vals = rng.choice(_VALUES, size=(k, len(idx), c))
+        if rng.random() < 0.3:
+            vals = vals * rng.normal(size=vals.shape)
+        if complex_vals and rng.random() < 0.7:
+            vals = vals + 1j * rng.choice(_VALUES, size=vals.shape)
+        if defer and rng.random() < 0.5:
+            vals = Deferred(k, lambda v=vals: v)
+        groups.append((idx, vals))
+    named = sum(len(v) for _, v in groups)
+    n = named + int(rng.integers(0, 3))
+    rows = rng.permutation(n)[:named]
+    cuts = np.sort(rng.choice(np.arange(1, len(groups)), size=min(2, len(groups) - 1),
+                              replace=False)).tolist()
+    runs, at = [], 0
+    for a, b in zip([0] + cuts, cuts + [len(groups)]):
+        size = sum(len(v) for _, v in groups[a:b])
+        runs.append((rows[at:at + size], groups[a:b]))
+        at += size
+    return n, runs
+
+
+def row_lists(rng, n):
+    """Consecutive, scattered and reversed row lists of a set of n rows."""
+    a = int(rng.integers(0, n))
+    b = int(rng.integers(a + 1, n + 1))
+    scattered = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    return [np.arange(a, b), scattered, np.sort(scattered), np.arange(n)[::-1].copy()]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["seq", "seq3", "lat3"]),
+       st.booleans(), st.booleans(), st.sampled_from([False, False, False, True]),
+       st.booleans())
+def test_span_layout_is_the_dense_block_bit_for_bit(seed, tag, complex_vals, defer,
+                                                    empty, small_blocks):
+    """Norms, cross in both metrics, semidist and state(row) of a packed
+    set are bitwise those of the dense block.  These sets are small, so
+    they keep their rows whole; with small kernel blocks, and so small fill
+    buffers, a set of more than 4 rows keeps spans, its rows cross block
+    boundaries and buffer rows are reused."""
+    space = {"seq": SEQ, "seq3": SEQ3, "lat3": LAT3}[tag]
+    rng = np.random.default_rng(seed)
+    n, runs = random_runs(rng, space, complex_vals, defer, empty)
+    block, idx = dense_pack_groups(space, n, runs)
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:  # 4-row kernel blocks, one per fill of the buffer,
+            # so a set of more than 4 rows keeps spans
+            mp.setattr(kernels, "_BLOCK_CELLS", 1)
+            mp.setattr(space_mod, "_FILL_BLOCKS", 1)
+        p = pack_groups(space, n, runs)
+        assert p.vals.dtype == block.dtype
+        assert p.idx.tobytes() == idx.tobytes() and p.idx.shape == idx.shape
+        assert dense_rows(p).tobytes() == block.tobytes()
+        zero = np.zeros((1, *block.shape[1:]))
+        assert p.norms.tobytes() == kernels.strong_cross(zero, block, p.qw)[0].tobytes()
+        for metric, kernel, w in (("strong", kernels.strong_cross, p.qw),
+                                  ("weak", kernels.weak_cross, p.ww)):
+            lists = row_lists(rng, n)
+            for ra in lists:
+                for rb in lists:
+                    got = p.cross(ra, rb, metric)
+                    want = (kernel(block[ra], block[rb], w) if ra.size <= rb.size
+                            else kernel(block[rb], block[ra], w).T)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+                    assert p.semidist(ra, rb, metric) == want.min(axis=1).max()
+        for row in range(n):
+            keep = np.abs(block[row]).max(axis=1) > 0.0
+            want = space.state(idx[keep], block[row][keep])
+            got = p.state(row)
+            assert got.idx.tobytes() == want.idx.tobytes()
+            assert got.val.tobytes() == want.val.tobytes()
+
+
+def load_tracer():
+    """e2ebench/tracer.py, the benchmark's per-layer counters."""
+    path = Path(__file__).resolve().parents[1] / "e2ebench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("e2ebench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_packed_sets_keep_what_the_benchmark_tracer_reads(monkeypatch):
+    """The benchmark's tracer counts space.pack.bytes from a pack_states
+    result's idx, vals, qw, ww and norms arrays, space.pack.states from
+    n_states, and kernels.cross.cells from the (n, u, c) blocks that the
+    cross kernels are handed.  A set kept as spans hands them the same
+    cells as a dense one: a pair's u * c cells, whatever its rows' spans."""
+    tracer = load_tracer()
+    monkeypatch.setattr(space_mod, "_FILL_BLOCKS", 1)  # so the heat set keeps spans
+    counts = collections.defaultdict(int)
+    blocks = []
+    for name in ("strong_cross", "weak_cross"):
+        def spy(av, bv, w, real=getattr(kernels, name)):
+            blocks.append((av.shape, bv.shape))
+            out = real(av, bv, w)
+            tracer._count_cross(counts, out, av, bv, w)
+            return out
+        monkeypatch.setattr(kernels, name, spy)
+    heat = HeatSystem()
+    images = [y for x in heat.sample_states(6, np.random.default_rng(2))
+              for y in heat.evolve(0.0, x, [0.1, 0.4, 1.6])]
+    scalars = [SEQ.state([0], [v]) for v in (0.5, -0.25, 1.0, 0.0, 2.0)]
+    cells = nbytes = 0
+    for space, states in ((heat.space, images), (SEQ, scalars)):
+        counts["kernels.cross.cells"] = 0
+        blocks.clear()
+        p = pack_states(space, states)
+        assert (p._dense is None) == (space is heat.space)
+        tracer._count_pack(counts, p, space, states)
+        for name in ("idx", "vals", "qw", "ww", "norms"):
+            assert isinstance(getattr(p, name), np.ndarray), name
+        nbytes += sum(a.nbytes for a in (p.idx, p.vals, p.qw, p.ww, p.norms))
+        n, u, c = p.n_states, len(p.idx), space.component_dim
+        rows = np.arange(n)
+        p.cross(rows[:2], rows, "weak")
+        p.cross(rows[::2], rows[1::2], "strong")
+        assert all(len(a) == len(b) == 3 and a[1:] == b[1:] == (u, c) for a, b in blocks)
+        pairs = n + 2 * n + len(rows[::2]) * len(rows[1::2])
+        assert counts["kernels.cross.cells"] == pairs * u * c
+    assert counts["space.pack.calls"] == 2
+    assert counts["space.pack.states"] == len(images) + len(scalars)
+    assert counts["space.pack.bytes"] == nbytes
 
 
 _LATTICE = st.integers(-(1 << 20), (1 << 20) - 1)

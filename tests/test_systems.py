@@ -24,10 +24,12 @@ import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 import ges
+import ges.space as space_mod
 import ges.systems.nse as nse_module
 from ges import kernels
 from ges.cli import main
 from ges.errors import BlowUpError, ForcingFormatError, UsageError
+from ges.space import pack_states
 from ges.symbols import TWO_PI, SymbolFamily
 from ges.systems import (
     BranchSystem,
@@ -165,6 +167,38 @@ class TestHeat:
             for k, w in enumerate(want):
                 assert got[k].val.tobytes() == w.tobytes()
                 assert block[k].tobytes() == (w if np.any(w.imag) else w.real).tobytes()
+
+    def test_profiles_on_one_band_share_its_index_rows(self, monkeypatch):
+        fam = HeatSystem()
+        seeds = fam.sample_states(512, np.random.default_rng(0))
+        assert len({id(x.idx) for x in seeds}) <= 4
+        assert not any(x.idx.flags.writeable for x in seeds)
+        # the same draws and bits as profiles built on fresh index arrays
+        rng = np.random.default_rng(0)
+        h = self.space.grid_spacing
+        for x in seeds:
+            j = int(rng.integers(0, 4))
+            lo = math.ceil(2.0 ** (j - 1) / h - 1e-12)
+            hi = min(math.floor(2.0 ** (j + 1) / h + 1e-12), self.space.grid_extent)
+            slots = np.arange(lo, hi + 1)
+            idx = np.concatenate([-slots[::-1], slots])
+            amps = rng.uniform(0.1, 1.0, size=slots.size)
+            vals = np.concatenate([amps[::-1], amps])
+            want = self.space.state(
+                idx, vals / self.space.strong_norm(self.space.state(idx, vals)))
+            assert x.idx.tobytes() == want.idx.tobytes()
+            assert x.val.tobytes() == want.val.tobytes()
+        # packing encodes and places each band's rows once
+        encoded = []
+        encode = space_mod._encode_rows
+
+        def spy(idx):
+            encoded.append(idx)
+            return encode(idx)
+
+        monkeypatch.setattr(space_mod, "_encode_rows", spy)
+        pack_states(self.space, seeds)
+        assert len(encoded) <= 4
 
     @pytest.mark.parametrize("elapsed,band", [
         (1.0, 0), (math.log(2.0) / 2.0, 1), (2.0, 0), (4.0, -1)])
