@@ -111,7 +111,7 @@ def omega_heat(rng):
     sched = PullbackSchedule.geometric(0.0)
     ladder = [_image_tier(heat, seeds, s, sched.t) for s, seeds in zip(
         sched.starts, _tier_seeds(heat, None, None, 128, rng, sched.t, sched.starts))]
-    block, tier_rows, _ = _tier_block(heat.space, ladder, 1)
+    block, tier_rows, _ = _tier_block(heat.space, ladder)
     return lambda: _omega_from_tiers(heat.system_id, block, tier_rows, sched.starts,
                                      sched.t, "weak", 0.05, 1e-3, "")
 

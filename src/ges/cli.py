@@ -6,8 +6,8 @@ actions, uniform (symbol-family) runs, and invariance checks.  All
 outputs are deterministic functions of the configuration and the seed:
 every artifact is written by `ges.util` (strict JSON with sorted keys
 and schema version 1; fixed CSV columns), floats are printed in shortest
-round-trip form, and the worker count never changes results
-(order-preserving reductions only).
+round-trip form.  Runs are serial: `--threads` is accepted for
+compatibility and changes no result.
 
 Exit codes:
     0   converged / attracts / suite passed / matches expectations
@@ -202,8 +202,7 @@ def _omega_ladder(cfg: ExperimentConfig, fam) -> OmegaApprox:
     """Pullback omega of the configured ladder."""
     return omega_pullback(fam, cfg.schedule(), n_seeds=cfg.n_seeds,
                           metric=cfg.metric, eps_net=cfg.eps_net, tol=cfg.tol,
-                          rng=cfg.rng(), branches=cfg.branches,
-                          workers=cfg.threads)
+                          rng=cfg.rng(), branches=cfg.branches)
 
 
 def _write_omega(cfg: ExperimentConfig, om: OmegaApprox) -> None:
@@ -256,7 +255,7 @@ def cmd_attract(args) -> int:
         rep = attraction_diagnostic(fam, sched, target, seeds=seeds,
                                     n_seeds=cfg.n_seeds, metric=cfg.metric,
                                     tol=cfg.tol, rng=cfg.rng(),
-                                    branches=cfg.branches, workers=cfg.threads)
+                                    branches=cfg.branches)
     stem = f"attract_{cfg.system}_{cfg.metric}"
     _emit(cfg.out, {f"{stem}.json": rep.to_json(), f"{stem}.csv": rep.profile_csv()},
           [f"attract {cfg.system} {cfg.metric} -> {args.target}: {rep.verdict} "
@@ -269,8 +268,7 @@ def cmd_verify(args) -> int:
     given = ExperimentConfig._given(args)
     cfg = ExperimentConfig(**given)  # verify has no command defaults
     # the flag, else the config file's key, else every system
-    rep = run_suite(args.suite, seed=cfg.seed, workers=cfg.threads,
-                    system=given.get("system"))
+    rep = run_suite(args.suite, seed=cfg.seed, system=given.get("system"))
     _emit(cfg.out, {f"verify_{args.suite}.json": rep.to_json()}, report_lines(rep))
     return EXIT_OK if rep.verdict == "pass" else EXIT_VIOLATION
 
@@ -319,8 +317,7 @@ def cmd_nse(args) -> int:
         return EXIT_OK if rep.verdict == "holds" else EXIT_VIOLATION
 
     if action == "absorbing":
-        grid, norms, worst, verdict = nse_absorbing_check(
-            fam, rng, cfg.n_seeds, cfg.threads)
+        grid, norms, worst, verdict = nse_absorbing_check(fam, rng, cfg.n_seeds)
         _emit(cfg.out, {
             "nse_absorbing.json": artifact_json("nse-absorbing", {
                 "seeds": len(norms), "horizon": float(grid[-1]),
@@ -343,8 +340,7 @@ def cmd_uniform(args) -> int:
         seeds = base_fam.sample_states(cfg.n_seeds, cfg.rng())
     rep = union_inclusion_check(symfam, seeds, t0=cfg.t0,
                                 schedule=cfg.schedule(), metric=cfg.metric,
-                                eps_net=cfg.eps_net, tol=cfg.tol,
-                                workers=cfg.threads)
+                                eps_net=cfg.eps_net, tol=cfg.tol)
     _emit(cfg.out, {f"uniform_{rep.base}.json": rep.to_json()},
           [f"uniform {rep.base} ({rep.symbols} symbols): "
            f"{rep.verdict} union_in_uniform={fmt_float(rep.union_in_uniform)} "
@@ -364,8 +360,7 @@ def cmd_invariance(args) -> int:
             # quasi needs the threading labels from the canonical plan
             _, family, _, quasi = rows[-1]
     rep = invariance_check(fam, family, kind=kind, window=(0.0, 2.0),
-                           tol=cfg.tol, rng=cfg.rng(),
-                           workers=cfg.threads, **quasi)
+                           tol=cfg.tol, rng=cfg.rng(), **quasi)
     _emit(cfg.out, {f"invariance_{cfg.system}_{kind}.json": rep.to_json()},
           [f"invariance {cfg.system} {kind}: {rep.verdict}"])
     return _verdict_exit(rep.verdict, INVARIANT_VERDICTS[kind])
@@ -386,7 +381,8 @@ _FLAGS = {
     "config": dict(help="JSON file with ExperimentConfig fields"),
     "out": dict(help="output directory (default: current)"),
     "seed": dict(type=int, help="RNG seed (default 0)"),
-    "threads": dict(type=int, help="worker count (default 1)"),
+    "threads": dict(type=int,
+                    help="accepted for compatibility; runs are serial"),
     "system": dict(choices=SYSTEM_IDS, help="model system id"),
     "tol": dict(type=float, help="convergence tolerance"),
     "metric": dict(choices=("strong", "weak")),

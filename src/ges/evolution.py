@@ -55,7 +55,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, UsageError
 from .space import CoeffState, DualMetricSpace, PackedSet, pack_groups
-from .util import parallel_map
 
 
 class TrajectoryFamily(ABC):
@@ -183,7 +182,7 @@ def _image_tier(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
     return [(fam, i, b, x, s, t) for i, b, x in _trajectories(fam, seeds, s, branches)]
 
 
-def _tier_block(space: DualMetricSpace, tiers, workers: int,
+def _tier_block(space: DualMetricSpace, tiers,
                 fixed: Sequence[CoeffState] = ()) -> tuple[PackedSet, list, np.ndarray]:
     """Pack every tier image straight from its seed, deepest tier first,
     then the fixed states in their own order.
@@ -192,7 +191,7 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
     s, t) rows, the image being P(t, s) seed on that branch; the last tier
     is the deepest.  Each tier becomes one run of consecutive packed rows
     in its own order.  One evolve_block call covers every image of one
-    (family, seed object, branch); the calls are split over the workers.
+    (family, seed object, branch), the calls made in order of first use.
     The blow-up guard reads the images' norms, tier by tier in the given
     order, before the ball check of the whole block: a norm that is not
     finite, or above 10x the ball radius, names its seed.  Returns the block,
@@ -209,15 +208,10 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
     for rows, tier in zip(tier_rows, tiers):
         for row, (fam, _, b, x, s, t) in zip(rows, tier):
             jobs.setdefault((id(fam), id(x), b), (fam, x, b, []))[3].append((s, t, row))
-
-    def evolve(job):
-        fam, x, b, images = job
-        return fam.evolve_block(x, [s for s, _, _ in images],
-                                [t for _, t, _ in images], branch=b)
-
-    jobs = list(jobs.values())
-    groups = parallel_map(evolve, jobs, workers=workers)
-    runs = [([row for _, _, row in job[3]], g) for job, g in zip(jobs, groups)]
+    runs = [([row for _, _, row in images],
+             fam.evolve_block(x, [s for s, _, _ in images],
+                              [t for _, t, _ in images], branch=b))
+            for fam, x, b, images in jobs.values()]
     runs.append((fixed_rows, [(st.idx, st.val[None]) for st in fixed]))
     packed = pack_groups(space, n_images + len(fixed), runs)
     cap = space.ball_radius
@@ -236,11 +230,11 @@ def _tier_block(space: DualMetricSpace, tiers, workers: int,
 
 
 def _trajectory_norms(fam: TrajectoryFamily, seeds: Sequence[CoeffState], s: float,
-                      grid: Sequence[float], workers: int = 1) -> np.ndarray:
+                      grid: Sequence[float]) -> np.ndarray:
     """|u(t)| of each seed's branch-0 trajectory from time s at every grid
     time t, one row per seed, read from one _tier_block."""
     tiers = [_image_tier(fam, seeds, s, t, "first") for t in grid]
-    packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
+    packed, tier_rows, _ = _tier_block(fam.space, tiers)
     return np.stack([packed.norms[rows] for rows in tier_rows], axis=1)
 
 
@@ -257,10 +251,10 @@ def compose_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     if not (r <= s <= t):
         raise UsageError("compose_check needs r <= s <= t")
     packed, (mid_rows, one_rows), _ = _tier_block(
-        fam.space, [_image_tier(fam, seeds, r, s), _image_tier(fam, seeds, r, t)], 1)
+        fam.space, [_image_tier(fam, seeds, r, s), _image_tier(fam, seeds, r, t)])
     mid = [packed.state(row) for row in mid_rows]
     one = [packed.state(row) for row in one_rows]
-    packed, (two,), one = _tier_block(fam.space, [_image_tier(fam, mid, s, t)], 1, one)
+    packed, (two,), one = _tier_block(fam.space, [_image_tier(fam, mid, s, t)], one)
     return packed.semidist(one, two, "strong")
 
 
@@ -438,7 +432,7 @@ def weak_c_convergence_check(fam: TrajectoryFamily, seeds: Sequence[CoeffState],
     grid = np.linspace(s, s + horizon, grid_n)
     tiers = [[(fam, i, 0, x, s, tau) for i, x in enumerate(seeds)]
              for tau in grid]
-    packed, tier_rows, _ = _tier_block(fam.space, tiers, 1)
+    packed, tier_rows, _ = _tier_block(fam.space, tiers)
     # d[metric][k, n]: distance at grid time k from seed n's image to the limit's
     d = {metric: np.stack([packed.cross(rows[:-1], rows[-1:], metric)[:, 0]
                            for rows in tier_rows])

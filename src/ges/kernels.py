@@ -156,9 +156,9 @@ def weak_cross(av: np.ndarray, bv: np.ndarray, ww: np.ndarray) -> np.ndarray:
 # the flat cells of the gather.  Both are read-only and shared by threads.
 # The scatter writes the same cube cells on every call and no other, so the
 # cube is zeroed once, when it is allocated, and needs no fill per call.
-# Each thread keeps its own scratch arrays across calls (--threads evolves
-# seeds in parallel, and arrays allocated per call made the heap top
-# shrink and refault).
+# Each thread keeps its own scratch arrays across calls (a library caller
+# may evolve seeds on threads of its own, and arrays allocated per call
+# made the heap top shrink and refault).
 
 _THREAD = threading.local()
 _TABLES: dict = {}  # (n, kmax) -> what _index_table returns

@@ -347,8 +347,7 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
                    n_seeds: int = 24, metric: str = "weak",
                    eps_net: float = 0.05, tol: float = 1e-3,
                    rng: np.random.Generator | None = None,
-                   branches: str = "all", workers: int = 1,
-                   note: str = "") -> OmegaApprox:
+                   branches: str = "all", note: str = "") -> OmegaApprox:
     """Approximate the pullback omega-limit of a seed family at time t.
 
     Candidates are the union of the tier images P(t, s_i)A, visited
@@ -363,7 +362,7 @@ def omega_pullback(fam: TrajectoryFamily, schedule: PullbackSchedule,
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
     tiers = [_image_tier(fam, tier_seed, s, t, branches)
              for s, tier_seed in zip(starts, tier_seed_lists)]
-    packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
+    packed, tier_rows, _ = _tier_block(fam.space, tiers)
     return _omega_from_tiers(fam.system_id, packed, tier_rows, starts,
                              t, metric, eps_net, tol, note)
 
@@ -372,7 +371,7 @@ def forward_omega(fam: TrajectoryFamily, t0: float,
                   seeds: Sequence[CoeffState], delta: float = 1.0,
                   rho: float = 1.6, n: int = 10, metric: str = "weak",
                   eps_net: float = 0.05, tol: float = 1e-3,
-                  branches: str = "all", workers: int = 1) -> OmegaApprox:
+                  branches: str = "all") -> OmegaApprox:
     """Forward-time omega approximation for autonomous systems.
 
     Images are taken at horizons t0 + delta * rho**i for i = 1..n from a
@@ -383,13 +382,13 @@ def forward_omega(fam: TrajectoryFamily, t0: float,
     if not fam.autonomous:
         raise UsageError("forward omega limits need an autonomous system")
     return _forward_omega([fam], fam.system_id, t0, seeds, delta, rho, n,
-                          metric, eps_net, tol, branches, workers)
+                          metric, eps_net, tol, branches)
 
 
 def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
                    t0: float, seeds: Sequence[CoeffState], delta: float,
                    rho: float, n: int, metric: str, eps_net: float, tol: float,
-                   branches: str, workers: int) -> OmegaApprox:
+                   branches: str) -> OmegaApprox:
     """Forward omega over horizons t0 + delta * rho**i, i = 1..n.
 
     Tier i is the union of every system's image of the fixed seed set at
@@ -409,7 +408,7 @@ def _forward_omega(systems: Sequence[TrajectoryFamily], system_id: str,
     trajs = [(fam, i, b, x) for fam in systems
              for i, b, x in _trajectories(fam, seeds, t0, branches)]
     tiers = [[(fam, i, b, x, t0, h) for fam, i, b, x in trajs] for h in horizons]
-    packed, tier_rows, _ = _tier_block(systems[0].space, tiers, workers)
+    packed, tier_rows, _ = _tier_block(systems[0].space, tiers)
     return _omega_from_tiers(system_id, packed, tier_rows, horizons,
                              horizons[-1], metric, eps_net, tol, "")
 
@@ -455,8 +454,7 @@ def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
                           n_seeds: int = 16,
                           metric: str = "weak", tol: float = 1e-3,
                           rng: np.random.Generator | None = None,
-                          branches: str = "all",
-                          workers: int = 1) -> AttractionReport:
+                          branches: str = "all") -> AttractionReport:
     """Measure whether P(t, s_i) A approaches a given target set.
 
     seeds may be a fixed state collection, a callable s -> list of seeds
@@ -472,7 +470,7 @@ def attraction_diagnostic(fam: TrajectoryFamily, schedule: PullbackSchedule,
     tier_seed_lists = _tier_seeds(fam, seeds, labels, n_seeds, rng, t, starts)
     tiers = [_image_tier(fam, tier_seed, s, t, branches)
              for s, tier_seed in zip(starts, tier_seed_lists)]
-    packed, tier_rows, target_rows = _tier_block(fam.space, tiers, workers, target)
+    packed, tier_rows, target_rows = _tier_block(fam.space, tiers, target)
     profile = [(float(s), packed.semidist(rows, target_rows, metric))
                for s, rows in zip(starts, tier_rows)]
     return AttractionReport.from_profile(fam.system_id, metric, tol, profile)
@@ -570,8 +568,7 @@ def _cluster_stats(packed: PackedSet, rows, tol: float) -> tuple[int, float]:
 def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
               tol: float = 0.4, sample_size: int = 10,
               rng: np.random.Generator | None = None,
-              include_adversarial: bool = True,
-              workers: int = 1) -> PACReport:
+              include_adversarial: bool = True) -> PACReport:
     """Pullback asymptotic compactness vote in the strong metric.
 
     Each sampled sequence takes one anchored seed label and collects
@@ -596,7 +593,7 @@ def pac_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
         tier_seed.append(x)
     tiers = [_image_tier(fam, tier_seed, s, t, "first")
              for s, tier_seed in zip(starts, tier_seeds)]
-    packed, tier_rows, _ = _tier_block(fam.space, tiers, workers)
+    packed, tier_rows, _ = _tier_block(fam.space, tiers)
     # branch "first": seed k of every tier is row k of that tier
     sequences = [("sampled", [rows[k] for rows in tier_rows])
                  for k in range(sample_size)]
@@ -646,8 +643,7 @@ def invariance_check(fam: TrajectoryFamily,
                      grid_n: int = 5, metric: str = "weak", tol: float = 0.05,
                      pull_depth: float = 40.0, budget: int = 24,
                      labels: Sequence | None = None,
-                     rng: np.random.Generator | None = None,
-                     workers: int = 1) -> InvarianceReport:
+                     rng: np.random.Generator | None = None) -> InvarianceReport:
     """Invariance of a family of sets B(t) over a sampled window.
 
     semi: for consecutive grid times s < t, the forward image of B(s)
@@ -688,7 +684,7 @@ def invariance_check(fam: TrajectoryFamily,
                             [s_deep])[0]
         tiers += [_image_tier(fam, seeds, s_deep, tau) for tau in times]
     packed, tier_rows, fixed_rows = _tier_block(
-        fam.space, tiers, workers, [st for b_set in sets for st in b_set])
+        fam.space, tiers, [st for b_set in sets for st in b_set])
     set_rows = np.split(fixed_rows, np.cumsum([len(b_set) for b_set in sets])[:-1])
 
     semi_dev = [packed.semidist(rows, set_rows[k + 1], metric)
@@ -737,7 +733,6 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
                    seeds=None, count: int = 3, grid_n: int = 9,
                    n_complete: int = 8, strong: bool = False,
                    rng: np.random.Generator | None = None,
-                   workers: int = 1,
                    deep_tiers: int = 2) -> TrackingReport:
     """Trajectories started deep in the past are eps-tracked by some
     registered complete trajectory.
@@ -774,7 +769,7 @@ def tracking_check(fam: TrajectoryFamily, schedule: PullbackSchedule,
         grid = [s_deep + horizon * k / (grid_n - 1) for k in range(grid_n)]
         tiers += [_image_tier(fam, started, s_deep, tau) for tau in grid]
         complete += [v(tau) for tau in grid for v in trajs]
-    packed, tier_rows, fixed_rows = _tier_block(fam.space, tiers, workers, complete)
+    packed, tier_rows, fixed_rows = _tier_block(fam.space, tiers, complete)
     nc = len(trajs)
     sups = {}
     for metric in ("weak", "strong") if strong else ("weak",):

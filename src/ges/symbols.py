@@ -85,7 +85,7 @@ def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
     shifted = symfam.system(symfam.shift(s, sigma))
     packed, (a, b), _ = _tier_block(
         fam.space, [_image_tier(fam, [x], r + s, t + s, "first"),
-                    _image_tier(shifted, [x], r, t, "first")], 1)
+                    _image_tier(shifted, [x], r, t, "first")])
     return float(packed.cross(a, b, "strong")[0, 0])
 
 
@@ -95,8 +95,7 @@ def shift_identity_defect(symfam: SymbolFamily, sigma: float, s: float,
 
 def uniform_omega(symfam: SymbolFamily, seeds: Sequence[CoeffState],
                   t0: float = 0.0, n: int = 10, metric: str = "weak",
-                  eps_net: float = 0.05, tol: float = 1e-3,
-                  workers: int = 1) -> OmegaApprox:
+                  eps_net: float = 0.05, tol: float = 1e-3) -> OmegaApprox:
     """Forward omega-limit of the symbol-union operator.
 
     Tier i is the union over sampled symbols of R_sigma(t0 + 1.6**i, t0) A
@@ -106,19 +105,18 @@ def uniform_omega(symfam: SymbolFamily, seeds: Sequence[CoeffState],
     """
     systems = [symfam.system(s) for s in symfam.symbols]
     return _forward_omega(systems, f"{symfam.base_id}-family", t0, seeds, 1.0,
-                          1.6, n, metric, eps_net, tol, "all", workers)
+                          1.6, n, metric, eps_net, tol, "all")
 
 
 def per_symbol_pullback(symfam: SymbolFamily, sigma: float,
                         seeds: Sequence[CoeffState],
                         schedule: PullbackSchedule, metric: str = "weak",
-                        eps_net: float = 0.05, tol: float = 1e-3,
-                        workers: int = 1) -> OmegaApprox:
+                        eps_net: float = 0.05, tol: float = 1e-3) -> OmegaApprox:
     """Pullback omega approximation of a fixed seed set for one symbol of
     the family."""
     return omega_pullback(symfam.system(sigma), schedule, seeds=seeds,
                           metric=metric, eps_net=eps_net, tol=tol,
-                          workers=workers, note=f"symbol={sigma!r}")
+                          note=f"symbol={sigma!r}")
 
 
 @dataclass
@@ -146,8 +144,8 @@ def union_inclusion_check(symfam: SymbolFamily,
                           seeds: Sequence[CoeffState],
                           schedule: PullbackSchedule, t0: float = 0.0,
                           metric: str = "weak", eps_net: float = 0.05,
-                          tol: float = 1e-3, n_forward: int = 10,
-                          workers: int = 1) -> UnionInclusionReport:
+                          tol: float = 1e-3,
+                          n_forward: int = 10) -> UnionInclusionReport:
     """Union of per-symbol pullback omega sets at t0 versus the uniform set.
 
     The union is always expected inside the uniform omega approximation
@@ -161,13 +159,12 @@ def union_inclusion_check(symfam: SymbolFamily,
     finely, while the per-symbol sides keep the sharp tolerance.
     """
     uni = uniform_omega(symfam, seeds, t0=t0, metric=metric, eps_net=eps_net,
-                        tol=max(tol, 2.0 * eps_net), n=n_forward,
-                        workers=workers)
+                        tol=max(tol, 2.0 * eps_net), n=n_forward)
     union_points: list[CoeffState] = []
     all_conv = uni.converged
     for sigma in symfam.symbols:
         rep = per_symbol_pullback(symfam, sigma, seeds, schedule, metric=metric,
-                                  eps_net=eps_net, tol=tol, workers=workers)
+                                  eps_net=eps_net, tol=tol)
         all_conv = all_conv and rep.converged
         union_points.extend(rep.points)
 

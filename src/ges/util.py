@@ -1,26 +1,11 @@
-"""Small shared helpers: worker pools and the one writer of every JSON
-(strict: no NaN or infinity) and CSV artifact."""
+"""Small shared helpers: the one writer of every JSON (strict: no NaN or
+infinity) and CSV artifact."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 workers: int = 1) -> list[R]:
-    """Order-preserving map; results are assembled by input index so the
-    output is identical for any worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from typing import Iterable, Sequence
 
 
 def fmt_float(x: float) -> str:

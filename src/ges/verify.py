@@ -77,8 +77,7 @@ def _sparse_states(space: DualMetricSpace, rng: np.random.Generator, count: int)
     return out
 
 
-def suite_metrics(seed: int, workers: int = 1,
-                  system: str | None = None) -> list[CheckResult]:
+def suite_metrics(seed: int, system: str | None = None) -> list[CheckResult]:
     """Metric axioms on a fixed lattice space, read from one pack of 24
     random states (identity and symmetry are exact); system is unused."""
     space = _lattice_space()
@@ -127,8 +126,7 @@ def suite_metrics(seed: int, workers: int = 1,
     return res
 
 
-def suite_inclusion(seed: int, workers: int = 1,
-                    system: str | None = None) -> list[CheckResult]:
+def suite_inclusion(seed: int, system: str | None = None) -> list[CheckResult]:
     res = []
     for sys_id in _systems("inclusion", system):
         draws, tol = (2, 1e-5) if sys_id == "nse" else (25, 1e-6)
@@ -171,8 +169,7 @@ def nse_energy_check(fam, rng: np.random.Generator):
 NSE_ABSORBING_SLACK = 1e-6
 
 
-def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int,
-                        workers: int = 1):
+def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int):
     """(grid, norms, max_violation, verdict) of the absorbing inequality
 
         |u(t)|^2 <= |u(a)|^2 exp(-nu lambda_1 (t - a))
@@ -181,13 +178,13 @@ def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int,
     along n_seeds fields sampled in |u| <= 2R, at 41 times from 0 to one past
     the absorbing entry time (to 3 for a radius of at most 1/2).  norms holds
     one row of |u| per seed, the packed norms of every seed's images in one
-    block, split over the workers; max_violation is the largest excess of
+    block; max_violation is the largest excess of
     the left side over the right over every pair of grid times a <= t."""
     radius = fam.absorbing_set_radius()
     horizon = absorbing_entry_time(radius, fam.nu) + 1.0 if radius > 0.5 else 3.0
     seeds = fam.sample_states(n_seeds, rng, radius=2.0 * radius if radius > 0 else None)
     grid = np.linspace(0.0, horizon, 41)
-    norms = _trajectory_norms(fam, seeds, 0.0, grid, workers)
+    norms = _trajectory_norms(fam, seeds, 0.0, grid)
     a, t = np.triu_indices(grid.size)
     sq = norms ** 2
     bound = fam.radius / 2.0  # the last term above is half the absorbing radius R
@@ -196,15 +193,14 @@ def nse_absorbing_check(fam, rng: np.random.Generator, n_seeds: int,
     return grid, norms, worst, "holds" if worst <= NSE_ABSORBING_SLACK else "violated"
 
 
-def suite_energy(seed: int, workers: int = 1,
-                 system: str | None = None) -> list[CheckResult]:
+def suite_energy(seed: int, system: str | None = None) -> list[CheckResult]:
     res = []
     plans = _systems("energy", system)
     if "heat" in plans:
         fam = make_system("heat")
         rng = np.random.default_rng(seed)
         grid = np.arange(-5.0, 0.01, 0.25)
-        norms = _trajectory_norms(fam, fam.sample_states(10, rng), -5.0, grid, workers)
+        norms = _trajectory_norms(fam, fam.sample_states(10, rng), -5.0, grid)
         reps = [energy_inequality_check(TrajectorySample(grid, row), eps=1e-12, delta=2.0)
                 for row in norms]
         res.append(CheckResult("heat norm decay",
@@ -265,8 +261,7 @@ def invariance_plan(fam, rng: np.random.Generator) -> list[tuple]:
     raise UsageError(f"no canonical invariant family for system {sys_id!r}")
 
 
-def suite_invariance(seed: int, workers: int = 1,
-                     system: str | None = None) -> list[CheckResult]:
+def suite_invariance(seed: int, system: str | None = None) -> list[CheckResult]:
     # run without a system: the heat zero family, the forced orbit and the
     # bump manifold; the other covered systems repeat a full-invariance case
     plans = (("heat", "forced-scalar", "bump") if system is None
@@ -279,7 +274,7 @@ def suite_invariance(seed: int, workers: int = 1,
             want = INVARIANT_VERDICTS[kind]
             rep = invariance_check(fam, family, kind=kind, window=(0.0, 2.0),
                                    tol=0.05, rng=np.random.default_rng(seed),
-                                   workers=workers, **quasi)
+                                   **quasi)
             res.append(CheckResult(name, rep.verdict == want,
                                    {"verdict": rep.verdict, "expected": want,
                                     "max_semi_dev": max(rep.semi_dev,
@@ -298,8 +293,7 @@ def suite_invariance(seed: int, workers: int = 1,
     return res
 
 
-def suite_tracking(seed: int, workers: int = 1,
-                   system: str | None = None) -> list[CheckResult]:
+def suite_tracking(seed: int, system: str | None = None) -> list[CheckResult]:
     res = []
     for sys_id in _systems("tracking", system):
         fam = make_system(sys_id)
@@ -318,8 +312,7 @@ def suite_tracking(seed: int, workers: int = 1,
         # radius, where every weak distance reads 0
         strong = sys_id in ("bump", "single")
         rep = tracking_check(fam, sched, horizon=2.0, eps=5e-2, seeds=seeds,
-                             strong=strong, rng=np.random.default_rng(seed),
-                             workers=workers)
+                             strong=strong, rng=np.random.default_rng(seed))
         info = {"verdict": rep.verdict, "max_weak_sup": max(rep.weak_sups)}
         if strong:
             info["max_strong_sup"] = max(rep.strong_sups)
@@ -327,15 +320,14 @@ def suite_tracking(seed: int, workers: int = 1,
     return res
 
 
-def suite_uniform(seed: int, workers: int = 1,
-                  system: str | None = None) -> list[CheckResult]:
+def suite_uniform(seed: int, system: str | None = None) -> list[CheckResult]:
     [base] = _systems("uniform", system)
     symfam = SymbolFamily(base, count=32)
     space = symfam.system(0.0).space
     seeds = [space.state([0], [v]) for v in np.linspace(-1.5, 1.5, 8)]
     rep = union_inclusion_check(symfam, seeds, t0=0.0,
                                 schedule=PullbackSchedule.geometric(0.0, n=10),
-                                eps_net=0.05, workers=workers)
+                                eps_net=0.05)
     return [CheckResult("union inside uniform", rep.verdict == "included",
                         {"semidist": rep.union_in_uniform,
                          "threshold": rep.threshold, "verdict": rep.verdict}),
@@ -354,7 +346,7 @@ _SUITE_FNS = {
 SUITES = (*_SUITE_FNS, "all")
 
 
-def run_suite(suite: str, seed: int = 0, workers: int = 1,
+def run_suite(suite: str, seed: int = 0,
               system: str | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
@@ -368,7 +360,7 @@ def run_suite(suite: str, seed: int = 0, workers: int = 1,
         raise UsageError(f"no suite has a contract for {system!r}")
     results: list[CheckResult] = []
     for name in names:
-        results.extend(_SUITE_FNS[name](seed, workers, system=system))
+        results.extend(_SUITE_FNS[name](seed, system=system))
     verdict = "pass" if all(r.ok for r in results) else "fail"
     return SuiteReport(suite, seed, results, verdict)
 

@@ -3,7 +3,7 @@
 Every test drives ``ges.cli.main`` in process with an isolated output
 directory, then checks three contracts: the exit code, the artifact
 files (names plus JSON/CSV schema), and determinism (same inputs, same
-bytes, regardless of worker count).
+bytes, whatever the `--threads` value).
 """
 
 import argparse
@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from ges.cli import ExperimentConfig, _omega_exit, _verdict_exit, build_parser, 
 from ges.errors import ForcingFormatError, UsageError
 from ges.omega import OmegaApprox, attraction_diagnostic
 from ges.systems import make_system
-from ges.systems.nse import ForcingProfile
+from ges.systems.nse import MAX_KMAX, ForcingProfile, SpectralBasis
 
 
 def run(tmp_path, *argv):
@@ -178,7 +179,7 @@ class TestAttractCommand:
         want = attraction_diagnostic(fam, cfg.schedule(), om.points,
                                      n_seeds=cfg.n_seeds, metric=cfg.metric,
                                      tol=cfg.tol, rng=cfg.rng(),
-                                     branches=cfg.branches, workers=cfg.threads)
+                                     branches=cfg.branches)
         stem = f"attract_{cfg.system}_{cfg.metric}"
         assert (out / f"{stem}.json").read_text() == want.to_json()
         assert (out / f"{stem}.csv").read_text() == want.profile_csv()
@@ -615,6 +616,17 @@ class TestUsageErrors:
         assert "kmax" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kmax", [str(MAX_KMAX + 1), "100000"])
+    def test_nse_cutoff_above_the_bound(self, tmp_path, capsys, kmax):
+        # refused before the kmax^3 mode table is built
+        start = time.perf_counter()
+        code, out = run(tmp_path, "nse", "info", "--kmax", kmax)
+        assert time.perf_counter() - start < 5.0
+        assert code == 64
+        assert f"[1, {MAX_KMAX}]" in capsys.readouterr().err
+        assert not out.exists()
+        assert SpectralBasis(MAX_KMAX).kmax == MAX_KMAX
+
 
 # ---------------------------------------------------------------------------
 # configuration precedence: CLI flag > config file > defaults
@@ -859,6 +871,26 @@ def test_commands_never_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call; index unions and a
     # sampled law's window sup take sorted_unique instead
     _run_fresh(_NO_NUMPY_MA, tmp_path)
+
+
+_SERIAL = """
+import sys
+import threading
+import ges.cli
+out = sys.argv[1]
+for argv, want in ((["verify", "all", "--seed", "0"], 0),
+                   (["nse", "omega", "--n", "3", "--n-seeds", "2"], 2),
+                   (["omega", "--system", "heat", "--n-seeds", "8"], 0),
+                   (["nse", "absorbing", "--n-seeds", "3"], 0)):
+    assert ges.cli.main([*argv, "--threads", "2", "--out", out]) == want, argv
+    assert threading.active_count() == 1, argv
+    assert "concurrent.futures" not in sys.modules, argv
+"""
+
+
+def test_commands_start_no_thread(tmp_path):
+    # --threads is accepted for compatibility; every image is evolved serially
+    _run_fresh(_SERIAL, tmp_path)
 
 
 # ---------------------------------------------------------------------------

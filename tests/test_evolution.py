@@ -67,7 +67,7 @@ class TestImageTier:
         tier = _image_tier(fam, seeds, 0.0, 1.0)
         assert [(i, b) for _, i, b, _, _, _ in tier] == [
             (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
-        packed, (rows,), _ = _tier_block(fam.space, [tier], 1)
+        packed, (rows,), _ = _tier_block(fam.space, [tier])
         want = [fam.evolve(0.0, x, [1.0], branch=b)[0] for _, _, b, x, _, _ in tier]
         for row, w in zip(rows, want):
             assert np.array_equal(packed.state(row).val, w.val)
@@ -89,7 +89,7 @@ class TestImageTier:
         images = []
         for order in (seeds, seeds[::-1]):
             packed, (rows,), _ = _tier_block(
-                fam.space, [_image_tier(fam, order, -2.0, 0.0)], 1)
+                fam.space, [_image_tier(fam, order, -2.0, 0.0)])
             images.append([packed.state(row) for row in rows])
         assert hausdorff_dist(fam.space, *images, "strong") == 0.0
 
@@ -97,7 +97,7 @@ class TestImageTier:
         fam = HeatSystem()
         seeds = fam.sample_states(4, np.random.default_rng(2))
         tiers = [_image_tier(fam, seeds, -depth, 0.0) for depth in (1.0, 4.0, 16.0)]
-        packed, _, _ = _tier_block(fam.space, tiers, 1)
+        packed, _, _ = _tier_block(fam.space, tiers)
         assert packed.norms.max() <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("fam", [HeatSystem(), BranchSystem()],
@@ -107,9 +107,7 @@ class TestImageTier:
         grid = np.linspace(-2.0, 1.0, 7)
         samples = [u for x in seeds for u in fam.evolve(-2.0, x, grid)]
         want = pack_states(fam.space, samples).norms.reshape(len(seeds), grid.size)
-        for workers in (1, 2):
-            got = _trajectory_norms(fam, seeds, -2.0, grid, workers)
-            assert np.array_equal(got, want)
+        assert np.array_equal(_trajectory_norms(fam, seeds, -2.0, grid), want)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,7 @@ def test_a_non_finite_image_is_a_blow_up(fam, x, s, t, norm):
     image as a state."""
     with pytest.raises(BlowUpError, match=rf"seed #0 \(branch 0\) blew up: "
                                           rf"\|u\({re.escape(str(t))}\)\| = {norm} is not finite"):
-        _tier_block(fam.space, [_image_tier(fam, [x], s, t)], 1)
+        _tier_block(fam.space, [_image_tier(fam, [x], s, t)])
     with pytest.raises(UsageError, match="non-finite coefficient"):
         fam.evolve(s, x, [t])
 

@@ -346,19 +346,17 @@ class TestTierBlock:
     """The omega block is built straight from the seeds; its artifacts are
     byte-equal to packing the per-tier images."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("make,n_seeds", [(HeatSystem, 40), (BumpSystem, 24),
                                               (BranchSystem, 8)])
-    def test_pullback_matches_per_tier_images(self, make, n_seeds, workers):
+    def test_pullback_matches_per_tier_images(self, make, n_seeds):
         fam = make()
         sched = PullbackSchedule.geometric(0.0, n=12)
         om = omega_pullback(fam, sched, n_seeds=n_seeds,
-                            rng=np.random.default_rng(3), workers=workers)
+                            rng=np.random.default_rng(3))
         want = reference_pullback(fam, sched, n_seeds, np.random.default_rng(3))
         assert om.points and om.to_json() == want.to_json()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_complex_heat_seeds_turn_the_block_complex(self, monkeypatch, workers):
+    def test_complex_heat_seeds_turn_the_block_complex(self, monkeypatch):
         fam = HeatSystem()
         seeds = complex_heat_seeds(fam)
         sched = PullbackSchedule.geometric(0.0, n=10)
@@ -370,16 +368,15 @@ class TestTierBlock:
             return real(system_id, packed, *args)
 
         monkeypatch.setattr(ges.omega, "_omega_from_tiers", spy)
-        om = omega_pullback(fam, sched, seeds=seeds, workers=workers)
+        om = omega_pullback(fam, sched, seeds=seeds)
         want = reference_pullback(fam, sched, None, None, seeds=seeds)
         assert seen[0] == np.complex128
         assert om.to_json() == want.to_json()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_heat_forward_matches_per_horizon_images(self, workers):
+    def test_heat_forward_matches_per_horizon_images(self):
         fam = HeatSystem()
         seeds = fam.sample_states(24, np.random.default_rng(5))
-        om = forward_omega(fam, 0.5, seeds, n=10, workers=workers)
+        om = forward_omega(fam, 0.5, seeds, n=10)
         want = reference_forward(fam, 0.5, seeds, 10)
         assert om.points and om.to_json() == want.to_json()
 
@@ -500,7 +497,7 @@ def system_tier_block(system_id, n_seeds, n=8, seed=0):
                                   sched.t, sched.starts)
     tiers = [ges.omega._image_tier(fam, lst, s, sched.t)
              for s, lst in zip(sched.starts, lists)]
-    packed, tier_rows, _ = ges.omega._tier_block(fam.space, tiers, 1)
+    packed, tier_rows, _ = ges.omega._tier_block(fam.space, tiers)
     return packed, tier_rows
 
 
@@ -992,16 +989,14 @@ class TestInvariance:
         make, metric, budget, labels, family_of = self.QUASI_CASES[case]
         fam = make()
         family = family_of(fam)
-        reps = [invariance_check(fam, family, kind="quasi", metric=metric,
-                                 budget=budget, labels=labels,
-                                 rng=np.random.default_rng(9), workers=w)
-                for w in (1, 2)]
+        rep = invariance_check(fam, family, kind="quasi", metric=metric,
+                               budget=budget, labels=labels,
+                               rng=np.random.default_rng(9))
         want = reference_quasi_unmatched(fam, family, metric, budget, labels,
                                          np.random.default_rng(9))
-        assert reps[0] == reps[1]
-        assert reps[0].quasi_unmatched == want
-        assert reps[0].verdict == ("quasi-invariant" if want == 0
-                                   else "inconclusive")
+        assert rep.quasi_unmatched == want
+        assert rep.verdict == ("quasi-invariant" if want == 0
+                               else "inconclusive")
         assert (want > 0) == case.endswith("unmatched")
 
 
@@ -1106,16 +1101,14 @@ class TestTracking:
         sched = PullbackSchedule.geometric(0.0, n=10)
         kw = dict(horizon=2.0, eps=0.05, seeds=seeds_of(fam), count=4,
                   n_complete=5, deep_tiers=3)
-        reps = [tracking_check(fam, sched, rng=np.random.default_rng(3),
-                               workers=w, strong=True, **kw) for w in (1, 2)]
+        rep = tracking_check(fam, sched, rng=np.random.default_rng(3),
+                             strong=True, **kw)
         weak, strong = reference_tracking(fam, sched,
                                           rng=np.random.default_rng(3), **kw)
-        assert reps[0] == reps[1]
-        np.testing.assert_allclose(reps[0].weak_sups, weak, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(reps[0].strong_sups, strong, rtol=1e-14,
-                                   atol=0)
+        np.testing.assert_allclose(rep.weak_sups, weak, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rep.strong_sups, strong, rtol=1e-14, atol=0)
         holds = max(weak) <= 0.05 and max(strong) <= 0.05
-        assert reps[0].verdict == ("holds" if holds else "fails")
+        assert rep.verdict == ("holds" if holds else "fails")
 
     @pytest.mark.parametrize("kw", [{"grid_n": 1}, {"grid_n": 0},
                                     {"deep_tiers": 0}, {"deep_tiers": -1},
